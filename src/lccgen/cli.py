@@ -24,7 +24,14 @@ from .bounds import (
 from .config import ConfigError, apply_overrides, load_config
 from .datasets import make_ring, make_swiss_roll, load_mnist_idx
 from .lcc.core import AnchorSet, LccConfig, learn_anchors
-from .lcc.sampling import SamplerConfig, interpolate, sample_coding, sample_coding_pair
+from .lcc.sampling import (
+    SamplerConfig,
+    SamplingError,
+    interpolate,
+    neighbor_table,
+    sample_coding_pair,
+    sample_codings,
+)
 from .metrics import median_pairwise_distance, mmd2, pearson_nn
 from .neural.autoencoder import train_autoencoder
 from .neural.gan import build_gan, train_gan
@@ -120,7 +127,7 @@ def cmd_learn_lcc(cfg, base_seed, out):
     anchors, codings = learn_anchors(embeddings, lcc_cfg, trace=trace)
     save_anchors(os.path.join(out, "anchors.bin"), anchors)
     anchors_to_csv(os.path.join(out, "anchors.csv"), anchors)
-    codings_to_csv(os.path.join(out, "codings.csv"), codings)
+    codings_to_csv(os.path.join(out, "codings.csv"), np.stack([c.weights for c in codings]))
     _loss_csv(os.path.join(out, "lcc_objective.csv"), ["iter", "objective"],
               [(v,) for v in trace])
     print(f"learn-lcc: m={anchors.m} d_b={anchors.d_b}, "
@@ -155,17 +162,18 @@ def cmd_train_gan(cfg, base_seed, out):
 
 
 def cmd_sample(cfg, base_seed, out, n, generator_path=None):
+    if n < 1:
+        raise CliError(f"--n must be at least 1, got {n}")
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
     sampler = SamplerConfig(d=cfg["sampler"]["d"], seed=stage_seed(base_seed, _TAG_SAMPLE),
                             min_abs_sum=cfg["sampler"]["min_abs_sum"])
-    rng = Rng(sampler.seed)
-    codings = [sample_coding(anchors, sampler, rng) for _ in range(n)]
-    codings_to_csv(os.path.join(out, "codings_sampled.csv"), codings)
+    G = sample_codings(neighbor_table(anchors, sampler.d), anchors.m, n, sampler,
+                       Rng(sampler.seed))
+    codings_to_csv(os.path.join(out, "codings_sampled.csv"), G)
     wrote = ["codings_sampled.csv"]
     gen_file = generator_path or os.path.join(out, "generator.bin")
     if generator_path or os.path.exists(gen_file):
         generator = load_model(gen_file)
-        G = np.stack([c.weights for c in codings])
         outputs = generator.forward(G)
         matrix_to_csv(os.path.join(out, "sampled_outputs.csv"), outputs)
         wrote.append("sampled_outputs.csv")
@@ -182,9 +190,8 @@ def cmd_interpolate(cfg, base_seed, out, steps, generator_path=None):
                             min_abs_sum=cfg["sampler"]["min_abs_sum"])
     rng = Rng(sampler.seed)
     a, b = sample_coding_pair(anchors, sampler, rng)
-    path = interpolate(a, b, steps)
-    codings_to_csv(os.path.join(out, "interp_codings.csv"), path)
-    G = np.stack([c.weights for c in path])
+    G = np.stack([c.weights for c in interpolate(a, b, steps)])
+    codings_to_csv(os.path.join(out, "interp_codings.csv"), G)
     matrix_to_csv(os.path.join(out, "interp_outputs.csv"), generator.forward(G))
     print(f"interpolate: {steps} steps along one neighborhood")
     return 0
@@ -226,9 +233,9 @@ def cmd_eval(cfg, base_seed, out):
     d = cfg["data"]
     sampler = SamplerConfig(d=cfg["sampler"]["d"], seed=stage_seed(base_seed, _TAG_EVAL),
                             min_abs_sum=cfg["sampler"]["min_abs_sum"])
-    rng = Rng(sampler.seed)
-    codings = [sample_coding(anchors, sampler, rng) for _ in range(e["n_generated"])]
-    generated = generator.forward(np.stack([c.weights for c in codings]))
+    G = sample_codings(neighbor_table(anchors, sampler.d), anchors.m, e["n_generated"],
+                       sampler, Rng(sampler.seed))
+    generated = generator.forward(G)
     if d["kind"] == "ring":
         held = make_ring(e["n_heldout"], d["radius"], d["noise_sigma"],
                          stage_seed(base_seed, _TAG_HELDOUT)).samples
@@ -320,7 +327,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, base_seed, out)
         raise CliError(f"unknown command {args.command!r}")
-    except (CliError, ConfigError, OSError, ValueError) as exc:
+    except (CliError, ConfigError, OSError, ValueError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

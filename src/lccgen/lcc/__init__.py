@@ -20,4 +20,5 @@ from .sampling import (
     neighbor_table,
     sample_coding,
     sample_coding_pair,
+    sample_codings,
 )

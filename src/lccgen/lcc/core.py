@@ -211,15 +211,19 @@ def _solve_batch(H, V, config: LccConfig, gamma0=None):
     for _ in range(_MAX_SWEEPS):
         prev = G.copy()
         beta = l_h / np.sqrt(np.sum(E * E, axis=1) + _EPS_SMOOTH)
+        inactive = ~active
+        frozen = bool(inactive.any())
         for j in range(m):
             if vv[j] == 0.0:
                 continue
             vj = V[:, j]
-            s = E @ vj + G[:, j] * vv[j]
+            gj = G[:, j]
+            s = E @ vj + gj * vv[j]
             z = beta * s
             t = np.sign(z) * np.maximum(np.abs(z) - 0.5 * C[:, j], 0.0) / (beta * vv[j])
-            t[~active] = G[~active, j]
-            step = t - G[:, j]
+            if frozen:
+                t[inactive] = gj[inactive]
+            step = t - gj
             E -= step[:, None] * vj[None, :]
             G[:, j] = t
         bad = _normalize_rows(G)
@@ -259,17 +263,16 @@ def _polish_coding(h, V, C, l_h, gamma, max_passes=4):
     g = gamma.copy()
     E = h - V @ g
 
+    two_lh = 2.0 * l_h
+
     def section_min(ee, eu, uu, cj, cp, s0, t0):
         # minimize f(t) = 2*l_h*sqrt(ee - 2(t-t0)eu + (t-t0)^2 uu + eps)
         #                 + cj|t| + cp|s0 - t| over t (convex)
-        def f(t):
+        # defaults bind as locals: f runs ~60 times per section
+        def f(t, sqrt=math.sqrt, eps=_EPS_SMOOTH, abs=abs):
             d = t - t0
             r2 = ee - 2.0 * d * eu + d * d * uu
-            return (
-                2.0 * l_h * math.sqrt((r2 if r2 > 0.0 else 0.0) + _EPS_SMOOTH)
-                + cj * abs(t)
-                + cp * abs(s0 - t)
-            )
+            return two_lh * sqrt((r2 if r2 > 0.0 else 0.0) + eps) + cj * abs(t) + cp * abs(s0 - t)
 
         if cj == 0.0 and cp == 0.0:
             return t0 + eu / uu, f(t0 + eu / uu)

@@ -5,6 +5,11 @@ center's d nearest anchors (the center itself included), fills those slots
 with Gaussian weights in ascending-distance order, and normalizes the
 weights to sum 1.  Interpolation blends two codings linearly, which keeps
 the sum-to-one property and never leaves the union of their supports.
+
+Bulk draws come from `sample_codings` as an (n, m) weight array; `Coding`
+objects are only built for single draws (`sample_coding`,
+`sample_coding_pair`).  Both consume the random stream in the same order,
+so a batch of n draws equals n single draws bit for bit.
 """
 
 from __future__ import annotations
@@ -13,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..rng import Rng
+from ..rng import Rng, u64_to_normals, u64_to_uniforms
 from .core import AnchorSet, Coding
 
 _MAX_REDRAWS = 64
@@ -52,13 +57,25 @@ def knn(query, anchors: AnchorSet, k: int) -> np.ndarray:
 
 
 def neighbor_table(anchors: AnchorSet, d: int) -> np.ndarray:
-    """Precomputed (m, d) kNN table, one row per center anchor.
+    """Precomputed (m, d) kNN table, one row per center anchor; row j equals
+    knn(anchors.anchors[:, j], anchors, d).
 
     An anchor queried against its own set is at distance 0, so each center
     occupies the first slot of its row (barring exact duplicates, where the
     lower index wins)."""
-    return np.stack(
-        [knn(anchors.anchors[:, j], anchors, d) for j in range(anchors.m)]
+    m = anchors.m
+    if not 1 <= d <= m:
+        raise ValueError(f"d={d} must be in [1, m={m}]")
+    d2 = np.zeros((m, m))
+    for row in anchors.anchors:  # same per-coordinate order as knn's sum
+        diff = row[None, :] - row[:, None]
+        d2 += diff * diff
+    return np.argsort(d2, axis=1, kind="stable")[:, :d]
+
+
+def _gave_up(config: SamplerConfig) -> SamplingError:
+    return SamplingError(
+        f"|sum(z)| stayed below {config.min_abs_sum} after {_MAX_REDRAWS} redraws"
     )
 
 
@@ -73,9 +90,80 @@ def _draw_on_neighborhood(neighbors, m, config: SamplerConfig, rng: Rng) -> Codi
             top = neighbors[int(np.argmax(np.abs(w[neighbors])))]
             w[top] -= w.sum() - 1.0
             return Coding(w)
-    raise SamplingError(
-        f"|sum(z)| stayed below {config.min_abs_sum} after {_MAX_REDRAWS} redraws"
-    )
+    raise _gave_up(config)
+
+
+def _place(w, neighbors, z, s):
+    """Writes z / s onto each row's neighbors and pins the row sum to 1, as
+    _draw_on_neighborhood does for one draw."""
+    rows = np.arange(w.shape[0])
+    zs = z / s[:, None]
+    w[rows[:, None], neighbors] = zs
+    top = neighbors[rows, np.argmax(np.abs(zs), axis=1)]
+    w[rows, top] -= w.sum(axis=1) - 1.0
+
+
+def sample_codings(table, m: int, n: int, config: SamplerConfig, rng: Rng) -> np.ndarray:
+    """n random codings as an (n, m) weight array, one row per draw.
+
+    Bit-identical to n sequential draws (center = rng.randint(m), then
+    _draw_on_neighborhood on table[center]) and leaves rng at the same
+    position: the stream is cut into per-draw blocks of one center u64 and
+    2*ceil(d/2) normal u64s.  A draw whose |sum(z)| falls below
+    min_abs_sum redraws from the next 2*ceil(d/2) u64s, and the batch
+    resumes after them; only the shortfall this leaves is fetched, so every
+    u64 fetched is consumed.
+    """
+    d = config.d
+    if table.shape != (m, d):
+        raise ValueError(f"table has shape {table.shape}, expected ({m}, {d})")
+    if n < 0:
+        raise ValueError("n must be >= 0")
+    k = 2 * ((d + 1) // 2)  # u64s per attempt at the normals
+    w = np.zeros((n, m))
+    buf = rng.next_u64_array(n * (1 + k))
+    pos = done = 0
+
+    def ahead(count):  # the next `count` u64s, fetching any shortfall
+        nonlocal buf, pos
+        if buf.size - pos < count:
+            buf = np.concatenate([buf[pos:], rng.next_u64_array(count - (buf.size - pos))])
+            pos = 0
+        return buf[pos:pos + count]
+
+    while done < n:
+        block = ahead((n - done) * (1 + k)).reshape(n - done, 1 + k)
+        u = u64_to_uniforms(block[:, 0])
+        neighbors = table[np.minimum((u * m).astype(np.int64), m - 1)]
+        z = u64_to_normals(block[:, 1:], d)
+        s = z.sum(axis=1)
+        low = np.flatnonzero(np.abs(s) < config.min_abs_sum)
+        good = int(low[0]) if low.size else n - done
+        _place(w[done:done + good], neighbors[:good], z[:good], s[:good])
+        done += good
+        pos += good * (1 + k)
+        if done == n:
+            break
+        # draw `done` was rejected: redraw on its neighborhood, one at a time
+        nbr = neighbors[good:good + 1]
+        pos += 1 + k
+        for _ in range(_MAX_REDRAWS):
+            z = u64_to_normals(ahead(k)[None, :], d)
+            pos += k
+            s = z.sum(axis=1)
+            if abs(s[0]) >= config.min_abs_sum:
+                _place(w[done:done + 1], nbr, z, s)
+                done += 1
+                break
+        else:
+            raise _gave_up(config)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("weights must be finite")
+    sums = w.sum(axis=1)
+    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    if off.size:
+        raise ValueError(f"coding weights must sum to 1, got {sums[off[0]]!r}")
+    return w
 
 
 def sample_coding(anchors: AnchorSet, config: SamplerConfig, rng: Rng) -> Coding:

@@ -47,15 +47,18 @@ def mmd2(xs, ys, bandwidth: float) -> float:
     if m < 2 or n < 2:
         return 0.0
     scale = -0.5 / (bandwidth * bandwidth)
-    kxx = np.exp(scale * _pairwise_sq_dists(a, a))
-    kyy = np.exp(scale * _pairwise_sq_dists(b, b))
-    kxy = np.exp(scale * _pairwise_sq_dists(a, b))
-    sxx = (kxx.sum() - np.trace(kxx)) / (m * (m - 1))
-    syy = (kyy.sum() - np.trace(kyy)) / (n * (n - 1))
-    if m == n:
-        sxy = (kxy.sum() - np.trace(kxy)) / (m * (m - 1))
-    else:
-        sxy = kxy.mean()
+
+    def kernel(p, q):
+        return np.exp(scale * _pairwise_sq_dists(p, q))
+
+    def off_diagonal_mean(p, q):
+        # reduced here, so only one kernel matrix is alive at a time
+        k = kernel(p, q)
+        return (k.sum() - np.trace(k)) / (p.shape[0] * (p.shape[0] - 1))
+
+    sxx = off_diagonal_mean(a, a)
+    syy = off_diagonal_mean(b, b)
+    sxy = off_diagonal_mean(a, b) if m == n else kernel(a, b).mean()
     return float(sxx + syy - 2.0 * sxy)
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..lcc.core import AnchorSet
-from ..lcc.sampling import SamplerConfig, neighbor_table, _draw_on_neighborhood
+from ..lcc.sampling import SamplerConfig, neighbor_table, sample_codings
 from ..rng import Rng
 from .adam import AdamState, adam_step, init_adam
 from .net import Mlp, backward, build_mlp, check_finite, forward_cached
@@ -110,14 +110,6 @@ def gen_objective_and_grads(gan: GanModel, codings):
     return value, grads
 
 
-def _sample_coding_batch(table, m, config: SamplerConfig, rng: Rng, n: int):
-    G = np.empty((n, m))
-    for i in range(n):
-        center = rng.randint(m)
-        G[i] = _draw_on_neighborhood(table[center], m, config, rng).weights
-    return G
-
-
 def train_gan(
     data,
     anchors: AnchorSet,
@@ -141,7 +133,7 @@ def train_gan(
     table = neighbor_table(anchors, sampler_config.d)
     trace = []
     for it in range(iters):
-        codings = _sample_coding_batch(table, anchors.m, sampler_config, rng, batch)
+        codings = sample_codings(table, anchors.m, batch, sampler_config, rng)
         idx = np.minimum((rng.uniforms(batch) * n).astype(np.int64), n - 1)
         d_val, d_grads = disc_objective_and_grads(gan, X[idx], codings)
         if not np.isfinite(d_val):
@@ -153,7 +145,7 @@ def train_gan(
         gan.discriminator.set_params(new_p)
         check_finite(gan.discriminator, f"iteration {it}")
 
-        codings = _sample_coding_batch(table, anchors.m, sampler_config, rng, batch)
+        codings = sample_codings(table, anchors.m, batch, sampler_config, rng)
         g_val, g_grads = gen_objective_and_grads(gan, codings)
         if not np.isfinite(g_val):
             raise GanDivergedError(f"non-finite generator objective at iteration {it}")

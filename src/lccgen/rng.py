@@ -49,6 +49,24 @@ def _mix_array(z):
     return z ^ (z >> np.uint64(31))
 
 
+def u64_to_uniforms(bits) -> np.ndarray:
+    """Uniform doubles in [0, 1) from the top 53 bits of each u64."""
+    return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
+
+
+def u64_to_normals(bits, n: int) -> np.ndarray:
+    """Box-Muller along the last axis of a (..., 2 * ceil(n/2)) u64 block: the
+    first half feeds r, the second half theta.  Returns (..., n)."""
+    pairs = bits.shape[-1] // 2
+    u = u64_to_uniforms(bits)
+    r = np.sqrt(-2.0 * np.log1p(-u[..., :pairs]))
+    theta = 2.0 * np.pi * u[..., pairs:]
+    out = np.empty(bits.shape[:-1] + (2 * pairs,))
+    out[..., 0::2] = r * np.cos(theta)
+    out[..., 1::2] = r * np.sin(theta)
+    return out[..., :n]
+
+
 class Rng:
     """splitmix64 stream; all package randomness flows through this class."""
 
@@ -74,8 +92,7 @@ class Rng:
         return (self.next_u64() >> 11) * _INV_2_53
 
     def uniforms(self, n: int) -> np.ndarray:
-        bits = self.next_u64_array(n) >> np.uint64(11)
-        return bits.astype(np.float64) * _INV_2_53
+        return u64_to_uniforms(self.next_u64_array(n))
 
     def normal(self) -> float:
         u1 = self.uniform()
@@ -83,14 +100,7 @@ class Rng:
         return math.sqrt(-2.0 * math.log1p(-u1)) * math.cos(2.0 * math.pi * u2)
 
     def normals(self, n: int) -> np.ndarray:
-        pairs = (n + 1) // 2
-        u = self.uniforms(2 * pairs)
-        r = np.sqrt(-2.0 * np.log1p(-u[:pairs]))
-        theta = 2.0 * np.pi * u[pairs:]
-        out = np.empty(2 * pairs)
-        out[0::2] = r * np.cos(theta)
-        out[1::2] = r * np.sin(theta)
-        return out[:n]
+        return u64_to_normals(self.next_u64_array(2 * ((n + 1) // 2)), n)
 
     def randint(self, n: int) -> int:
         """Integer in [0, n) via floor(u * n); clamped so u ~ 1 cannot spill over."""

@@ -105,11 +105,15 @@ def load_model(path) -> Mlp:
     return Mlp(layers)
 
 
-def codings_to_csv(path, codings) -> None:
-    """One coding per row as comma-separated index:weight support pairs."""
+def codings_to_csv(path, weights) -> None:
+    """One row of an (n, m) coding weight array per line, as comma-separated
+    index:weight pairs over the row's nonzeros."""
+    W = np.asarray(weights, dtype=np.float64)
+    if W.ndim != 2:
+        raise ValueError(f"expected an (n, m) weight array, got shape {W.shape}")
     with open(path, "w", newline="\n") as fh:
-        for c in codings:
-            cells = [f"{int(j)}:{fmt_float(c.weights[j])}" for j in c.support]
+        for w in W:
+            cells = [f"{int(j)}:{fmt_float(w[j])}" for j in np.flatnonzero(w)]
             fh.write(",".join(cells) + "\n")
 
 

@@ -115,7 +115,7 @@ def _ring_learning_run(out_dir):
             "trace": os.path.join(out_dir, f"trace_q{q}.csv"),
         }
         anchors_to_csv(paths["anchors"], anchors)
-        codings_to_csv(paths["codings"], codings)
+        codings_to_csv(paths["codings"], np.stack([c.weights for c in codings]))
         matrix_to_csv(paths["trace"], [[v] for v in trace])
         blobs = {}
         for k, p in paths.items():

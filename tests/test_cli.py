@@ -230,3 +230,28 @@ def test_mnist_kind_requires_images_key(tmp_path, capsys):
     path.write_text(f"[data]\nkind = mnist\n[output]\ndir = {tmp_path / 'out'}\n")
     assert main(["--config", str(path), "train-ae"]) == 1
     assert "[data] images" in capsys.readouterr().err
+
+
+def test_sampler_giving_up_is_one_error_line(staged, tmp_path, capsys):
+    cfg, out = staged
+    out2 = str(tmp_path / "out")
+    shutil.copytree(out, out2)
+    cfg2 = write_cfg(str(tmp_path), out2)
+    with open(cfg2, "a") as fh:
+        fh.write("\n[sampler]\nmin_abs_sum = 1e9\n")
+    assert main(["--config", cfg2, "sample", "--n", "5"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "redraws" in err[0]
+    assert not os.path.exists(os.path.join(out2, "codings_sampled.csv"))
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_sample_rejects_nonpositive_n(staged, tmp_path, capsys, n):
+    cfg, out = staged
+    out2 = str(tmp_path / "out")
+    shutil.copytree(out, out2)
+    cfg2 = write_cfg(str(tmp_path), out2)
+    assert main(["--config", cfg2, "sample", "--n", n]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: --n must be at least 1, got {n}"]
+    assert not os.path.exists(os.path.join(out2, "codings_sampled.csv"))

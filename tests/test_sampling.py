@@ -8,10 +8,12 @@ from lccgen.lcc.sampling import (
     SamplerConfig,
     SamplingError,
     interpolate,
+    _draw_on_neighborhood,
     knn,
     neighbor_table,
     sample_coding,
     sample_coding_pair,
+    sample_codings,
 )
 from lccgen.rng import Rng
 
@@ -57,9 +59,12 @@ def test_knn_rejects_bad_k_and_dim():
 def test_neighbor_table_centers_lead_their_rows():
     rng = Rng(4)
     V = np.asarray(rng.normals(2 * 10)).reshape(2, 10)
-    table = neighbor_table(AnchorSet(V), 3)
+    anchors = AnchorSet(V)
+    table = neighbor_table(anchors, 3)
     assert table.shape == (10, 3)
     assert list(table[:, 0]) == list(range(10))
+    for j in range(10):
+        assert list(table[j]) == list(knn(V[:, j], anchors, 3))
 
 
 def test_sample_d1_is_one_hot():
@@ -174,3 +179,75 @@ def test_interpolate_rejects_bad_args():
         interpolate(a, a, 1)
     with pytest.raises(ValueError):
         interpolate(a, b, 3)
+
+
+def _per_draw(table, m, n, cfg, rng):
+    """Reference: n sequential draws, one center and one coding at a time."""
+    return np.stack(
+        [_draw_on_neighborhood(table[rng.randint(m)], m, cfg, rng).weights for _ in range(n)]
+    )
+
+
+class _CountingRng(Rng):
+    """Rng that records how many u64s each bulk fetch asks for."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.fetches = []
+
+    def next_u64_array(self, n):
+        self.fetches.append(n)
+        return super().next_u64_array(n)
+
+
+def test_sample_codings_matches_per_draw_loop():
+    redrawn = 0
+    for m in (4, 16, 33):
+        V = np.asarray(Rng(m).normals(3 * m)).reshape(3, m)
+        anchors = AnchorSet(V)
+        for d in range(1, 10):
+            if d > m:
+                continue
+            table = neighbor_table(anchors, d)
+            for min_abs_sum in (1e-2, 0.3, 1.0):
+                cfg = SamplerConfig(d=d, min_abs_sum=min_abs_sum)
+                ref_rng, rng = Rng(100 + d, 3), Rng(100 + d, 3)
+                want = _per_draw(table, m, 64, cfg, ref_rng)
+                got = sample_codings(table, m, 64, cfg, rng)
+                assert got.tobytes() == want.tobytes()
+                assert rng.counter == ref_rng.counter
+                redrawn += rng.counter - 3 > 64 * (1 + 2 * ((d + 1) // 2))
+    # the high guards must have forced redraws inside a batch
+    assert redrawn >= 10
+
+
+def test_sample_codings_fetches_only_what_it_consumes():
+    # d=1 with guard 1.0 rejects |z| < 1, about two draws in three
+    V = np.asarray(Rng(5).normals(2 * 16)).reshape(2, 16)
+    table = neighbor_table(AnchorSet(V), 1)
+    cfg = SamplerConfig(d=1, min_abs_sum=1.0)
+    rng = _CountingRng(9)
+    got = sample_codings(table, 16, 50, cfg, rng)
+    ref_rng = Rng(9)
+    want = _per_draw(table, 16, 50, cfg, ref_rng)
+    assert got.tobytes() == want.tobytes()
+    assert rng.fetches[0] == 50 * 3
+    assert len(rng.fetches) > 1  # redraws happened and cost a refill
+    assert sum(rng.fetches) == rng.counter == ref_rng.counter
+
+
+def test_sample_codings_gives_up_like_the_per_draw_path():
+    table = neighbor_table(SQUARE, 2)
+    cfg = SamplerConfig(d=2, min_abs_sum=1e9)
+    with pytest.raises(SamplingError):
+        _per_draw(table, 4, 3, cfg, Rng(0))
+    with pytest.raises(SamplingError):
+        sample_codings(table, 4, 3, cfg, Rng(0))
+
+
+def test_sample_codings_rejects_a_mismatched_table():
+    table = neighbor_table(SQUARE, 2)
+    with pytest.raises(ValueError):
+        sample_codings(table, 4, 3, SamplerConfig(d=3), Rng(0))
+    with pytest.raises(ValueError):
+        sample_codings(table, 5, 3, SamplerConfig(d=2), Rng(0))

@@ -5,7 +5,7 @@ import struct
 import numpy as np
 import pytest
 
-from lccgen.lcc.core import AnchorSet, Coding
+from lccgen.lcc.core import AnchorSet
 from lccgen.neural.net import build_mlp
 from lccgen.rng import Rng
 from lccgen.serialize import (
@@ -95,7 +95,7 @@ def test_codings_csv_roundtrip(tmp_path):
     w2 = np.zeros(6)
     w2[[0, 2, 5]] = [1.5, -1.0, 0.5]
     path = tmp_path / "c.csv"
-    codings_to_csv(path, [Coding(w1), Coding(w2)])
+    codings_to_csv(path, np.stack([w1, w2]))
     back = codings_from_csv(path, 6)
     assert np.array_equal(back[0].weights, w1)
     assert np.array_equal(back[1].weights, w2)
