@@ -37,6 +37,7 @@ from .neural.autoencoder import train_autoencoder
 from .neural.gan import build_gan, train_gan
 from .rng import Rng, stage_seed
 from .serialize import (
+    FormatError,
     anchors_to_csv,
     codings_to_csv,
     fmt_float,
@@ -165,15 +166,16 @@ def cmd_sample(cfg, base_seed, out, n, generator_path=None):
     if n < 1:
         raise CliError(f"--n must be at least 1, got {n}")
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
+    # load every input before writing any output
+    gen_file = generator_path or os.path.join(out, "generator.bin")
+    generator = load_model(gen_file) if generator_path or os.path.exists(gen_file) else None
     sampler = SamplerConfig(d=cfg["sampler"]["d"], seed=stage_seed(base_seed, _TAG_SAMPLE),
                             min_abs_sum=cfg["sampler"]["min_abs_sum"])
     G = sample_codings(neighbor_table(anchors, sampler.d), anchors.m, n, sampler,
                        Rng(sampler.seed))
     codings_to_csv(os.path.join(out, "codings_sampled.csv"), G)
     wrote = ["codings_sampled.csv"]
-    gen_file = generator_path or os.path.join(out, "generator.bin")
-    if generator_path or os.path.exists(gen_file):
-        generator = load_model(gen_file)
+    if generator is not None:
         outputs = generator.forward(G)
         matrix_to_csv(os.path.join(out, "sampled_outputs.csv"), outputs)
         wrote.append("sampled_outputs.csv")
@@ -327,7 +329,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, base_seed, out)
         raise CliError(f"unknown command {args.command!r}")
-    except (CliError, ConfigError, OSError, ValueError, SamplingError) as exc:
+    except (CliError, ConfigError, FormatError, OSError, ValueError, SamplingError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -7,9 +7,12 @@ weights gamma, is
 
     sum_i  2 * l_h * ||h_i - V g_i||  +  l_q * sum_j |g_ij| * ||v_j - h_i||^q
 
-with q = 2 or 3.  Weights come from cyclic coordinate descent on the
-weighted-L1 form (renormalized to sum 1 after each sweep); anchors come from
-a weighted least-squares update with the weights frozen.
+with q = 2 or 3.  `learn_anchors` alternates two steps: the weights of all
+points come from cyclic coordinate descent on the weighted-L1 form
+(renormalized to sum 1 after each sweep), and the anchors from a weighted
+least-squares update with the weights frozen.  `solve_coding` codes a single
+point exactly instead: damped Newton steps on a smoothed objective within
+the plane sum(g) = 1, with the smoothing driven down to 1e-10.
 """
 
 from __future__ import annotations
@@ -24,6 +27,11 @@ from ..rng import Rng
 _EPS_SMOOTH = 1e-12  # smoothing inside sqrt of the reconstruction term
 _SUM_GUARD = 1e-8  # renormalization divisor below this is degenerate
 _MAX_SWEEPS = 200
+_MU_START = 1e-1  # smoothing levels of the single-point Newton solve
+_MU_FLOOR = 1e-10
+_MAX_NEWTON = 50  # Newton steps per smoothing level
+_SNAP = 1e-8  # weights below this are also tried at exactly zero
+_STEPS = 0.5 ** np.arange(53)  # line-search step lengths 1, 1/2, ..., 2^-52
 
 
 class LccError(Exception):
@@ -248,104 +256,123 @@ def _solve_batch(H, V, config: LccConfig, gamma0=None):
     return best_G, best_obj, collapsed
 
 
-def _polish_coding(h, V, C, l_h, gamma, max_passes=4):
-    """Exact cyclic coordinate minimization on the sum-to-one manifold.
+def _solve_scaled(scaled, r, b):
+    """Solves (scaled / outer(r, r)) x = b, stacked over any leading axis;
+    least squares where the matrix is singular."""
+    rhs = (r * b)[..., None]
+    try:
+        y = np.linalg.solve(scaled, rhs)
+    except np.linalg.LinAlgError:  # no curvature at all along some direction
+        y = np.linalg.pinv(scaled) @ rhs
+    return r * y[..., 0]
 
-    Each step moves weight between coordinate j and a pivot p (so the sum
-    constraint holds by construction) and minimizes the convex 1-D section
-    of the objective by ternary search.  Started from any feasible coding
-    this never increases the objective; with two anchors a single pass
-    solves the constrained problem to search tolerance.
+
+def _best_step(V, c, two_lh, mu2, g, e, dirs):
+    """The point with the lowest F_mu among g + t*d, for each row d of dirs
+    and t = 1, 1/2, ..., 2^-52; returns (g, e, s, a, F_mu) there."""
+    D = np.repeat(dirs, len(_STEPS), axis=0)
+    T = np.tile(_STEPS, len(dirs))[:, None]
+    G = g + T * D
+    E = e - T * (D @ V.T)
+    S = np.sqrt(np.sum(E * E, axis=1) + mu2)
+    A = np.sqrt(G * G + mu2)
+    F = two_lh * S + A @ c
+    k = int(np.argmin(F))
+    return G[k], E[k], S[k], A[k], F[k]
+
+
+def _newton_coding(h, V, c, l_h, g):
+    """Damped Newton on the smoothed objective over the plane sum(g) = 1.
+
+    Minimizes F_mu(g) = 2*l_h*sqrt(||h - V g||^2 + mu^2)
+    + sum_j c_j*sqrt(g_j^2 + mu^2) for mu = 1e-1, 1e-3, ..., 1e-9, 1e-10;
+    F_mu - f is at most (2*l_h + sum(c))*mu.  Each level starts from the
+    last one's result, moved along the tangent of the minimizer path g(mu)
+    when that lowers the new F_mu.  A step solves the KKT system (Hessian
+    bordered by the constraint row) in an orthonormal basis Z of the plane
+    1'd = 0 whose trailing columns span the null space of [V; 1']; there
+    only the penalty has curvature, which the bordered form rounds away
+    against the residual term's 1/mu-sized curvature when l_q is small.  A
+    second step uses the penalty's majorizer curvature c/a (a = sqrt(g^2 +
+    mu^2)) in place of c*mu^2/a^3, as the Newton step can overshoot a
+    weight by orders of magnitude.  The iterate moves to the best point on
+    F_mu of either step scaled by 1, 1/2, ..., 2^-52: at least Armijo
+    backtracking's decrease.  A level ends when the squared Newton
+    decrement drops below 1e-2*mu*F_mu (1e-14*F_mu on the last level), or
+    after _MAX_NEWTON steps.
     """
-    m = V.shape[1]
-    if m < 2:
-        return gamma
-    g = gamma.copy()
-    E = h - V @ g
-
+    d_b, m = V.shape
     two_lh = 2.0 * l_h
-
-    def section_min(ee, eu, uu, cj, cp, s0, t0):
-        # minimize f(t) = 2*l_h*sqrt(ee - 2(t-t0)eu + (t-t0)^2 uu + eps)
-        #                 + cj|t| + cp|s0 - t| over t (convex)
-        # defaults bind as locals: f runs ~60 times per section
-        def f(t, sqrt=math.sqrt, eps=_EPS_SMOOTH, abs=abs):
-            d = t - t0
-            r2 = ee - 2.0 * d * eu + d * d * uu
-            return two_lh * sqrt((r2 if r2 > 0.0 else 0.0) + eps) + cj * abs(t) + cp * abs(s0 - t)
-
-        if cj == 0.0 and cp == 0.0:
-            return t0 + eu / uu, f(t0 + eu / uu)
-        w = 1.0 + abs(s0) + abs(t0)
-        lo, hi = t0 - w, t0 + w
-        f_lo, f_hi, f_mid = f(lo), f(hi), f(t0)
-        for _ in range(64):  # expand until the minimum is bracketed
-            if f_lo >= f_mid and f_hi >= f_mid:
+    Z = np.linalg.qr(np.hstack([np.ones((m, 1)), V.T]), mode="complete")[0][:, 1:]
+    W = V @ Z
+    W[:, min(d_b, m - 1):] = 0.0  # V Z on the null space, zero up to rounding
+    mu = _MU_START
+    tangent = None
+    while True:
+        mu2 = mu * mu
+        e = h - V @ g
+        s = math.sqrt(e @ e + mu2)
+        a = np.sqrt(g * g + mu2)
+        f = two_lh * s + c @ a
+        if tangent is not None:
+            step = _best_step(V, c, two_lh, mu2, g, e, tangent[None, :])
+            if step[4] < f:
+                g, e, s, a, f = step
+        for _ in range(_MAX_NEWTON):
+            tol = 1e-2 * mu * f if mu > _MU_FLOOR else 1e-14 * f
+            # residual-term Hessian (2 l_h / s) W'(I - e e'/s^2)W, with the
+            # middle factor split into the projector off e plus (mu/s)^2
+            # along e so it stays positive semidefinite at tiny mu
+            norm_e = math.sqrt(max(s * s - mu2, 0.0))
+            unit = e / norm_e if norm_e > 0.0 else np.zeros_like(e)
+            pe = W.T @ unit
+            B = W - np.outer(unit, pe)
+            hess = (two_lh / s) * (B.T @ B + (mu2 / (s * s)) * np.outer(pe, pe))
+            # the penalty's curvature for the Newton step, and its majorizer
+            curv = np.stack([c * mu2 / (a * a * a), c / a])
+            hess = hess + (Z.T * curv[:, None, :]) @ Z
+            grad = Z.T @ (c * g / a) - (two_lh * norm_e / s) * pe  # pe * norm_e = W'e
+            # symmetric diagonal scaling: curvatures span many decades at small mu
+            h_diag = np.diagonal(hess, axis1=1, axis2=2)
+            r = 1.0 / np.sqrt(np.where(h_diag > 0.0, h_diag, 1.0))
+            scaled = hess * r[:, :, None] * r[:, None, :]
+            x = _solve_scaled(scaled, r, -grad)
+            slope = grad @ x[0]  # minus the squared Newton decrement
+            if not slope < -tol:
                 break
-            w *= 2.0
-            lo, hi = t0 - w, t0 + w
-            f_lo, f_hi = f(lo), f(hi)
-        # golden-section search; convex f, one new evaluation per step
-        inv_phi = 0.6180339887498949
-        m1 = hi - inv_phi * (hi - lo)
-        m2 = lo + inv_phi * (hi - lo)
-        f1, f2 = f(m1), f(m2)
-        for _ in range(120):
-            if hi - lo <= 1e-10 * (1.0 + abs(lo) + abs(hi)):
+            step = _best_step(V, c, two_lh, mu2, g, e, x @ Z.T)
+            if not step[4] < f:
                 break
-            if f1 <= f2:
-                hi, m2, f2 = m2, m1, f1
-                m1 = hi - inv_phi * (hi - lo)
-                f1 = f(m1)
-            else:
-                lo, m1, f1 = m1, m2, f2
-                m2 = lo + inv_phi * (hi - lo)
-                f2 = f(m2)
-        t = 0.5 * (lo + hi)
-        # snap to the kinks when they are at least as good (exact sparsity)
-        best_t, best_f = t, f(t)
-        for cand in (0.0, s0):
-            fc = f(cand)
-            if fc <= best_f:
-                best_t, best_f = cand, fc
-        return best_t, best_f
+            g, e, s, a, f = step
+        if mu <= _MU_FLOOR:
+            return g
+        mu_next = max(mu * 1e-2, _MU_FLOOR)
+        # tangent of g(mu), from Newton's Hessian: H dx/dmu = -d grad/dmu
+        dgrad = Z.T @ (-c * g * mu / (a * a * a)) + (two_lh * mu / (s * s * s)) * (W.T @ e)
+        tangent = (mu_next - mu) * (Z @ _solve_scaled(scaled[0], r[0], -dgrad))
+        mu = mu_next
 
-    for _ in range(max_passes):
-        p = int(np.argmax(np.abs(g)))
-        moved = 0.0
-        for j in range(m):
-            if j == p:
-                continue
-            u = V[:, j] - V[:, p]
-            uu = float(u @ u)
-            if uu == 0.0:
-                continue  # identical anchors: moving mass changes nothing
-            ee = float(E @ E)
-            eu = float(E @ u)
-            s0 = g[j] + g[p]
-            t, _fval = section_min(ee, eu, uu, C[j], C[p], s0, g[j])
-            delta = t - g[j]
-            if delta != 0.0:
-                E -= delta * u
-                g[j] = t
-                g[p] = s0 - t
-                moved = max(moved, abs(delta))
-        # squash accumulated rounding so the sum invariant stays exact
-        g[int(np.argmax(np.abs(g)))] -= g.sum() - 1.0
-        E = h - V @ g
-        if moved < 1e-13:
-            break
+
+def _squash(g):
+    """Moves the rounding in sum(g) onto the largest weight, so it sums to 1."""
+    g[int(np.argmax(np.abs(g)))] -= g.sum() - 1.0
     return g
 
 
 def solve_coding(h, anchors: AnchorSet, config: LccConfig, gamma0=None) -> Coding:
     """Minimize the coding objective for one point.
 
-    Runs the sweep-and-renormalize descent and then polishes its best
-    feasible iterate with exact constrained coordinate steps, so the result
-    never exceeds the objective of any iterate visited.  A warm start whose
-    weight sum is below the normalization guard cannot be normalized and
-    raises DegenerateCodingError.
+    Solves 2*l_h*||h - V g|| + sum_j c_j*|g_j| subject to sum(g) = 1 by
+    damped Newton steps on a smoothed objective, with the smoothing driven
+    from 1e-1 down to 1e-10 (see `_newton_coding`), starting from the
+    normalized warm start or from uniform weights.  Smoothing leaves the
+    weights that should be zero at about mu; the Newton result with the
+    weights below 1e-8 set to zero is also scored, and the lower of the two
+    is kept.  The result never exceeds the objective of the normalized warm
+    start, which is returned when it scores lower.  A point on an anchor
+    gets that anchor's one-hot coding, the global optimum.  A warm start
+    whose weight sum is below the normalization guard cannot be normalized
+    and raises DegenerateCodingError.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1 or h.shape[0] != anchors.d_b:
@@ -354,24 +381,35 @@ def solve_coding(h, anchors: AnchorSet, config: LccConfig, gamma0=None) -> Codin
         raise ValueError("point must be finite")
     if anchors.m != config.m:
         raise ValueError(f"anchor set has m={anchors.m} but config.m={config.m}")
+    m = anchors.m
     if gamma0 is None:
         g0 = None
     else:
-        g0 = np.asarray(gamma0, dtype=np.float64).reshape(1, -1)
-        if g0.shape[1] != anchors.m:
-            raise ValueError(f"warm start has {g0.shape[1]} weights for m={anchors.m}")
+        g0 = np.asarray(gamma0, dtype=np.float64).reshape(-1)
+        if g0.shape[0] != m:
+            raise ValueError(f"warm start has {g0.shape[0]} weights for m={m}")
         total = float(g0.sum())
         if abs(total) < _SUM_GUARD:
             raise DegenerateCodingError(
                 f"warm-start weight sum {total!r} is below the normalization guard"
             )
         g0 = g0 / total
-    G, obj, _collapsed = _solve_batch(h[None, :], anchors.anchors, config, gamma0=g0)
-    g = G[0]
-    if obj[0] > 0.0:
-        C, _ = _penalties(h[None, :], anchors.anchors, config.l_q, config.q)
-        g = _polish_coding(h, anchors.anchors, C[0], config.l_h, g)
-    return Coding(g)
+    if m == 1:
+        return Coding(np.ones(1))
+    V = anchors.anchors
+    C, dist = _penalties(h[None, :], V, config.l_q, config.q)
+    if np.any(dist == 0.0):
+        # exact anchor hit: the one-hot coding is the global optimum there
+        g = np.zeros(m)
+        g[int(np.argmin(dist[0]))] = 1.0
+        return Coding(g)
+    g = _squash(_newton_coding(h, V, C[0], config.l_h,
+                               np.full(m, 1.0 / m) if g0 is None else g0.copy()))
+    candidates = [g, _squash(np.where(np.abs(g) > _SNAP, g, 0.0))]
+    if g0 is not None:
+        candidates.append(g0)
+    objs = _row_objectives(h[None, :], np.stack(candidates), V, C, config.l_h)
+    return Coding(candidates[int(np.argmin(objs))])
 
 
 def init_anchors(points, m: int, rng: Rng) -> np.ndarray:

@@ -11,7 +11,7 @@ import pytest
 from lccgen.cli import main
 from lccgen.neural.gan import build_gan
 from lccgen.rng import stage_seed
-from lccgen.serialize import codings_from_csv, load_model
+from lccgen.serialize import codings_from_csv, load_model, save_model
 
 BASE_CFG = """
 [data]
@@ -254,4 +254,21 @@ def test_sample_rejects_nonpositive_n(staged, tmp_path, capsys, n):
     assert main(["--config", cfg2, "sample", "--n", n]) == 1
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: --n must be at least 1, got {n}"]
+    assert not os.path.exists(os.path.join(out2, "codings_sampled.csv"))
+
+
+def test_truncated_generator_is_one_error_line(staged, tmp_path, capsys):
+    # the generator is read before any output is written, and its format
+    # error ends the run like every other user-facing failure
+    cfg, out = staged
+    out2 = str(tmp_path / "out")
+    shutil.copytree(out, out2)
+    cfg2 = write_cfg(str(tmp_path), out2)
+    gen_path = os.path.join(out2, "generator.bin")
+    save_model(gen_path, build_gan(2, 4, hidden=8, seed=3).generator)
+    with open(gen_path, "r+b") as fh:
+        fh.truncate(20)
+    assert main(["--config", cfg2, "sample", "--n", "5"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "generator.bin" in err[0]
     assert not os.path.exists(os.path.join(out2, "codings_sampled.csv"))

@@ -125,6 +125,137 @@ def test_solve_coding_never_worse_than_warm_start():
         assert end <= start + 1e-12
 
 
+def _ring_anchors():
+    theta = 2.0 * np.pi * np.arange(16) / 16
+    return AnchorSet(np.stack([np.cos(theta), np.sin(theta)]))
+
+
+def _dual_lower_bound(h, V, c, l_h):
+    """Weak-duality lower bound on min 2*l_h*||h - V g|| + sum_j c_j |g_j|
+    over sum(g) = 1, for 2-D points.
+
+    For any y with ||y|| <= 2*l_h and lam with |v_j'y + lam| <= c_j, every
+    feasible g has objective >= y'h - y'V g + sum_j c_j |g_j|
+    >= y'h + lam + sum_j (c_j |g_j| - (v_j'y + lam) g_j) >= y'h + lam.  For
+    fixed y the best lam is min_j (c_j - v_j'y), feasible when it is at
+    least max_j (-c_j - v_j'y).  This dual is concave and piecewise linear
+    in y, so its maximum over the disk lies where two of its lines cross
+    (the lines where two pieces of lam meet, and the feasibility edges), where
+    one crosses the circle, or at a piece's own maximum on the circle.  Every
+    such point is checked for feasibility before its value counts, so the
+    result is a bound however the candidates were found.  (A zoomed grid
+    stalls on the dual's ridges, up to 1e-4 below the maximum.)
+    """
+    radius = 2.0 * l_h
+    m = V.shape[1]
+    i, j = np.triu_indices(m, 1)
+    p, q = np.nonzero(~np.eye(m, dtype=bool))
+    A = np.concatenate([(V[:, j] - V[:, i]).T, (V[:, p] - V[:, q]).T])  # lines a'y = b
+    b = np.concatenate([c[j] - c[i], c[p] + c[q]])
+    near = b * b <= radius * radius * np.sum(A * A, axis=1)  # lines that cross the disk
+    A, b = A[near], b[near]
+    u, w = np.triu_indices(len(b), 1)
+    det = A[u, 0] * A[w, 1] - A[u, 1] * A[w, 0]
+    keep = np.abs(det) > 1e-12
+    u, w, det = u[keep], w[keep], det[keep]
+    crossings = np.stack([(b[u] * A[w, 1] - b[w] * A[u, 1]) / det,
+                          (A[u, 0] * b[w] - A[w, 0] * b[u]) / det], axis=1)
+    aa = np.sum(A * A, axis=1)
+    foot = A * (b / aa)[:, None]
+    along = np.stack([-A[:, 1], A[:, 0]], axis=1)
+    along *= np.sqrt((radius * radius - b * b / aa) / aa)[:, None]
+    toward = (h[:, None] - V).T
+    tops = radius * toward / np.linalg.norm(toward, axis=1)[:, None]
+    Y = np.concatenate([crossings, foot + along, foot - along, tops])
+    best = -np.inf
+    for shrink in (1.0, 1.0 - 1e-12, 1.0 - 1e-9):  # pulls rounding back inside
+        Ys = shrink * Y
+        VY = Ys @ V
+        lam = np.min(c - VY, axis=1)
+        ok = (np.sum(Ys * Ys, axis=1) <= radius * radius) & (lam >= np.max(-c - VY, axis=1))
+        if np.any(ok):
+            best = max(best, float(np.max(Ys[ok] @ h + lam[ok])))
+    return best
+
+
+def test_solve_coding_meets_the_dual_bound_on_the_ring():
+    # an oracle independent of the solver: the coding objective may exceed
+    # the weak-duality lower bound by at most the solver's tolerance
+    anchors = _ring_anchors()
+    V = anchors.anchors
+    cfg = LccConfig(m=16, d=2)  # q=2, l_h = l_q = 1
+    pts = make_ring(60, radius=1.0, noise_sigma=0.01, seed=11).samples
+    gaps = []
+    for h in pts:
+        coding = solve_coding(h, anchors, cfg)
+        got = lcc_objective(h[None, :], coding.weights[None, :], anchors, cfg)
+        c = cfg.l_q * np.sum((V - h[:, None]) ** 2, axis=0)
+        gaps.append(got - _dual_lower_bound(h, V, c, cfg.l_h))
+    assert min(gaps) >= -1e-9  # the bound is a bound
+    assert max(gaps) <= 1e-5, f"objective exceeds the dual bound by up to {max(gaps):.3g}"
+
+
+def test_solve_coding_zeroes_the_smoothed_weights_of_far_points():
+    # off the ring the optimum is sparse (mostly one-hot) with a nonzero
+    # residual; the smoothing leaves ~1e-10 on the other weights, worth up
+    # to 2e-7 of objective here, so only the snapped candidate meets 1e-9
+    anchors = _ring_anchors()
+    V = anchors.anchors
+    rng = Rng(8)
+    pts = [2.5 * np.asarray(rng.normals(2)) for _ in range(30)]
+    for q in (2, 3):
+        cfg = LccConfig(m=16, d=2, q=q)
+        for h in pts:
+            coding = solve_coding(h, anchors, cfg)
+            got = lcc_objective(h[None, :], coding.weights[None, :], anchors, cfg)
+            c = cfg.l_q * np.sqrt(np.sum((V - h[:, None]) ** 2, axis=0)) ** q
+            assert got - _dual_lower_bound(h, V, c, cfg.l_h) <= 1e-9
+
+
+def test_solve_coding_small_penalties_stay_near_the_dual_bound():
+    # penalties far below the residual term leave almost no curvature along
+    # the null space of [V; 1']: a pure Newton step there overshoots by many
+    # orders of magnitude; without the majorizer step two of these 60
+    # codings exceeded the bound by 19% and by 420 times the bound
+    for scale, l_q, q in ((1.0, 1e-10, 2), (1e-3, 1.0, 3)):
+        rng = Rng(5)
+        for _ in range(30):
+            m = 4 + int(rng.uniform() * 13)
+            V = scale * np.asarray(rng.normals(2 * m)).reshape(2, m)
+            h = scale * np.asarray(rng.normals(2))
+            anchors = AnchorSet(V)
+            cfg = LccConfig(m=m, d=2, q=q, l_q=l_q)
+            coding = solve_coding(h, anchors, cfg)
+            got = lcc_objective(h[None, :], coding.weights[None, :], anchors, cfg)
+            c = l_q * np.sqrt(np.sum((V - h[:, None]) ** 2, axis=0)) ** q
+            bound = _dual_lower_bound(h, V, c, cfg.l_h)
+            assert got - bound <= 1e-2 * bound
+
+
+def test_solve_coding_keeps_a_warm_start_that_is_already_optimal():
+    # the smoothed solve ends within ~1e-9 of the optimum, so a warm start
+    # nearer than that must come back no worse (to 1e-12)
+    cfg2 = LccConfig(m=2, d=2, q=2, l_h=1.0, l_q=1.0)
+    for x in np.linspace(-0.9, 0.9, 7):
+        # h on the segment between the anchors: exact reconstruction with
+        # g = ((1 - x)/2, (1 + x)/2) is optimal, with objective 1 - x^2
+        h = np.array([x, 0.0])
+        g0 = np.array([(1.0 - x) / 2.0 + 1e-11, (1.0 + x) / 2.0 - 1e-11])
+        start = lcc_objective(h[None, :], g0[None, :], SQUARE_ANCHORS, cfg2)
+        assert abs(start - (1.0 - x * x)) <= 1e-10
+        coding = solve_coding(h, SQUARE_ANCHORS, cfg2, gamma0=g0)
+        end = lcc_objective(h[None, :], coding.weights[None, :], SQUARE_ANCHORS, cfg2)
+        assert end <= start + 1e-12
+    anchors = _ring_anchors()
+    cfg = LccConfig(m=16, d=2)
+    for h in make_ring(20, radius=1.0, noise_sigma=0.01, seed=5).samples:
+        g0 = solve_coding(h, anchors, cfg).weights
+        start = lcc_objective(h[None, :], g0[None, :], anchors, cfg)
+        coding = solve_coding(h, anchors, cfg, gamma0=g0)
+        end = lcc_objective(h[None, :], coding.weights[None, :], anchors, cfg)
+        assert end <= start + 1e-12
+
+
 def test_solve_coding_degenerate_warm_start_raises():
     # a warm start whose weights sum to ~0 cannot be normalized onto the
     # constraint, which is the unrecoverable degenerate case
