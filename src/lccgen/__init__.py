@@ -1,5 +1,11 @@
 """Local coordinate coding for generative models."""
 
+
+# defined ahead of the submodule imports, whose errors derive from it
+class LccgenError(Exception):
+    """Base of every error the package raises; the CLI catches it once."""
+
+
 from .lcc import (
     AnchorSet,
     Coding,

@@ -14,6 +14,7 @@ import sys
 
 import numpy as np
 
+from . import LccgenError
 from .bounds import (
     mixing_gap,
     random_affine,
@@ -23,10 +24,9 @@ from .bounds import (
 )
 from .config import ConfigError, apply_overrides, load_config
 from .datasets import make_ring, make_swiss_roll, load_mnist_idx
-from .lcc.core import AnchorSet, LccConfig, learn_anchors
+from .lcc.core import LccConfig, learn_anchors
 from .lcc.sampling import (
     SamplerConfig,
-    SamplingError,
     interpolate,
     neighbor_table,
     sample_coding_pair,
@@ -37,7 +37,6 @@ from .neural.autoencoder import train_autoencoder
 from .neural.gan import build_gan, train_gan
 from .rng import Rng, stage_seed
 from .serialize import (
-    FormatError,
     anchors_to_csv,
     codings_to_csv,
     fmt_float,
@@ -56,7 +55,7 @@ _TAG_AE, _TAG_LCC, _TAG_GAN_INIT, _TAG_GAN_TRAIN = 1, 2, 3, 4
 _TAG_SAMPLE, _TAG_INTERP, _TAG_VERIFY, _TAG_EVAL, _TAG_HELDOUT = 5, 6, 7, 8, 9
 
 
-class CliError(Exception):
+class CliError(LccgenError):
     pass
 
 
@@ -83,6 +82,14 @@ def _need(path, producer):
     if not os.path.exists(path):
         raise CliError(f"missing artifact {path}; run `lccgen {producer}` first")
     return path
+
+
+def _load_generator(path, anchors):
+    generator = load_model(_need(path, "train-gan"))
+    if generator.in_dim != anchors.m:
+        raise CliError(f"{path} takes {generator.in_dim} coding weights but the anchors "
+                       f"have m={anchors.m}; run `lccgen train-gan` first")
+    return generator
 
 
 def _loss_csv(path, header, rows):
@@ -120,15 +127,15 @@ def cmd_learn_lcc(cfg, base_seed, out):
     embeddings = encoder.forward(data.samples)
     c = cfg["lcc"]
     lcc_cfg = LccConfig(
-        m=c["m"], d=c["d"], q=c["q"], l_h=c["l_h"], l_q=c["l_q"],
+        m=c["m"], q=c["q"], l_h=c["l_h"], l_q=c["l_q"],
         coding_tol=c["coding_tol"], anchor_tol=c["anchor_tol"],
         max_outer_iters=c["max_outer_iters"], seed=stage_seed(base_seed, _TAG_LCC),
     )
     trace = []
-    anchors, codings = learn_anchors(embeddings, lcc_cfg, trace=trace)
+    anchors, G = learn_anchors(embeddings, lcc_cfg, trace=trace)
     save_anchors(os.path.join(out, "anchors.bin"), anchors)
     anchors_to_csv(os.path.join(out, "anchors.csv"), anchors)
-    codings_to_csv(os.path.join(out, "codings.csv"), np.stack([c.weights for c in codings]))
+    codings_to_csv(os.path.join(out, "codings.csv"), G)
     _loss_csv(os.path.join(out, "lcc_objective.csv"), ["iter", "objective"],
               [(v,) for v in trace])
     print(f"learn-lcc: m={anchors.m} d_b={anchors.d_b}, "
@@ -168,7 +175,8 @@ def cmd_sample(cfg, base_seed, out, n, generator_path=None):
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
     # load every input before writing any output
     gen_file = generator_path or os.path.join(out, "generator.bin")
-    generator = load_model(gen_file) if generator_path or os.path.exists(gen_file) else None
+    generator = (_load_generator(gen_file, anchors)
+                 if generator_path or os.path.exists(gen_file) else None)
     sampler = SamplerConfig(d=cfg["sampler"]["d"], seed=stage_seed(base_seed, _TAG_SAMPLE),
                             min_abs_sum=cfg["sampler"]["min_abs_sum"])
     G = sample_codings(neighbor_table(anchors, sampler.d), anchors.m, n, sampler,
@@ -185,14 +193,11 @@ def cmd_sample(cfg, base_seed, out, n, generator_path=None):
 
 def cmd_interpolate(cfg, base_seed, out, steps, generator_path=None):
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
-    generator = load_model(
-        _need(generator_path or os.path.join(out, "generator.bin"), "train-gan")
-    )
+    generator = _load_generator(generator_path or os.path.join(out, "generator.bin"), anchors)
     sampler = SamplerConfig(d=cfg["sampler"]["d"], seed=stage_seed(base_seed, _TAG_INTERP),
                             min_abs_sum=cfg["sampler"]["min_abs_sum"])
-    rng = Rng(sampler.seed)
-    a, b = sample_coding_pair(anchors, sampler, rng)
-    G = np.stack([c.weights for c in interpolate(a, b, steps)])
+    a, b = sample_coding_pair(anchors, sampler, Rng(sampler.seed))
+    G = interpolate(a, b, steps)
     codings_to_csv(os.path.join(out, "interp_codings.csv"), G)
     matrix_to_csv(os.path.join(out, "interp_outputs.csv"), generator.forward(G))
     print(f"interpolate: {steps} steps along one neighborhood")
@@ -230,7 +235,7 @@ def cmd_verify_bounds(cfg, base_seed, out, cases):
 def cmd_eval(cfg, base_seed, out):
     data = _dataset(cfg, base_seed)
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
-    generator = load_model(_need(os.path.join(out, "generator.bin"), "train-gan"))
+    generator = _load_generator(os.path.join(out, "generator.bin"), anchors)
     e = cfg["eval"]
     d = cfg["data"]
     sampler = SamplerConfig(d=cfg["sampler"]["d"], seed=stage_seed(base_seed, _TAG_EVAL),
@@ -329,7 +334,7 @@ def main(argv=None) -> int:
         if args.command == "eval":
             return cmd_eval(cfg, base_seed, out)
         raise CliError(f"unknown command {args.command!r}")
-    except (CliError, ConfigError, FormatError, OSError, ValueError, SamplingError) as exc:
+    except (LccgenError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import configparser
 
+from . import LccgenError
+
 DEFAULTS = {
     "data": {
         "kind": "ring",  # ring | swiss_roll | mnist
@@ -31,7 +33,6 @@ DEFAULTS = {
     },
     "lcc": {
         "m": 16,
-        "d": 2,
         "q": 2,
         "l_h": 1.0,
         "l_q": 1.0,
@@ -65,14 +66,12 @@ DEFAULTS = {
 }
 
 
-class ConfigError(Exception):
+class ConfigError(LccgenError):
     pass
 
 
 def _convert(section: str, key: str, raw, template):
     try:
-        if isinstance(template, bool):
-            return bool(raw)
         if isinstance(template, int):
             return int(raw)
         if isinstance(template, float):

@@ -7,13 +7,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import LccgenError
 from .rng import Rng
 
 IMAGES_MAGIC = 0x00000803
 LABELS_MAGIC = 0x00000801
 
 
-class IdxParseError(Exception):
+class IdxParseError(LccgenError):
     pass
 
 
@@ -21,7 +22,6 @@ class IdxParseError(Exception):
 class Dataset:
     samples: np.ndarray  # (n, data_dim)
     name: str
-    intrinsic_dim_hint: int
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.float64)
@@ -47,7 +47,7 @@ def make_ring(n: int, radius: float = 1.0, noise_sigma: float = 0.0, seed: int =
     pts = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     if noise_sigma > 0.0:
         pts = pts + noise_sigma * rng.normals(2 * n).reshape(n, 2)
-    return Dataset(pts, "ring", 1)
+    return Dataset(pts, "ring")
 
 
 def make_swiss_roll(n: int, noise_sigma: float = 0.0, seed: int = 0) -> Dataset:
@@ -60,7 +60,7 @@ def make_swiss_roll(n: int, noise_sigma: float = 0.0, seed: int = 0) -> Dataset:
     pts = np.stack([t * np.cos(t), y, t * np.sin(t)], axis=1)
     if noise_sigma > 0.0:
         pts = pts + noise_sigma * rng.normals(3 * n).reshape(n, 3)
-    return Dataset(pts, "swiss_roll", 2)
+    return Dataset(pts, "swiss_roll")
 
 
 def _read_u32(buf: bytes, offset: int, path: str) -> int:
@@ -128,4 +128,4 @@ def load_mnist_idx(
             raise ValueError(f"downsample_to={k} must divide image size {rows}x{cols}")
         images = images.reshape(len(images), k, rows // k, k, cols // k).mean(axis=(2, 4))
     flat = images.reshape(len(images), -1) / 127.5 - 1.0
-    return Dataset(flat, "mnist", 10)
+    return Dataset(flat, "mnist")

@@ -13,6 +13,9 @@ points come from cyclic coordinate descent on the weighted-L1 form
 least-squares update with the weights frozen.  `solve_coding` codes a single
 point exactly instead: damped Newton steps on a smoothed objective within
 the plane sum(g) = 1, with the smoothing driven down to 1e-10.
+
+Codings in bulk are (n, m) weight arrays, one row per point; a `Coding`
+holds one point's weights.  `check_codings` defines a valid coding for both.
 """
 
 from __future__ import annotations
@@ -22,6 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .. import LccgenError
 from ..rng import Rng
 
 _EPS_SMOOTH = 1e-12  # smoothing inside sqrt of the reconstruction term
@@ -34,7 +38,7 @@ _SNAP = 1e-8  # weights below this are also tried at exactly zero
 _STEPS = 0.5 ** np.arange(53)  # line-search step lengths 1, 1/2, ..., 2^-52
 
 
-class LccError(Exception):
+class LccError(LccgenError):
     pass
 
 
@@ -49,7 +53,6 @@ class InsufficientDataError(LccError):
 @dataclass
 class LccConfig:
     m: int = 128
-    d: int = 4
     q: int = 2
     l_h: float = 1.0
     l_q: float = 1.0
@@ -63,8 +66,6 @@ class LccConfig:
             raise ValueError(f"q must be 2 or 3, got {self.q}")
         if self.m < 1:
             raise ValueError("m must be >= 1")
-        if not 1 <= self.d <= self.m:
-            raise ValueError(f"d must be in [1, m], got d={self.d} m={self.m}")
         if self.l_h < 0 or self.l_q < 0:
             raise ValueError("l_h and l_q must be nonnegative")
         if self.coding_tol <= 0 or self.anchor_tol <= 0:
@@ -96,6 +97,18 @@ class AnchorSet:
         return self.anchors.shape[1]
 
 
+def check_codings(G: np.ndarray) -> np.ndarray:
+    """Returns the (n, m) weight array G after checking that every weight is
+    finite and every row sums to 1 within 1e-9; raises ValueError if not."""
+    if not np.all(np.isfinite(G)):
+        raise ValueError("weights must be finite")
+    sums = G.sum(axis=1)
+    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    if off.size:
+        raise ValueError(f"coding weights must sum to 1, got {float(sums[off[0]])!r}")
+    return G
+
+
 @dataclass
 class Coding:
     """Sum-to-one weights over an anchor set; support lists the nonzeros."""
@@ -107,17 +120,9 @@ class Coding:
         w = np.asarray(self.weights, dtype=np.float64)
         if w.ndim != 1:
             raise ValueError("weights must be a vector")
-        if not np.all(np.isfinite(w)):
-            raise ValueError("weights must be finite")
-        s = float(np.sum(w))
-        if abs(s - 1.0) > 1e-9:
-            raise ValueError(f"coding weights must sum to 1, got {s!r}")
+        check_codings(w[None, :])
         self.weights = w
         self.support = np.flatnonzero(w)
-
-    @property
-    def nnz(self) -> int:
-        return int(self.support.size)
 
 
 def _as_points(points) -> np.ndarray:
@@ -443,7 +448,8 @@ def init_anchors(points, m: int, rng: Rng) -> np.ndarray:
 def learn_anchors(points, config: LccConfig, trace=None):
     """Alternate coding solves and anchor updates until the objective settles.
 
-    Returns (AnchorSet, [Coding]).  If `trace` is a list, the objective after
+    Returns (AnchorSet, (n, m) array): the anchors and the final codings of
+    the n points, one row each.  If `trace` is a list, the objective after
     each outer iteration is appended to it.
     """
     H = _as_points(points)
@@ -471,8 +477,7 @@ def learn_anchors(points, config: LccConfig, trace=None):
         G, _, _ = _solve_batch(H, V, config, gamma0=G)
     else:
         G, _, _ = _solve_batch(H, V, config)
-    anchors = AnchorSet(V)
-    return anchors, [Coding(G[i]) for i in range(n)]
+    return AnchorSet(V), check_codings(G)
 
 
 def _update_anchors(H, G, V, config: LccConfig):
@@ -514,14 +519,12 @@ def _update_anchors(H, G, V, config: LccConfig):
 def localization_measure(points, codings, anchors: AnchorSet, config: LccConfig) -> float:
     """Mean over points of 2*l_h*||h - r(h)|| + l_q * sum_j |g_j|*||v_j - r(h)||^q.
 
+    `codings` is the (n, m) weight array of the n points, one row each.
     Distances in the second term are measured to the reconstruction r(h),
     not to the point itself as during training.
     """
     H = _as_points(points)
-    if isinstance(codings, (list, tuple)):
-        G = np.stack([c.weights for c in codings])
-    else:
-        G = np.asarray(codings, dtype=np.float64)
+    G = np.asarray(codings, dtype=np.float64)
     V = anchors.anchors
     R = G @ V.T  # (n, d_b) reconstructions
     res = H - R

@@ -6,10 +6,11 @@ with Gaussian weights in ascending-distance order, and normalizes the
 weights to sum 1.  Interpolation blends two codings linearly, which keeps
 the sum-to-one property and never leaves the union of their supports.
 
-Bulk draws come from `sample_codings` as an (n, m) weight array; `Coding`
-objects are only built for single draws (`sample_coding`,
-`sample_coding_pair`).  Both consume the random stream in the same order,
-so a batch of n draws equals n single draws bit for bit.
+Bulk draws come from `sample_codings` and paths from `interpolate`, both
+as (n, m) weight arrays; `Coding` objects are only built for single draws
+(`sample_coding`, `sample_coding_pair`).  Both kinds of draw consume the
+random stream in the same order, so a batch of n draws equals n single
+draws bit for bit.
 """
 
 from __future__ import annotations
@@ -18,13 +19,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import LccgenError
 from ..rng import Rng, u64_to_normals, u64_to_uniforms
-from .core import AnchorSet, Coding
+from .core import AnchorSet, Coding, check_codings
 
 _MAX_REDRAWS = 64
 
 
-class SamplingError(Exception):
+class SamplingError(LccgenError):
     """Raised when Gaussian weights keep landing too close to sum zero."""
 
 
@@ -157,13 +159,7 @@ def sample_codings(table, m: int, n: int, config: SamplerConfig, rng: Rng) -> np
                 break
         else:
             raise _gave_up(config)
-    if not np.all(np.isfinite(w)):
-        raise ValueError("weights must be finite")
-    sums = w.sum(axis=1)
-    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
-    if off.size:
-        raise ValueError(f"coding weights must sum to 1, got {sums[off[0]]!r}")
-    return w
+    return check_codings(w)
 
 
 def sample_coding(anchors: AnchorSet, config: SamplerConfig, rng: Rng) -> Coding:
@@ -186,8 +182,9 @@ def sample_coding_pair(anchors: AnchorSet, config: SamplerConfig, rng: Rng):
     return a, b
 
 
-def interpolate(a: Coding, b: Coding, steps: int):
-    """Linear path (1-t)*a + t*b over `steps` evenly spaced t in [0, 1].
+def interpolate(a: Coding, b: Coding, steps: int) -> np.ndarray:
+    """Linear path (1-t)*a + t*b at t = k/(steps-1), k = 0, ..., steps-1, as
+    a (steps, m) weight array with one row per step.
 
     Endpoints reproduce a and b exactly; every intermediate coding sums to 1
     and is supported inside support(a) | support(b).
@@ -196,8 +193,5 @@ def interpolate(a: Coding, b: Coding, steps: int):
         raise ValueError("steps must be >= 2")
     if a.weights.shape != b.weights.shape:
         raise ValueError("codings must have the same length")
-    out = []
-    for k in range(steps):
-        t = k / (steps - 1)
-        out.append(Coding((1.0 - t) * a.weights + t * b.weights))
-    return out
+    t = (np.arange(steps) / (steps - 1))[:, None]
+    return check_codings((1.0 - t) * a.weights + t * b.weights)

@@ -6,11 +6,7 @@ import numpy as np
 
 from ..rng import Rng
 from .adam import adam_step, init_adam
-from .net import Mlp, build_mlp, backward, check_finite, forward_cached
-
-
-class TrainingDivergedError(Exception):
-    pass
+from .net import Mlp, TrainingDivergedError, build_mlp, backward, check_finite, forward_cached
 
 
 def reconstruction_mse(encoder: Mlp, decoder: Mlp, data) -> float:

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import LccgenError
 from ..lcc.core import AnchorSet
 from ..lcc.sampling import SamplerConfig, neighbor_table, sample_codings
 from ..rng import Rng
@@ -58,7 +59,7 @@ class GanModel:
     beta2: float = 0.999
 
 
-class GanDivergedError(Exception):
+class GanDivergedError(LccgenError):
     pass
 
 

@@ -10,6 +10,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .. import LccgenError
 from ..rng import Rng
 
 ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid")
@@ -42,6 +43,10 @@ def _act_deriv(name, z):
     raise ValueError(f"unknown activation {name!r}")
 
 
+class TrainingDivergedError(LccgenError):
+    """Training drove a loss or a network parameter to a non-finite value."""
+
+
 @dataclass
 class Layer:
     w: np.ndarray
@@ -56,10 +61,6 @@ class Mlp:
     @property
     def in_dim(self) -> int:
         return self.layers[0].w.shape[0]
-
-    @property
-    def out_dim(self) -> int:
-        return self.layers[-1].w.shape[1]
 
     def forward(self, x):
         x = np.asarray(x, dtype=np.float64)
@@ -82,15 +83,6 @@ class Mlp:
         for i, layer in enumerate(self.layers):
             layer.w = params[2 * i]
             layer.b = params[2 * i + 1]
-
-    def jacobian(self, x):
-        """(out_dim, in_dim) Jacobian at a single input, via backprop."""
-        x = np.asarray(x, dtype=np.float64)
-        X = np.repeat(x[None, :], self.out_dim, axis=0)
-        _, cache = forward_cached(self, X)
-        seed = np.eye(self.out_dim)
-        _, dx = backward(self, cache, seed)
-        return dx
 
 
 def build_mlp(dims, acts, rng: Rng) -> Mlp:
@@ -141,4 +133,4 @@ def backward(net: Mlp, cache, d_out):
 def check_finite(net: Mlp, where: str):
     for i, layer in enumerate(net.layers):
         if not (np.all(np.isfinite(layer.w)) and np.all(np.isfinite(layer.b))):
-            raise FloatingPointError(f"non-finite parameters in layer {i} after {where}")
+            raise TrainingDivergedError(f"non-finite parameters in layer {i} after {where}")

@@ -76,9 +76,6 @@ class Rng:
         self.seed = int(seed) & _MASK
         self.counter = int(counter)
 
-    def clone(self) -> "Rng":
-        return Rng(self.seed, self.counter)
-
     def next_u64(self) -> int:
         self.counter += 1
         return _mix((self.seed + self.counter * _GAMMA) & _MASK)

@@ -17,8 +17,9 @@ import struct
 
 import numpy as np
 
-from .lcc.core import AnchorSet, Coding
-from .neural.net import ACTIVATIONS, Layer, Mlp
+from . import LccgenError
+from .lcc.core import AnchorSet, check_codings
+from .neural.net import Layer, Mlp
 
 ANCHOR_MAGIC = b"LCCA"
 MODEL_MAGIC = b"LCCN"
@@ -26,7 +27,7 @@ _ACT_TAGS = {"identity": 0, "relu": 1, "tanh": 2, "sigmoid": 3}
 _TAG_ACTS = {v: k for k, v in _ACT_TAGS.items()}
 
 
-class FormatError(Exception):
+class FormatError(LccgenError):
     pass
 
 
@@ -117,8 +118,9 @@ def codings_to_csv(path, weights) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def codings_from_csv(path, m: int):
-    out = []
+def codings_from_csv(path, m: int) -> np.ndarray:
+    """Reads codings_to_csv's format back into an (n, m) weight array."""
+    rows = []
     with open(path) as fh:
         for line_no, line in enumerate(fh):
             line = line.strip()
@@ -131,8 +133,8 @@ def codings_from_csv(path, m: int):
                     w[int(idx)] = float(val)
                 except (ValueError, IndexError) as exc:
                     raise FormatError(f"{path}: bad cell {cell!r} on line {line_no + 1}") from exc
-            out.append(Coding(w))
-    return out
+            rows.append(w)
+    return check_codings(np.array(rows).reshape(len(rows), m))
 
 
 def matrix_to_csv(path, rows, header=None) -> None:

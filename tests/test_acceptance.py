@@ -104,18 +104,18 @@ def _ring_learning_run(out_dir):
     results = {}
     for q, l_q in ((2, 1.0), (3, 1e-4)):
         cfg = LccConfig(
-            m=8, d=2, q=q, l_h=1.0, l_q=l_q,
+            m=8, q=q, l_h=1.0, l_q=l_q,
             anchor_tol=1e-12, max_outer_iters=30, seed=7,
         )
         trace = []
-        anchors, codings = learn_anchors(data, cfg, trace=trace)
+        anchors, G = learn_anchors(data, cfg, trace=trace)
         paths = {
             "anchors": os.path.join(out_dir, f"anchors_q{q}.csv"),
             "codings": os.path.join(out_dir, f"codings_q{q}.csv"),
             "trace": os.path.join(out_dir, f"trace_q{q}.csv"),
         }
         anchors_to_csv(paths["anchors"], anchors)
-        codings_to_csv(paths["codings"], np.stack([c.weights for c in codings]))
+        codings_to_csv(paths["codings"], G)
         matrix_to_csv(paths["trace"], [[v] for v in trace])
         blobs = {}
         for k, p in paths.items():
@@ -148,7 +148,7 @@ def test_criterion_1_coding_constraints():
         Vr = np.asarray(rng.normals(d_b * m)).reshape(d_b, m)
         h = np.asarray(rng.normals(d_b))
         cfg = LccConfig(
-            m=m, d=min(2, m), q=2 if rng.uniform() < 0.5 else 3,
+            m=m, q=2 if rng.uniform() < 0.5 else 3,
             l_h=1.0, l_q=1.0 if rng.uniform() < 0.5 else 1e-4,
         )
         c = solve_coding(h, AnchorSet(Vr), cfg)
@@ -293,7 +293,7 @@ def test_criterion_5_gradient_correctness():
 def test_criterion_6_grid_search_oracle():
     anchors = AnchorSet(np.array([[-1.0, 1.0], [0.0, 0.0]]))
     h = np.array([0.0, 0.5])
-    cfg = LccConfig(m=2, d=2, q=2, l_h=1.0, l_q=1.0)
+    cfg = LccConfig(m=2, q=2, l_h=1.0, l_q=1.0)
     d0 = float(np.sum((anchors.anchors[:, 0] - h) ** 2))  # exponent q = 2
     d1 = float(np.sum((anchors.anchors[:, 1] - h) ** 2))
     g1 = np.arange(-1.0, 2.0 + 1e-12, 1e-4)
@@ -409,7 +409,7 @@ def test_criterion_8_interpolation_stays_near_manifold(pipeline_a):
     rng = Rng(stage_seed(7, 6))  # the pipeline's interpolation stage stream
     a, b = sample_coding_pair(anchors, SamplerConfig(d=2), rng)
     path = interpolate(a, b, 10)
-    pts = generator.forward(np.stack([c.weights for c in path]))
+    pts = generator.forward(path)
     devs = np.abs(np.sqrt(np.sum(pts[1:-1] ** 2, axis=1)) - 1.0)
     elapsed = time.perf_counter() - t0
     worst = float(devs.max())

@@ -28,7 +28,6 @@ lr = 0.01
 
 [lcc]
 m = 4
-d = 2
 max_outer_iters = 3
 
 [gan]
@@ -96,8 +95,8 @@ def test_learn_lcc_artifacts(staged):
         assert os.path.exists(os.path.join(out, name))
     codings = codings_from_csv(os.path.join(out, "codings.csv"), 4)
     assert len(codings) == 64
-    for c in codings:
-        assert abs(c.weights.sum() - 1.0) <= 1e-9
+    for w in codings:
+        assert abs(w.sum() - 1.0) <= 1e-9
 
 
 def test_full_pipeline_artifacts(full_pipeline):
@@ -124,8 +123,8 @@ def test_interpolation_endpoints_span_steps(full_pipeline):
     _, out = full_pipeline
     rows = codings_from_csv(os.path.join(out, "interp_codings.csv"), 4)
     assert len(rows) == 4
-    for c in rows:
-        assert abs(c.weights.sum() - 1.0) <= 1e-12
+    for w in rows:
+        assert abs(w.sum() - 1.0) <= 1e-12
 
 
 def test_grid_is_a_pgm(full_pipeline):
@@ -158,9 +157,9 @@ def test_sample_d1_codings_are_one_hot(staged, tmp_path):
     assert main(["--config", cfg2, "sample", "--n", "20", "--d", "1"]) == 0
     codings = codings_from_csv(os.path.join(out2, "codings_sampled.csv"), 4)
     assert len(codings) == 20
-    for c in codings:
-        nz = np.nonzero(c.weights)[0]
-        assert len(nz) == 1 and c.weights[nz[0]] == 1.0
+    for w in codings:
+        nz = np.nonzero(w)[0]
+        assert len(nz) == 1 and w[nz[0]] == 1.0
 
 
 def test_rerun_reproduces_byte_identical_csvs(staged, tmp_path):
@@ -272,3 +271,48 @@ def test_truncated_generator_is_one_error_line(staged, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "generator.bin" in err[0]
     assert not os.path.exists(os.path.join(out2, "codings_sampled.csv"))
+
+
+def test_too_many_anchors_is_one_error_line(staged, tmp_path, capsys):
+    # an LccError subclass, caught through the package's one error base
+    cfg, out = staged
+    out2 = str(tmp_path / "out")
+    shutil.copytree(out, out2)
+    cfg2 = write_cfg(str(tmp_path), out2)
+    assert main(["--config", cfg2, "learn-lcc", "--m", "5000"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: 64 points cannot initialize 5000")
+
+
+def test_bad_idx_magic_is_one_error_line(tmp_path, capsys):
+    images = tmp_path / "images.idx"
+    images.write_bytes(bytes(16))
+    path = tmp_path / "m.ini"
+    path.write_text(f"[data]\nkind = mnist\nimages = {images}\n"
+                    f"[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(path), "train-ae"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "bad magic" in err[0]
+
+
+@pytest.mark.parametrize("stage, written", [("sample", "codings_sampled.csv"),
+                                            ("interpolate", "interp_codings.csv")])
+def test_generator_for_other_anchors_writes_nothing(staged, tmp_path, capsys, stage, written):
+    # the anchors have m = 4; a generator built for 16 coding weights is
+    # refused before the stage writes its codings
+    cfg, out = staged
+    out2 = str(tmp_path / "out")
+    shutil.copytree(out, out2)
+    cfg2 = write_cfg(str(tmp_path), out2)
+    save_model(os.path.join(out2, "generator.bin"), build_gan(2, 16, hidden=8, seed=3).generator)
+    assert main(["--config", cfg2, stage]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "m=4" in err[0]
+    assert not os.path.exists(os.path.join(out2, written))
+
+
+def test_removed_lcc_d_key_is_unknown(tmp_path, capsys):
+    path = tmp_path / "old.ini"
+    path.write_text("[lcc]\nd = 2\n")
+    assert main(["--config", str(path), "train-ae"]) == 1
+    assert capsys.readouterr().err.splitlines() == ["error: unknown config key [lcc] d"]

@@ -26,7 +26,6 @@ def test_ring_noise_free_points_sit_on_the_circle():
     norms = np.linalg.norm(ds.samples, axis=1)
     assert np.max(np.abs(norms - 2.5)) <= 1e-12
     assert ds.data_dim == 2
-    assert ds.intrinsic_dim_hint == 1
 
 
 def test_ring_single_point_is_deterministic():
@@ -54,7 +53,6 @@ def test_swiss_roll_satisfies_the_parametric_equation():
     assert np.max(np.abs(z - t * np.sin(t))) <= 1e-9
     assert np.all((t >= 1.5 * np.pi) & (t < 4.5 * np.pi))
     assert np.all((y >= 0.0) & (y < 21.0))
-    assert ds.intrinsic_dim_hint == 2
 
 
 def test_swiss_roll_regenerates_identically_per_seed():

@@ -39,7 +39,7 @@ SQUARE_ANCHORS = AnchorSet(np.array([[-1.0, 1.0], [0.0, 0.0]]))
 
 
 def test_solve_coding_matches_grid_search_oracle():
-    cfg = LccConfig(m=2, d=2, q=2, l_h=1.0, l_q=1.0)
+    cfg = LccConfig(m=2, q=2, l_h=1.0, l_q=1.0)
     grid = np.arange(-1.0, 2.0 + 1e-12, 1e-4)
     objs = two_anchor_objective(grid, 1.0, 1.0, 2)
     oracle_obj = float(objs.min())
@@ -62,7 +62,7 @@ def test_solve_coding_grid_oracle_random_two_anchor_problems():
         for _ in range(10):
             v = rng.normals(4).reshape(2, 2)
             h = 0.5 * (v[:, 0] + v[:, 1]) + 0.2 * rng.normals(2)
-            cfg = LccConfig(m=2, d=2, q=q, l_h=1.0, l_q=l_q)
+            cfg = LccConfig(m=2, q=q, l_h=1.0, l_q=l_q)
             anchors = AnchorSet(v.copy())
             # independent vectorized objective over the whole grid
             rec = h[None, :] - np.outer(grid, v[:, 0]) - np.outer(1.0 - grid, v[:, 1])
@@ -76,7 +76,7 @@ def test_solve_coding_grid_oracle_random_two_anchor_problems():
 
 
 def test_solve_coding_single_anchor_is_forced():
-    cfg = LccConfig(m=1, d=1)
+    cfg = LccConfig(m=1)
     anchors = AnchorSet(np.array([[2.0], [3.0]]))
     coding = solve_coding(np.array([9.0, -1.0]), anchors, cfg)
     assert coding.weights.tolist() == [1.0]
@@ -86,7 +86,7 @@ def test_solve_coding_exact_anchor_hit_is_one_hot():
     rng = Rng(6)
     V = rng.normals(12).reshape(3, 4)
     anchors = AnchorSet(V)
-    cfg = LccConfig(m=4, d=2)
+    cfg = LccConfig(m=4)
     coding = solve_coding(V[:, 2].copy(), anchors, cfg)
     assert coding.weights.tolist() == [0.0, 0.0, 1.0, 0.0]
     # reconstruction is bitwise the anchor
@@ -103,7 +103,7 @@ def test_solve_coding_sum_constraint_random_sweep():
             d_b = 2 + rng.randint(4)
             V = rng.normals(m * d_b).reshape(d_b, m)
             h = V[:, rng.randint(m)] + 0.3 * rng.normals(d_b)  # near the anchors
-            cfg = LccConfig(m=m, d=min(2, m), q=q, l_q=l_q)
+            cfg = LccConfig(m=m, q=q, l_q=l_q)
             coding = solve_coding(h, AnchorSet(V), cfg)
             assert abs(coding.weights.sum() - 1.0) <= 1e-9
             assert np.all(coding.weights[~np.isin(np.arange(m), coding.support)] == 0.0)
@@ -117,7 +117,7 @@ def test_solve_coding_never_worse_than_warm_start():
         h = V[:, rng.randint(m)] + 0.3 * rng.normals(2)
         g0 = np.full(m, 1.0 / m) + 0.1 * rng.normals(m)
         g0[0] += 1.0 - g0.sum()  # keep the warm start feasible
-        cfg = LccConfig(m=m, d=m, q=2, l_q=1.0)
+        cfg = LccConfig(m=m, q=2, l_q=1.0)
         anchors = AnchorSet(V)
         coding = solve_coding(h, anchors, cfg, gamma0=g0)
         start = lcc_objective(h[None, :], g0[None, :], anchors, cfg)
@@ -183,7 +183,7 @@ def test_solve_coding_meets_the_dual_bound_on_the_ring():
     # the weak-duality lower bound by at most the solver's tolerance
     anchors = _ring_anchors()
     V = anchors.anchors
-    cfg = LccConfig(m=16, d=2)  # q=2, l_h = l_q = 1
+    cfg = LccConfig(m=16)  # q=2, l_h = l_q = 1
     pts = make_ring(60, radius=1.0, noise_sigma=0.01, seed=11).samples
     gaps = []
     for h in pts:
@@ -204,7 +204,7 @@ def test_solve_coding_zeroes_the_smoothed_weights_of_far_points():
     rng = Rng(8)
     pts = [2.5 * np.asarray(rng.normals(2)) for _ in range(30)]
     for q in (2, 3):
-        cfg = LccConfig(m=16, d=2, q=q)
+        cfg = LccConfig(m=16, q=q)
         for h in pts:
             coding = solve_coding(h, anchors, cfg)
             got = lcc_objective(h[None, :], coding.weights[None, :], anchors, cfg)
@@ -224,7 +224,7 @@ def test_solve_coding_small_penalties_stay_near_the_dual_bound():
             V = scale * np.asarray(rng.normals(2 * m)).reshape(2, m)
             h = scale * np.asarray(rng.normals(2))
             anchors = AnchorSet(V)
-            cfg = LccConfig(m=m, d=2, q=q, l_q=l_q)
+            cfg = LccConfig(m=m, q=q, l_q=l_q)
             coding = solve_coding(h, anchors, cfg)
             got = lcc_objective(h[None, :], coding.weights[None, :], anchors, cfg)
             c = l_q * np.sqrt(np.sum((V - h[:, None]) ** 2, axis=0)) ** q
@@ -235,7 +235,7 @@ def test_solve_coding_small_penalties_stay_near_the_dual_bound():
 def test_solve_coding_keeps_a_warm_start_that_is_already_optimal():
     # the smoothed solve ends within ~1e-9 of the optimum, so a warm start
     # nearer than that must come back no worse (to 1e-12)
-    cfg2 = LccConfig(m=2, d=2, q=2, l_h=1.0, l_q=1.0)
+    cfg2 = LccConfig(m=2, q=2, l_h=1.0, l_q=1.0)
     for x in np.linspace(-0.9, 0.9, 7):
         # h on the segment between the anchors: exact reconstruction with
         # g = ((1 - x)/2, (1 + x)/2) is optimal, with objective 1 - x^2
@@ -247,7 +247,7 @@ def test_solve_coding_keeps_a_warm_start_that_is_already_optimal():
         end = lcc_objective(h[None, :], coding.weights[None, :], SQUARE_ANCHORS, cfg2)
         assert end <= start + 1e-12
     anchors = _ring_anchors()
-    cfg = LccConfig(m=16, d=2)
+    cfg = LccConfig(m=16)
     for h in make_ring(20, radius=1.0, noise_sigma=0.01, seed=5).samples:
         g0 = solve_coding(h, anchors, cfg).weights
         start = lcc_objective(h[None, :], g0[None, :], anchors, cfg)
@@ -259,7 +259,7 @@ def test_solve_coding_keeps_a_warm_start_that_is_already_optimal():
 def test_solve_coding_degenerate_warm_start_raises():
     # a warm start whose weights sum to ~0 cannot be normalized onto the
     # constraint, which is the unrecoverable degenerate case
-    cfg = LccConfig(m=2, d=2, q=2, l_h=1.0, l_q=1.0)
+    cfg = LccConfig(m=2, q=2, l_h=1.0, l_q=1.0)
     with pytest.raises(DegenerateCodingError):
         solve_coding(np.zeros(2), SQUARE_ANCHORS, cfg, gamma0=np.array([0.5, -0.5]))
 
@@ -268,7 +268,7 @@ def test_solve_coding_recovers_from_mid_iteration_collapse():
     # a one-hot warm start on the symmetric instance soft-thresholds both
     # coordinates to zero in the first sweep; the solver must still return
     # the constrained optimum instead of failing
-    cfg = LccConfig(m=2, d=2, q=2, l_h=1.0, l_q=1.0)
+    cfg = LccConfig(m=2, q=2, l_h=1.0, l_q=1.0)
     coding = solve_coding(np.zeros(2), SQUARE_ANCHORS, cfg, gamma0=np.array([1.0, 0.0]))
     assert np.allclose(coding.weights, [0.5, 0.5], atol=1e-6)
 
@@ -292,11 +292,9 @@ def test_reconstruct_convex_combination():
 
 def test_config_validation():
     with pytest.raises(ValueError):
-        LccConfig(m=4, d=5)  # d > m
+        LccConfig(m=4, q=4)  # q not in {2, 3}
     with pytest.raises(ValueError):
-        LccConfig(m=4, d=2, q=4)  # q not in {2, 3}
-    with pytest.raises(ValueError):
-        LccConfig(m=4, d=2, coding_tol=0.0)
+        LccConfig(m=4, coding_tol=0.0)
 
 
 # --- localization measure: hand-evaluated values ---
@@ -304,33 +302,33 @@ def test_config_validation():
 
 def test_localization_measure_hand_value_q2():
     # r(h) = 0, first term 0, second term 0.5*1 + 0.5*1 = 1
-    cfg = LccConfig(m=2, d=2, q=2, l_h=1.0, l_q=1.0)
-    codings = [Coding(np.array([0.5, 0.5]))]
+    cfg = LccConfig(m=2, q=2, l_h=1.0, l_q=1.0)
+    codings = np.array([[0.5, 0.5]])
     q_val = localization_measure(np.zeros((1, 2)), codings, SQUARE_ANCHORS, cfg)
     assert abs(q_val - 1.0) <= 1e-12
 
 
 def test_localization_measure_hand_value_q3():
     # ||v - r(h)||^3 = 1 for both anchors
-    cfg = LccConfig(m=2, d=2, q=3, l_h=1.0, l_q=1.0)
-    codings = [Coding(np.array([0.5, 0.5]))]
+    cfg = LccConfig(m=2, q=3, l_h=1.0, l_q=1.0)
+    codings = np.array([[0.5, 0.5]])
     q_val = localization_measure(np.zeros((1, 2)), codings, SQUARE_ANCHORS, cfg)
     assert abs(q_val - 1.0) <= 1e-12
 
 
 def test_localization_measure_zero_on_self_anchor():
     anchors = AnchorSet(np.array([[1.5], [-0.5]]))
-    cfg = LccConfig(m=1, d=1)
+    cfg = LccConfig(m=1)
     q_val = localization_measure(
-        np.array([[1.5, -0.5]]), [Coding(np.array([1.0]))], anchors, cfg
+        np.array([[1.5, -0.5]]), np.array([[1.0]]), anchors, cfg
     )
     assert q_val == 0.0
 
 
 def test_localization_measure_is_mean_over_points():
-    cfg = LccConfig(m=2, d=2, q=2, l_h=1.0, l_q=1.0)
+    cfg = LccConfig(m=2, q=2, l_h=1.0, l_q=1.0)
     pts = np.zeros((3, 2))
-    codings = [Coding(np.array([0.5, 0.5]))] * 3
+    codings = np.full((3, 2), 0.5)
     q_val = localization_measure(pts, codings, SQUARE_ANCHORS, cfg)
     assert abs(q_val - 1.0) <= 1e-12  # mean, not sum
 
@@ -340,9 +338,9 @@ def test_localization_measure_is_mean_over_points():
 
 def test_learn_anchors_identical_points_collapse():
     pts = np.tile(np.array([0.3, -0.7]), (40, 1))
-    cfg = LccConfig(m=3, d=2, max_outer_iters=20, seed=1)
-    anchors, codings = learn_anchors(pts, cfg)
-    obj = lcc_objective(pts, np.stack([c.weights for c in codings]), anchors, cfg)
+    cfg = LccConfig(m=3, max_outer_iters=20, seed=1)
+    anchors, G = learn_anchors(pts, cfg)
+    obj = lcc_objective(pts, G, anchors, cfg)
     assert obj < 1e-6
     assert np.allclose(anchors.anchors, np.array([[0.3], [-0.7]]), atol=1e-4)
 
@@ -350,14 +348,14 @@ def test_learn_anchors_identical_points_collapse():
 def test_learn_anchors_self_representation_fixed_point():
     # N == M distinct points: anchors start at the points, objective 0
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    cfg = LccConfig(m=4, d=2, max_outer_iters=5, seed=0)
-    anchors, codings = learn_anchors(pts, cfg)
-    obj = lcc_objective(pts, np.stack([c.weights for c in codings]), anchors, cfg)
+    cfg = LccConfig(m=4, max_outer_iters=5, seed=0)
+    anchors, G = learn_anchors(pts, cfg)
+    obj = lcc_objective(pts, G, anchors, cfg)
     assert obj <= 1e-9
 
 
 def test_learn_anchors_insufficient_data():
-    cfg = LccConfig(m=8, d=2)
+    cfg = LccConfig(m=8)
     with pytest.raises(InsufficientDataError):
         learn_anchors(np.zeros((5, 2)), cfg)
 
@@ -367,7 +365,7 @@ def test_learn_anchors_monotone_on_circle():
     for q, l_q in ((2, 1.0), (3, 1e-4)):
         trace = []
         cfg = LccConfig(
-            m=8, d=2, q=q, l_q=l_q, max_outer_iters=30, anchor_tol=1e-12, seed=7
+            m=8, q=q, l_q=l_q, max_outer_iters=30, anchor_tol=1e-12, seed=7
         )
         learn_anchors(pts, cfg, trace=trace)
         diffs = np.diff(np.array(trace))
@@ -376,13 +374,13 @@ def test_learn_anchors_monotone_on_circle():
 
 def test_learn_anchors_zero_iters_returns_initialization():
     pts = make_ring(50, radius=1.0, noise_sigma=0.0, seed=3).samples
-    cfg = LccConfig(m=4, d=2, max_outer_iters=0, seed=9)
+    cfg = LccConfig(m=4, max_outer_iters=0, seed=9)
     trace = []
-    anchors, codings = learn_anchors(pts, cfg, trace=trace)
+    anchors, G = learn_anchors(pts, cfg, trace=trace)
     assert trace == []
     expected = init_anchors(pts, 4, Rng(9))
     assert np.array_equal(anchors.anchors, expected)
-    assert len(codings) == 50
+    assert len(G) == 50
 
 
 def test_init_anchors_selects_data_points():
@@ -405,7 +403,7 @@ def test_init_anchors_jitter_fallback_when_short_on_data():
 
 def test_learn_anchors_runtime_budget():
     pts = make_ring(200, radius=1.0, noise_sigma=0.0, seed=7).samples
-    cfg = LccConfig(m=8, d=2, q=2, max_outer_iters=30, anchor_tol=1e-12, seed=7)
+    cfg = LccConfig(m=8, q=2, max_outer_iters=30, anchor_tol=1e-12, seed=7)
     t0 = time.time()
     learn_anchors(pts, cfg)
     assert time.time() - t0 < 30.0

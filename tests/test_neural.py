@@ -22,7 +22,7 @@ from lccgen.neural.gan import (
     gen_objective_and_grads,
     train_gan,
 )
-from lccgen.neural.net import Layer, Mlp, backward, build_mlp, forward_cached
+from lccgen.neural.net import Layer, Mlp, backward, build_mlp, check_finite, forward_cached
 from lccgen.rng import Rng
 
 
@@ -245,6 +245,11 @@ def test_autoencoder_divergence_raises():
             X, latent_dim=2, hidden=8, epochs=5, batch=16, lr=1e80,
             activation="identity", seed=0,
         )
+    # non-finite parameters raise the same package error, not a builtin one
+    net = build_mlp([2, 2], ["identity"], Rng(0))
+    net.layers[0].b[1] = np.nan
+    with pytest.raises(TrainingDivergedError, match="layer 0 after step 3"):
+        check_finite(net, "step 3")
 
 
 def _square_anchors():

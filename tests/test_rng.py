@@ -105,13 +105,6 @@ def test_split_gives_independent_deterministic_child():
     assert not np.array_equal(child.uniforms(32), Rng(77, counter=1).uniforms(32))
 
 
-def test_clone_preserves_position():
-    rng = Rng(8)
-    rng.uniforms(13)
-    dup = rng.clone()
-    assert np.array_equal(rng.uniforms(20), dup.uniforms(20))
-
-
 def test_stage_seed_matches_documented_formula():
     assert stage_seed(7, 9) == reference_mix((7 + 9 * GAMMA) & MASK)
     tags = [stage_seed(7, t) for t in range(1, 10)]

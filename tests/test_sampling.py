@@ -148,16 +148,16 @@ def test_interpolate_endpoints_exact():
     b = Coding(np.array([0.0, -0.5, 1.5]))
     path = interpolate(a, b, 5)
     assert len(path) == 5
-    assert np.array_equal(path[0].weights, a.weights)
-    assert np.array_equal(path[-1].weights, b.weights)
+    assert np.array_equal(path[0], a.weights)
+    assert np.array_equal(path[-1], b.weights)
 
 
 def test_interpolate_midpoint():
     a = Coding(np.array([1.0, 0.0]))
     b = Coding(np.array([0.0, 1.0]))
     path = interpolate(a, b, 3)
-    assert np.allclose(path[1].weights, [0.5, 0.5], atol=1e-15)
-    assert path[1].weights.sum() == 1.0
+    assert np.allclose(path[1], [0.5, 0.5], atol=1e-15)
+    assert path[1].sum() == 1.0
 
 
 def test_interpolate_sum_and_support_closure():
@@ -167,9 +167,20 @@ def test_interpolate_sum_and_support_closure():
     cfg = SamplerConfig(d=4)
     a, b = sample_coding_pair(anchors, cfg, Rng(21))
     union = set(np.nonzero(a.weights)[0]) | set(np.nonzero(b.weights)[0])
-    for c in interpolate(a, b, 9):
-        assert abs(c.weights.sum() - 1.0) <= 1e-12
-        assert set(np.nonzero(c.weights)[0]) <= union
+    for w in interpolate(a, b, 9):
+        assert abs(w.sum() - 1.0) <= 1e-12
+        assert set(np.nonzero(w)[0]) <= union
+
+
+def test_interpolate_is_the_per_step_formula():
+    # one broadcast over the steps, bit for bit the scalar formula at each t
+    a, b = sample_coding_pair(SQUARE, SamplerConfig(d=3), Rng(4))
+    for steps in (2, 3, 10, 37):
+        path = interpolate(a, b, steps)
+        assert path.shape == (steps, 4)
+        for k in range(steps):
+            t = k / (steps - 1)
+            assert path[k].tobytes() == ((1.0 - t) * a.weights + t * b.weights).tobytes()
 
 
 def test_interpolate_rejects_bad_args():

@@ -97,8 +97,8 @@ def test_codings_csv_roundtrip(tmp_path):
     path = tmp_path / "c.csv"
     codings_to_csv(path, np.stack([w1, w2]))
     back = codings_from_csv(path, 6)
-    assert np.array_equal(back[0].weights, w1)
-    assert np.array_equal(back[1].weights, w2)
+    assert np.array_equal(back[0], w1)
+    assert np.array_equal(back[1], w2)
     text = path.read_text()
     assert text.splitlines()[0] == "1:0.75,4:0.25"
 
@@ -107,6 +107,9 @@ def test_codings_csv_bad_cell_names_the_line(tmp_path):
     path = tmp_path / "c.csv"
     path.write_text("0:0.5,junk\n")
     with pytest.raises(FormatError, match="line 1"):
+        codings_from_csv(path, 4)
+    path.write_text("0:0.25,3:0.25\n")  # parses, but sums to 0.5
+    with pytest.raises(ValueError, match="sum to 1"):
         codings_from_csv(path, 4)
 
 
