@@ -38,6 +38,7 @@ from .neural.gan import build_gan, train_gan
 from .rng import Rng, stage_seed
 from .serialize import (
     anchors_to_csv,
+    atomic_write,
     codings_to_csv,
     fmt_float,
     kv_to_csv,
@@ -93,7 +94,7 @@ def _load_generator(path, anchors):
 
 
 def _loss_csv(path, header, rows):
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write(",".join(header) + "\n")
         for i, row in enumerate(rows):
             cells = [str(i)] + [fmt_float(v) for v in row]
@@ -132,7 +133,7 @@ def cmd_learn_lcc(cfg, base_seed, out):
         max_outer_iters=c["max_outer_iters"], seed=stage_seed(base_seed, _TAG_LCC),
     )
     trace = []
-    anchors, G = learn_anchors(embeddings, lcc_cfg, trace=trace)
+    anchors, G, reasons = learn_anchors(embeddings, lcc_cfg, trace=trace)
     save_anchors(os.path.join(out, "anchors.bin"), anchors)
     anchors_to_csv(os.path.join(out, "anchors.csv"), anchors)
     codings_to_csv(os.path.join(out, "codings.csv"), G)
@@ -141,6 +142,8 @@ def cmd_learn_lcc(cfg, base_seed, out):
     print(f"learn-lcc: m={anchors.m} d_b={anchors.d_b}, "
           f"objective {trace[0]:.6g} -> {trace[-1]:.6g} in {len(trace)} iters"
           if trace else "learn-lcc: 0 iterations")
+    print("codings: " + ", ".join(f"{np.count_nonzero(reasons == r)} {r}"
+                                  for r in ("vertex", "hit", "gap", "cap")))
     return 0
 
 
@@ -222,7 +225,7 @@ def cmd_verify_bounds(cfg, base_seed, out, cases):
                 ok = lhs <= rhs + 1e-10
                 violations += 0 if ok else 1
                 rows.append((case, kind, order, lhs, rhs, rhs - lhs, int(ok)))
-    with open(os.path.join(out, "bounds.csv"), "w", newline="\n") as fh:
+    with atomic_write(os.path.join(out, "bounds.csv")) as fh:
         fh.write("case,kind,order,lhs,rhs,margin,ok\n")
         for case, kind, order, lhs, rhs, margin, ok in rows:
             fh.write(f"{case},{kind},{order},{fmt_float(lhs)},{fmt_float(rhs)},"

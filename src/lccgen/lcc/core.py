@@ -7,12 +7,16 @@ weights gamma, is
 
     sum_i  2 * l_h * ||h_i - V g_i||  +  l_q * sum_j |g_ij| * ||v_j - h_i||^q
 
-with q = 2 or 3.  `learn_anchors` alternates two steps: the weights of all
-points come from cyclic coordinate descent on the weighted-L1 form
-(renormalized to sum 1 after each sweep), and the anchors from a weighted
-least-squares update with the weights frozen.  `solve_coding` codes a single
-point exactly instead: damped Newton steps on a smoothed objective within
-the plane sum(g) = 1, with the smoothing driven down to 1e-10.
+with q = 2 or 3.  `solve_codings` is the one coding solver: for fixed
+anchors it solves every point's weights at once and certifies each row by
+weak duality (see its docstring for the stop reasons).  Most rows are
+vertices of the zero-residual LP min sum_j c_j |g_j| s.t. V g = h,
+sum(g) = 1, found by a lockstep simplex.  Points outside the anchors' hull
+mostly take a closed-form coding with a residual on d_b anchors; the rest
+go to damped Newton steps on a smoothed objective within the plane
+sum(g) = 1, with the smoothing driven down to 1e-10.  `solve_coding` is its
+one-row call.
+`learn_anchors` alternates it with a weighted least-squares anchor update.
 
 Codings in bulk are (n, m) weight arrays, one row per point; a `Coding`
 holds one point's weights.  `check_codings` defines a valid coding for both.
@@ -20,7 +24,6 @@ holds one point's weights.  `check_codings` defines a valid coding for both.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +33,9 @@ from ..rng import Rng
 
 _EPS_SMOOTH = 1e-12  # smoothing inside sqrt of the reconstruction term
 _SUM_GUARD = 1e-8  # renormalization divisor below this is degenerate
-_MAX_SWEEPS = 200
-_MU_START = 1e-1  # smoothing levels of the single-point Newton solve
+_MAX_PIVOTS = 50  # simplex pivots per row before the Newton fallback
+_ROWS = 512  # rows per block of solve_codings, bounding its (rows, m) temporaries
+_MU_START = 1e-1  # smoothing levels of the Newton solve
 _MU_FLOOR = 1e-10
 _MAX_NEWTON = 50  # Newton steps per smoothing level
 _SNAP = 1e-8  # weights below this are also tried at exactly zero
@@ -114,7 +118,7 @@ class Coding:
     """Sum-to-one weights over an anchor set; support lists the nonzeros."""
 
     weights: np.ndarray
-    support: np.ndarray = field(default=None)  # type: ignore[assignment]
+    support: np.ndarray = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -166,101 +170,6 @@ def _row_objectives(H, G, V, C, l_h):
     return 2.0 * l_h * rec + np.sum(np.abs(G) * C, axis=1)
 
 
-def _normalize_rows(G: np.ndarray) -> np.ndarray:
-    """Scale rows to sum 1; returns a boolean mask of degenerate rows."""
-    s = G.sum(axis=1)
-    bad = np.abs(s) < _SUM_GUARD
-    ok = ~bad
-    G[ok] /= s[ok, None]
-    # squash residual rounding so the sum-to-one invariant holds exactly
-    if np.any(ok):
-        idx = np.flatnonzero(ok)
-        top = np.argmax(np.abs(G[idx]), axis=1)
-        G[idx, top] -= G[idx].sum(axis=1) - 1.0
-    return bad
-
-
-def _solve_batch(H, V, config: LccConfig, gamma0=None):
-    """Coordinate-descent coding solve for every row of H at once.
-
-    Returns (G, row_objs, collapsed); each returned row is the best
-    renormalized iterate seen for that point, so row_objs never exceeds the
-    objective of the warm start (when given).  Rows whose weight sum fell
-    below the normalization guard during a sweep are frozen at their best
-    iterate and flagged in the `collapsed` mask.
-    """
-    n = H.shape[0]
-    m = V.shape[1]
-    l_h, l_q, q = config.l_h, config.l_q, config.q
-    C, dist = _penalties(H, V, l_q, q)
-    collapsed = np.zeros(n, dtype=bool)
-
-    if m == 1:
-        G = np.ones((n, 1))
-        return G, _row_objectives(H, G, V, C, l_h), collapsed
-
-    if gamma0 is None:
-        G = np.full((n, m), 1.0 / m)
-    else:
-        G = np.array(gamma0, dtype=np.float64, copy=True)
-
-    # exact anchor hits: the one-hot coding is the global optimum there
-    hit_rows = np.flatnonzero(np.any(dist == 0.0, axis=1))
-    for i in hit_rows:
-        j = int(np.argmin(dist[i]))
-        G[i] = 0.0
-        G[i, j] = 1.0
-    active = np.ones(n, dtype=bool)
-    active[hit_rows] = False
-
-    best_G = G.copy()
-    best_obj = _row_objectives(H, G, V, C, l_h)
-    if not np.any(active):
-        return best_G, best_obj, collapsed
-
-    vv = np.sum(V * V, axis=0)  # (m,)
-    E = H - G @ V.T
-    stall = 0
-    for _ in range(_MAX_SWEEPS):
-        prev = G.copy()
-        beta = l_h / np.sqrt(np.sum(E * E, axis=1) + _EPS_SMOOTH)
-        inactive = ~active
-        frozen = bool(inactive.any())
-        for j in range(m):
-            if vv[j] == 0.0:
-                continue
-            vj = V[:, j]
-            gj = G[:, j]
-            s = E @ vj + gj * vv[j]
-            z = beta * s
-            t = np.sign(z) * np.maximum(np.abs(z) - 0.5 * C[:, j], 0.0) / (beta * vv[j])
-            if frozen:
-                t[inactive] = gj[inactive]
-            step = t - gj
-            E -= step[:, None] * vj[None, :]
-            G[:, j] = t
-        bad = _normalize_rows(G)
-        bad &= active
-        if np.any(bad):
-            G[bad] = best_G[bad]
-            active[bad] = False
-            collapsed |= bad
-        E = H - G @ V.T
-        obj = _row_objectives(H, G, V, C, l_h)
-        better = obj < best_obj
-        gain = np.max((best_obj - obj) / np.maximum(1.0, best_obj), initial=0.0)
-        best_obj = np.where(better, obj, best_obj)
-        best_G[better] = G[better]
-        if np.max(np.abs(G[active] - prev[active]), initial=0.0) < config.coding_tol:
-            break
-        # iterates can drift through flat directions with the objective pinned;
-        # stop once no row has improved measurably for several sweeps
-        stall = stall + 1 if gain < 1e-13 else 0
-        if stall >= 5:
-            break
-    return best_G, best_obj, collapsed
-
-
 def _solve_scaled(scaled, r, b):
     """Solves (scaled / outer(r, r)) x = b, stacked over any leading axis;
     least squares where the matrix is singular."""
@@ -272,112 +181,405 @@ def _solve_scaled(scaled, r, b):
     return r * y[..., 0]
 
 
-def _best_step(V, c, two_lh, mu2, g, e, dirs):
-    """The point with the lowest F_mu among g + t*d, for each row d of dirs
-    and t = 1, 1/2, ..., 2^-52; returns (g, e, s, a, F_mu) there."""
-    D = np.repeat(dirs, len(_STEPS), axis=0)
-    T = np.tile(_STEPS, len(dirs))[:, None]
-    G = g + T * D
-    E = e - T * (D @ V.T)
+def _smoothed(G, E, C, two_lh, mu2):
+    """(s, a, F_mu) of each row at weights G with residuals E."""
     S = np.sqrt(np.sum(E * E, axis=1) + mu2)
-    A = np.sqrt(G * G + mu2)
-    F = two_lh * S + A @ c
-    k = int(np.argmin(F))
-    return G[k], E[k], S[k], A[k], F[k]
+    A = np.sqrt(G * G + mu2[:, None])
+    return S, A, two_lh * S + np.sum(C * A, axis=1)
 
 
-def _newton_coding(h, V, c, l_h, g):
-    """Damped Newton on the smoothed objective over the plane sum(g) = 1.
+def _best_steps(V, C, two_lh, mu2, G, E, dirs):
+    """For each row, the point with the lowest F_mu among g + t*d over the
+    row's directions d (dirs is (rows, k, m)) and t = 1, 1/2, ..., 2^-52;
+    returns (g, e, s, a, F_mu) there."""
+    T = _STEPS[:, None]
+    Es = E[:, None, None, :] - T * (dirs @ V.T)[:, :, None, :]
+    Ss = np.sqrt(np.sum(Es * Es, axis=3) + mu2[:, None, None])
+    As = np.multiply(T, dirs[:, :, None, :])  # the one (rows, k, 53, m) array
+    As += G[:, None, None, :]
+    np.multiply(As, As, out=As)
+    As += mu2[:, None, None, None]
+    np.sqrt(As, out=As)
+    F = two_lh * Ss + (As @ C[:, None, :, None])[..., 0]
+    i = np.arange(len(G))
+    d, k = np.divmod(np.argmin(F.reshape(len(G), -1), axis=1), len(_STEPS))
+    return G + _STEPS[k][:, None] * dirs[i, d], Es[i, d, k], Ss[i, d, k], As[i, d, k], F[i, d, k]
+
+
+def _newton_codings(H, V, Z, W, C, l_h, G):
+    """Damped Newton on the smoothed objective over the plane sum(g) = 1,
+    every row of G in lockstep, each at its own smoothing level.
 
     Minimizes F_mu(g) = 2*l_h*sqrt(||h - V g||^2 + mu^2)
     + sum_j c_j*sqrt(g_j^2 + mu^2) for mu = 1e-1, 1e-3, ..., 1e-9, 1e-10;
     F_mu - f is at most (2*l_h + sum(c))*mu.  Each level starts from the
     last one's result, moved along the tangent of the minimizer path g(mu)
     when that lowers the new F_mu.  A step solves the KKT system (Hessian
-    bordered by the constraint row) in an orthonormal basis Z of the plane
-    1'd = 0 whose trailing columns span the null space of [V; 1']; there
-    only the penalty has curvature, which the bordered form rounds away
-    against the residual term's 1/mu-sized curvature when l_q is small.  A
-    second step uses the penalty's majorizer curvature c/a (a = sqrt(g^2 +
-    mu^2)) in place of c*mu^2/a^3, as the Newton step can overshoot a
-    weight by orders of magnitude.  The iterate moves to the best point on
-    F_mu of either step scaled by 1, 1/2, ..., 2^-52: at least Armijo
-    backtracking's decrease.  A level ends when the squared Newton
-    decrement drops below 1e-2*mu*F_mu (1e-14*F_mu on the last level), or
-    after _MAX_NEWTON steps.
+    bordered by the constraint row) in the orthonormal basis Z of the plane
+    1'd = 0, whose trailing columns span the null space of [V; 1'] (W = V Z
+    is zero there); there only the penalty has curvature, which the
+    bordered form rounds away against the residual term's 1/mu-sized
+    curvature when l_q is small.  A second step uses the penalty's
+    majorizer curvature c/a (a = sqrt(g^2 + mu^2)) in place of
+    c*mu^2/a^3, as the Newton step can overshoot a weight by orders of
+    magnitude.  The iterate moves to the best point on F_mu of either step
+    scaled by 1, 1/2, ..., 2^-52: at least Armijo backtracking's decrease.
+    A level ends when the squared Newton decrement drops below
+    1e-2*mu*F_mu (1e-14*F_mu on the last level), or after _MAX_NEWTON
+    steps.  Rows leave the stacks once their last level ends.
     """
-    d_b, m = V.shape
     two_lh = 2.0 * l_h
-    Z = np.linalg.qr(np.hstack([np.ones((m, 1)), V.T]), mode="complete")[0][:, 1:]
-    W = V @ Z
-    W[:, min(d_b, m - 1):] = 0.0  # V Z on the null space, zero up to rounding
-    mu = _MU_START
-    tangent = None
-    while True:
+    out = np.empty_like(G)
+    rows = np.arange(len(G))  # the rows of out still iterating
+    c, g = C, G.copy()
+    e = H - g @ V.T
+    mu = np.full(len(G), _MU_START)
+    s, a, f = _smoothed(g, e, c, two_lh, mu * mu)
+    steps = np.zeros(len(G), dtype=int)
+    while rows.size:
         mu2 = mu * mu
-        e = h - V @ g
-        s = math.sqrt(e @ e + mu2)
-        a = np.sqrt(g * g + mu2)
-        f = two_lh * s + c @ a
-        if tangent is not None:
-            step = _best_step(V, c, two_lh, mu2, g, e, tangent[None, :])
-            if step[4] < f:
-                g, e, s, a, f = step
-        for _ in range(_MAX_NEWTON):
-            tol = 1e-2 * mu * f if mu > _MU_FLOOR else 1e-14 * f
-            # residual-term Hessian (2 l_h / s) W'(I - e e'/s^2)W, with the
-            # middle factor split into the projector off e plus (mu/s)^2
-            # along e so it stays positive semidefinite at tiny mu
-            norm_e = math.sqrt(max(s * s - mu2, 0.0))
-            unit = e / norm_e if norm_e > 0.0 else np.zeros_like(e)
-            pe = W.T @ unit
-            B = W - np.outer(unit, pe)
-            hess = (two_lh / s) * (B.T @ B + (mu2 / (s * s)) * np.outer(pe, pe))
-            # the penalty's curvature for the Newton step, and its majorizer
-            curv = np.stack([c * mu2 / (a * a * a), c / a])
-            hess = hess + (Z.T * curv[:, None, :]) @ Z
-            grad = Z.T @ (c * g / a) - (two_lh * norm_e / s) * pe  # pe * norm_e = W'e
-            # symmetric diagonal scaling: curvatures span many decades at small mu
-            h_diag = np.diagonal(hess, axis1=1, axis2=2)
-            r = 1.0 / np.sqrt(np.where(h_diag > 0.0, h_diag, 1.0))
-            scaled = hess * r[:, :, None] * r[:, None, :]
-            x = _solve_scaled(scaled, r, -grad)
-            slope = grad @ x[0]  # minus the squared Newton decrement
-            if not slope < -tol:
-                break
-            step = _best_step(V, c, two_lh, mu2, g, e, x @ Z.T)
-            if not step[4] < f:
-                break
-            g, e, s, a, f = step
-        if mu <= _MU_FLOOR:
-            return g
-        mu_next = max(mu * 1e-2, _MU_FLOOR)
-        # tangent of g(mu), from Newton's Hessian: H dx/dmu = -d grad/dmu
-        dgrad = Z.T @ (-c * g * mu / (a * a * a)) + (two_lh * mu / (s * s * s)) * (W.T @ e)
-        tangent = (mu_next - mu) * (Z @ _solve_scaled(scaled[0], r[0], -dgrad))
-        mu = mu_next
+        tol = np.where(mu > _MU_FLOOR, 1e-2 * mu, 1e-14) * f
+        # residual-term Hessian (2 l_h / s) W'(I - e e'/s^2)W, with the
+        # middle factor split into the projector off e plus (mu/s)^2
+        # along e so it stays positive semidefinite at tiny mu
+        norm_e = np.sqrt(np.maximum(s * s - mu2, 0.0))
+        unit = np.divide(e, norm_e[:, None], out=np.zeros_like(e), where=norm_e[:, None] > 0.0)
+        pe = unit @ W
+        B = W - unit[:, :, None] * pe[:, None, :]
+        hess = np.swapaxes(B, 1, 2) @ B + (mu2 / (s * s))[:, None, None] * (
+            pe[:, :, None] * pe[:, None, :])
+        hess *= (two_lh / s)[:, None, None]
+        # the penalty's curvature for the Newton step, and its majorizer
+        ca = c / a
+        curv = np.empty((len(c), 2, c.shape[1]))
+        np.multiply(ca, mu2[:, None] / (a * a), out=curv[:, 0])
+        curv[:, 1] = ca
+        hess = hess[:, None] + (Z.T * curv[:, :, None, :]) @ Z
+        grad = (ca * g) @ Z - (two_lh * norm_e / s)[:, None] * pe  # pe * norm_e = W'e
+        # symmetric diagonal scaling: curvatures span many decades at small mu
+        h_diag = np.diagonal(hess, axis1=2, axis2=3)
+        r = 1.0 / np.sqrt(np.where(h_diag > 0.0, h_diag, 1.0))
+        scaled = hess * r[..., :, None] * r[..., None, :]
+        x = _solve_scaled(scaled, r, -grad[:, None, :])
+        # minus the squared Newton decrement
+        won = np.sum(grad * x[:, 0], axis=1) < -tol
+        if won.any():
+            step = _best_steps(V, c, two_lh, mu2, g, e, x @ Z.T)
+            won &= step[4] < f
+            g, e, s, a, f = (np.where(won.reshape(-1, *[1] * (new.ndim - 1)), new, old)
+                             for new, old in zip(step, (g, e, s, a, f)))
+            steps += won
+        ended = ~won | (steps >= _MAX_NEWTON)
+        last = ended & (mu <= _MU_FLOOR)
+        nxt = np.flatnonzero(ended & ~last)
+        if nxt.size:
+            m0 = mu[nxt]
+            mu_next = np.maximum(m0 * 1e-2, _MU_FLOOR)
+            # tangent of g(mu), from Newton's Hessian: H dx/dmu = -d grad/dmu
+            dgrad = (-ca[nxt] * g[nxt] * (m0[:, None] / (a[nxt] * a[nxt]))) @ Z
+            dgrad += (two_lh * m0 / s[nxt] ** 3)[:, None] * (e[nxt] @ W)
+            tangent = (mu_next - m0)[:, None] * (
+                _solve_scaled(scaled[nxt, 0], r[nxt, 0], -dgrad) @ Z.T)
+            mu[nxt] = mu_next
+            mu2 = mu_next * mu_next
+            s[nxt], a[nxt], f[nxt] = _smoothed(g[nxt], e[nxt], c[nxt], two_lh, mu2)
+            step = _best_steps(V, c[nxt], two_lh, mu2, g[nxt], e[nxt], tangent[:, None, :])
+            better = step[4] < f[nxt]
+            g[nxt[better]], e[nxt[better]], s[nxt[better]], a[nxt[better]], f[nxt[better]] = (
+                v[better] for v in step)
+            steps[nxt] = 0
+        if last.any():
+            out[rows[last]] = g[last]
+            keep = ~last
+            rows, c, g, e, s, a, f, mu, steps = (
+                v[keep] for v in (rows, c, g, e, s, a, f, mu, steps))
+    return out
 
 
-def _squash(g):
-    """Moves the rounding in sum(g) onto the largest weight, so it sums to 1."""
-    g[int(np.argmax(np.abs(g)))] -= g.sum() - 1.0
-    return g
+def _squash(G):
+    """Moves the rounding in each row's sum onto its largest weight, so
+    every row sums to 1."""
+    top = np.argmax(np.abs(G), axis=1)
+    G[np.arange(len(G)), top] -= G.sum(axis=1) - 1.0
+    return G
+
+
+def _lp_vertices(H, V, C, dist, G0):
+    """Lockstep simplex on min sum_j c_j |g_j| s.t. V g = h, sum(g) = 1.
+
+    Each row's basis starts at its warm start's largest weights, topped up
+    with its nearest anchors, or at its d_b + 1 nearest anchors.  A pivot
+    is one stacked solve with the (d_b+1, d_b+1) basis matrices [V_B; 1'];
+    the entering anchor is the one whose dual constraint
+    |v_j'y + lam| <= c_j is most violated, the leaving one the first basic
+    weight to reach zero.  Returns (G, Y, basis, done): the vertex weights,
+    the dual y and the anchors of each row's last basis, and the rows that
+    reached an optimal vertex within _MAX_PIVOTS.  Rows with a singular
+    basis, an unbounded ray or no optimum by then are left undone.
+    """
+    n = len(H)
+    d_b, m = V.shape
+    k = d_b + 1
+    A = np.vstack([V, np.ones((1, m))])  # columns (v_j, 1)
+    b = np.hstack([H, np.ones((n, 1))])
+    key = dist if G0 is None else np.where(G0 != 0.0, -np.abs(G0), dist)
+    basis = np.argsort(key, axis=1, kind="stable")[:, :k]
+    sign = np.ones((n, k))  # side of zero each basic weight is on
+    G = np.zeros((n, m))
+    Y = np.zeros((n, d_b))
+    done = np.zeros(n, dtype=bool)
+    live = np.arange(n)
+    for _ in range(_MAX_PIVOTS):
+        bas = basis[live]
+        M = np.moveaxis(A[:, bas], 0, 1)
+        # |det| against the product of column norms (Hadamard's bound)
+        ok = np.abs(np.linalg.det(M)) > 1e-12 * np.prod(np.linalg.norm(M, axis=1), axis=1)
+        live, bas, M = live[ok], bas[ok], M[ok]
+        if live.size == 0:
+            break
+        inv = np.linalg.inv(M)
+        g = (inv @ b[live][:, :, None])[:, :, 0]
+        sg = np.where(np.abs(g) > 1e-13, np.sign(g), sign[live])
+        c = C[live]
+        pi = (np.swapaxes(inv, 1, 2) @ (sg * np.take_along_axis(c, bas, axis=1))[:, :, None])[:, :, 0]
+        P = pi[:, :d_b] @ V + pi[:, d_b:]
+        viol = np.abs(P) - c
+        np.put_along_axis(viol, bas, -np.inf, axis=1)
+        rows = np.arange(len(live))
+        enter = np.argmax(viol, axis=1)
+        opt = viol[rows, enter] <= 1e-12 * c[rows, enter]
+        fin = live[opt]
+        G[fin[:, None], bas[opt]] = g[opt]
+        Y[fin] = pi[opt, :d_b]
+        done[fin] = True
+        s = np.sign(P[rows, enter])  # the entering weight moves by s*t
+        piv = ~opt
+        live, inv, g, sg, enter, s = live[piv], inv[piv], g[piv], sg[piv], enter[piv], s[piv]
+        d = s[:, None] * (inv @ A[:, enter].T[:, :, None])[:, :, 0]  # basic weights move by -d*t
+        toward = sg * d  # > 0: that weight shrinks toward zero
+        moving = toward > 1e-12 * np.max(np.abs(d), axis=1, keepdims=True)
+        ratio = np.full(toward.shape, np.inf)
+        ratio[moving] = np.maximum(sg * g, 0.0)[moving] / toward[moving]
+        leave = np.argmin(ratio, axis=1)
+        bounded = np.any(moving, axis=1)
+        live, leave, enter, s = live[bounded], leave[bounded], enter[bounded], s[bounded]
+        sign[live] = sg[bounded]
+        basis[live, leave] = enter
+        sign[live, leave] = s
+    return G, Y, basis, done
+
+
+def _face_codings(H, V, C, bases, l_h):
+    """The best coding with a residual on the faces of each row's bases.
+
+    A row whose LP dual leaves the ball ||y|| <= 2*l_h has an optimum with a
+    nonzero residual, mostly on d_b anchors or one.  The candidates are the
+    faces of d_b anchors of each basis in `bases` (each (n, d_b + 1)
+    anchor indices) and their anchors on their own.  On a face S, with the
+    signs s of h's affine coordinates on S, the coding minimizes
+    2*l_h*||e|| + sum_S s_j*c_j*g_j in closed form: write g = 1/d_b + N t,
+    with N spanning the plane 1'x = 0, and A = V_S N.  Stationarity fixes
+    the part of e/||e|| in A's range to p = pinv(A)' N'(s*c) / (2*l_h); the
+    part of e off that range is that of e0 = h - V_S 1/d_b, so
+    ||e|| = ||e_off|| / sqrt(1 - ||p||^2), and t = pinv(A) (e0 - ||e|| p).
+    A face counts when its weights keep the signs s.  Returns the (n, m)
+    codings of the lowest objective.
+    """
+    k = bases[0].shape[1]
+    d_b = k - 1
+    two_lh = 2.0 * l_h
+    drop = ~np.eye(k, dtype=bool)  # face q keeps every basis slot but q
+    faces = np.concatenate([np.stack([b[:, keep] for keep in drop], axis=1) for b in bases],
+                           axis=1)  # (n, faces, d_b)
+    VS = np.moveaxis(V[:, faces], 0, 2)  # (n, faces, d_b, d_b), columns v_j
+    N = np.linalg.qr(np.ones((d_b, 1)), mode="complete")[0][:, 1:]
+    e0 = H[:, None, :] - VS.sum(axis=3) / d_b
+    A = VS @ N
+    Ap = np.linalg.pinv(A)
+    t0 = (Ap @ e0[..., None])[..., 0]  # h's affine coordinates on S are 1/d_b + N t0
+    s = np.where(1.0 / d_b + t0 @ N.T < 0.0, -1.0, 1.0)
+    c = s * np.take_along_axis(C[:, None, :], faces, axis=2)
+    p = (np.swapaxes(Ap, 2, 3) @ (c @ N)[..., None])[..., 0] / two_lh
+    off = e0 - (A @ t0[..., None])[..., 0]
+    room = 1.0 - np.sum(p * p, axis=2)
+    e_off = np.sqrt(np.sum(off * off, axis=2))
+    size = e_off / np.sqrt(np.where(room > 0.0, room, 1.0))
+    g = 1.0 / d_b + (Ap @ (e0 - size[..., None] * p)[..., None])[..., 0] @ N.T
+    face_obj = np.where((room > 0.0) & (e_off > 0.0) & np.all(s * g > 0.0, axis=2),
+                        two_lh * size + np.sum(c * g, axis=2), np.inf)
+    ones = np.concatenate(bases, axis=1)  # the basis anchors on their own
+    E1 = H[:, None, :] - V.T[ones]
+    one_obj = two_lh * np.sqrt(np.sum(E1 * E1, axis=2)) + np.take_along_axis(C, ones, axis=1)
+    rows = np.arange(len(H))
+    G = np.zeros((len(H), V.shape[1]))
+    q = np.argmin(face_obj, axis=1)
+    use = face_obj[rows, q] < np.min(one_obj, axis=1)
+    G[rows[use, None], faces[use, q[use]]] = g[use, q[use]]
+    G[rows[~use], ones[~use, np.argmin(one_obj[~use], axis=1)]] = 1.0
+    return G
+
+
+def _dual_bounds(H, V, C, Y, l_h):
+    """Weak-duality lower bounds on each row's coding objective.
+
+    For any y with ||y|| <= 2*l_h and lam with |v_j'y + lam| <= c_j, every
+    coding g has objective >= y'h + lam.  Each row takes the largest lam
+    for its y, min_j (c_j - v_j'y), and scales (y, lam) by the largest
+    t <= 1 that makes the pair feasible; (0, 0) always is.
+    """
+    P = Y @ V
+    lam = np.min(C - P, axis=1)
+    P += lam[:, None]
+    np.abs(P, out=P)
+    norm = np.sqrt(np.sum(Y * Y, axis=1))
+    t = np.minimum(np.divide(2.0 * l_h, norm, out=np.ones_like(norm), where=norm > 0.0),
+                   np.min(np.divide(C, P, out=np.ones_like(P), where=P > 0.0), axis=1))
+    return np.minimum(t, 1.0) * (np.sum(Y * H, axis=1) + lam)
+
+
+def _certified_gaps(H, G, V, C, l_h):
+    """Each row's objective minus the better of two weak-duality bounds.
+
+    One takes y = 2*l_h*e/||e|| from the row's residual e.  The other
+    corrects it with the stationarity conditions of the row's support S:
+    v_j'y + lam = sign(g_j)*c_j for j in S, which differenced against S's
+    first anchor read D y = beta.  It is the point of {D y = beta} nearest
+    the first y, pushed within that set onto the sphere ||y|| = 2*l_h when
+    the set meets its inside: exactly the optimal dual when |S| = d_b, and
+    the vertex's dual when the residual is zero.
+    """
+    E = H - G @ V.T
+    norm = np.sqrt(np.sum(E * E, axis=1))[:, None]
+    Y = np.divide(2.0 * l_h * E, norm, out=np.zeros_like(E), where=norm > 0.0)
+    rows = np.arange(len(G))
+    first = np.argmax(G != 0.0, axis=1)
+    rest = G != 0.0
+    rest[rows, first] = False
+    D = np.where(rest[:, :, None], V.T[None, :, :] - V.T[first][:, None, :], 0.0)
+    sc = np.sign(G) * C
+    beta = np.where(rest, sc - sc[rows, first][:, None], 0.0)
+    Dp = np.linalg.pinv(D)
+    a = (Dp @ beta[:, :, None])[:, :, 0]  # the point of the set nearest 0
+    off = Y - (Dp @ (D @ Y[:, :, None]))[:, :, 0]  # Y's offset from a within the set
+    room = 4.0 * l_h * l_h - np.sum(a * a, axis=1)
+    reach = np.sqrt(np.sum(off * off, axis=1))
+    push = (room > 0.0) & (reach > 0.0)
+    off[push] *= (np.sqrt(room[push]) / reach[push])[:, None]
+    lower = np.maximum(_dual_bounds(H, V, C, Y, l_h), _dual_bounds(H, V, C, a + off, l_h))
+    return _row_objectives(H, G, V, C, l_h) - lower
+
+
+def solve_codings(H, V, config: LccConfig, G0=None):
+    """Minimize the coding objective for every row of H over anchors V.
+
+    Each row solves 2*l_h*||h - V g|| + sum_j c_j*|g_j| subject to
+    sum(g) = 1, with c_j = l_q*||v_j - h||^q.  Returns (G, reasons): the
+    (n, m) codings and one stop reason per row:
+
+    - "hit": h is an anchor, and its one-hot coding (objective 0) is optimal.
+    - "vertex": an optimal vertex of the zero-residual LP
+      min sum_j c_j|g_j| s.t. V g = h, sum(g) = 1, found by the lockstep
+      simplex of `_lp_vertices`, whose dual point also certifies the full
+      objective to a weak-duality gap of at most config.coding_tol.
+    - "gap": any other coding certified to a gap of at most
+      config.coding_tol by a dual point built from its residual and its
+      support (`_certified_gaps`).
+    - "cap": a coding that no dual point certified.
+
+    A row whose optimal LP vertex is not certified has a dual y outside
+    the ball ||y|| <= 2*l_h, as points outside the anchors' hull do; it
+    tries the closed-form codings with a residual on the faces of its LP
+    basis and of its d_b + 1 nearest anchors (`_face_codings`).  Rows
+    still uncertified, and those with a singular basis, at the pivot cap,
+    or with m < d_b + 1, keep their warm start when that certifies, and
+    otherwise take the better of the smoothed Newton solve
+    (`_newton_codings`, from the warm start or uniform weights) and that
+    solve with its weights below 1e-8 set to zero.  A row of G0 (each
+    summing to 1) replaces its result wherever it scores lower, so no row
+    ends above its warm start.
+    """
+    G = np.zeros((len(H), V.shape[1]))
+    reasons = np.full(len(H), "cap", dtype="<U6")
+    for lo in range(0, len(H), _ROWS):
+        i = slice(lo, lo + _ROWS)
+        G[i], reasons[i] = _solve_rows(H[i], V, config, None if G0 is None else G0[i])
+    return G, reasons
+
+
+def _solve_rows(H, V, config: LccConfig, G0):
+    """`solve_codings` on one block of rows."""
+    n = len(H)
+    d_b, m = V.shape
+    l_h, tol = config.l_h, config.coding_tol
+    C, dist = _penalties(H, V, config.l_q, config.q)
+    G = np.zeros((n, m))
+    reasons = np.full(n, "cap", dtype="<U6")
+    hits = np.flatnonzero(np.any(dist == 0.0, axis=1))
+    G[hits, np.argmin(dist[hits], axis=1)] = 1.0
+    reasons[hits] = "hit"
+    rest = np.flatnonzero(reasons != "hit")
+    if m > d_b and rest.size:
+        Gv, Y, basis, done = _lp_vertices(H[rest], V, C[rest], dist[rest],
+                                          None if G0 is None else G0[rest])
+        Gv = _squash(Gv)
+        gap = _row_objectives(H[rest], Gv, V, C[rest], l_h) - _dual_bounds(
+            H[rest], V, C[rest], Y, l_h)
+        won = done & (gap <= tol)
+        G[rest[won]] = Gv[won]
+        reasons[rest[won]] = "vertex"
+        out = np.flatnonzero(done & ~won)  # the dual left the ball
+        if out.size:
+            i = rest[out]
+            near = np.argsort(dist[i], axis=1)[:, :d_b + 1]
+            Gf = _squash(_face_codings(H[i], V, C[i], (basis[out], near), l_h))
+            ok = _certified_gaps(H[i], Gf, V, C[i], l_h) <= tol
+            G[i[ok]] = Gf[ok]
+            reasons[i[ok]] = "gap"
+            won[out[ok]] = True
+        rest = rest[~won]
+    if rest.size and m > 1:
+        Z = np.linalg.qr(np.hstack([np.ones((m, 1)), V.T]), mode="complete")[0][:, 1:]
+        W = V @ Z
+        W[:, min(d_b, m - 1):] = 0.0  # V Z on the null space, zero up to rounding
+    block = max(1, 2**16 // (m * len(_STEPS)))  # bounds _best_steps' array
+    for lo in range(0, rest.size, block):
+        i = rest[lo:lo + block]
+        if G0 is not None:  # a warm start that already certifies skips Newton
+            won = _certified_gaps(H[i], G0[i], V, C[i], l_h) <= tol
+            G[i[won]] = G0[i[won]]
+            reasons[i[won]] = "gap"
+            i = i[~won]
+            if not i.size:
+                continue
+        h, c = H[i], C[i]
+        if m == 1:
+            g = np.ones((len(i), 1))  # the only coding
+        else:
+            start = np.full((len(i), m), 1.0 / m) if G0 is None else G0[i]
+            g = _squash(_newton_codings(h, V, Z, W, c, l_h, start))
+            snap = _squash(np.where(np.abs(g) > _SNAP, g, 0.0))
+            pick = _row_objectives(h, snap, V, c, l_h) < _row_objectives(h, g, V, c, l_h)
+            g = np.where(pick[:, None], snap, g)
+        G[i] = g
+        reasons[i[_certified_gaps(h, g, V, c, l_h) <= tol]] = "gap"
+    if G0 is not None:
+        lower = _row_objectives(H, G0, V, C, l_h) < _row_objectives(H, G, V, C, l_h)
+        # a warm start on another support is no longer that vertex
+        moved = lower & np.any((G0 != 0.0) != (G != 0.0), axis=1)
+        G[lower] = G0[lower]
+        reasons[moved & (reasons == "vertex")] = "gap"
+    return G, reasons
 
 
 def solve_coding(h, anchors: AnchorSet, config: LccConfig, gamma0=None) -> Coding:
-    """Minimize the coding objective for one point.
+    """Minimize the coding objective for one point: `solve_codings` on one row.
 
-    Solves 2*l_h*||h - V g|| + sum_j c_j*|g_j| subject to sum(g) = 1 by
-    damped Newton steps on a smoothed objective, with the smoothing driven
-    from 1e-1 down to 1e-10 (see `_newton_coding`), starting from the
-    normalized warm start or from uniform weights.  Smoothing leaves the
-    weights that should be zero at about mu; the Newton result with the
-    weights below 1e-8 set to zero is also scored, and the lower of the two
-    is kept.  The result never exceeds the objective of the normalized warm
-    start, which is returned when it scores lower.  A point on an anchor
-    gets that anchor's one-hot coding, the global optimum.  A warm start
-    whose weight sum is below the normalization guard cannot be normalized
-    and raises DegenerateCodingError.
+    Solves 2*l_h*||h - V g|| + sum_j c_j*|g_j| subject to sum(g) = 1, from
+    the normalized warm start when one is given.  The result never exceeds
+    the objective of the normalized warm start.  A point on an anchor gets
+    that anchor's one-hot coding, the global optimum.  A warm start whose
+    weight sum is below the normalization guard cannot be normalized and
+    raises DegenerateCodingError.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1 or h.shape[0] != anchors.d_b:
@@ -387,9 +589,8 @@ def solve_coding(h, anchors: AnchorSet, config: LccConfig, gamma0=None) -> Codin
     if anchors.m != config.m:
         raise ValueError(f"anchor set has m={anchors.m} but config.m={config.m}")
     m = anchors.m
-    if gamma0 is None:
-        g0 = None
-    else:
+    g0 = None
+    if gamma0 is not None:
         g0 = np.asarray(gamma0, dtype=np.float64).reshape(-1)
         if g0.shape[0] != m:
             raise ValueError(f"warm start has {g0.shape[0]} weights for m={m}")
@@ -398,23 +599,9 @@ def solve_coding(h, anchors: AnchorSet, config: LccConfig, gamma0=None) -> Codin
             raise DegenerateCodingError(
                 f"warm-start weight sum {total!r} is below the normalization guard"
             )
-        g0 = g0 / total
-    if m == 1:
-        return Coding(np.ones(1))
-    V = anchors.anchors
-    C, dist = _penalties(h[None, :], V, config.l_q, config.q)
-    if np.any(dist == 0.0):
-        # exact anchor hit: the one-hot coding is the global optimum there
-        g = np.zeros(m)
-        g[int(np.argmin(dist[0]))] = 1.0
-        return Coding(g)
-    g = _squash(_newton_coding(h, V, C[0], config.l_h,
-                               np.full(m, 1.0 / m) if g0 is None else g0.copy()))
-    candidates = [g, _squash(np.where(np.abs(g) > _SNAP, g, 0.0))]
-    if g0 is not None:
-        candidates.append(g0)
-    objs = _row_objectives(h[None, :], np.stack(candidates), V, C, config.l_h)
-    return Coding(candidates[int(np.argmin(objs))])
+        g0 = (g0 / total)[None, :]
+    G, _ = solve_codings(h[None, :], anchors.anchors, config, g0)
+    return Coding(G[0])
 
 
 def init_anchors(points, m: int, rng: Rng) -> np.ndarray:
@@ -448,9 +635,13 @@ def init_anchors(points, m: int, rng: Rng) -> np.ndarray:
 def learn_anchors(points, config: LccConfig, trace=None):
     """Alternate coding solves and anchor updates until the objective settles.
 
-    Returns (AnchorSet, (n, m) array): the anchors and the final codings of
-    the n points, one row each.  If `trace` is a list, the objective after
-    each outer iteration is appended to it.
+    Each outer iteration codes every point with `solve_codings`, warm
+    started from the last iteration's codings, then updates the anchors
+    with the codings frozen (`_update_anchors`).  Returns (AnchorSet,
+    (n, m) array, reasons): the anchors, the codings of the n points for
+    those anchors, one row each, and each row's stop reason from
+    `solve_codings`.  If `trace` is a list, the objective after each outer
+    iteration is appended to it.
     """
     H = _as_points(points)
     n = H.shape[0]
@@ -464,20 +655,16 @@ def learn_anchors(points, config: LccConfig, trace=None):
     G = None
     obj_prev = None
     for _ in range(config.max_outer_iters):
-        G, _objs, _ = _solve_batch(H, V, config, gamma0=G)
+        G, _ = solve_codings(H, V, config, G)
         V = _update_anchors(H, G, V, config)
         obj = lcc_objective(H, G, AnchorSet(V), config)
         if trace is not None:
             trace.append(obj)
         if obj_prev is not None and abs(obj - obj_prev) < config.anchor_tol * max(1.0, obj_prev):
-            obj_prev = obj
             break
         obj_prev = obj
-    if config.max_outer_iters > 0:
-        G, _, _ = _solve_batch(H, V, config, gamma0=G)
-    else:
-        G, _, _ = _solve_batch(H, V, config)
-    return AnchorSet(V), check_codings(G)
+    G, reasons = solve_codings(H, V, config, G)
+    return AnchorSet(V), check_codings(G), reasons
 
 
 def _update_anchors(H, G, V, config: LccConfig):

@@ -9,10 +9,14 @@ u32 LE rows, u32 LE cols, one activation tag byte (0 identity, 1 relu,
 biases.
 
 CSV floats are written with repr-faithful %.17g so reruns are byte-identical.
+Every writer goes through `atomic_write`, so an artifact path holds either
+its previous bytes or the complete new file, never a partial one.
 """
 
 from __future__ import annotations
 
+import contextlib
+import os
 import struct
 
 import numpy as np
@@ -35,8 +39,25 @@ def fmt_float(x: float) -> str:
     return "%.17g" % x
 
 
+@contextlib.contextmanager
+def atomic_write(path, binary=False):
+    """Yields a file open for writing a temp file beside `path`, and moves it
+    onto `path` with os.replace when the block ends.  If the block raises,
+    the temp file is removed and `path` keeps its previous bytes."""
+    head, tail = os.path.split(path)
+    tmp = os.path.join(head, f".{tail}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", newline="\n") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        with contextlib.suppress(FileNotFoundError):
+            os.remove(tmp)
+        raise
+
+
 def save_anchors(path, anchors: AnchorSet) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(ANCHOR_MAGIC)
         fh.write(struct.pack("<II", anchors.d_b, anchors.m))
         fh.write(np.ascontiguousarray(anchors.anchors.T, dtype="<f8").tobytes())
@@ -59,13 +80,13 @@ def load_anchors(path) -> AnchorSet:
 
 def anchors_to_csv(path, anchors: AnchorSet) -> None:
     """One anchor per row."""
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for j in range(anchors.m):
             fh.write(",".join(fmt_float(x) for x in anchors.anchors[:, j]) + "\n")
 
 
 def save_model(path, net: Mlp) -> None:
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", len(net.layers)))
         for layer in net.layers:
@@ -112,7 +133,7 @@ def codings_to_csv(path, weights) -> None:
     W = np.asarray(weights, dtype=np.float64)
     if W.ndim != 2:
         raise ValueError(f"expected an (n, m) weight array, got shape {W.shape}")
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         for w in W:
             cells = [f"{int(j)}:{fmt_float(w[j])}" for j in np.flatnonzero(w)]
             fh.write(",".join(cells) + "\n")
@@ -138,7 +159,7 @@ def codings_from_csv(path, m: int) -> np.ndarray:
 
 
 def matrix_to_csv(path, rows, header=None) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         if header:
             fh.write(",".join(header) + "\n")
         for row in np.atleast_2d(np.asarray(rows, dtype=np.float64)):
@@ -146,7 +167,7 @@ def matrix_to_csv(path, rows, header=None) -> None:
 
 
 def kv_to_csv(path, pairs) -> None:
-    with open(path, "w", newline="\n") as fh:
+    with atomic_write(path) as fh:
         fh.write("name,value\n")
         for name, value in pairs:
             fh.write(f"{name},{fmt_float(float(value))}\n")
@@ -157,7 +178,7 @@ def write_pgm(path, image: np.ndarray) -> None:
     img = np.asarray(image)
     if img.ndim != 2 or img.dtype != np.uint8:
         raise ValueError("image must be a 2-D uint8 array")
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(b"P5\n%d %d\n255\n" % (img.shape[1], img.shape[0]))
         fh.write(img.tobytes())
 

@@ -108,7 +108,7 @@ def _ring_learning_run(out_dir):
             anchor_tol=1e-12, max_outer_iters=30, seed=7,
         )
         trace = []
-        anchors, G = learn_anchors(data, cfg, trace=trace)
+        anchors, G, _ = learn_anchors(data, cfg, trace=trace)
         paths = {
             "anchors": os.path.join(out_dir, f"anchors_q{q}.csv"),
             "codings": os.path.join(out_dir, f"codings_q{q}.csv"),

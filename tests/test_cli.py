@@ -2,6 +2,7 @@
 messages that name the offending key or file."""
 
 import os
+import re
 import shutil
 import textwrap
 
@@ -97,6 +98,24 @@ def test_learn_lcc_artifacts(staged):
     assert len(codings) == 64
     for w in codings:
         assert abs(w.sum() - 1.0) <= 1e-9
+
+
+def test_learn_lcc_prints_coding_stop_reasons(staged, tmp_path, capsys):
+    _, out = staged
+    out2 = str(tmp_path / "out")
+    shutil.copytree(out, out2)
+    cfg2 = write_cfg(str(tmp_path), out2)
+    capsys.readouterr()
+    assert main(["--config", cfg2, "learn-lcc"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2
+    m = re.fullmatch(r"codings: (\d+) vertex, (\d+) hit, (\d+) gap, (\d+) cap", lines[1])
+    assert m, lines[1]
+    assert sum(int(k) for k in m.groups()) == 64  # one reason per data point
+    # stdout only: no artifact mentions a reason
+    for name in os.listdir(out2):
+        with open(os.path.join(out2, name), "rb") as fh:
+            assert b"vertex" not in fh.read(), name
 
 
 def test_full_pipeline_artifacts(full_pipeline):

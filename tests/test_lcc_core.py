@@ -17,14 +17,17 @@ from lccgen.lcc.core import (
     DegenerateCodingError,
     InsufficientDataError,
     LccConfig,
+    check_codings,
     init_anchors,
     lcc_objective,
     learn_anchors,
     localization_measure,
     reconstruct,
     solve_coding,
+    solve_codings,
 )
 from lccgen.datasets import make_ring
+from lccgen.lcc import core
 from lccgen.rng import Rng
 
 
@@ -273,6 +276,112 @@ def test_solve_coding_recovers_from_mid_iteration_collapse():
     assert np.allclose(coding.weights, [0.5, 0.5], atol=1e-6)
 
 
+# --- the batched solver: certificates against the dual enumerator ---
+
+
+def _ring_points():
+    """Noisy ring points around the 16-anchor polygon, whose edges sit at
+    0.98 from the center: on the unit ring, about half inside it, and just
+    outside it at radii 1.05 and 1.2."""
+    return np.concatenate([make_ring(40, radius=r, noise_sigma=0.01, seed=11).samples
+                           for r in (1.0, 1.05, 1.2)])
+
+
+def _row_objective(h, g, anchors, cfg):
+    return lcc_objective(h[None, :], g[None, :], anchors, cfg)
+
+
+def test_solve_codings_certified_rows_meet_the_dual_bound():
+    # LP vertices inside the polygon, residual codings outside it: every row
+    # that claims a certificate is within coding_tol of the exact dual
+    anchors = _ring_anchors()
+    V = anchors.anchors
+    H = _ring_points()
+    for q in (2, 3):
+        cfg = LccConfig(m=16, q=q)
+        G, reasons = solve_codings(H, V, cfg)
+        assert {"vertex", "gap"} <= set(reasons), f"both paths should run, got {set(reasons)}"
+        for h, g, why in zip(H, G, reasons):
+            if why not in ("vertex", "gap"):
+                continue
+            c = cfg.l_q * np.sqrt(np.sum((V - h[:, None]) ** 2, axis=0)) ** q
+            gap = _row_objective(h, g, anchors, cfg) - _dual_lower_bound(h, V, c, cfg.l_h)
+            assert -1e-9 <= gap <= cfg.coding_tol, f"{why} row is {gap:.3g} above the bound"
+
+
+def test_solve_codings_rows_agree_with_one_row_solves():
+    anchors = _ring_anchors()
+    V = anchors.anchors
+    H = _ring_points()
+    cfg = LccConfig(m=16)
+    G, reasons = solve_codings(H, V, cfg)
+    # warm starts from other rows' codings: valid, but far from optimal
+    G0 = np.roll(G, 7, axis=0)
+    Gw, warm_reasons = solve_codings(H, V, cfg, G0)
+    assert set(reasons) | set(warm_reasons) <= {"vertex", "gap"}
+    for h, g, gw, g0 in zip(H, G, Gw, G0):
+        cold = _row_objective(h, solve_coding(h, anchors, cfg).weights, anchors, cfg)
+        warm = _row_objective(h, solve_coding(h, anchors, cfg, gamma0=g0).weights, anchors, cfg)
+        assert abs(_row_objective(h, g, anchors, cfg) - cold) <= cfg.coding_tol
+        assert abs(_row_objective(h, gw, anchors, cfg) - warm) <= cfg.coding_tol
+
+
+def test_points_outside_the_hull_take_closed_form_codings(monkeypatch):
+    # off the polygon the optimum carries a residual on one or two anchors;
+    # the closed-form face codings certify these without the Newton solve
+    def no_newton(*args):
+        raise AssertionError("a row reached the Newton solve")
+
+    monkeypatch.setattr(core, "_newton_codings", no_newton)
+    V = _ring_anchors().anchors
+    H = np.concatenate([make_ring(40, radius=r, noise_sigma=0.01, seed=11).samples
+                        for r in (1.02, 1.5, 3.0)])
+    for q in (2, 3):
+        _, reasons = solve_codings(H, V, LccConfig(m=16, q=q))
+        assert set(reasons) <= {"vertex", "gap"}
+
+
+@pytest.mark.parametrize("V, H", [
+    # collinear anchors: every basis [V_B; 1'] is singular
+    (np.array([[-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0]]),
+     np.array([[0.2, 0.0], [0.3, 0.1], [-2.0, 0.05]])),
+    # two anchors at one point, the nearest pair for every row
+    (np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+     np.array([[0.1, 0.1], [0.05, 0.02], [0.4, 0.3]])),
+    # m = 2 < d_b + 1 = 4: no vertex has d_b + 1 anchors
+    (np.array([[1.0, -1.0], [0.5, 0.0], [0.0, 2.0]]),
+     np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.2, 0.1, 0.4]])),
+], ids=["collinear", "duplicate", "m<d_b+1"])
+def test_solve_codings_degenerate_inputs_take_the_newton_path(V, H):
+    cfg = LccConfig(m=V.shape[1])
+    G, reasons = solve_codings(H, V, cfg)
+    check_codings(G)
+    assert set(reasons) <= {"gap", "cap"}
+    anchors = AnchorSet(V)
+    for h, g in zip(H, G):  # no worse than the uniform start
+        uniform = np.full(V.shape[1], 1.0 / V.shape[1])
+        assert _row_objective(h, g, anchors, cfg) <= _row_objective(h, uniform, anchors, cfg)
+
+
+def test_learn_anchors_codings_are_certified_on_the_default_ring():
+    pts = make_ring(2000, radius=1.0, noise_sigma=0.01, seed=7).samples
+    cfg = LccConfig(m=16, max_outer_iters=4, seed=7)
+    anchors, G, reasons = learn_anchors(pts, cfg)
+    V = anchors.anchors
+    assert set(reasons) <= {"hit", "vertex", "gap"}
+    on_anchor = np.any(np.all(pts[:, :, None] == V[None, :, :], axis=1), axis=1)
+    assert np.array_equal(reasons == "hit", on_anchor)
+    # they are the codings of the returned anchors: a cold solve is no better
+    cold, _ = solve_codings(pts, V, cfg)
+    for h, g, g_cold in zip(pts, G, cold):
+        assert _row_objective(h, g, anchors, cfg) <= _row_objective(h, g_cold, anchors, cfg) + cfg.coding_tol
+
+
+def test_coding_support_is_not_an_argument():
+    with pytest.raises(TypeError):
+        Coding(np.array([1.0, 0.0]), support=np.array([1]))
+
+
 def test_coding_type_validates_sum():
     with pytest.raises(ValueError):
         Coding(np.array([0.7, 0.2]))
@@ -339,7 +448,7 @@ def test_localization_measure_is_mean_over_points():
 def test_learn_anchors_identical_points_collapse():
     pts = np.tile(np.array([0.3, -0.7]), (40, 1))
     cfg = LccConfig(m=3, max_outer_iters=20, seed=1)
-    anchors, G = learn_anchors(pts, cfg)
+    anchors, G, _ = learn_anchors(pts, cfg)
     obj = lcc_objective(pts, G, anchors, cfg)
     assert obj < 1e-6
     assert np.allclose(anchors.anchors, np.array([[0.3], [-0.7]]), atol=1e-4)
@@ -349,7 +458,7 @@ def test_learn_anchors_self_representation_fixed_point():
     # N == M distinct points: anchors start at the points, objective 0
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     cfg = LccConfig(m=4, max_outer_iters=5, seed=0)
-    anchors, G = learn_anchors(pts, cfg)
+    anchors, G, _ = learn_anchors(pts, cfg)
     obj = lcc_objective(pts, G, anchors, cfg)
     assert obj <= 1e-9
 
@@ -376,7 +485,7 @@ def test_learn_anchors_zero_iters_returns_initialization():
     pts = make_ring(50, radius=1.0, noise_sigma=0.0, seed=3).samples
     cfg = LccConfig(m=4, max_outer_iters=0, seed=9)
     trace = []
-    anchors, G = learn_anchors(pts, cfg, trace=trace)
+    anchors, G, _ = learn_anchors(pts, cfg, trace=trace)
     assert trace == []
     expected = init_anchors(pts, 4, Rng(9))
     assert np.array_equal(anchors.anchors, expected)

@@ -1,12 +1,13 @@
 """Serialization tests: binary roundtrips, header bytes, CSV stability."""
 
+import os
 import struct
 
 import numpy as np
 import pytest
 
 from lccgen.lcc.core import AnchorSet
-from lccgen.neural.net import build_mlp
+from lccgen.neural.net import Layer, Mlp, build_mlp
 from lccgen.rng import Rng
 from lccgen.serialize import (
     FormatError,
@@ -169,3 +170,21 @@ def test_scatter_image_marks_extremes():
     assert img.shape == (8, 8)
     assert img[7, 0] == 255  # (0,0) lands bottom-left
     assert img[0, 7] == 255  # (1,1) lands top-right
+
+
+def test_a_write_that_fails_midway_keeps_the_previous_file(tmp_path):
+    csv_path = tmp_path / "metrics.csv"
+    kv_to_csv(csv_path, [("mmd2", 1.0)])
+    model_path = tmp_path / "g.bin"
+    net = build_mlp([2, 3, 2], ["relu", "identity"], Rng(4))
+    save_model(model_path, net)
+    before = {p: p.read_bytes() for p in (csv_path, model_path)}
+    # the bad value and the unknown activation are reached after the first
+    # rows and the header have been written
+    with pytest.raises(ValueError):
+        kv_to_csv(csv_path, [("mmd2", 2.0), ("bandwidth", "not a number")])
+    bad = Mlp([net.layers[0], Layer(net.layers[1].w, net.layers[1].b, "swish")])
+    with pytest.raises(KeyError):
+        save_model(model_path, bad)
+    assert {p: p.read_bytes() for p in (csv_path, model_path)} == before
+    assert sorted(os.listdir(tmp_path)) == ["g.bin", "metrics.csv"]
