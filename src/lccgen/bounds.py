@@ -39,27 +39,6 @@ class SmoothnessConstants:
 
 
 @dataclass
-class AffineGenerator:
-    """G(x) = A @ x + b."""
-
-    a: np.ndarray
-    b: np.ndarray
-
-    @property
-    def in_dim(self):
-        return self.a.shape[1]
-
-    def value(self, x):
-        return self.a @ x + self.b
-
-    def jacobian(self, x):
-        return self.a
-
-    def constants(self, radius: float) -> SmoothnessConstants:
-        return SmoothnessConstants(float(np.linalg.norm(self.a, 2)), 0.0, 0.0)
-
-
-@dataclass
 class QuadraticGenerator:
     """G_k(x) = x @ q[k] @ x + (A @ x)_k + b_k with each q[k] symmetric."""
 
@@ -70,10 +49,6 @@ class QuadraticGenerator:
     def __post_init__(self):
         if not np.allclose(self.q, np.transpose(self.q, (0, 2, 1))):
             raise ValueError("each quadratic form must be symmetric")
-
-    @property
-    def in_dim(self):
-        return self.a.shape[1]
 
     def value(self, x):
         return np.einsum("kij,i,j->k", self.q, x, x) + self.a @ x + self.b
@@ -86,7 +61,7 @@ class QuadraticGenerator:
         # second-order Taylor residual is (x'-x) @ q_k @ (x'-x) exactly, so
         # the same root-sum-square of spectral norms bounds ratio two, and
         # constant Hessians make the third-order residual vanish.
-        qnorms = np.array([np.linalg.norm(qk, 2) for qk in self.q])
+        qnorms = np.linalg.norm(self.q, 2, axis=(1, 2))
         rss = float(np.sqrt(np.sum(qnorms**2)))
         first = float(np.linalg.norm(self.a, 2)) + 2.0 * radius * rss
         return SmoothnessConstants(first, rss, 0.0)
@@ -106,10 +81,11 @@ def mixing_gap(gen, coding: Coding, anchors: AnchorSet, h, constants: Smoothness
     """(lhs, rhs) of the first-order inequality; lhs <= rhs when the
     constants are valid on the hull of the configuration."""
     V, g, r, rec_err, dist_r = _gap_common(coding, anchors, h)
-    mixed = np.zeros_like(gen.value(r))
+    at_r = gen.value(r)
+    mixed = np.zeros_like(at_r)
     for j in coding.support:
         mixed = mixed + g[j] * gen.value(V[:, j])
-    lhs = float(np.sqrt(np.sum((gen.value(r) - mixed) ** 2)))
+    lhs = float(np.sqrt(np.sum((at_r - mixed) ** 2)))
     rhs = 2.0 * constants.first * rec_err + constants.second * float(
         np.sum(np.abs(g) * dist_r**2)
     )
@@ -120,44 +96,23 @@ def tangent_mixing_gap(gen, coding: Coding, anchors: AnchorSet, h, constants: Sm
     """(lhs, rhs) of the tangent-corrected inequality."""
     V, g, r, rec_err, dist_r = _gap_common(coding, anchors, h)
     h = np.asarray(h, dtype=np.float64)
-    mixed = np.zeros_like(gen.value(r))
+    at_r = gen.value(r)
+    mixed = np.zeros_like(at_r)
     for j in coding.support:
         v = V[:, j]
         mixed = mixed + g[j] * (gen.value(v) + 0.5 * gen.jacobian(v) @ (h - v))
-    lhs = float(np.sqrt(np.sum((gen.value(r) - mixed) ** 2)))
+    lhs = float(np.sqrt(np.sum((at_r - mixed) ** 2)))
     rhs = 2.0 * constants.first * rec_err + constants.third * float(
         np.sum(np.abs(g) * dist_r**3)
     )
     return lhs, rhs
 
 
-def estimate_lipschitz(value_fn, jac_fn, dim: int, radius: float, n_pairs: int, seed: int = 0):
-    """Empirical maxima of the three smoothness ratios over random pairs
-    drawn from the ball of the given radius.  For a fixed seed the estimate
-    is monotone nondecreasing in n_pairs (pairs are a prefix of one stream)."""
-    rng = Rng(seed)
-    best = np.zeros(3)
-    for _ in range(n_pairs):
-        x = rng.ball_point(dim, radius)
-        y = rng.ball_point(dim, radius)
-        step = y - x
-        dist = float(np.sqrt(np.sum(step * step)))
-        if dist == 0.0:
-            continue
-        jx = jac_fn(x)
-        r1 = float(np.sqrt(np.sum((jx @ step) ** 2))) / dist
-        resid2 = value_fn(y) - value_fn(x) - jx @ step
-        r2 = float(np.sqrt(np.sum(resid2**2))) / dist**2
-        resid3 = value_fn(y) - value_fn(x) - 0.5 * (jac_fn(y) + jx) @ step
-        r3 = float(np.sqrt(np.sum(resid3**2))) / dist**3
-        best = np.maximum(best, [r1, r2, r3])
-    return SmoothnessConstants(float(best[0]), float(best[1]), float(best[2]))
-
-
-def random_affine(rng: Rng, n: int, k: int) -> AffineGenerator:
+def random_affine(rng: Rng, n: int, k: int) -> QuadraticGenerator:
+    """G(x) = A @ x + b: a quadratic map with zero forms."""
     a = rng.normals(k * n).reshape(k, n)
     b = rng.normals(k)
-    return AffineGenerator(a, b)
+    return QuadraticGenerator(np.zeros((k, n, n)), a, b)
 
 
 def random_quadratic(rng: Rng, n: int, k: int) -> QuadraticGenerator:

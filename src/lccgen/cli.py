@@ -60,23 +60,30 @@ class CliError(LccgenError):
     pass
 
 
-def _dataset(cfg, seed):
+def _dataset(cfg, base_seed, heldout=False):
+    """The (n, dim) training samples, or with heldout=True eval's held-out
+    samples: a fresh draw of [eval] n_heldout points for the synthetic
+    kinds, and for mnist the first n_heldout images, which no training
+    stage sees."""
     d = cfg["data"]
+    n_heldout = cfg["eval"]["n_heldout"]
     kind = d["kind"]
-    if kind == "ring":
-        return make_ring(d["n"], d["radius"], d["noise_sigma"], seed)
-    if kind == "swiss_roll":
-        return make_swiss_roll(d["n"], d["noise_sigma"], seed)
-    if kind == "mnist":
-        if not d["images"]:
-            raise ConfigError("missing config key [data] images (required for kind=mnist)")
-        return load_mnist_idx(
-            d["images"],
-            d["labels"] or None,
-            limit=d["limit"] or None,
-            downsample_to=d["downsample"] or None,
-        )
-    raise ConfigError(f"unknown config value [data] kind={kind!r}")
+    if kind in ("ring", "swiss_roll"):
+        n, seed = ((n_heldout, stage_seed(base_seed, _TAG_HELDOUT)) if heldout
+                   else (d["n"], base_seed))
+        if kind == "ring":
+            return make_ring(n, d["radius"], d["noise_sigma"], seed).samples
+        return make_swiss_roll(n, d["noise_sigma"], seed).samples
+    if kind != "mnist":
+        raise ConfigError(f"unknown config value [data] kind={kind!r}")
+    if not d["images"]:
+        raise ConfigError("missing config key [data] images (required for kind=mnist)")
+    images = load_mnist_idx(d["images"], limit=d["limit"] or None,
+                            downsample_to=d["downsample"] or None).samples
+    if not 0 <= n_heldout < len(images):
+        raise ConfigError(f"{d['images']}: [eval] n_heldout={n_heldout} must be at least 0 "
+                          f"and leave some of its {len(images)} images for training")
+    return images[:n_heldout] if heldout else images[n_heldout:]
 
 
 def _need(path, producer):
@@ -102,18 +109,8 @@ def _loss_csv(path, header, rows):
 
 
 def cmd_train_ae(cfg, base_seed, out):
-    data = _dataset(cfg, base_seed)
-    a = cfg["autoencoder"]
     encoder, decoder, history = train_autoencoder(
-        data.samples,
-        latent_dim=a["latent_dim"],
-        hidden=a["hidden"],
-        epochs=a["epochs"],
-        batch=a["batch"],
-        lr=a["lr"],
-        activation=a["activation"],
-        seed=stage_seed(base_seed, _TAG_AE),
-    )
+        _dataset(cfg, base_seed), **cfg["autoencoder"], seed=stage_seed(base_seed, _TAG_AE))
     save_model(os.path.join(out, "ae_encoder.bin"), encoder)
     save_model(os.path.join(out, "ae_decoder.bin"), decoder)
     _loss_csv(os.path.join(out, "ae_losses.csv"), ["epoch", "loss"], [(v,) for v in history])
@@ -123,15 +120,10 @@ def cmd_train_ae(cfg, base_seed, out):
 
 
 def cmd_learn_lcc(cfg, base_seed, out):
-    data = _dataset(cfg, base_seed)
+    X = _dataset(cfg, base_seed)
     encoder = load_model(_need(os.path.join(out, "ae_encoder.bin"), "train-ae"))
-    embeddings = encoder.forward(data.samples)
-    c = cfg["lcc"]
-    lcc_cfg = LccConfig(
-        m=c["m"], q=c["q"], l_h=c["l_h"], l_q=c["l_q"],
-        coding_tol=c["coding_tol"], anchor_tol=c["anchor_tol"],
-        max_outer_iters=c["max_outer_iters"], seed=stage_seed(base_seed, _TAG_LCC),
-    )
+    embeddings = encoder.forward(X)
+    lcc_cfg = LccConfig(**cfg["lcc"], seed=stage_seed(base_seed, _TAG_LCC))
     trace = []
     anchors, G, reasons = learn_anchors(embeddings, lcc_cfg, trace=trace)
     save_anchors(os.path.join(out, "anchors.bin"), anchors)
@@ -148,19 +140,17 @@ def cmd_learn_lcc(cfg, base_seed, out):
 
 
 def cmd_train_gan(cfg, base_seed, out):
-    data = _dataset(cfg, base_seed)
+    X = _dataset(cfg, base_seed)
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
     g = cfg["gan"]
     gan = build_gan(
-        data.data_dim, anchors.m, phi=g["phi"], hidden=g["hidden"], lr=g["lr"],
+        X.shape[1], anchors.m, phi=g["phi"], hidden=g["hidden"], lr=g["lr"],
         beta1=g["beta1"], beta2=g["beta2"], generator_output=g["generator_output"],
         seed=stage_seed(base_seed, _TAG_GAN_INIT),
     )
-    sampler = SamplerConfig(d=cfg["sampler"]["d"], seed=stage_seed(base_seed, _TAG_GAN_TRAIN),
-                            min_abs_sum=cfg["sampler"]["min_abs_sum"])
     gan, trace = train_gan(
-        data.samples, anchors, sampler, gan, iters=g["iters"], batch=g["batch"],
-        seed=sampler.seed,
+        X, anchors, SamplerConfig(**cfg["sampler"]), gan, iters=g["iters"],
+        batch=g["batch"], seed=stage_seed(base_seed, _TAG_GAN_TRAIN),
     )
     save_model(os.path.join(out, "generator.bin"), gan.generator)
     save_model(os.path.join(out, "discriminator.bin"), gan.discriminator)
@@ -180,10 +170,9 @@ def cmd_sample(cfg, base_seed, out, n, generator_path=None):
     gen_file = generator_path or os.path.join(out, "generator.bin")
     generator = (_load_generator(gen_file, anchors)
                  if generator_path or os.path.exists(gen_file) else None)
-    sampler = SamplerConfig(d=cfg["sampler"]["d"], seed=stage_seed(base_seed, _TAG_SAMPLE),
-                            min_abs_sum=cfg["sampler"]["min_abs_sum"])
+    sampler = SamplerConfig(**cfg["sampler"])
     G = sample_codings(neighbor_table(anchors, sampler.d), anchors.m, n, sampler,
-                       Rng(sampler.seed))
+                       Rng(stage_seed(base_seed, _TAG_SAMPLE)))
     codings_to_csv(os.path.join(out, "codings_sampled.csv"), G)
     wrote = ["codings_sampled.csv"]
     if generator is not None:
@@ -197,9 +186,8 @@ def cmd_sample(cfg, base_seed, out, n, generator_path=None):
 def cmd_interpolate(cfg, base_seed, out, steps, generator_path=None):
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
     generator = _load_generator(generator_path or os.path.join(out, "generator.bin"), anchors)
-    sampler = SamplerConfig(d=cfg["sampler"]["d"], seed=stage_seed(base_seed, _TAG_INTERP),
-                            min_abs_sum=cfg["sampler"]["min_abs_sum"])
-    a, b = sample_coding_pair(anchors, sampler, Rng(sampler.seed))
+    a, b = sample_coding_pair(anchors, SamplerConfig(**cfg["sampler"]),
+                              Rng(stage_seed(base_seed, _TAG_INTERP)))
     G = interpolate(a, b, steps)
     codings_to_csv(os.path.join(out, "interp_codings.csv"), G)
     matrix_to_csv(os.path.join(out, "interp_outputs.csv"), generator.forward(G))
@@ -236,30 +224,21 @@ def cmd_verify_bounds(cfg, base_seed, out, cases):
 
 
 def cmd_eval(cfg, base_seed, out):
-    data = _dataset(cfg, base_seed)
+    X = _dataset(cfg, base_seed)
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
     generator = _load_generator(os.path.join(out, "generator.bin"), anchors)
     e = cfg["eval"]
-    d = cfg["data"]
-    sampler = SamplerConfig(d=cfg["sampler"]["d"], seed=stage_seed(base_seed, _TAG_EVAL),
-                            min_abs_sum=cfg["sampler"]["min_abs_sum"])
+    sampler = SamplerConfig(**cfg["sampler"])
     G = sample_codings(neighbor_table(anchors, sampler.d), anchors.m, e["n_generated"],
-                       sampler, Rng(sampler.seed))
+                       sampler, Rng(stage_seed(base_seed, _TAG_EVAL)))
     generated = generator.forward(G)
-    if d["kind"] == "ring":
-        held = make_ring(e["n_heldout"], d["radius"], d["noise_sigma"],
-                         stage_seed(base_seed, _TAG_HELDOUT)).samples
-    elif d["kind"] == "swiss_roll":
-        held = make_swiss_roll(e["n_heldout"], d["noise_sigma"],
-                               stage_seed(base_seed, _TAG_HELDOUT)).samples
-    else:
-        held = data.samples[: e["n_heldout"]]
+    held = _dataset(cfg, base_seed, heldout=True)
     bandwidth = e["bandwidth"] if e["bandwidth"] > 0 else median_pairwise_distance(held)
     score = mmd2(generated, held, bandwidth)
     probe = min(100, len(generated))
     positive = 0
     for i in range(probe):
-        _, dist = pearson_nn(generated[i], data.samples)
+        _, dist = pearson_nn(generated[i], X)
         positive += 1 if dist > 0.0 else 0
     matrix_to_csv(os.path.join(out, "samples.csv"), generated)
     kv_to_csv(os.path.join(out, "metrics.csv"), [
@@ -267,10 +246,11 @@ def cmd_eval(cfg, base_seed, out):
         ("bandwidth", bandwidth),
         ("pearson_positive_fraction", positive / probe),
     ])
-    side = int(round(np.sqrt(data.data_dim)))
-    if data.data_dim == 2:
+    dim = X.shape[1]
+    side = int(round(np.sqrt(dim)))
+    if dim == 2:
         write_pgm(os.path.join(out, "grid.pgm"), scatter_image(generated))
-    elif side * side == data.data_dim:
+    elif side * side == dim:
         write_pgm(os.path.join(out, "grid.pgm"), tile_images(generated[:64], 8))
     else:
         write_pgm(os.path.join(out, "grid.pgm"),

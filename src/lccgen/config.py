@@ -19,7 +19,6 @@ DEFAULTS = {
         "noise_sigma": 0.01,
         "seed": 7,
         "images": "",  # IDX paths, mnist only
-        "labels": "",
         "limit": 0,  # 0 = all
         "downsample": 0,  # 0 = native size
     },

@@ -11,7 +11,6 @@ from . import LccgenError
 from .rng import Rng
 
 IMAGES_MAGIC = 0x00000803
-LABELS_MAGIC = 0x00000801
 
 
 class IdxParseError(LccgenError):
@@ -21,21 +20,12 @@ class IdxParseError(LccgenError):
 @dataclass
 class Dataset:
     samples: np.ndarray  # (n, data_dim)
-    name: str
 
     def __post_init__(self):
         s = np.asarray(self.samples, dtype=np.float64)
         if s.ndim != 2:
             raise ValueError("samples must be a (n, dim) array")
         self.samples = s
-
-    @property
-    def data_dim(self) -> int:
-        return self.samples.shape[1]
-
-    @property
-    def n(self) -> int:
-        return self.samples.shape[0]
 
 
 def make_ring(n: int, radius: float = 1.0, noise_sigma: float = 0.0, seed: int = 0) -> Dataset:
@@ -47,7 +37,7 @@ def make_ring(n: int, radius: float = 1.0, noise_sigma: float = 0.0, seed: int =
     pts = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     if noise_sigma > 0.0:
         pts = pts + noise_sigma * rng.normals(2 * n).reshape(n, 2)
-    return Dataset(pts, "ring")
+    return Dataset(pts)
 
 
 def make_swiss_roll(n: int, noise_sigma: float = 0.0, seed: int = 0) -> Dataset:
@@ -60,7 +50,7 @@ def make_swiss_roll(n: int, noise_sigma: float = 0.0, seed: int = 0) -> Dataset:
     pts = np.stack([t * np.cos(t), y, t * np.sin(t)], axis=1)
     if noise_sigma > 0.0:
         pts = pts + noise_sigma * rng.normals(3 * n).reshape(n, 3)
-    return Dataset(pts, "swiss_roll")
+    return Dataset(pts)
 
 
 def _read_u32(buf: bytes, offset: int, path: str) -> int:
@@ -69,18 +59,13 @@ def _read_u32(buf: bytes, offset: int, path: str) -> int:
     return struct.unpack(">I", buf[offset : offset + 4])[0]
 
 
-def load_mnist_idx(
-    images_path,
-    labels_path=None,
-    limit: int | None = None,
-    downsample_to: int | None = None,
-) -> Dataset:
+def load_mnist_idx(images_path, limit: int | None = None,
+                   downsample_to: int | None = None) -> Dataset:
     """IDX image file -> Dataset with pixels mapped to [-1, 1].
 
-    Big-endian u32 header (magic, count, rows, cols) then u8 pixels.  The
-    labels file, when given, is parsed and its count cross-checked, but
-    labels are not kept.  `downsample_to=k` box-filters each image to k x k;
-    k must divide both image dimensions.
+    Big-endian u32 header (magic, count, rows, cols) then u8 pixels.
+    `limit` keeps the first images; `downsample_to=k` box-filters each image
+    to k x k, and k must divide both image dimensions.
     """
     with open(images_path, "rb") as fh:
         buf = fh.read()
@@ -99,25 +84,6 @@ def load_mnist_idx(
             f"{images_path}: truncated pixel data at byte offset {len(buf)} "
             f"(expected {need} bytes)"
         )
-    if labels_path is not None:
-        with open(labels_path, "rb") as fh:
-            lbuf = fh.read()
-        lmagic = _read_u32(lbuf, 0, str(labels_path))
-        if lmagic != LABELS_MAGIC:
-            raise IdxParseError(
-                f"{labels_path}: bad magic 0x{lmagic:08x} at byte offset 0 "
-                f"(expected 0x{LABELS_MAGIC:08x})"
-            )
-        lcount = _read_u32(lbuf, 4, str(labels_path))
-        if lcount != count:
-            raise IdxParseError(
-                f"{labels_path}: {lcount} labels for {count} images"
-            )
-        if len(lbuf) < 8 + lcount:
-            raise IdxParseError(
-                f"{labels_path}: truncated label data at byte offset {len(lbuf)} "
-                f"(expected {8 + lcount} bytes)"
-            )
     pixels = np.frombuffer(buf, dtype=np.uint8, count=count * rows * cols, offset=16)
     images = pixels.reshape(count, rows, cols).astype(np.float64)
     if limit is not None:
@@ -128,4 +94,4 @@ def load_mnist_idx(
             raise ValueError(f"downsample_to={k} must divide image size {rows}x{cols}")
         images = images.reshape(len(images), k, rows // k, k, cols // k).mean(axis=(2, 4))
     flat = images.reshape(len(images), -1) / 127.5 - 1.0
-    return Dataset(flat, "mnist")
+    return Dataset(flat)

@@ -605,31 +605,25 @@ def solve_coding(h, anchors: AnchorSet, config: LccConfig, gamma0=None) -> Codin
 
 
 def init_anchors(points, m: int, rng: Rng) -> np.ndarray:
-    """k-means++ seeding; with fewer points than anchors, surplus anchors
-    are data points plus Gaussian jitter of scale 1e-3 * data std."""
+    """k-means++ seeding: m of the points, as a (d_b, m) array."""
     H = _as_points(points)
     n = H.shape[0]
-    if n >= m:
-        centers = np.empty((m, H.shape[1]))
-        first = rng.randint(n)
-        centers[0] = H[first]
-        d2 = np.sum((H - centers[0]) ** 2, axis=1)
-        for k in range(1, m):
-            total = float(d2.sum())
-            if total <= 0.0:
-                pick = rng.randint(n)
-            else:
-                r = rng.uniform() * total
-                pick = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
-            centers[k] = H[pick]
-            d2 = np.minimum(d2, np.sum((H - centers[k]) ** 2, axis=1))
-        return centers.T
-    scale = 1e-3 * float(H.std())
-    reps = [H]
-    short = m - n
-    jitter = rng.normals(short * H.shape[1]).reshape(short, H.shape[1])
-    extra = H[np.arange(short) % n] + scale * jitter
-    return np.concatenate(reps + [extra], axis=0).T
+    if n < m:
+        raise InsufficientDataError(f"{n} points cannot initialize {m} anchors")
+    centers = np.empty((m, H.shape[1]))
+    first = rng.randint(n)
+    centers[0] = H[first]
+    d2 = np.sum((H - centers[0]) ** 2, axis=1)
+    for k in range(1, m):
+        total = float(d2.sum())
+        if total <= 0.0:
+            pick = rng.randint(n)
+        else:
+            r = rng.uniform() * total
+            pick = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
+        centers[k] = H[pick]
+        d2 = np.minimum(d2, np.sum((H - centers[k]) ** 2, axis=1))
+    return centers.T
 
 
 def learn_anchors(points, config: LccConfig, trace=None):
@@ -644,14 +638,7 @@ def learn_anchors(points, config: LccConfig, trace=None):
     iteration is appended to it.
     """
     H = _as_points(points)
-    n = H.shape[0]
-    if n < config.m:
-        raise InsufficientDataError(
-            f"{n} points cannot initialize {config.m} anchors; "
-            "see init_anchors for the jittered fallback"
-        )
-    rng = Rng(config.seed)
-    V = init_anchors(H, config.m, rng)
+    V = init_anchors(H, config.m, Rng(config.seed))
     G = None
     obj_prev = None
     for _ in range(config.max_outer_iters):

@@ -32,8 +32,10 @@ class SamplingError(LccgenError):
 
 @dataclass
 class SamplerConfig:
+    """d anchors per neighborhood; a draw whose Gaussian weights sum to less
+    than min_abs_sum in absolute value is redrawn."""
+
     d: int
-    seed: int = 0
     min_abs_sum: float = 1e-2
 
     def __post_init__(self):

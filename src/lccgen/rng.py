@@ -19,13 +19,11 @@ uniforms:
     z1 = r * sin(2 * pi * u2)
 
 A request for n Gaussians always consumes ceil(n / 2) pairs, so streams stay
-aligned regardless of parity.  Independent streams come from `split()`, which
-seeds a child with the parent's next output.
+aligned regardless of parity.  Each stage seeds its own stream with
+`stage_seed`.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
@@ -91,11 +89,6 @@ class Rng:
     def uniforms(self, n: int) -> np.ndarray:
         return u64_to_uniforms(self.next_u64_array(n))
 
-    def normal(self) -> float:
-        u1 = self.uniform()
-        u2 = self.uniform()
-        return math.sqrt(-2.0 * math.log1p(-u1)) * math.cos(2.0 * math.pi * u2)
-
     def normals(self, n: int) -> np.ndarray:
         return u64_to_normals(self.next_u64_array(2 * ((n + 1) // 2)), n)
 
@@ -113,10 +106,6 @@ class Rng:
             z = self.normals(dim)
             norm = float(np.sqrt(np.sum(z * z)))
         return z * (radius * self.uniform() ** (1.0 / dim) / norm)
-
-    def split(self) -> "Rng":
-        """Child stream seeded from the parent's next output."""
-        return Rng(self.next_u64())
 
 
 def stage_seed(base_seed: int, tag: int) -> int:

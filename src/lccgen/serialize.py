@@ -6,7 +6,8 @@ column-major order (one anchor after another).
 Network checkpoints ("LCCN"): magic, u32 LE layer count, then per layer
 u32 LE rows, u32 LE cols, one activation tag byte (0 identity, 1 relu,
 2 tanh, 3 sigmoid), rows*cols float64 LE weights row-major, cols float64 LE
-biases.
+biases.  A checkpoint has at least one layer, and each layer's rows equal
+the previous layer's cols.
 
 CSV floats are written with repr-faithful %.17g so reruns are byte-identical.
 Every writer goes through `atomic_write`, so an artifact path holds either
@@ -107,11 +108,16 @@ def load_model(path) -> Mlp:
         raise FormatError(f"{path}: truncated header at byte offset {len(buf)}")
     (n_layers,) = struct.unpack_from("<I", buf, off)
     off += 4
+    if n_layers == 0:
+        raise FormatError(f"{path}: no layers")
     layers = []
     for i in range(n_layers):
         if len(buf) < off + 9:
             raise FormatError(f"{path}: truncated layer {i} header at byte offset {len(buf)}")
         rows, cols = struct.unpack_from("<II", buf, off)
+        if layers and rows != layers[-1].b.size:
+            raise FormatError(f"{path}: layer {i} takes {rows} inputs but layer {i - 1} "
+                              f"gives {layers[-1].b.size}")
         tag = buf[off + 8]
         off += 9
         if tag not in _TAG_ACTS:

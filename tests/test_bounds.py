@@ -1,14 +1,10 @@
-"""Approximation-bound tests: exact small cases, Monte-Carlo sweeps, and the
-empirical smoothness-ratio estimator."""
+"""Approximation-bound tests: exact small cases and Monte-Carlo sweeps."""
 
 import numpy as np
 import pytest
 
 from lccgen.bounds import (
-    AffineGenerator,
     QuadraticGenerator,
-    SmoothnessConstants,
-    estimate_lipschitz,
     mixing_gap,
     random_affine,
     random_configuration,
@@ -145,44 +141,6 @@ def test_tangent_rhs_is_tighter_on_close_configurations():
         assert rhs2 <= rhs1 + 1e-12
         checked += 1
     assert checked > 10
-
-
-# ------------------------------------------------------ ratio estimation
-
-
-def test_estimate_lipschitz_affine_higher_orders_vanish():
-    gen = random_affine(Rng(3), 3, 2)
-    consts = estimate_lipschitz(gen.value, gen.jacobian, 3, 1.0, 500, seed=4)
-    assert consts.second <= 1e-9
-    assert consts.third <= 1e-9
-    assert consts.first <= float(np.linalg.norm(gen.a, 2)) + 1e-9
-
-
-def test_estimate_lipschitz_identity_map():
-    consts = estimate_lipschitz(
-        lambda x: x, lambda x: np.eye(4), 4, 1.0, 200, seed=5
-    )
-    assert abs(consts.first - 1.0) <= 1e-9
-
-
-def test_estimate_lipschitz_squared_norm_respects_gradient_bound():
-    gen = _unit_quadratic()
-    consts = estimate_lipschitz(gen.value, gen.jacobian, 2, 1.0, 10000, seed=6)
-    # sup of the gradient norm over the unit ball is exactly 2
-    assert consts.first <= 2.0 + 1e-12
-    assert consts.first > 1.5
-    assert consts.second <= 1.0 + 1e-12
-
-
-def test_estimate_lipschitz_monotone_in_pair_count():
-    gen = random_quadratic(Rng(9), 3, 2)
-    prev = SmoothnessConstants(0.0, 0.0, 0.0)
-    for n in (50, 200, 1000):
-        c = estimate_lipschitz(gen.value, gen.jacobian, 3, 1.0, n, seed=7)
-        assert c.first >= prev.first
-        assert c.second >= prev.second
-        assert c.third >= prev.third
-        prev = c
 
 
 # ----------------------------------------------------------- construction

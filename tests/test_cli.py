@@ -1,18 +1,29 @@
 """CLI tests: stage chaining, artifact schemas, rerun stability, and error
 messages that name the offending key or file."""
 
+import importlib
+import importlib.util
+import inspect
 import os
 import re
 import shutil
+import struct
 import textwrap
 
 import numpy as np
 import pytest
 
 from lccgen.cli import main
+from lccgen.config import DEFAULTS
+from lccgen.lcc.core import LccConfig
+from lccgen.lcc.sampling import SamplerConfig
+from lccgen.neural.autoencoder import reconstruction_mse, train_autoencoder
 from lccgen.neural.gan import build_gan
-from lccgen.rng import stage_seed
+from lccgen.neural.net import Layer, Mlp
+from lccgen.rng import Rng, stage_seed
 from lccgen.serialize import codings_from_csv, load_model, save_model
+
+SPANS_PY = os.path.join(os.path.dirname(__file__), os.pardir, "benchmarks", "spans.py")
 
 BASE_CFG = """
 [data]
@@ -330,8 +341,128 @@ def test_generator_for_other_anchors_writes_nothing(staged, tmp_path, capsys, st
     assert not os.path.exists(os.path.join(out2, written))
 
 
-def test_removed_lcc_d_key_is_unknown(tmp_path, capsys):
+@pytest.mark.parametrize("section, key", [("lcc", "d"), ("data", "labels")])
+def test_removed_config_key_is_unknown(tmp_path, capsys, section, key):
     path = tmp_path / "old.ini"
-    path.write_text("[lcc]\nd = 2\n")
+    path.write_text(f"[{section}]\n{key} = 2\n")
     assert main(["--config", str(path), "train-ae"]) == 1
-    assert capsys.readouterr().err.splitlines() == ["error: unknown config key [lcc] d"]
+    assert capsys.readouterr().err.splitlines() == [f"error: unknown config key [{section}] {key}"]
+
+
+_BROKEN_CHAIN = Mlp([Layer(np.zeros((4, 8)), np.zeros(8), "relu"),
+                     Layer(np.zeros((5, 2)), np.zeros(2), "identity")])
+
+
+@pytest.mark.parametrize("stage, written", [("sample", "codings_sampled.csv"),
+                                            ("interpolate", "interp_codings.csv")])
+@pytest.mark.parametrize("net, why", [
+    (Mlp([]), "no layers"),
+    (_BROKEN_CHAIN, "layer 1 takes 5 inputs but layer 0 gives 8"),
+], ids=["no-layers", "broken-chain"])
+def test_corrupt_generator_is_one_error_line(staged, tmp_path, capsys, stage, written, net, why):
+    cfg, out = staged
+    out2 = str(tmp_path / "out")
+    shutil.copytree(out, out2)
+    cfg2 = write_cfg(str(tmp_path), out2)
+    gen_path = os.path.join(out2, "generator.bin")
+    save_model(gen_path, net)
+    assert main(["--config", cfg2, stage]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {gen_path}: {why}"]
+    assert not os.path.exists(os.path.join(out2, written))
+
+
+MNIST_CFG = """
+[data]
+kind = mnist
+images = {images}
+limit = {limit}
+
+[autoencoder]
+epochs = 2
+hidden = 8
+batch = 4
+
+[lcc]
+m = 3
+max_outer_iters = 3
+
+[gan]
+iters = 2
+hidden = 8
+batch = 4
+
+[eval]
+n_generated = 8
+n_heldout = {n_heldout}
+
+[output]
+dir = {out}
+"""
+
+
+def _mnist_cfg(tmp_path, n_heldout, limit=0):
+    # six distinct 2x2 images
+    images = tmp_path / "images.idx"
+    pixels = [(37 * k) % 256 for k in range(24)]
+    images.write_bytes(struct.pack(">IIII", 0x00000803, 6, 2, 2) + bytes(pixels))
+    path = tmp_path / "m.ini"
+    path.write_text(textwrap.dedent(MNIST_CFG.format(
+        images=images, limit=limit, n_heldout=n_heldout, out=tmp_path / "out")))
+    all_images = np.array(pixels, dtype=np.float64).reshape(6, 4) / 127.5 - 1.0
+    return str(path), str(tmp_path / "out"), all_images
+
+
+def test_mnist_heldout_images_stay_out_of_training(tmp_path):
+    cfg, out, images = _mnist_cfg(tmp_path, n_heldout=2)
+    for stage in ("train-ae", "learn-lcc", "train-gan", "eval"):
+        assert main(["--config", cfg, stage]) == 0, stage
+    train, held = images[2:], images[:2]
+    # train-ae's last loss is the reconstruction error on the training images
+    with open(os.path.join(out, "ae_losses.csv")) as fh:
+        last = float(fh.read().splitlines()[-1].split(",")[1])
+    encoder = load_model(os.path.join(out, "ae_encoder.bin"))
+    decoder = load_model(os.path.join(out, "ae_decoder.bin"))
+    assert last == reconstruction_mse(encoder, decoder, train)
+    assert last != reconstruction_mse(encoder, decoder, images)
+    # learn-lcc codes the four training images only
+    assert len(codings_from_csv(os.path.join(out, "codings.csv"), 3)) == 4
+    # eval's bandwidth is the one pairwise distance of the two held-out images
+    with open(os.path.join(out, "metrics.csv")) as fh:
+        metrics = dict(line.split(",") for line in fh.read().splitlines()[1:])
+    assert float(metrics["bandwidth"]) == pytest.approx(np.linalg.norm(held[0] - held[1]),
+                                                        rel=1e-12)
+
+
+# limit applies first: with limit = 4, four images remain and all are held out
+@pytest.mark.parametrize("n_heldout, limit, left", [(4, 4, 4), (-2, 0, 6)])
+def test_mnist_bad_heldout_count_is_one_error_line(tmp_path, capsys, n_heldout, limit, left):
+    cfg, out, _ = _mnist_cfg(tmp_path, n_heldout=n_heldout, limit=limit)
+    assert main(["--config", cfg, "train-ae"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {tmp_path / 'images.idx'}: [eval] n_heldout={n_heldout} must be "
+                   f"at least 0 and leave some of its {left} images for training"]
+    assert not os.path.exists(os.path.join(out, "ae_losses.csv"))
+
+
+def test_names_the_benchmark_and_cli_rely_on_resolve():
+    # benchmarks/spans.py rebinds these names for --trace 1; it is read here,
+    # never edited, so deleting one of them fails this test instead
+    spec = importlib.util.spec_from_file_location("bench_spans", SPANS_PY)
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    for module_name, attr, _ in spans.SPANNED:
+        module = importlib.import_module(module_name)
+        if "." in attr:
+            cls_name, method = attr.split(".")
+            assert method in vars(getattr(module, cls_name)), attr
+        else:
+            assert callable(getattr(module, attr)), attr
+    serialize = importlib.import_module("lccgen.serialize")
+    for attr in spans.WRITERS:
+        assert callable(getattr(serialize, attr)), attr
+    assert callable(importlib.import_module("lccgen.lcc.sampling").knn)
+    assert "next_u64" in vars(Rng) and "next_u64_array" in vars(Rng)
+    # the CLI hands each config section to its stage whole
+    LccConfig(**DEFAULTS["lcc"], seed=0)
+    SamplerConfig(**DEFAULTS["sampler"])
+    inspect.signature(train_autoencoder).bind(None, **DEFAULTS["autoencoder"], seed=0)

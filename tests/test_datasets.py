@@ -17,15 +17,11 @@ def _idx_images(count, rows, cols, pixels, magic=0x00000803):
     return struct.pack(">IIII", magic, count, rows, cols) + bytes(pixels)
 
 
-def _idx_labels(count, labels, magic=0x00000801):
-    return struct.pack(">II", magic, count) + bytes(labels)
-
-
 def test_ring_noise_free_points_sit_on_the_circle():
     ds = make_ring(500, radius=2.5, noise_sigma=0.0, seed=3)
     norms = np.linalg.norm(ds.samples, axis=1)
     assert np.max(np.abs(norms - 2.5)) <= 1e-12
-    assert ds.data_dim == 2
+    assert ds.samples.shape == (500, 2)
 
 
 def test_ring_single_point_is_deterministic():
@@ -86,25 +82,6 @@ def test_idx_truncated_pixels_reports_offset(tmp_path):
     path.write_bytes(_idx_images(2, 2, 2, [7] * 4))  # second image missing
     with pytest.raises(IdxParseError, match="truncated"):
         load_mnist_idx(path)
-
-
-def test_idx_label_count_must_match(tmp_path):
-    imgs = tmp_path / "imgs.idx"
-    lbls = tmp_path / "lbls.idx"
-    imgs.write_bytes(_idx_images(2, 2, 2, [0] * 8))
-    lbls.write_bytes(_idx_labels(3, [1, 2, 3]))
-    with pytest.raises(IdxParseError, match="labels"):
-        load_mnist_idx(imgs, lbls)
-
-
-def test_idx_labels_parsed_and_images_kept(tmp_path):
-    imgs = tmp_path / "imgs.idx"
-    lbls = tmp_path / "lbls.idx"
-    imgs.write_bytes(_idx_images(2, 2, 2, [255] * 8))
-    lbls.write_bytes(_idx_labels(2, [4, 9]))
-    ds = load_mnist_idx(imgs, lbls)
-    assert ds.samples.shape == (2, 4)
-    assert np.all(ds.samples == 1.0)
 
 
 def test_idx_downsample_constant_image(tmp_path):

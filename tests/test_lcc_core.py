@@ -499,15 +499,10 @@ def test_init_anchors_selects_data_points():
         assert np.any(np.all(pts == V[:, j], axis=1))
 
 
-def test_init_anchors_jitter_fallback_when_short_on_data():
+def test_init_anchors_refuses_fewer_points_than_anchors():
     pts = np.array([[1.0, 2.0], [3.0, 4.0]])
-    V = init_anchors(pts, 5, Rng(1))
-    assert V.shape == (2, 5)
-    # surplus anchors sit near data points (jitter scale 1e-3 * std)
-    d = np.min(
-        np.linalg.norm(V[:, :, None] - pts.T[:, None, :], axis=0), axis=1
-    )
-    assert np.all(d < 0.1)
+    with pytest.raises(InsufficientDataError, match="^2 points cannot initialize 5 anchors"):
+        init_anchors(pts, 5, Rng(1))
 
 
 def test_learn_anchors_runtime_budget():
