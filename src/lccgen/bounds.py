@@ -47,7 +47,8 @@ class QuadraticGenerator:
     b: np.ndarray  # (k,)
 
     def __post_init__(self):
-        if not np.allclose(self.q, np.transpose(self.q, (0, 2, 1))):
+        qt = np.transpose(self.q, (0, 2, 1))
+        if not np.all(np.abs(self.q - qt) <= 1e-8 + 1e-5 * np.abs(qt)):  # allclose's test
             raise ValueError("each quadratic form must be symmetric")
 
     def value(self, x):

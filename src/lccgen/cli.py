@@ -78,6 +78,8 @@ def _dataset(cfg, base_seed, heldout=False):
         raise ConfigError(f"unknown config value [data] kind={kind!r}")
     if not d["images"]:
         raise ConfigError("missing config key [data] images (required for kind=mnist)")
+    if d["limit"] < 0:
+        raise ConfigError(f"[data] limit={d['limit']} must be at least 0 (0 keeps every image)")
     images = load_mnist_idx(d["images"], limit=d["limit"] or None,
                             downsample_to=d["downsample"] or None).samples
     if not 0 <= n_heldout < len(images):
@@ -171,7 +173,7 @@ def cmd_sample(cfg, base_seed, out, n, generator_path=None):
     generator = (_load_generator(gen_file, anchors)
                  if generator_path or os.path.exists(gen_file) else None)
     sampler = SamplerConfig(**cfg["sampler"])
-    G = sample_codings(neighbor_table(anchors, sampler.d), anchors.m, n, sampler,
+    G = sample_codings(neighbor_table(anchors, sampler.d), n, sampler,
                        Rng(stage_seed(base_seed, _TAG_SAMPLE)))
     codings_to_csv(os.path.join(out, "codings_sampled.csv"), G)
     wrote = ["codings_sampled.csv"]
@@ -229,7 +231,7 @@ def cmd_eval(cfg, base_seed, out):
     generator = _load_generator(os.path.join(out, "generator.bin"), anchors)
     e = cfg["eval"]
     sampler = SamplerConfig(**cfg["sampler"])
-    G = sample_codings(neighbor_table(anchors, sampler.d), anchors.m, e["n_generated"],
+    G = sample_codings(neighbor_table(anchors, sampler.d), e["n_generated"],
                        sampler, Rng(stage_seed(base_seed, _TAG_EVAL)))
     generated = generator.forward(G)
     held = _dataset(cfg, base_seed, heldout=True)

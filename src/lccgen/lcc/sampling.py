@@ -8,9 +8,9 @@ the sum-to-one property and never leaves the union of their supports.
 
 Bulk draws come from `sample_codings` and paths from `interpolate`, both
 as (n, m) weight arrays; `Coding` objects are only built for single draws
-(`sample_coding`, `sample_coding_pair`).  Both kinds of draw consume the
-random stream in the same order, so a batch of n draws equals n single
-draws bit for bit.
+(`sample_coding`, `sample_coding_pair`).  A batch rewinds the stream at a
+rejected draw and redraws it with the single-draw routine, so n batch
+draws equal n single draws bit for bit.
 """
 
 from __future__ import annotations
@@ -50,7 +50,7 @@ def knn(query, anchors: AnchorSet, k: int) -> np.ndarray:
     distance, ties broken by lower index."""
     m = anchors.m
     if not 1 <= k <= m:
-        raise ValueError(f"k must be in [1, m], got {k}")
+        raise ValueError(f"k={k} must be in [1, m={m}]")
     q = np.asarray(query, dtype=np.float64).reshape(-1)
     if q.shape[0] != anchors.d_b:
         raise ValueError(f"query has dim {q.shape[0]}, anchors have d_b={anchors.d_b}")
@@ -61,45 +61,18 @@ def knn(query, anchors: AnchorSet, k: int) -> np.ndarray:
 
 
 def neighbor_table(anchors: AnchorSet, d: int) -> np.ndarray:
-    """Precomputed (m, d) kNN table, one row per center anchor; row j equals
+    """Precomputed (m, d) kNN table, one row per center anchor: row j is
     knn(anchors.anchors[:, j], anchors, d).
 
     An anchor queried against its own set is at distance 0, so each center
     occupies the first slot of its row (barring exact duplicates, where the
     lower index wins)."""
-    m = anchors.m
-    if not 1 <= d <= m:
-        raise ValueError(f"d={d} must be in [1, m={m}]")
-    d2 = np.zeros((m, m))
-    for row in anchors.anchors:  # same per-coordinate order as knn's sum
-        diff = row[None, :] - row[:, None]
-        d2 += diff * diff
-    return np.argsort(d2, axis=1, kind="stable")[:, :d]
-
-
-def _gave_up(config: SamplerConfig) -> SamplingError:
-    return SamplingError(
-        f"|sum(z)| stayed below {config.min_abs_sum} after {_MAX_REDRAWS} redraws"
-    )
-
-
-def _draw_on_neighborhood(neighbors, m, config: SamplerConfig, rng: Rng) -> Coding:
-    for _ in range(_MAX_REDRAWS + 1):
-        z = rng.normals(len(neighbors))
-        s = float(z.sum())
-        if abs(s) >= config.min_abs_sum:
-            w = np.zeros(m)
-            w[neighbors] = z / s
-            # pin the sum to exactly 1 by absorbing rounding into the largest slot
-            top = neighbors[int(np.argmax(np.abs(w[neighbors])))]
-            w[top] -= w.sum() - 1.0
-            return Coding(w)
-    raise _gave_up(config)
+    return np.stack([knn(anchors.anchors[:, j], anchors, d) for j in range(anchors.m)])
 
 
 def _place(w, neighbors, z, s):
-    """Writes z / s onto each row's neighbors and pins the row sum to 1, as
-    _draw_on_neighborhood does for one draw."""
+    """Writes z / s onto each row's neighbors and pins the row sum to exactly
+    1 by absorbing the rounding into the row's largest slot."""
     rows = np.arange(w.shape[0])
     zs = z / s[:, None]
     w[rows[:, None], neighbors] = zs
@@ -107,36 +80,42 @@ def _place(w, neighbors, z, s):
     w[rows, top] -= w.sum(axis=1) - 1.0
 
 
-def sample_codings(table, m: int, n: int, config: SamplerConfig, rng: Rng) -> np.ndarray:
-    """n random codings as an (n, m) weight array, one row per draw.
+def _draw_on_neighborhood(neighbors, m, config: SamplerConfig, rng: Rng) -> np.ndarray:
+    """One (m,) coding on the neighborhood, its normals redrawn while
+    |sum(z)| < min_abs_sum, at most _MAX_REDRAWS times."""
+    for _ in range(_MAX_REDRAWS + 1):
+        z = rng.normals(len(neighbors))[None, :]
+        s = z.sum(axis=1)
+        if abs(s[0]) >= config.min_abs_sum:
+            w = np.zeros((1, m))
+            _place(w, neighbors[None, :], z, s)
+            return w[0]
+    raise SamplingError(f"|sum(z)| stayed below {config.min_abs_sum} after {_MAX_REDRAWS} redraws")
+
+
+def sample_codings(table, n: int, config: SamplerConfig, rng: Rng) -> np.ndarray:
+    """n random codings over the table's m = len(table) anchors, as an (n, m)
+    weight array with one row per draw.
 
     Bit-identical to n sequential draws (center = rng.randint(m), then
     _draw_on_neighborhood on table[center]) and leaves rng at the same
-    position: the stream is cut into per-draw blocks of one center u64 and
-    2*ceil(d/2) normal u64s.  A draw whose |sum(z)| falls below
-    min_abs_sum redraws from the next 2*ceil(d/2) u64s, and the batch
-    resumes after them; only the shortfall this leaves is fetched, so every
-    u64 fetched is consumed.
+    position.  The stream is cut into per-draw blocks of one center u64 and
+    2*ceil(d/2) normal u64s; a rejected draw rewinds rng to just past its
+    center u64, is redrawn by _draw_on_neighborhood, and the draws after it
+    start a fresh block.
     """
     d = config.d
-    if table.shape != (m, d):
-        raise ValueError(f"table has shape {table.shape}, expected ({m}, {d})")
+    m = len(table)
+    if table.shape[1] != d:
+        raise ValueError(f"table has shape {table.shape}, expected (m, {d})")
     if n < 0:
         raise ValueError("n must be >= 0")
-    k = 2 * ((d + 1) // 2)  # u64s per attempt at the normals
+    per_draw = 1 + 2 * ((d + 1) // 2)  # center u64, then one attempt's normals
     w = np.zeros((n, m))
-    buf = rng.next_u64_array(n * (1 + k))
-    pos = done = 0
-
-    def ahead(count):  # the next `count` u64s, fetching any shortfall
-        nonlocal buf, pos
-        if buf.size - pos < count:
-            buf = np.concatenate([buf[pos:], rng.next_u64_array(count - (buf.size - pos))])
-            pos = 0
-        return buf[pos:pos + count]
-
+    done = 0
     while done < n:
-        block = ahead((n - done) * (1 + k)).reshape(n - done, 1 + k)
+        start = rng.counter
+        block = rng.next_u64_array((n - done) * per_draw).reshape(n - done, per_draw)
         u = u64_to_uniforms(block[:, 0])
         neighbors = table[np.minimum((u * m).astype(np.int64), m - 1)]
         z = u64_to_normals(block[:, 1:], d)
@@ -145,43 +124,33 @@ def sample_codings(table, m: int, n: int, config: SamplerConfig, rng: Rng) -> np
         good = int(low[0]) if low.size else n - done
         _place(w[done:done + good], neighbors[:good], z[:good], s[:good])
         done += good
-        pos += good * (1 + k)
-        if done == n:
-            break
-        # draw `done` was rejected: redraw on its neighborhood, one at a time
-        nbr = neighbors[good:good + 1]
-        pos += 1 + k
-        for _ in range(_MAX_REDRAWS):
-            z = u64_to_normals(ahead(k)[None, :], d)
-            pos += k
-            s = z.sum(axis=1)
-            if abs(s[0]) >= config.min_abs_sum:
-                _place(w[done:done + 1], nbr, z, s)
-                done += 1
-                break
-        else:
-            raise _gave_up(config)
+        if done < n:
+            rng.counter = start + good * per_draw + 1
+            w[done] = _draw_on_neighborhood(neighbors[good], m, config, rng)
+            done += 1
     return check_codings(w)
+
+
+def _neighborhood(anchors: AnchorSet, config: SamplerConfig, rng: Rng) -> np.ndarray:
+    """The d nearest anchors of a uniformly drawn center anchor."""
+    if config.d > anchors.m:
+        raise ValueError(f"d={config.d} exceeds anchor count m={anchors.m}")
+    center = rng.randint(anchors.m)
+    return knn(anchors.anchors[:, center], anchors, config.d)
 
 
 def sample_coding(anchors: AnchorSet, config: SamplerConfig, rng: Rng) -> Coding:
     """One random coding supported on a local neighborhood of the anchors."""
-    if config.d > anchors.m:
-        raise ValueError(f"d={config.d} exceeds anchor count m={anchors.m}")
-    center = rng.randint(anchors.m)
-    neighbors = knn(anchors.anchors[:, center], anchors, config.d)
-    return _draw_on_neighborhood(neighbors, anchors.m, config, rng)
+    neighbors = _neighborhood(anchors, config, rng)
+    return Coding(_draw_on_neighborhood(neighbors, anchors.m, config, rng))
 
 
 def sample_coding_pair(anchors: AnchorSet, config: SamplerConfig, rng: Rng):
     """Two codings drawn on the same neighborhood, for interpolation."""
-    if config.d > anchors.m:
-        raise ValueError(f"d={config.d} exceeds anchor count m={anchors.m}")
-    center = rng.randint(anchors.m)
-    neighbors = knn(anchors.anchors[:, center], anchors, config.d)
+    neighbors = _neighborhood(anchors, config, rng)
     a = _draw_on_neighborhood(neighbors, anchors.m, config, rng)
     b = _draw_on_neighborhood(neighbors, anchors.m, config, rng)
-    return a, b
+    return Coding(a), Coding(b)
 
 
 def interpolate(a: Coding, b: Coding, steps: int) -> np.ndarray:

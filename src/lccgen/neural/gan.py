@@ -134,7 +134,7 @@ def train_gan(
     table = neighbor_table(anchors, sampler_config.d)
     trace = []
     for it in range(iters):
-        codings = sample_codings(table, anchors.m, batch, sampler_config, rng)
+        codings = sample_codings(table, batch, sampler_config, rng)
         idx = np.minimum((rng.uniforms(batch) * n).astype(np.int64), n - 1)
         d_val, d_grads = disc_objective_and_grads(gan, X[idx], codings)
         if not np.isfinite(d_val):
@@ -146,7 +146,7 @@ def train_gan(
         gan.discriminator.set_params(new_p)
         check_finite(gan.discriminator, f"iteration {it}")
 
-        codings = sample_codings(table, anchors.m, batch, sampler_config, rng)
+        codings = sample_codings(table, batch, sampler_config, rng)
         g_val, g_grads = gen_objective_and_grads(gan, codings)
         if not np.isfinite(g_val):
             raise GanDivergedError(f"non-finite generator objective at iteration {it}")

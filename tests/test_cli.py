@@ -444,6 +444,14 @@ def test_mnist_bad_heldout_count_is_one_error_line(tmp_path, capsys, n_heldout, 
     assert not os.path.exists(os.path.join(out, "ae_losses.csv"))
 
 
+def test_mnist_negative_limit_is_one_error_line(tmp_path, capsys):
+    cfg, out, _ = _mnist_cfg(tmp_path, n_heldout=2, limit=-1)
+    assert main(["--config", cfg, "train-ae"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == ["error: [data] limit=-1 must be at least 0 (0 keeps every image)"]
+    assert not os.path.exists(os.path.join(out, "ae_losses.csv"))
+
+
 def test_names_the_benchmark_and_cli_rely_on_resolve():
     # benchmarks/spans.py rebinds these names for --trace 1; it is read here,
     # never edited, so deleting one of them fails this test instead

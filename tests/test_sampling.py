@@ -5,10 +5,10 @@ import pytest
 
 from lccgen.lcc.core import AnchorSet, Coding
 from lccgen.lcc.sampling import (
+    _MAX_REDRAWS,
     SamplerConfig,
     SamplingError,
     interpolate,
-    _draw_on_neighborhood,
     knn,
     neighbor_table,
     sample_coding,
@@ -192,11 +192,30 @@ def test_interpolate_rejects_bad_args():
         interpolate(a, b, 3)
 
 
-def _per_draw(table, m, n, cfg, rng):
-    """Reference: n sequential draws, one center and one coding at a time."""
-    return np.stack(
-        [_draw_on_neighborhood(table[rng.randint(m)], m, cfg, rng).weights for _ in range(n)]
-    )
+def _per_draw(table, n, cfg, rng, tries=None):
+    """Reference written out apart from the sampler: n sequential draws, each
+    a center, normals until |sum| clears the guard, then z / sum with the
+    rounding pinned into the largest slot.  Appends each draw's attempt
+    count to `tries` when given."""
+    m, d = table.shape
+    out = []
+    for _ in range(n):
+        neighbors = table[rng.randint(m)]
+        for attempt in range(1, _MAX_REDRAWS + 2):
+            z = rng.normals(d)
+            s = float(z.sum())
+            if abs(s) >= cfg.min_abs_sum:
+                break
+        else:
+            raise SamplingError("reference gave up")
+        if tries is not None:
+            tries.append(attempt)
+        w = np.zeros(m)
+        w[neighbors] = z / s
+        top = neighbors[int(np.argmax(np.abs(w[neighbors])))]
+        w[top] -= w.sum() - 1.0
+        out.append(w)
+    return np.stack(out)
 
 
 class _CountingRng(Rng):
@@ -223,8 +242,8 @@ def test_sample_codings_matches_per_draw_loop():
             for min_abs_sum in (1e-2, 0.3, 1.0):
                 cfg = SamplerConfig(d=d, min_abs_sum=min_abs_sum)
                 ref_rng, rng = Rng(100 + d, 3), Rng(100 + d, 3)
-                want = _per_draw(table, m, 64, cfg, ref_rng)
-                got = sample_codings(table, m, 64, cfg, rng)
+                want = _per_draw(table, 64, cfg, ref_rng)
+                got = sample_codings(table, 64, cfg, rng)
                 assert got.tobytes() == want.tobytes()
                 assert rng.counter == ref_rng.counter
                 redrawn += rng.counter - 3 > 64 * (1 + 2 * ((d + 1) // 2))
@@ -232,33 +251,73 @@ def test_sample_codings_matches_per_draw_loop():
     assert redrawn >= 10
 
 
-def test_sample_codings_fetches_only_what_it_consumes():
+def test_sample_codings_matches_per_draw_loop_after_refills():
     # d=1 with guard 1.0 rejects |z| < 1, about two draws in three
     V = np.asarray(Rng(5).normals(2 * 16)).reshape(2, 16)
     table = neighbor_table(AnchorSet(V), 1)
     cfg = SamplerConfig(d=1, min_abs_sum=1.0)
     rng = _CountingRng(9)
-    got = sample_codings(table, 16, 50, cfg, rng)
+    got = sample_codings(table, 50, cfg, rng)
     ref_rng = Rng(9)
-    want = _per_draw(table, 16, 50, cfg, ref_rng)
+    want = _per_draw(table, 50, cfg, ref_rng)
     assert got.tobytes() == want.tobytes()
     assert rng.fetches[0] == 50 * 3
     assert len(rng.fetches) > 1  # redraws happened and cost a refill
-    assert sum(rng.fetches) == rng.counter == ref_rng.counter
+    assert rng.counter == ref_rng.counter
+
+
+def _seed_where(table, n, cfg, wanted):
+    """The first seed whose reference run satisfies wanted(tries, gave_up),
+    tries holding the attempt count of each draw the reference completed."""
+    for seed in range(10_000):
+        tries = []
+        try:
+            _per_draw(table, n, cfg, Rng(seed), tries)
+            gave_up = False
+        except SamplingError:
+            gave_up = True
+        if wanted(tries, gave_up):
+            return seed
+    raise AssertionError("no seed found")
+
+
+@pytest.mark.parametrize("rejected", [0, 5])
+def test_sample_codings_rewinds_at_the_batch_edges(rejected):
+    # a guard of 0.5 on the sum of two normals rejects about one attempt in
+    # four; the seed's only draw needing a redraw is the batch's first or last
+    table = neighbor_table(SQUARE, 2)
+    cfg = SamplerConfig(d=2, min_abs_sum=0.5)
+    seed = _seed_where(table, 6, cfg, lambda tries, gave_up: not gave_up and all(
+        (t > 1) == (i == rejected) for i, t in enumerate(tries)))
+    ref_rng, rng = Rng(seed), Rng(seed)
+    want = _per_draw(table, 6, cfg, ref_rng)
+    got = sample_codings(table, 6, cfg, rng)
+    assert got.tobytes() == want.tobytes()
+    assert rng.counter == ref_rng.counter
+
+
+def test_sample_codings_gives_up_after_accepted_draws():
+    # |z| >= 2.5 holds for about one normal in eighty, so a draw often runs
+    # out of redraws; the seed's first draw is accepted at its first attempt
+    table = neighbor_table(SQUARE, 1)
+    cfg = SamplerConfig(d=1, min_abs_sum=2.5)
+    seed = _seed_where(table, 3, cfg, lambda tries, gave_up: gave_up and tries[:1] == [1])
+    with pytest.raises(SamplingError):
+        sample_codings(table, 3, cfg, Rng(seed))
 
 
 def test_sample_codings_gives_up_like_the_per_draw_path():
     table = neighbor_table(SQUARE, 2)
     cfg = SamplerConfig(d=2, min_abs_sum=1e9)
     with pytest.raises(SamplingError):
-        _per_draw(table, 4, 3, cfg, Rng(0))
+        _per_draw(table, 3, cfg, Rng(0))
     with pytest.raises(SamplingError):
-        sample_codings(table, 4, 3, cfg, Rng(0))
+        sample_codings(table, 3, cfg, Rng(0))
 
 
 def test_sample_codings_rejects_a_mismatched_table():
     table = neighbor_table(SQUARE, 2)
     with pytest.raises(ValueError):
-        sample_codings(table, 4, 3, SamplerConfig(d=3), Rng(0))
+        sample_codings(table, 3, SamplerConfig(d=3), Rng(0))
     with pytest.raises(ValueError):
-        sample_codings(table, 5, 3, SamplerConfig(d=2), Rng(0))
+        sample_codings(table[:, :1], 3, SamplerConfig(d=2), Rng(0))
