@@ -19,6 +19,29 @@ L1, L2, L3 bound, over a stated compact domain, the three smoothness ratios
 Affine and quadratic test maps admit exact constants (their third-order
 residual is identically zero), so the right-hand sides are honest bounds
 rather than tuned numbers.
+
+Bulk sweep.  `bound_sweep` checks many random configurations at once.  It
+walks the stream a single time: only the four `randint`s that pick a case's
+shape and the rejection loop of its coding read values, and every other
+request just moves the counter.  Those requests are then decoded for all
+cases together from their counters (`Rng.u64_at`), and the cases are
+grouped by (dim, k, m) so that each group's constants and gaps are a few
+stacked array operations.  `random_configuration`, `random_affine`,
+`random_quadratic`, `mixing_gap` and `tangent_mixing_gap` are one-case calls
+of the same code.
+
+Evaluation order.  The stacked code gives the same floats, bit for bit, as
+evaluating one case at a time with einsum, so bounds.csv stays the same:
+
+  - G's quadratic form adds (q[k,i,j] * x_i) * x_j in row-major order, as
+    einsum("kij,i,j->k") does; for dim = 2, k = 1 einsum sums each row i
+    first and then adds the row sums, and so does `value`;
+  - the Jacobian adds q[k,i,j] * x_j over j in order, as einsum("kij,j->ki");
+  - V @ w, A @ x and J @ (h - v) stay BLAS matrix-vector products on the
+    same memory layouts: each case's anchors are a C-ordered (dim, m) block,
+    and A @ v reads the anchor through that block's column stride (a
+    contiguous copy can round differently);
+  - every other sum runs over the same axis of an array of the same shape.
 """
 
 from __future__ import annotations
@@ -28,11 +51,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .lcc.core import AnchorSet, Coding
-from .rng import Rng
+from .rng import Rng, normal_u64s, u64_to_ball_points, u64_to_normals, u64_to_uniforms
 
 
 @dataclass
 class SmoothnessConstants:
+    """Floats for one generator, (N,) arrays for a stack of N."""
+
     first: float
     second: float
     third: float
@@ -40,88 +65,169 @@ class SmoothnessConstants:
 
 @dataclass
 class QuadraticGenerator:
-    """G_k(x) = x @ q[k] @ x + (A @ x)_k + b_k with each q[k] symmetric."""
+    """G_k(x) = x @ q[k] @ x + (A @ x)_k + b_k with each q[k] symmetric.
+    Leading axes of q, a and b stack generators that act together."""
 
-    q: np.ndarray  # (k, n, n)
-    a: np.ndarray  # (k, n)
-    b: np.ndarray  # (k,)
+    q: np.ndarray  # (..., k, n, n)
+    a: np.ndarray  # (..., k, n)
+    b: np.ndarray  # (..., k)
 
     def __post_init__(self):
-        qt = np.transpose(self.q, (0, 2, 1))
+        qt = np.swapaxes(self.q, -1, -2)
         if not np.all(np.abs(self.q - qt) <= 1e-8 + 1e-5 * np.abs(qt)):  # allclose's test
             raise ValueError("each quadratic form must be symmetric")
 
     def value(self, x):
-        return np.einsum("kij,i,j->k", self.q, x, x) + self.a @ x + self.b
+        """G(x) for points x (..., n) whose leading axes broadcast against
+        the stack's; returns (..., k)."""
+        q = self.q
+        terms = (q * x[..., None, :, None]) * x[..., None, None, :]
+        if q.shape[-3:] == (1, 2, 2):  # einsum's order here: row sums first
+            terms = np.add.accumulate(terms, axis=-1)[..., -1]
+        else:
+            terms = terms.reshape(terms.shape[:-2] + (-1,))
+        quad = np.add.accumulate(terms, axis=-1)[..., -1]
+        return quad + np.matmul(self.a, x[..., None])[..., 0] + self.b
 
     def jacobian(self, x):
-        return 2.0 * np.einsum("kij,j->ki", self.q, x) + self.a
+        """J(x), (..., k, n), for points x as in `value`."""
+        return 2.0 * np.add.accumulate(self.q * x[..., None, None, :], axis=-1)[..., -1] + self.a
 
-    def constants(self, radius: float) -> SmoothnessConstants:
+    def constants(self, radius) -> SmoothnessConstants:
         # ||J(x)||_2 <= ||A||_2 + 2*||x|| * sqrt(sum_k ||q_k||_2^2); the
         # second-order Taylor residual is (x'-x) @ q_k @ (x'-x) exactly, so
         # the same root-sum-square of spectral norms bounds ratio two, and
         # constant Hessians make the third-order residual vanish.
-        qnorms = np.linalg.norm(self.q, 2, axis=(1, 2))
-        rss = float(np.sqrt(np.sum(qnorms**2)))
-        first = float(np.linalg.norm(self.a, 2)) + 2.0 * radius * rss
+        qnorms = np.linalg.norm(self.q, 2, axis=(-2, -1))
+        rss = np.sqrt(np.sum(qnorms**2, axis=-1))
+        first = np.linalg.norm(self.a, 2, axis=(-2, -1)) + 2.0 * radius * rss
         return SmoothnessConstants(first, rss, 0.0)
 
 
-def _gap_common(coding: Coding, anchors: AnchorSet, h):
-    h = np.asarray(h, dtype=np.float64)
-    V = anchors.anchors
-    g = coding.weights
-    r = V @ g
-    rec_err = float(np.sqrt(np.sum((h - r) ** 2)))
-    dist_r = np.sqrt(np.sum((V - r[:, None]) ** 2, axis=0))
-    return V, g, r, rec_err, dist_r
+def _gap(gen, V, W, h, constants, tangent):
+    """(lhs, rhs) of the first-order inequality, or of the tangent-corrected
+    one, for anchors V (..., dim, m), codings W (..., m) and points h
+    (..., dim) stacked as gen is."""
+    r = np.matmul(V, W[..., None])[..., 0]
+    rec_err = np.sqrt(np.sum((h - r) ** 2, axis=-1))
+    dist_r = np.sqrt(np.sum((V - r[..., None]) ** 2, axis=-2))
+    X = np.moveaxis(V, -1, 0)  # (m, ..., dim): anchor j is X[j], a column view of V
+    at_anchors = gen.value(X)
+    if tangent:
+        # C-ordered operands, as the per-anchor J and h - v are: BLAS may
+        # round a strided matrix-vector product differently
+        half_j = np.ascontiguousarray(0.5 * gen.jacobian(X))
+        step = np.subtract(h, X, order="C")[..., None]
+        at_anchors = at_anchors + np.matmul(half_j, step)[..., 0]
+    # zero weights add exact zeros, so summing every anchor in order equals
+    # summing the support in order
+    mixed = np.add.accumulate(np.moveaxis(W, -1, 0)[..., None] * at_anchors, axis=0)[-1]
+    lhs = np.sqrt(np.sum((gen.value(r) - mixed) ** 2, axis=-1))
+    higher, power = (constants.third, 3) if tangent else (constants.second, 2)
+    rhs = 2.0 * constants.first * rec_err + higher * np.sum(np.abs(W) * dist_r**power, axis=-1)
+    return lhs, rhs
 
 
 def mixing_gap(gen, coding: Coding, anchors: AnchorSet, h, constants: SmoothnessConstants):
     """(lhs, rhs) of the first-order inequality; lhs <= rhs when the
     constants are valid on the hull of the configuration."""
-    V, g, r, rec_err, dist_r = _gap_common(coding, anchors, h)
-    at_r = gen.value(r)
-    mixed = np.zeros_like(at_r)
-    for j in coding.support:
-        mixed = mixed + g[j] * gen.value(V[:, j])
-    lhs = float(np.sqrt(np.sum((at_r - mixed) ** 2)))
-    rhs = 2.0 * constants.first * rec_err + constants.second * float(
-        np.sum(np.abs(g) * dist_r**2)
-    )
-    return lhs, rhs
+    lhs, rhs = _gap(gen, anchors.anchors, coding.weights, np.asarray(h, dtype=np.float64),
+                    constants, tangent=False)
+    return float(lhs), float(rhs)
 
 
 def tangent_mixing_gap(gen, coding: Coding, anchors: AnchorSet, h, constants: SmoothnessConstants):
     """(lhs, rhs) of the tangent-corrected inequality."""
-    V, g, r, rec_err, dist_r = _gap_common(coding, anchors, h)
-    h = np.asarray(h, dtype=np.float64)
-    at_r = gen.value(r)
-    mixed = np.zeros_like(at_r)
-    for j in coding.support:
-        v = V[:, j]
-        mixed = mixed + g[j] * (gen.value(v) + 0.5 * gen.jacobian(v) @ (h - v))
-    lhs = float(np.sqrt(np.sum((at_r - mixed) ** 2)))
-    rhs = 2.0 * constants.first * rec_err + constants.third * float(
-        np.sum(np.abs(g) * dist_r**3)
-    )
-    return lhs, rhs
+    lhs, rhs = _gap(gen, anchors.anchors, coding.weights, np.asarray(h, dtype=np.float64),
+                    constants, tangent=True)
+    return float(lhs), float(rhs)
+
+
+def _skip(rng: Rng, count: int) -> int:
+    """Moves rng past count u64s; returns the counter it started from."""
+    start = rng.counter
+    rng.counter += count
+    return start
+
+
+def _generator_sizes(n: int, k: int, quadratic: bool):
+    """Normals per request of random_quadratic (or random_affine): q's raw
+    entries, then A, then b."""
+    return ([k * n * n] if quadratic else []) + [k * n, k]
+
+
+def _walk_generator(rng: Rng, n: int, k: int, quadratic: bool) -> int:
+    return _skip(rng, sum(normal_u64s(size) for size in _generator_sizes(n, k, quadratic)))
+
+
+def _generators(rng: Rng, starts, n: int, k: int, quadratic: bool):
+    """Stacked (q, a, b) of the generators whose draws begin after each
+    counter in starts."""
+    sizes = _generator_sizes(n, k, quadratic)
+    edges = np.cumsum([0] + [normal_u64s(size) for size in sizes])
+    bits = rng.u64_at(np.asarray(starts)[:, None] + np.arange(1, edges[-1] + 1))
+    *raw, a, b = (u64_to_normals(bits[:, lo:hi], size)
+                  for size, lo, hi in zip(sizes, edges, edges[1:]))
+    if raw:
+        raw = raw[0].reshape(-1, k, n, n)
+        q = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+    else:
+        q = np.zeros((len(bits), k, n, n))
+    return q, a.reshape(-1, k, n), b
 
 
 def random_affine(rng: Rng, n: int, k: int) -> QuadraticGenerator:
     """G(x) = A @ x + b: a quadratic map with zero forms."""
-    a = rng.normals(k * n).reshape(k, n)
-    b = rng.normals(k)
-    return QuadraticGenerator(np.zeros((k, n, n)), a, b)
+    parts = _generators(rng, [_walk_generator(rng, n, k, False)], n, k, False)
+    return QuadraticGenerator(*(p[0] for p in parts))
 
 
 def random_quadratic(rng: Rng, n: int, k: int) -> QuadraticGenerator:
-    raw = rng.normals(k * n * n).reshape(k, n, n)
-    q = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
-    a = rng.normals(k * n).reshape(k, n)
-    b = rng.normals(k)
-    return QuadraticGenerator(q, a, b)
+    parts = _generators(rng, [_walk_generator(rng, n, k, True)], n, k, True)
+    return QuadraticGenerator(*(p[0] for p in parts))
+
+
+def _walk_configuration(rng: Rng, dim: int, m: int, d: int):
+    """Moves rng past one configuration's draws: m ball points, m support
+    uniforms, normals until the coding's guard accepts them, then h's ball
+    point.  Only the guard's normals are read.  Returns (start, z, s,
+    h_start): the counter before the draws, the accepted normals and their
+    sum, and the counter before h's ball point."""
+    start = _skip(rng, m * (normal_u64s(dim) + 1) + m)
+    while True:
+        z = rng.normals(d)
+        s = float(z.sum())
+        if abs(s) >= 0.3 and np.sum(np.abs(z / s)) <= 3.0:
+            break
+    return start, z, s, _skip(rng, normal_u64s(dim) + 1)
+
+
+def _configurations(rng: Rng, dim: int, m: int, walks):
+    """Stacked (V, W, h, radius) of the configurations that
+    _walk_configuration walked, all of one (dim, m)."""
+    starts, zs, sums, h_starts = zip(*walks)
+    n = len(walks)
+    rows = np.arange(n)
+    starts = np.asarray(starts)[:, None]
+    ball = normal_u64s(dim) + 1
+    bits = rng.u64_at(starts + np.arange(1, m * ball + 1)).reshape(n, m, ball)
+    V = np.ascontiguousarray(np.swapaxes(u64_to_ball_points(bits, dim, 1.0), -1, -2))
+    support = np.argsort(u64_to_uniforms(rng.u64_at(starts + m * ball + np.arange(1, m + 1))),
+                         axis=1, kind="stable")
+    Z = np.zeros((n, max(len(z) for z in zs)))
+    for i, z in enumerate(zs):
+        Z[i, :len(z)] = z
+    case, slot = np.nonzero(np.arange(Z.shape[1]) < np.array([len(z) for z in zs])[:, None])
+    W = np.zeros((n, m))
+    W[case, support[case, slot]] = (Z / np.array(sums)[:, None])[case, slot]
+    top = support[rows, np.argmax(np.abs(Z), axis=1)]
+    W[rows, top] -= W.sum(axis=1) - 1.0
+    r = np.matmul(V, W[..., None])[..., 0]
+    bits = rng.u64_at(np.asarray(h_starts)[:, None] + np.arange(1, ball + 1))
+    h = r + u64_to_ball_points(bits, dim, 0.5)
+    radius = np.maximum(np.maximum(1.0, np.sqrt(np.sum(r * r, axis=-1))),
+                        np.sqrt(np.sum(h * h, axis=-1))) + 1e-9
+    return V, W, h, radius
 
 
 def random_configuration(rng: Rng, dim: int, m: int, d: int):
@@ -132,23 +238,42 @@ def random_configuration(rng: Rng, dim: int, m: int, d: int):
     everything visited, so generator constants computed at that radius are
     valid for the configuration.
     """
-    V = np.stack([rng.ball_point(dim, 1.0) for _ in range(m)], axis=1)
-    support = np.argsort(rng.uniforms(m), kind="stable")[:d]
-    while True:
-        z = rng.normals(d)
-        s = float(z.sum())
-        if abs(s) >= 0.3 and np.sum(np.abs(z / s)) <= 3.0:
-            break
-    w = np.zeros(m)
-    w[support] = z / s
-    w[support[int(np.argmax(np.abs(z)))]] -= w.sum() - 1.0
-    coding = Coding(w)
-    anchors = AnchorSet(V)
-    r = V @ w
-    h = r + rng.ball_point(dim, 0.5)
-    radius = max(
-        1.0,
-        float(np.sqrt(np.sum(r * r))),
-        float(np.sqrt(np.sum(h * h))),
-    ) + 1e-9
-    return anchors, coding, h, radius
+    V, W, h, radius = _configurations(rng, dim, m, [_walk_configuration(rng, dim, m, d)])
+    return AnchorSet(V[0]), Coding(W[0]), h[0], float(radius[0])
+
+
+def bound_sweep(rng: Rng, cases: int):
+    """(lhs, rhs) of both inequalities on `cases` random configurations, as
+    (cases, 2, 2) arrays indexed [case, kind, order - 1]; kind 0 is the
+    affine generator and kind 1 the quadratic one.  Case by case the stream
+    is read as this loop would read it, which is also where rng ends:
+
+        dim, k = 2 + rng.randint(3), 1 + rng.randint(3)
+        m = 4 + rng.randint(5)
+        d = 2 + rng.randint(min(3, m - 1))
+        random_configuration(rng, dim, m, d)
+        random_affine(rng, dim, k), random_quadratic(rng, dim, k)
+    """
+    groups = {}
+    for case in range(cases):
+        dim = 2 + rng.randint(3)
+        k = 1 + rng.randint(3)
+        m = 4 + rng.randint(5)
+        d = 2 + rng.randint(min(3, m - 1))
+        walk = _walk_configuration(rng, dim, m, d)
+        affine = _walk_generator(rng, dim, k, False)
+        quadratic = _walk_generator(rng, dim, k, True)
+        groups.setdefault((dim, k, m), []).append((case, walk, affine, quadratic))
+    lhs = np.empty((cases, 2, 2))
+    rhs = np.empty((cases, 2, 2))
+    for (dim, k, m), members in groups.items():
+        idx, walks, *starts = zip(*members)
+        idx = list(idx)
+        V, W, h, radius = _configurations(rng, dim, m, walks)
+        for kind, quadratic in enumerate((False, True)):
+            gen = QuadraticGenerator(*_generators(rng, starts[kind], dim, k, quadratic))
+            constants = gen.constants(radius)
+            for order, tangent in enumerate((False, True)):
+                lhs[idx, kind, order], rhs[idx, kind, order] = _gap(
+                    gen, V, W, h, constants, tangent)
+    return lhs, rhs

@@ -15,13 +15,7 @@ import sys
 import numpy as np
 
 from . import LccgenError
-from .bounds import (
-    mixing_gap,
-    random_affine,
-    random_configuration,
-    random_quadratic,
-    tangent_mixing_gap,
-)
+from .bounds import bound_sweep
 from .config import ConfigError, apply_overrides, load_config
 from .datasets import make_ring, make_swiss_roll, load_mnist_idx
 from .lcc.core import LccConfig, learn_anchors
@@ -54,6 +48,7 @@ from .serialize import (
 
 _TAG_AE, _TAG_LCC, _TAG_GAN_INIT, _TAG_GAN_TRAIN = 1, 2, 3, 4
 _TAG_SAMPLE, _TAG_INTERP, _TAG_VERIFY, _TAG_EVAL, _TAG_HELDOUT = 5, 6, 7, 8, 9
+_BOUND_KINDS = ("affine", "quadratic")  # bound_sweep's kind axis
 
 
 class CliError(LccgenError):
@@ -198,31 +193,26 @@ def cmd_interpolate(cfg, base_seed, out, steps, generator_path=None):
 
 
 def cmd_verify_bounds(cfg, base_seed, out, cases):
-    rng = Rng(stage_seed(base_seed, _TAG_VERIFY))
-    rows = []
-    violations = 0
-    for case in range(cases):
-        dim = 2 + rng.randint(3)
-        k = 1 + rng.randint(3)
-        m = 4 + rng.randint(5)
-        d = 2 + rng.randint(min(3, m - 1))
-        anchors, coding, h, radius = random_configuration(rng, dim, m, d)
-        for kind, gen in (("affine", random_affine(rng, dim, k)),
-                          ("quadratic", random_quadratic(rng, dim, k))):
-            consts = gen.constants(radius)
-            for order, fn in ((1, mixing_gap), (2, tangent_mixing_gap)):
-                lhs, rhs = fn(gen, coding, anchors, h, consts)
-                ok = lhs <= rhs + 1e-10
-                violations += 0 if ok else 1
-                rows.append((case, kind, order, lhs, rhs, rhs - lhs, int(ok)))
+    if cases < 0:
+        raise CliError(f"--cases must be at least 0, got {cases}")
+    lhs, rhs = bound_sweep(Rng(stage_seed(base_seed, _TAG_VERIFY)), cases)
+    ok = lhs <= rhs + 1e-10
     with atomic_write(os.path.join(out, "bounds.csv")) as fh:
         fh.write("case,kind,order,lhs,rhs,margin,ok\n")
-        for case, kind, order, lhs, rhs, margin, ok in rows:
-            fh.write(f"{case},{kind},{order},{fmt_float(lhs)},{fmt_float(rhs)},"
-                     f"{fmt_float(margin)},{ok}\n")
-    print(f"verify-bounds: {cases} configurations, {len(rows)} checks, "
+        for (case, kind, order), l, r, margin, good in zip(
+                np.ndindex(ok.shape), lhs.ravel().tolist(), rhs.ravel().tolist(),
+                (rhs - lhs).ravel().tolist(), ok.ravel().tolist()):
+            fh.write(f"{case},{_BOUND_KINDS[kind]},{order + 1},{fmt_float(l)},{fmt_float(r)},"
+                     f"{fmt_float(margin)},{int(good)}\n")
+    violations = int(np.count_nonzero(~ok))
+    print(f"verify-bounds: {cases} configurations, {ok.size} checks, "
           f"{violations} violations")
-    return 0 if violations == 0 else 1
+    if violations:
+        case, kind, order = np.argwhere(~ok)[0]
+        print(f"error: verify-bounds: {violations} of {ok.size} checks violated "
+              f"(first: case {case}, {_BOUND_KINDS[kind]}, order {order + 1})", file=sys.stderr)
+        return 1
+    return 0
 
 
 def cmd_eval(cfg, base_seed, out):

@@ -19,8 +19,14 @@ uniforms:
     z1 = r * sin(2 * pi * u2)
 
 A request for n Gaussians always consumes ceil(n / 2) pairs, so streams stay
-aligned regardless of parity.  Each stage seeds its own stream with
+aligned regardless of parity.  A point of the solid ball of radius R in
+dim dimensions takes one request for dim Gaussians z, then one uniform u,
+and is z * (R * u^(1/dim) / ||z||).  Each stage seeds its own stream with
 `stage_seed`.
+
+Every output depends only on its counter, so `u64_at` can decode many
+requests at once from their counters; bulk decoders take one request per
+row of a u64 block and give the same floats as drawing them in turn.
 """
 
 from __future__ import annotations
@@ -65,6 +71,26 @@ def u64_to_normals(bits, n: int) -> np.ndarray:
     return out[..., :n]
 
 
+def normal_u64s(n: int) -> int:
+    """u64s that one request for n Gaussians consumes."""
+    return 2 * ((n + 1) // 2)
+
+
+def u64_to_ball_points(bits, dim: int, radius: float) -> np.ndarray:
+    """Ball points along the last axis of a (..., normal_u64s(dim) + 1) u64
+    block: the normals request, then the uniform.  Returns (..., dim).
+    Raises ValueError if some direction is exactly zero (probability about
+    2^-53 per point)."""
+    z = u64_to_normals(bits[..., :-1], dim)
+    norm = np.sqrt(np.sum(z * z, axis=-1))
+    if not np.all(norm > 0.0):
+        raise ValueError("ball point drew a zero direction")
+    # u^(1/dim) is Python's float pow, which numpy's power need not match
+    e = 1.0 / dim
+    root = np.array([u ** e for u in u64_to_uniforms(bits[..., -1]).ravel().tolist()])
+    return z * (radius * root.reshape(norm.shape) / norm)[..., None]
+
+
 class Rng:
     """splitmix64 stream; all package randomness flows through this class."""
 
@@ -81,6 +107,12 @@ class Rng:
     def next_u64_array(self, n: int):
         idx = np.arange(self.counter + 1, self.counter + n + 1, dtype=np.uint64)
         self.counter += n
+        return self.u64_at(idx)
+
+    def u64_at(self, counters) -> np.ndarray:
+        """The u64s this stream gives at the given counters (the first draw
+        is counter 1), without moving the stream."""
+        idx = np.asarray(counters, dtype=np.uint64)
         return _mix_array(np.uint64(self.seed) + idx * np.uint64(_GAMMA))
 
     def uniform(self) -> float:
@@ -90,7 +122,7 @@ class Rng:
         return u64_to_uniforms(self.next_u64_array(n))
 
     def normals(self, n: int) -> np.ndarray:
-        return u64_to_normals(self.next_u64_array(2 * ((n + 1) // 2)), n)
+        return u64_to_normals(self.next_u64_array(normal_u64s(n)), n)
 
     def randint(self, n: int) -> int:
         """Integer in [0, n) via floor(u * n); clamped so u ~ 1 cannot spill over."""
@@ -100,12 +132,7 @@ class Rng:
 
     def ball_point(self, dim: int, radius: float) -> np.ndarray:
         """Uniform draw from the solid ball of the given radius."""
-        z = self.normals(dim)
-        norm = float(np.sqrt(np.sum(z * z)))
-        while norm == 0.0:  # unreachable in practice, kept for safety
-            z = self.normals(dim)
-            norm = float(np.sqrt(np.sum(z * z)))
-        return z * (radius * self.uniform() ** (1.0 / dim) / norm)
+        return u64_to_ball_points(self.next_u64_array(normal_u64s(dim) + 1), dim, radius)
 
 
 def stage_seed(base_seed: int, tag: int) -> int:

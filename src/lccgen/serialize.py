@@ -139,10 +139,16 @@ def codings_to_csv(path, weights) -> None:
     W = np.asarray(weights, dtype=np.float64)
     if W.ndim != 2:
         raise ValueError(f"expected an (n, m) weight array, got shape {W.shape}")
+    rows, cols = np.nonzero(W)
+    vals = W[rows, cols].tolist()
+    cols = cols.tolist()
+    ends = np.cumsum(np.bincount(rows, minlength=len(W))).tolist()
     with atomic_write(path) as fh:
-        for w in W:
-            cells = [f"{int(j)}:{fmt_float(w[j])}" for j in np.flatnonzero(w)]
-            fh.write(",".join(cells) + "\n")
+        start = 0
+        for end in ends:
+            fh.write(",".join([f"{j}:{fmt_float(x)}" for j, x in
+                               zip(cols[start:end], vals[start:end])]) + "\n")
+            start = end
 
 
 def codings_from_csv(path, m: int) -> np.ndarray:

@@ -5,6 +5,7 @@ import pytest
 
 from lccgen.bounds import (
     QuadraticGenerator,
+    bound_sweep,
     mixing_gap,
     random_affine,
     random_configuration,
@@ -156,8 +157,139 @@ def test_random_configuration_invariants():
         assert np.all(np.linalg.norm(anchors.anchors, axis=0) <= 1.0 + 1e-12)
 
 
+def test_quadratic_generator_stacks_evaluate_like_single_generators():
+    rng = Rng(60)
+    gens = [random_quadratic(rng, 3, 2) for _ in range(4)]
+    stack = QuadraticGenerator(*(np.stack([getattr(g, f) for g in gens]) for f in "qab"))
+    x = np.asarray(rng.normals(4 * 3)).reshape(4, 3)
+    assert np.array_equal(stack.value(x), np.stack([g.value(p) for g, p in zip(gens, x)]))
+    assert np.array_equal(stack.jacobian(x), np.stack([g.jacobian(p) for g, p in zip(gens, x)]))
+    consts = stack.constants(np.full(4, 2.0))
+    assert np.array_equal(consts.first, [g.constants(2.0).first for g in gens])
+    assert np.array_equal(consts.second, [g.constants(2.0).second for g in gens])
+
+
 def test_quadratic_generator_requires_symmetry():
     q = np.zeros((1, 2, 2))
     q[0, 0, 1] = 1.0  # asymmetric
     with pytest.raises(ValueError):
         QuadraticGenerator(q=q, a=np.zeros((1, 2)), b=np.zeros(1))
+
+
+# ------------------------------------------------------------ bulk sweep
+#
+# The reference below is the per-case loop written out with einsum, one
+# ball point at a time and np.stack, apart from lccgen.bounds.  The bulk
+# sweep must reproduce its floats bit for bit and leave the stream where it
+# leaves it.
+
+
+def _ref_ball_point(rng, dim, radius):
+    z = rng.normals(dim)
+    norm = float(np.sqrt(np.sum(z * z)))
+    return z * (radius * rng.uniform() ** (1.0 / dim) / norm)
+
+
+def _ref_configuration(rng, dim, m, d):
+    V = np.stack([_ref_ball_point(rng, dim, 1.0) for _ in range(m)], axis=1)
+    support = np.argsort(rng.uniforms(m), kind="stable")[:d]
+    while True:
+        z = rng.normals(d)
+        s = float(z.sum())
+        if abs(s) >= 0.3 and np.sum(np.abs(z / s)) <= 3.0:
+            break
+    w = np.zeros(m)
+    w[support] = z / s
+    w[support[int(np.argmax(np.abs(z)))]] -= w.sum() - 1.0
+    r = V @ w
+    h = r + _ref_ball_point(rng, dim, 0.5)
+    radius = max(1.0, float(np.sqrt(np.sum(r * r))), float(np.sqrt(np.sum(h * h)))) + 1e-9
+    return V, w, h, radius
+
+
+def _ref_generator(rng, n, k, quadratic):
+    if quadratic:
+        raw = rng.normals(k * n * n).reshape(k, n, n)
+        q = 0.5 * (raw + np.transpose(raw, (0, 2, 1)))
+    else:
+        q = np.zeros((k, n, n))
+    return q, rng.normals(k * n).reshape(k, n), rng.normals(k)
+
+
+def _ref_gaps(q, a, b, V, w, h, radius):
+    """[(lhs, rhs) first order, (lhs, rhs) tangent corrected]."""
+    def value(x):
+        return np.einsum("kij,i,j->k", q, x, x) + a @ x + b
+
+    def jacobian(x):
+        return 2.0 * np.einsum("kij,j->ki", q, x) + a
+
+    rss = float(np.sqrt(np.sum(np.linalg.norm(q, 2, axis=(1, 2)) ** 2)))
+    first = float(np.linalg.norm(a, 2)) + 2.0 * radius * rss
+    r = V @ w
+    rec_err = float(np.sqrt(np.sum((h - r) ** 2)))
+    dist_r = np.sqrt(np.sum((V - r[:, None]) ** 2, axis=0))
+    at_r = value(r)
+    out = []
+    for higher, power, tangent in ((rss, 2, False), (0.0, 3, True)):
+        mixed = np.zeros_like(at_r)
+        for j in np.flatnonzero(w):
+            v = V[:, j]
+            term = value(v) + 0.5 * jacobian(v) @ (h - v) if tangent else value(v)
+            mixed = mixed + w[j] * term
+        lhs = float(np.sqrt(np.sum((at_r - mixed) ** 2)))
+        rhs = 2.0 * first * rec_err + higher * float(np.sum(np.abs(w) * dist_r**power))
+        out.append((lhs, rhs))
+    return out
+
+
+def _per_case(rng, cases, shapes):
+    lhs = np.empty((cases, 2, 2))
+    rhs = np.empty((cases, 2, 2))
+    for case in range(cases):
+        dim = 2 + rng.randint(3)
+        k = 1 + rng.randint(3)
+        m = 4 + rng.randint(5)
+        d = 2 + rng.randint(min(3, m - 1))
+        shapes.add((dim, k, m, d))
+        V, w, h, radius = _ref_configuration(rng, dim, m, d)
+        gens = [_ref_generator(rng, dim, k, False), _ref_generator(rng, dim, k, True)]
+        for kind, (q, a, b) in enumerate(gens):
+            for order, gap in enumerate(_ref_gaps(q, a, b, V, w, h, radius)):
+                lhs[case, kind, order], rhs[case, kind, order] = gap
+    return lhs, rhs
+
+
+def test_bound_sweep_matches_per_case_loop_bit_for_bit():
+    shapes = set()
+    for seed in (1, 2, 12345, 987654321):
+        ref_rng, rng = Rng(seed, 5), Rng(seed, 5)
+        want = _per_case(ref_rng, 300, shapes)
+        got = bound_sweep(rng, 300)
+        assert got[0].tobytes() == want[0].tobytes()
+        assert got[1].tobytes() == want[1].tobytes()
+        assert rng.counter == ref_rng.counter
+    # every shape the sweep can draw, dim = 2 with k = 1 among them
+    assert shapes == {(dim, k, m, d) for dim in (2, 3, 4) for k in (1, 2, 3)
+                      for m in range(4, 9) for d in (2, 3, 4)}
+
+
+def test_single_case_calls_match_the_per_case_loop():
+    rng, ref = Rng(8), Rng(8)
+    for i in range(90):
+        dim, k, m = 2 + i % 3, 1 + (i // 3) % 3, 4 + i % 5
+        d = 2 + i % 3
+        anchors, coding, h, radius = random_configuration(rng, dim, m, d)
+        V, w, h_ref, radius_ref = _ref_configuration(ref, dim, m, d)
+        assert anchors.anchors.tobytes() == V.tobytes()
+        assert coding.weights.tobytes() == w.tobytes()
+        assert h.tobytes() == h_ref.tobytes() and radius == radius_ref
+        for quadratic, make in ((False, random_affine), (True, random_quadratic)):
+            gen = make(rng, dim, k)
+            q, a, b = _ref_generator(ref, dim, k, quadratic)
+            assert gen.q.tobytes() == q.tobytes()
+            assert gen.a.tobytes() == a.tobytes() and gen.b.tobytes() == b.tobytes()
+            consts = gen.constants(radius)
+            got = [fn(gen, coding, anchors, h, consts) for fn in (mixing_gap, tangent_mixing_gap)]
+            assert got == _ref_gaps(q, a, b, V, w, h_ref, radius_ref)
+        assert rng.counter == ref.counter

@@ -1,6 +1,7 @@
 """CLI tests: stage chaining, artifact schemas, rerun stability, and error
 messages that name the offending key or file."""
 
+import hashlib
 import importlib
 import importlib.util
 import inspect
@@ -13,6 +14,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from lccgen.bounds import QuadraticGenerator, SmoothnessConstants
 from lccgen.cli import main
 from lccgen.config import DEFAULTS
 from lccgen.lcc.core import LccConfig
@@ -220,6 +222,50 @@ def test_verify_bounds_reports_all_cases(staged, tmp_path, capsys):
     assert lines[0] == "case,kind,order,lhs,rhs,margin,ok"
     assert len(lines) == 1 + 5 * 4  # affine+quadratic, both orders
     assert all(line.endswith(",1") for line in lines[1:])
+
+
+# sha256 of bounds.csv from `verify-bounds --cases 60` at seed 7, as the
+# per-case loop wrote it before the sweep was done in bulk
+BOUNDS_60_SHA256 = "eafaa21b6a1df09d1f6448e65be8f3df49f0d0f0b7b3caf54b10bf705877ed56"
+
+
+def test_verify_bounds_bytes_match_fixture(tmp_path, capsys):
+    out = str(tmp_path / "out")
+    assert main(["--seed", "7", "--out", out, "verify-bounds", "--cases", "60"]) == 0
+    assert capsys.readouterr().out == "verify-bounds: 60 configurations, 240 checks, 0 violations\n"
+    with open(os.path.join(out, "bounds.csv"), "rb") as fh:
+        assert hashlib.sha256(fh.read()).hexdigest() == BOUNDS_60_SHA256
+
+
+def test_verify_bounds_rejects_negative_cases(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["--out", str(out), "verify-bounds", "--cases", "-5"]) == 1
+    assert capsys.readouterr().err == "error: --cases must be at least 0, got -5\n"
+    cfg = tmp_path / "neg.ini"
+    cfg.write_text("[eval]\ncases = -5\n")
+    assert main(["--config", str(cfg), "--out", str(out), "verify-bounds"]) == 1
+    assert capsys.readouterr().err == "error: --cases must be at least 0, got -5\n"
+    assert not (out / "bounds.csv").exists()
+    # zero cases is a valid, empty sweep
+    assert main(["--out", str(out), "verify-bounds", "--cases", "0"]) == 0
+    assert (out / "bounds.csv").read_text() == "case,kind,order,lhs,rhs,margin,ok\n"
+
+
+def test_verify_bounds_violation_ends_in_error_line(tmp_path, capsys, monkeypatch):
+    # zero constants make every right-hand side 0, which a curved map breaks
+    def zero(self, radius):
+        return SmoothnessConstants(np.zeros_like(radius), np.zeros_like(radius), 0.0)
+
+    monkeypatch.setattr(QuadraticGenerator, "constants", zero)
+    out = tmp_path / "out"
+    assert main(["--seed", "7", "--out", str(out), "verify-bounds", "--cases", "5"]) == 1
+    rows = (out / "bounds.csv").read_text().splitlines()[1:]
+    bad = [row.split(",") for row in rows if row.endswith(",0")]
+    assert 0 < len(bad) < len(rows)
+    case, kind, order = bad[0][:3]
+    err = capsys.readouterr().err
+    assert err == (f"error: verify-bounds: {len(bad)} of 20 checks violated "
+                   f"(first: case {case}, {kind}, order {order})\n")
 
 
 def test_missing_artifact_names_the_producer_stage(tmp_path, capsys):

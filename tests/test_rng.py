@@ -10,7 +10,7 @@ import math
 import numpy as np
 import pytest
 
-from lccgen.rng import Rng, stage_seed
+from lccgen.rng import Rng, normal_u64s, stage_seed, u64_to_ball_points
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -95,6 +95,36 @@ def test_ball_point_stays_inside_radius():
     for _ in range(500):
         p = rng.ball_point(3, 2.5)
         assert float(np.linalg.norm(p)) <= 2.5 + 1e-12
+
+
+def test_u64_at_reads_counters_without_moving_the_stream():
+    rng = Rng(12345, 7)
+    got = rng.u64_at([[8, 100], [1, 8]])
+    assert got.tolist() == [[reference_mix((12345 + i * GAMMA) & MASK) for i in row]
+                            for row in ([8, 100], [1, 8])]
+    assert rng.counter == 7
+    assert rng.next_u64() == int(got[0, 0])
+
+
+def test_ball_points_decode_in_bulk_as_drawn_in_turn():
+    for dim in (1, 2, 3, 4):
+        rng = Rng(40 + dim)
+        width = normal_u64s(dim) + 1
+        bulk = u64_to_ball_points(rng.u64_at(1 + np.arange(6 * width).reshape(6, width)),
+                                  dim, 0.5)
+        one_by_one = np.stack([rng.ball_point(dim, 0.5) for _ in range(6)])
+        assert bulk.tobytes() == one_by_one.tobytes()
+        # the documented recipe: normals, then a uniform for the radius
+        check = Rng(40 + dim)
+        z = check.normals(dim)
+        want = z * (0.5 * check.uniform() ** (1.0 / dim) / float(np.sqrt(np.sum(z * z))))
+        assert want.tobytes() == bulk[0].tobytes()
+
+
+def test_ball_point_rejects_a_zero_direction():
+    # all-zero bits give u = 0 for every radius draw, so every normal is 0
+    with pytest.raises(ValueError, match="zero direction"):
+        u64_to_ball_points(np.zeros((2, 3), dtype=np.uint64), 2, 1.0)
 
 
 def test_stage_seed_matches_documented_formula():
