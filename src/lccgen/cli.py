@@ -67,8 +67,8 @@ def _dataset(cfg, base_seed, heldout=False):
         n, seed = ((n_heldout, stage_seed(base_seed, _TAG_HELDOUT)) if heldout
                    else (d["n"], base_seed))
         if kind == "ring":
-            return make_ring(n, d["radius"], d["noise_sigma"], seed).samples
-        return make_swiss_roll(n, d["noise_sigma"], seed).samples
+            return make_ring(n, d["radius"], d["noise_sigma"], seed)
+        return make_swiss_roll(n, d["noise_sigma"], seed)
     if kind != "mnist":
         raise ConfigError(f"unknown config value [data] kind={kind!r}")
     if not d["images"]:
@@ -76,7 +76,7 @@ def _dataset(cfg, base_seed, heldout=False):
     if d["limit"] < 0:
         raise ConfigError(f"[data] limit={d['limit']} must be at least 0 (0 keeps every image)")
     images = load_mnist_idx(d["images"], limit=d["limit"] or None,
-                            downsample_to=d["downsample"] or None).samples
+                            downsample_to=d["downsample"] or None)
     if not 0 <= n_heldout < len(images):
         raise ConfigError(f"{d['images']}: [eval] n_heldout={n_heldout} must be at least 0 "
                           f"and leave some of its {len(images)} images for training")

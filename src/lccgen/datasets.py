@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,19 +16,8 @@ class IdxParseError(LccgenError):
     pass
 
 
-@dataclass
-class Dataset:
-    samples: np.ndarray  # (n, data_dim)
-
-    def __post_init__(self):
-        s = np.asarray(self.samples, dtype=np.float64)
-        if s.ndim != 2:
-            raise ValueError("samples must be a (n, dim) array")
-        self.samples = s
-
-
-def make_ring(n: int, radius: float = 1.0, noise_sigma: float = 0.0, seed: int = 0) -> Dataset:
-    """Points radius * (cos t, sin t) with t uniform and Gaussian jitter."""
+def make_ring(n: int, radius: float = 1.0, noise_sigma: float = 0.0, seed: int = 0) -> np.ndarray:
+    """(n, 2) points radius * (cos t, sin t) with t uniform and Gaussian jitter."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = Rng(seed)
@@ -37,11 +25,11 @@ def make_ring(n: int, radius: float = 1.0, noise_sigma: float = 0.0, seed: int =
     pts = radius * np.stack([np.cos(theta), np.sin(theta)], axis=1)
     if noise_sigma > 0.0:
         pts = pts + noise_sigma * rng.normals(2 * n).reshape(n, 2)
-    return Dataset(pts)
+    return pts
 
 
-def make_swiss_roll(n: int, noise_sigma: float = 0.0, seed: int = 0) -> Dataset:
-    """(t cos t, y, t sin t) with t in [1.5pi, 4.5pi) and y in [0, 21)."""
+def make_swiss_roll(n: int, noise_sigma: float = 0.0, seed: int = 0) -> np.ndarray:
+    """(n, 3) points (t cos t, y, t sin t) with t in [1.5pi, 4.5pi) and y in [0, 21)."""
     if n < 1:
         raise ValueError("n must be >= 1")
     rng = Rng(seed)
@@ -50,7 +38,7 @@ def make_swiss_roll(n: int, noise_sigma: float = 0.0, seed: int = 0) -> Dataset:
     pts = np.stack([t * np.cos(t), y, t * np.sin(t)], axis=1)
     if noise_sigma > 0.0:
         pts = pts + noise_sigma * rng.normals(3 * n).reshape(n, 3)
-    return Dataset(pts)
+    return pts
 
 
 def _read_u32(buf: bytes, offset: int, path: str) -> int:
@@ -60,8 +48,8 @@ def _read_u32(buf: bytes, offset: int, path: str) -> int:
 
 
 def load_mnist_idx(images_path, limit: int | None = None,
-                   downsample_to: int | None = None) -> Dataset:
-    """IDX image file -> Dataset with pixels mapped to [-1, 1].
+                   downsample_to: int | None = None) -> np.ndarray:
+    """IDX image file -> (n, rows*cols) array with pixels mapped to [-1, 1].
 
     Big-endian u32 header (magic, count, rows, cols) then u8 pixels.
     `limit` keeps the first images; `downsample_to=k` box-filters each image
@@ -94,4 +82,4 @@ def load_mnist_idx(images_path, limit: int | None = None,
             raise ValueError(f"downsample_to={k} must divide image size {rows}x{cols}")
         images = images.reshape(len(images), k, rows // k, k, cols // k).mean(axis=(2, 4))
     flat = images.reshape(len(images), -1) / 127.5 - 1.0
-    return Dataset(flat)
+    return flat

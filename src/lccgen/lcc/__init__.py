@@ -1,7 +1,6 @@
 from .core import (
     AnchorSet,
     Coding,
-    DegenerateCodingError,
     InsufficientDataError,
     LccConfig,
     LccError,

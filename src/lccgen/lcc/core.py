@@ -32,7 +32,6 @@ from .. import LccgenError
 from ..rng import Rng
 
 _EPS_SMOOTH = 1e-12  # smoothing inside sqrt of the reconstruction term
-_SUM_GUARD = 1e-8  # renormalization divisor below this is degenerate
 _MAX_PIVOTS = 50  # simplex pivots per row before the Newton fallback
 _ROWS = 512  # rows per block of solve_codings, bounding its (rows, m) temporaries
 _MU_START = 1e-1  # smoothing levels of the Newton solve
@@ -44,10 +43,6 @@ _STEPS = 0.5 ** np.arange(53)  # line-search step lengths 1, 1/2, ..., 2^-52
 
 class LccError(LccgenError):
     pass
-
-
-class DegenerateCodingError(LccError):
-    """Coding weights collapsed so their sum cannot be renormalized."""
 
 
 class InsufficientDataError(LccError):
@@ -571,15 +566,11 @@ def _solve_rows(H, V, config: LccConfig, G0):
     return G, reasons
 
 
-def solve_coding(h, anchors: AnchorSet, config: LccConfig, gamma0=None) -> Coding:
+def solve_coding(h, anchors: AnchorSet, config: LccConfig) -> Coding:
     """Minimize the coding objective for one point: `solve_codings` on one row.
 
-    Solves 2*l_h*||h - V g|| + sum_j c_j*|g_j| subject to sum(g) = 1, from
-    the normalized warm start when one is given.  The result never exceeds
-    the objective of the normalized warm start.  A point on an anchor gets
-    that anchor's one-hot coding, the global optimum.  A warm start whose
-    weight sum is below the normalization guard cannot be normalized and
-    raises DegenerateCodingError.
+    Solves 2*l_h*||h - V g|| + sum_j c_j*|g_j| subject to sum(g) = 1.  A
+    point on an anchor gets that anchor's one-hot coding, the global optimum.
     """
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1 or h.shape[0] != anchors.d_b:
@@ -588,19 +579,7 @@ def solve_coding(h, anchors: AnchorSet, config: LccConfig, gamma0=None) -> Codin
         raise ValueError("point must be finite")
     if anchors.m != config.m:
         raise ValueError(f"anchor set has m={anchors.m} but config.m={config.m}")
-    m = anchors.m
-    g0 = None
-    if gamma0 is not None:
-        g0 = np.asarray(gamma0, dtype=np.float64).reshape(-1)
-        if g0.shape[0] != m:
-            raise ValueError(f"warm start has {g0.shape[0]} weights for m={m}")
-        total = float(g0.sum())
-        if abs(total) < _SUM_GUARD:
-            raise DegenerateCodingError(
-                f"warm-start weight sum {total!r} is below the normalization guard"
-            )
-        g0 = (g0 / total)[None, :]
-    G, _ = solve_codings(h[None, :], anchors.anchors, config, g0)
+    G, _ = solve_codings(h[None, :], anchors.anchors, config)
     return Coding(G[0])
 
 

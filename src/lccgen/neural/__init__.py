@@ -1,8 +1,7 @@
 from .adam import AdamState, adam_step, init_adam
-from .autoencoder import TrainingDivergedError, reconstruction_mse, train_autoencoder
+from .autoencoder import reconstruction_mse, train_autoencoder
 from .gan import (
     EPS_PHI,
-    GanDivergedError,
     GanModel,
     MeasuringFunction,
     build_gan,
@@ -10,4 +9,4 @@ from .gan import (
     gen_objective_and_grads,
     train_gan,
 )
-from .net import ACTIVATIONS, Layer, Mlp, backward, build_mlp, forward_cached
+from .net import Layer, Mlp, TrainingDivergedError, backward, build_mlp, forward_cached

@@ -19,15 +19,15 @@ def init_adam(params) -> AdamState:
 
 
 def adam_step(params, grads, state: AdamState, lr=2e-4, beta1=0.5, beta2=0.999, eps=1e-8):
-    """One descent step; returns (new_params, state).  Moment buffers are
-    updated in place, parameter arrays are fresh."""
+    """One descent step, updating the parameter arrays and the moment
+    buffers in place."""
     state.t += 1
     t = state.t
-    out = []
-    for i, (p, g) in enumerate(zip(params, grads)):
-        state.m[i] = beta1 * state.m[i] + (1.0 - beta1) * g
-        state.v[i] = beta2 * state.v[i] + (1.0 - beta2) * g * g
-        m_hat = state.m[i] / (1.0 - beta1**t)
-        v_hat = state.v[i] / (1.0 - beta2**t)
-        out.append(p - lr * m_hat / (np.sqrt(v_hat) + eps))
-    return out, state
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        m *= beta1
+        m += (1.0 - beta1) * g
+        v *= beta2
+        v += ((1.0 - beta2) * g) * g
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        p -= (lr * m_hat) / (np.sqrt(v_hat) + eps)

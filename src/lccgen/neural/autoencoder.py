@@ -43,6 +43,10 @@ def train_autoencoder(
     Hidden layers use `activation`, outputs are linear; `activation="identity"`
     gives a purely linear autoencoder.
     """
+    if epochs < 0:
+        raise ValueError(f"epochs={epochs} must be at least 0")
+    if batch < 1:
+        raise ValueError(f"batch={batch} must be at least 1")
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("data must be a nonempty (n, dim) array")
@@ -60,10 +64,8 @@ def train_autoencoder(
             loss, enc_grads, dec_grads = ae_loss_and_grads(encoder, decoder, X[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            new_p, _ = adam_step(encoder.params(), enc_grads, enc_state, lr=lr)
-            encoder.set_params(new_p)
-            new_p, _ = adam_step(decoder.params(), dec_grads, dec_state, lr=lr)
-            decoder.set_params(new_p)
+            adam_step(encoder.params(), enc_grads, enc_state, lr=lr)
+            adam_step(decoder.params(), dec_grads, dec_state, lr=lr)
             check_finite(encoder, f"epoch {epoch}")
             check_finite(decoder, f"epoch {epoch}")
         history.append(reconstruction_mse(encoder, decoder, X))

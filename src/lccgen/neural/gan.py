@@ -14,12 +14,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .. import LccgenError
 from ..lcc.core import AnchorSet
 from ..lcc.sampling import SamplerConfig, neighbor_table, sample_codings
 from ..rng import Rng
 from .adam import AdamState, adam_step, init_adam
-from .net import Mlp, backward, build_mlp, check_finite, forward_cached
+from .net import Mlp, TrainingDivergedError, backward, build_mlp, check_finite, forward_cached
 
 EPS_PHI = 1e-7
 
@@ -57,10 +56,6 @@ class GanModel:
     lr: float = 2e-4
     beta1: float = 0.5
     beta2: float = 0.999
-
-
-class GanDivergedError(LccgenError):
-    pass
 
 
 def build_gan(
@@ -122,6 +117,10 @@ def train_gan(
 ):
     """Runs the alternating updates in place; returns (gan, trace) where
     trace[i] = (d_objective, g_objective) as evaluated before each update."""
+    if iters < 0:
+        raise ValueError(f"iters={iters} must be at least 0")
+    if batch < 1:
+        raise ValueError(f"batch={batch} must be at least 1")
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("data must be a nonempty (n, dim) array")
@@ -138,23 +137,17 @@ def train_gan(
         idx = np.minimum((rng.uniforms(batch) * n).astype(np.int64), n - 1)
         d_val, d_grads = disc_objective_and_grads(gan, X[idx], codings)
         if not np.isfinite(d_val):
-            raise GanDivergedError(f"non-finite discriminator objective at iteration {it}")
-        new_p, _ = adam_step(
-            gan.discriminator.params(), [-g for g in d_grads], gan.disc_state,
-            lr=gan.lr, beta1=gan.beta1, beta2=gan.beta2,
-        )
-        gan.discriminator.set_params(new_p)
+            raise TrainingDivergedError(f"non-finite discriminator objective at iteration {it}")
+        adam_step(gan.discriminator.params(), [-g for g in d_grads], gan.disc_state,
+                  lr=gan.lr, beta1=gan.beta1, beta2=gan.beta2)
         check_finite(gan.discriminator, f"iteration {it}")
 
         codings = sample_codings(table, batch, sampler_config, rng)
         g_val, g_grads = gen_objective_and_grads(gan, codings)
         if not np.isfinite(g_val):
-            raise GanDivergedError(f"non-finite generator objective at iteration {it}")
-        new_p, _ = adam_step(
-            gan.generator.params(), g_grads, gan.gen_state,
-            lr=gan.lr, beta1=gan.beta1, beta2=gan.beta2,
-        )
-        gan.generator.set_params(new_p)
+            raise TrainingDivergedError(f"non-finite generator objective at iteration {it}")
+        adam_step(gan.generator.params(), g_grads, gan.gen_state,
+                  lr=gan.lr, beta1=gan.beta1, beta2=gan.beta2)
         check_finite(gan.generator, f"iteration {it}")
         trace.append((d_val, g_val))
     return gan, trace

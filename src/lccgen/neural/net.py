@@ -13,34 +13,18 @@ import numpy as np
 from .. import LccgenError
 from ..rng import Rng
 
-ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid")
+
+def _sigmoid(z):
+    return 1.0 / (1.0 + np.exp(-z))
 
 
-def _act(name, z):
-    if name == "identity":
-        return z
-    if name == "relu":
-        return np.maximum(z, 0.0)
-    if name == "tanh":
-        return np.tanh(z)
-    if name == "sigmoid":
-        return 1.0 / (1.0 + np.exp(-z))
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _act_deriv(name, z):
-    # derivative as a function of the pre-activation z
-    if name == "identity":
-        return np.ones_like(z)
-    if name == "relu":
-        return (z > 0.0).astype(np.float64)
-    if name == "tanh":
-        t = np.tanh(z)
-        return 1.0 - t * t
-    if name == "sigmoid":
-        s = 1.0 / (1.0 + np.exp(-z))
-        return s * (1.0 - s)
-    raise ValueError(f"unknown activation {name!r}")
+# activation name -> (f, f'), both functions of the pre-activation z
+_ACT = {
+    "identity": (lambda z: z, np.ones_like),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
+    "tanh": (np.tanh, lambda z: 1.0 - (t := np.tanh(z)) * t),
+    "sigmoid": (_sigmoid, lambda z: (s := _sigmoid(z)) * (1.0 - s)),
+}
 
 
 class TrainingDivergedError(LccgenError):
@@ -69,7 +53,7 @@ class Mlp:
         if y.shape[1] != self.in_dim:
             raise ValueError(f"input dim {y.shape[1]}, network expects {self.in_dim}")
         for layer in self.layers:
-            y = _act(layer.act, y @ layer.w + layer.b)
+            y = _ACT[layer.act][0](y @ layer.w + layer.b)
         return y[0] if single else y
 
     def params(self):
@@ -79,11 +63,6 @@ class Mlp:
             out.append(layer.b)
         return out
 
-    def set_params(self, params):
-        for i, layer in enumerate(self.layers):
-            layer.w = params[2 * i]
-            layer.b = params[2 * i + 1]
-
 
 def build_mlp(dims, acts, rng: Rng) -> Mlp:
     """He-normal init for relu layers, Xavier-normal otherwise; zero biases."""
@@ -91,6 +70,8 @@ def build_mlp(dims, acts, rng: Rng) -> Mlp:
         raise ValueError("need one activation per layer")
     layers = []
     for i, act in enumerate(acts):
+        if act not in _ACT:
+            raise ValueError(f"unknown activation {act!r}")
         fan_in, fan_out = dims[i], dims[i + 1]
         if act == "relu":
             std = np.sqrt(2.0 / fan_in)
@@ -109,7 +90,7 @@ def forward_cached(net: Mlp, X):
     for layer in net.layers:
         z = y @ layer.w + layer.b
         cache.append((y, z))
-        y = _act(layer.act, z)
+        y = _ACT[layer.act][0](z)
     return y, cache
 
 
@@ -123,7 +104,7 @@ def backward(net: Mlp, cache, d_out):
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         x, z = cache[i]
-        dz = dy * _act_deriv(layer.act, z)
+        dz = dy * _ACT[layer.act][1](z)
         grads[2 * i] = x.T @ dz
         grads[2 * i + 1] = dz.sum(axis=0)
         dy = dz @ layer.w.T

@@ -100,7 +100,7 @@ def _ring_learning_run(out_dir):
     """The anchor-learning protocol: unit circle, 200 points, 8 anchors,
     both locality exponents, 30 outer iterations."""
     t0 = time.perf_counter()
-    data = make_ring(200, 1.0, 0.0, seed=7).samples
+    data = make_ring(200, 1.0, 0.0, seed=7)
     results = {}
     for q, l_q in ((2, 1.0), (3, 1e-4)):
         cfg = LccConfig(
@@ -328,8 +328,8 @@ def test_criterion_7_pipeline_quality(pipeline_a):
 
 def _train_and_heldout():
     """The training draw and the held-out real set used by eval."""
-    train = make_ring(2000, 1.0, 0.01, seed=7).samples
-    held = make_ring(1000, 1.0, 0.01, stage_seed(7, 9)).samples
+    train = make_ring(2000, 1.0, 0.01, seed=7)
+    held = make_ring(1000, 1.0, 0.01, stage_seed(7, 9))
     return train, held
 
 

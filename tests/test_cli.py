@@ -237,6 +237,43 @@ def test_verify_bounds_bytes_match_fixture(tmp_path, capsys):
         assert hashlib.sha256(fh.read()).hexdigest() == BOUNDS_60_SHA256
 
 
+# sha256 of every file a reduced ring pipeline writes at seed 7, as the
+# pipeline wrote them while Adam still returned fresh parameter arrays
+PIPELINE_SHA256 = {
+    "ae_decoder.bin": "d2e0bc8d1af36040d7ab98c475bbf8bb5b6edc801862e5b72ec3c5a912a3102c",
+    "ae_encoder.bin": "684054e2ee2f8c0539b8e76cc038817ac07a8a3d624c9de003bdb62860906775",
+    "ae_losses.csv": "8b54b699dc24a910dd2736b982bef2c875116204702831ab0b2ef1fd7778aeb0",
+    "anchors.bin": "ff916e66aceb71f737402f9df4a652ed772b8191f7050c2bd4551ce4e6800aaa",
+    "anchors.csv": "dfb3b7f843b212fe71808fc6aa0d246c02de1e3b6da25dbcdb7d9d020d1f5dff",
+    "bounds.csv": "b36e9fb2b1e8cd23bd2f1e90510c17699787efbb3080ed995b2def265b67f9ba",
+    "codings.csv": "ed94a9b40f6df15d8fc3d4ab57c60d38f513cfcabe7ea299a759431fa15dab72",
+    "codings_sampled.csv": "064c3ac113b40e05f510d869a23f67980564e24d343fe39245006c54243464fc",
+    "discriminator.bin": "c5d4ee1575f2455960e994741d80f3c21828ce3ed83d1973e687e0c0a2d0071a",
+    "gan_losses.csv": "91a9cbe65fadf8b287fd5f3c5ddfc5885a581385191e4e006c658c5d10810328",
+    "generator.bin": "a22ce9ab0cbb1f3dddfdd793bd09d2515c2ce8129bc27d123a4c8875427b1d72",
+    "grid.pgm": "816797942a9e50a90c5330c39d07d6ca489981f0b5e7f57e6eccf99648798ef9",
+    "interp_codings.csv": "78cbd8830820c6706f86290ed8fce5e7ce3c8cd8a1054b0a505801ac6bd63111",
+    "interp_outputs.csv": "42b4e7c7390a1900b17db82a2e68d81d54205d62c363e23412384d17a6d66b03",
+    "lcc_objective.csv": "5f26ae0fdc682db63fc89847d19236b4080a5a6d983257d9e1250ecc43b7f5d9",
+    "metrics.csv": "e2bcd78ea4c4d8b890241f618b3823b041090135a2bec732587d52c9b1c8512e",
+    "sampled_outputs.csv": "e7e62a1b72630b3eb6560a6b6e2bf1aaac1db54a35af1d948f7f31684b389373",
+    "samples.csv": "c1e3942d456cbfc8c95141694dfb6501e064a38d42c7738b63e0ad5366b71b55",
+}
+
+
+def test_reduced_ring_pipeline_bytes_match_fixture(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "ring.ini"
+    cfg.write_text("[data]\nkind = ring\nn = 300\nseed = 7\n[autoencoder]\nepochs = 3\n"
+                   "[lcc]\nm = 8\n[gan]\niters = 40\n"
+                   f"[eval]\nn_generated = 200\nn_heldout = 200\n[output]\ndir = {out}\n")
+    for argv in (["train-ae"], ["learn-lcc"], ["train-gan"], ["sample", "--n", "50"],
+                 ["interpolate", "--steps", "5"], ["eval"], ["verify-bounds", "--cases", "20"]):
+        assert main(["--config", str(cfg)] + argv) == 0, argv
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == PIPELINE_SHA256
+
+
 def test_verify_bounds_rejects_negative_cases(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--out", str(out), "verify-bounds", "--cases", "-5"]) == 1
@@ -266,6 +303,32 @@ def test_verify_bounds_violation_ends_in_error_line(tmp_path, capsys, monkeypatc
     err = capsys.readouterr().err
     assert err == (f"error: verify-bounds: {len(bad)} of 20 checks violated "
                    f"(first: case {case}, {kind}, order {order})\n")
+
+
+@pytest.mark.parametrize("argv, edit, err", [
+    (["train-gan", "--iters", "-5"], None, "iters=-5 must be at least 0"),
+    (["train-ae"], ("epochs = 2", "epochs = -3"), "epochs=-3 must be at least 0"),
+    (["train-ae"], ("batch = 32", "batch = 0"), "batch=0 must be at least 1"),
+    (["train-gan"], ("batch = 8", "batch = 0"), "batch=0 must be at least 1"),
+    (["train-gan"], ("batch = 8", "batch = -4"), "batch=-4 must be at least 1"),
+], ids=["gan-iters", "ae-epochs", "ae-batch", "gan-batch-0", "gan-batch-neg"])
+def test_bad_training_sizes_are_one_error_line(staged, tmp_path, capsys, argv, edit, err):
+    # refused before any training, so no checkpoint is overwritten
+    _, out = staged
+    out2 = tmp_path / "out"
+    shutil.copytree(out, out2)
+    before = {p.name: p.read_bytes() for p in out2.iterdir()}
+    cfg2 = write_cfg(str(tmp_path), str(out2))
+    if edit is not None:
+        with open(cfg2) as fh:
+            text = fh.read()
+        assert edit[0] in text
+        with open(cfg2, "w") as fh:
+            fh.write(text.replace(edit[0], edit[1]))
+    capsys.readouterr()
+    assert main(["--config", cfg2] + argv) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {err}"]
+    assert {p.name: p.read_bytes() for p in out2.iterdir()} == before
 
 
 def test_missing_artifact_names_the_producer_stage(tmp_path, capsys):

@@ -14,7 +14,6 @@ import pytest
 from lccgen.lcc.core import (
     AnchorSet,
     Coding,
-    DegenerateCodingError,
     InsufficientDataError,
     LccConfig,
     check_codings,
@@ -122,9 +121,9 @@ def test_solve_coding_never_worse_than_warm_start():
         g0[0] += 1.0 - g0.sum()  # keep the warm start feasible
         cfg = LccConfig(m=m, q=2, l_q=1.0)
         anchors = AnchorSet(V)
-        coding = solve_coding(h, anchors, cfg, gamma0=g0)
+        G, _ = solve_codings(h[None], V, cfg, g0[None])
         start = lcc_objective(h[None, :], g0[None, :], anchors, cfg)
-        end = lcc_objective(h[None, :], coding.weights[None, :], anchors, cfg)
+        end = lcc_objective(h[None, :], G, anchors, cfg)
         assert end <= start + 1e-12
 
 
@@ -187,7 +186,7 @@ def test_solve_coding_meets_the_dual_bound_on_the_ring():
     anchors = _ring_anchors()
     V = anchors.anchors
     cfg = LccConfig(m=16)  # q=2, l_h = l_q = 1
-    pts = make_ring(60, radius=1.0, noise_sigma=0.01, seed=11).samples
+    pts = make_ring(60, radius=1.0, noise_sigma=0.01, seed=11)
     gaps = []
     for h in pts:
         coding = solve_coding(h, anchors, cfg)
@@ -246,25 +245,17 @@ def test_solve_coding_keeps_a_warm_start_that_is_already_optimal():
         g0 = np.array([(1.0 - x) / 2.0 + 1e-11, (1.0 + x) / 2.0 - 1e-11])
         start = lcc_objective(h[None, :], g0[None, :], SQUARE_ANCHORS, cfg2)
         assert abs(start - (1.0 - x * x)) <= 1e-10
-        coding = solve_coding(h, SQUARE_ANCHORS, cfg2, gamma0=g0)
-        end = lcc_objective(h[None, :], coding.weights[None, :], SQUARE_ANCHORS, cfg2)
+        G, _ = solve_codings(h[None], SQUARE_ANCHORS.anchors, cfg2, g0[None])
+        end = lcc_objective(h[None, :], G, SQUARE_ANCHORS, cfg2)
         assert end <= start + 1e-12
     anchors = _ring_anchors()
     cfg = LccConfig(m=16)
-    for h in make_ring(20, radius=1.0, noise_sigma=0.01, seed=5).samples:
+    for h in make_ring(20, radius=1.0, noise_sigma=0.01, seed=5):
         g0 = solve_coding(h, anchors, cfg).weights
         start = lcc_objective(h[None, :], g0[None, :], anchors, cfg)
-        coding = solve_coding(h, anchors, cfg, gamma0=g0)
-        end = lcc_objective(h[None, :], coding.weights[None, :], anchors, cfg)
+        G, _ = solve_codings(h[None], anchors.anchors, cfg, g0[None])
+        end = lcc_objective(h[None, :], G, anchors, cfg)
         assert end <= start + 1e-12
-
-
-def test_solve_coding_degenerate_warm_start_raises():
-    # a warm start whose weights sum to ~0 cannot be normalized onto the
-    # constraint, which is the unrecoverable degenerate case
-    cfg = LccConfig(m=2, q=2, l_h=1.0, l_q=1.0)
-    with pytest.raises(DegenerateCodingError):
-        solve_coding(np.zeros(2), SQUARE_ANCHORS, cfg, gamma0=np.array([0.5, -0.5]))
 
 
 def test_solve_coding_recovers_from_mid_iteration_collapse():
@@ -272,8 +263,8 @@ def test_solve_coding_recovers_from_mid_iteration_collapse():
     # coordinates to zero in the first sweep; the solver must still return
     # the constrained optimum instead of failing
     cfg = LccConfig(m=2, q=2, l_h=1.0, l_q=1.0)
-    coding = solve_coding(np.zeros(2), SQUARE_ANCHORS, cfg, gamma0=np.array([1.0, 0.0]))
-    assert np.allclose(coding.weights, [0.5, 0.5], atol=1e-6)
+    G, _ = solve_codings(np.zeros((1, 2)), SQUARE_ANCHORS.anchors, cfg, np.array([[1.0, 0.0]]))
+    assert np.allclose(G[0], [0.5, 0.5], atol=1e-6)
 
 
 # --- the batched solver: certificates against the dual enumerator ---
@@ -283,7 +274,7 @@ def _ring_points():
     """Noisy ring points around the 16-anchor polygon, whose edges sit at
     0.98 from the center: on the unit ring, about half inside it, and just
     outside it at radii 1.05 and 1.2."""
-    return np.concatenate([make_ring(40, radius=r, noise_sigma=0.01, seed=11).samples
+    return np.concatenate([make_ring(40, radius=r, noise_sigma=0.01, seed=11)
                            for r in (1.0, 1.05, 1.2)])
 
 
@@ -321,7 +312,7 @@ def test_solve_codings_rows_agree_with_one_row_solves():
     assert set(reasons) | set(warm_reasons) <= {"vertex", "gap"}
     for h, g, gw, g0 in zip(H, G, Gw, G0):
         cold = _row_objective(h, solve_coding(h, anchors, cfg).weights, anchors, cfg)
-        warm = _row_objective(h, solve_coding(h, anchors, cfg, gamma0=g0).weights, anchors, cfg)
+        warm = _row_objective(h, solve_codings(h[None], V, cfg, g0[None])[0][0], anchors, cfg)
         assert abs(_row_objective(h, g, anchors, cfg) - cold) <= cfg.coding_tol
         assert abs(_row_objective(h, gw, anchors, cfg) - warm) <= cfg.coding_tol
 
@@ -334,7 +325,7 @@ def test_points_outside_the_hull_take_closed_form_codings(monkeypatch):
 
     monkeypatch.setattr(core, "_newton_codings", no_newton)
     V = _ring_anchors().anchors
-    H = np.concatenate([make_ring(40, radius=r, noise_sigma=0.01, seed=11).samples
+    H = np.concatenate([make_ring(40, radius=r, noise_sigma=0.01, seed=11)
                         for r in (1.02, 1.5, 3.0)])
     for q in (2, 3):
         _, reasons = solve_codings(H, V, LccConfig(m=16, q=q))
@@ -364,7 +355,7 @@ def test_solve_codings_degenerate_inputs_take_the_newton_path(V, H):
 
 
 def test_learn_anchors_codings_are_certified_on_the_default_ring():
-    pts = make_ring(2000, radius=1.0, noise_sigma=0.01, seed=7).samples
+    pts = make_ring(2000, radius=1.0, noise_sigma=0.01, seed=7)
     cfg = LccConfig(m=16, max_outer_iters=4, seed=7)
     anchors, G, reasons = learn_anchors(pts, cfg)
     V = anchors.anchors
@@ -470,7 +461,7 @@ def test_learn_anchors_insufficient_data():
 
 
 def test_learn_anchors_monotone_on_circle():
-    pts = make_ring(200, radius=1.0, noise_sigma=0.0, seed=7).samples
+    pts = make_ring(200, radius=1.0, noise_sigma=0.0, seed=7)
     for q, l_q in ((2, 1.0), (3, 1e-4)):
         trace = []
         cfg = LccConfig(
@@ -482,7 +473,7 @@ def test_learn_anchors_monotone_on_circle():
 
 
 def test_learn_anchors_zero_iters_returns_initialization():
-    pts = make_ring(50, radius=1.0, noise_sigma=0.0, seed=3).samples
+    pts = make_ring(50, radius=1.0, noise_sigma=0.0, seed=3)
     cfg = LccConfig(m=4, max_outer_iters=0, seed=9)
     trace = []
     anchors, G, _ = learn_anchors(pts, cfg, trace=trace)
@@ -493,7 +484,7 @@ def test_learn_anchors_zero_iters_returns_initialization():
 
 
 def test_init_anchors_selects_data_points():
-    pts = make_ring(30, radius=1.0, noise_sigma=0.0, seed=2).samples
+    pts = make_ring(30, radius=1.0, noise_sigma=0.0, seed=2)
     V = init_anchors(pts, 6, Rng(0))
     for j in range(6):
         assert np.any(np.all(pts == V[:, j], axis=1))
@@ -506,7 +497,7 @@ def test_init_anchors_refuses_fewer_points_than_anchors():
 
 
 def test_learn_anchors_runtime_budget():
-    pts = make_ring(200, radius=1.0, noise_sigma=0.0, seed=7).samples
+    pts = make_ring(200, radius=1.0, noise_sigma=0.0, seed=7)
     cfg = LccConfig(m=8, q=2, max_outer_iters=30, anchor_tol=1e-12, seed=7)
     t0 = time.time()
     learn_anchors(pts, cfg)

@@ -84,6 +84,11 @@ def test_forward_rejects_wrong_dim():
         net.forward(np.zeros(3))
 
 
+def test_build_mlp_rejects_an_unknown_activation():
+    with pytest.raises(ValueError, match="unknown activation 'swish'"):
+        build_mlp([2, 3, 1], ["relu", "swish"], Rng(0))
+
+
 # -------------------------------------------------------------- gradients
 
 
@@ -170,37 +175,66 @@ def test_generator_gradients_match_finite_differences():
 def test_adam_zero_gradient_leaves_params_alone():
     p = [np.array([1.0, -2.0])]
     state = init_adam(p)
-    out, state = adam_step(p, [np.zeros(2)], state)
-    assert np.array_equal(out[0], p[0])
+    adam_step(p, [np.zeros(2)], state)
+    assert np.array_equal(p[0], [1.0, -2.0])
     assert np.all(state.m[0] == 0.0) and np.all(state.v[0] == 0.0)
 
 
 def test_adam_moments_decay_on_zero_gradient():
     p = [np.array([1.0])]
     state = init_adam(p)
-    p, state = adam_step(p, [np.array([1.0])], state)
+    adam_step(p, [np.array([1.0])], state)
     m1 = state.m[0].copy()
-    _, state = adam_step(p, [np.array([0.0])], state)
+    adam_step(p, [np.array([0.0])], state)
     assert state.m[0][0] == 0.5 * m1[0]
     assert state.t == 2
 
 
 def test_adam_zero_lr_freezes_params():
     p = [np.array([3.0])]
-    out, _ = adam_step(p, [np.array([7.0])], init_adam(p), lr=0.0)
-    assert np.array_equal(out[0], p[0])
+    adam_step(p, [np.array([7.0])], init_adam(p), lr=0.0)
+    assert p[0][0] == 3.0
 
 
 def test_adam_single_step_hand_arithmetic():
     # p=1, g=1, defaults lr=2e-4 beta1=0.5 beta2=0.999 eps=1e-8, t=1
-    out, state = adam_step([np.array([1.0])], [np.array([1.0])], init_adam([np.array([1.0])]))
+    p = [np.array([1.0])]
+    state = init_adam(p)
+    adam_step(p, [np.array([1.0])], state)
     m = 0.5 * 0.0 + (1.0 - 0.5) * 1.0
     v = 0.999 * 0.0 + (1.0 - 0.999) * 1.0 * 1.0
     m_hat = m / (1.0 - 0.5)
     v_hat = v / (1.0 - 0.999)
     want = 1.0 - 2e-4 * m_hat / (math.sqrt(v_hat) + 1e-8)
-    assert abs(out[0][0] - want) < 1e-15
+    assert abs(p[0][0] - want) < 1e-15
     assert state.m[0][0] == m and state.v[0][0] == v and state.t == 1
+
+
+def test_adam_in_place_matches_the_out_of_place_formula_bit_for_bit():
+    # the parameter and moment arrays are updated in place, with the same
+    # float operations in the same order as fresh arrays would get them
+    rng = Rng(21)
+    shapes = [(3, 4), (4,), (4, 1), (1,)]
+    params = [rng.normals(int(np.prod(s))).reshape(s) for s in shapes]
+    ids = [id(p) for p in params]
+    state = init_adam(params)
+    want = [p.copy() for p in params]
+    m = [np.zeros(s) for s in shapes]
+    v = [np.zeros(s) for s in shapes]
+    lr, b1, b2, eps = 1e-2, 0.5, 0.999, 1e-8
+    for t in range(1, 6):
+        grads = [rng.normals(int(np.prod(s))).reshape(s) for s in shapes]
+        assert adam_step(params, grads, state, lr, b1, b2, eps) is None
+        for i, g in enumerate(grads):
+            m[i] = b1 * m[i] + (1.0 - b1) * g
+            v[i] = b2 * v[i] + (1.0 - b2) * g * g
+            m_hat = m[i] / (1.0 - b1**t)
+            v_hat = v[i] / (1.0 - b2**t)
+            want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert params[i].tobytes() == want[i].tobytes()
+            assert state.m[i].tobytes() == m[i].tobytes()
+            assert state.v[i].tobytes() == v[i].tobytes()
+    assert [id(p) for p in params] == ids
 
 
 # ---------------------------------------------------------------- training
@@ -275,10 +309,7 @@ def test_tiny_lr_discriminator_step_ascends_frozen_objective():
     codings = np.asarray(rng.normals(16 * 4)).reshape(16, 4)
     codings /= codings.sum(axis=1, keepdims=True)
     before, grads = disc_objective_and_grads(gan, reals, codings)
-    new_p, _ = adam_step(
-        gan.discriminator.params(), [-g for g in grads], gan.disc_state, lr=1e-6
-    )
-    gan.discriminator.set_params(new_p)
+    adam_step(gan.discriminator.params(), [-g for g in grads], gan.disc_state, lr=1e-6)
     after, _ = disc_objective_and_grads(gan, reals, codings)
     assert after > before
 
@@ -289,8 +320,7 @@ def test_tiny_lr_generator_step_descends_frozen_objective():
     codings = np.asarray(rng.normals(16 * 4)).reshape(16, 4)
     codings /= codings.sum(axis=1, keepdims=True)
     before, grads = gen_objective_and_grads(gan, codings)
-    new_p, _ = adam_step(gan.generator.params(), grads, gan.gen_state, lr=1e-6)
-    gan.generator.set_params(new_p)
+    adam_step(gan.generator.params(), grads, gan.gen_state, lr=1e-6)
     after, _ = gen_objective_and_grads(gan, codings)
     assert after < before
 
@@ -315,6 +345,15 @@ def test_gan_rejects_mismatched_shapes():
     gan5 = build_gan(data_dim=2, m=5, hidden=8, seed=0)
     with pytest.raises(ValueError):
         train_gan(np.zeros((8, 2)), _square_anchors(), SamplerConfig(d=2), gan5, iters=1)
+
+
+def test_gan_divergence_raises_the_training_error():
+    # infinite data make the discriminator's scores, and so J_D, NaN
+    gan = build_gan(data_dim=2, m=4, hidden=8, seed=0)
+    X = np.full((8, 2), np.inf)
+    with np.errstate(all="ignore"), pytest.raises(
+            TrainingDivergedError, match="^non-finite discriminator objective at iteration 0$"):
+        train_gan(X, _square_anchors(), SamplerConfig(d=2), gan, iters=3, batch=4)
 
 
 def test_measuring_function_rejects_unknown_tag():
