@@ -13,8 +13,6 @@ from .lcc import (
     SamplerConfig,
     interpolate,
     learn_anchors,
-    localization_measure,
-    reconstruct,
     sample_coding,
     solve_coding,
 )

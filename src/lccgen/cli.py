@@ -16,16 +16,10 @@ import numpy as np
 
 from . import LccgenError
 from .bounds import bound_sweep
-from .config import ConfigError, apply_overrides, load_config
+from .config import ConfigError, load_config
 from .datasets import make_ring, make_swiss_roll, load_mnist_idx
-from .lcc.core import LccConfig, learn_anchors
-from .lcc.sampling import (
-    SamplerConfig,
-    interpolate,
-    neighbor_table,
-    sample_coding_pair,
-    sample_codings,
-)
+from .lcc.core import learn_anchors
+from .lcc.sampling import interpolate, neighbor_table, sample_coding_pair, sample_codings
 from .metrics import median_pairwise_distance, mmd2, pearson_nn
 from .neural.autoencoder import train_autoencoder
 from .neural.gan import build_gan, train_gan
@@ -55,30 +49,22 @@ class CliError(LccgenError):
     pass
 
 
-def _dataset(cfg, base_seed, heldout=False):
+def _dataset(cfg, heldout=False):
     """The (n, dim) training samples, or with heldout=True eval's held-out
     samples: a fresh draw of [eval] n_heldout points for the synthetic
     kinds, and for mnist the first n_heldout images, which no training
     stage sees."""
-    d = cfg["data"]
-    n_heldout = cfg["eval"]["n_heldout"]
-    kind = d["kind"]
-    if kind in ("ring", "swiss_roll"):
-        n, seed = ((n_heldout, stage_seed(base_seed, _TAG_HELDOUT)) if heldout
-                   else (d["n"], base_seed))
-        if kind == "ring":
-            return make_ring(n, d["radius"], d["noise_sigma"], seed)
-        return make_swiss_roll(n, d["noise_sigma"], seed)
-    if kind != "mnist":
-        raise ConfigError(f"unknown config value [data] kind={kind!r}")
-    if not d["images"]:
-        raise ConfigError("missing config key [data] images (required for kind=mnist)")
-    if d["limit"] < 0:
-        raise ConfigError(f"[data] limit={d['limit']} must be at least 0 (0 keeps every image)")
-    images = load_mnist_idx(d["images"], limit=d["limit"] or None,
-                            downsample_to=d["downsample"] or None)
-    if not 0 <= n_heldout < len(images):
-        raise ConfigError(f"{d['images']}: [eval] n_heldout={n_heldout} must be at least 0 "
+    d, n_heldout = cfg.data, cfg.eval.n_heldout
+    if d.kind != "mnist":
+        n, seed = ((n_heldout, stage_seed(d.seed, _TAG_HELDOUT)) if heldout
+                   else (d.n, d.seed))
+        if d.kind == "ring":
+            return make_ring(n, d.radius, d.noise_sigma, seed)
+        return make_swiss_roll(n, d.noise_sigma, seed)
+    images = load_mnist_idx(d.images, limit=d.limit or None,
+                            downsample_to=d.downsample or None)
+    if n_heldout >= len(images):
+        raise ConfigError(f"{d.images}: [eval] n_heldout={n_heldout} must be at least 0 "
                           f"and leave some of its {len(images)} images for training")
     return images[:n_heldout] if heldout else images[n_heldout:]
 
@@ -105,9 +91,9 @@ def _loss_csv(path, header, rows):
             fh.write(",".join(cells) + "\n")
 
 
-def cmd_train_ae(cfg, base_seed, out):
+def cmd_train_ae(cfg, out):
     encoder, decoder, history = train_autoencoder(
-        _dataset(cfg, base_seed), **cfg["autoencoder"], seed=stage_seed(base_seed, _TAG_AE))
+        _dataset(cfg), cfg.autoencoder, stage_seed(cfg.data.seed, _TAG_AE))
     save_model(os.path.join(out, "ae_encoder.bin"), encoder)
     save_model(os.path.join(out, "ae_decoder.bin"), decoder)
     _loss_csv(os.path.join(out, "ae_losses.csv"), ["epoch", "loss"], [(v,) for v in history])
@@ -116,13 +102,13 @@ def cmd_train_ae(cfg, base_seed, out):
     return 0
 
 
-def cmd_learn_lcc(cfg, base_seed, out):
-    X = _dataset(cfg, base_seed)
+def cmd_learn_lcc(cfg, out):
+    X = _dataset(cfg)
     encoder = load_model(_need(os.path.join(out, "ae_encoder.bin"), "train-ae"))
     embeddings = encoder.forward(X)
-    lcc_cfg = LccConfig(**cfg["lcc"], seed=stage_seed(base_seed, _TAG_LCC))
     trace = []
-    anchors, G, reasons = learn_anchors(embeddings, lcc_cfg, trace=trace)
+    anchors, G, reasons = learn_anchors(embeddings, cfg.lcc, stage_seed(cfg.data.seed, _TAG_LCC),
+                                        trace=trace)
     save_anchors(os.path.join(out, "anchors.bin"), anchors)
     anchors_to_csv(os.path.join(out, "anchors.csv"), anchors)
     codings_to_csv(os.path.join(out, "codings.csv"), G)
@@ -136,21 +122,14 @@ def cmd_learn_lcc(cfg, base_seed, out):
     return 0
 
 
-def cmd_train_gan(cfg, base_seed, out):
-    X = _dataset(cfg, base_seed)
+def cmd_train_gan(cfg, out):
+    X = _dataset(cfg)
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
-    g = cfg["gan"]
-    gan = build_gan(
-        X.shape[1], anchors.m, phi=g["phi"], hidden=g["hidden"], lr=g["lr"],
-        beta1=g["beta1"], beta2=g["beta2"], generator_output=g["generator_output"],
-        seed=stage_seed(base_seed, _TAG_GAN_INIT),
-    )
-    gan, trace = train_gan(
-        X, anchors, SamplerConfig(**cfg["sampler"]), gan, iters=g["iters"],
-        batch=g["batch"], seed=stage_seed(base_seed, _TAG_GAN_TRAIN),
-    )
-    save_model(os.path.join(out, "generator.bin"), gan.generator)
-    save_model(os.path.join(out, "discriminator.bin"), gan.discriminator)
+    model = build_gan(X.shape[1], anchors.m, cfg.gan, stage_seed(cfg.data.seed, _TAG_GAN_INIT))
+    model, trace = train_gan(X, anchors, cfg.sampler, model, cfg.gan,
+                             stage_seed(cfg.data.seed, _TAG_GAN_TRAIN))
+    save_model(os.path.join(out, "generator.bin"), model.generator)
+    save_model(os.path.join(out, "discriminator.bin"), model.discriminator)
     _loss_csv(os.path.join(out, "gan_losses.csv"), ["iter", "d_loss", "g_loss"], trace)
     if trace:
         print(f"train-gan: {len(trace)} iters, d={trace[-1][0]:.4f} g={trace[-1][1]:.4f}")
@@ -159,7 +138,7 @@ def cmd_train_gan(cfg, base_seed, out):
     return 0
 
 
-def cmd_sample(cfg, base_seed, out, n, generator_path=None):
+def cmd_sample(cfg, out, n, generator_path=None):
     if n < 1:
         raise CliError(f"--n must be at least 1, got {n}")
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
@@ -167,9 +146,8 @@ def cmd_sample(cfg, base_seed, out, n, generator_path=None):
     gen_file = generator_path or os.path.join(out, "generator.bin")
     generator = (_load_generator(gen_file, anchors)
                  if generator_path or os.path.exists(gen_file) else None)
-    sampler = SamplerConfig(**cfg["sampler"])
-    G = sample_codings(neighbor_table(anchors, sampler.d), n, sampler,
-                       Rng(stage_seed(base_seed, _TAG_SAMPLE)))
+    G = sample_codings(neighbor_table(anchors, cfg.sampler.d), n, cfg.sampler,
+                       Rng(stage_seed(cfg.data.seed, _TAG_SAMPLE)))
     codings_to_csv(os.path.join(out, "codings_sampled.csv"), G)
     wrote = ["codings_sampled.csv"]
     if generator is not None:
@@ -180,11 +158,10 @@ def cmd_sample(cfg, base_seed, out, n, generator_path=None):
     return 0
 
 
-def cmd_interpolate(cfg, base_seed, out, steps, generator_path=None):
+def cmd_interpolate(cfg, out, steps, generator_path=None):
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
     generator = _load_generator(generator_path or os.path.join(out, "generator.bin"), anchors)
-    a, b = sample_coding_pair(anchors, SamplerConfig(**cfg["sampler"]),
-                              Rng(stage_seed(base_seed, _TAG_INTERP)))
+    a, b = sample_coding_pair(anchors, cfg.sampler, Rng(stage_seed(cfg.data.seed, _TAG_INTERP)))
     G = interpolate(a, b, steps)
     codings_to_csv(os.path.join(out, "interp_codings.csv"), G)
     matrix_to_csv(os.path.join(out, "interp_outputs.csv"), generator.forward(G))
@@ -192,10 +169,9 @@ def cmd_interpolate(cfg, base_seed, out, steps, generator_path=None):
     return 0
 
 
-def cmd_verify_bounds(cfg, base_seed, out, cases):
-    if cases < 0:
-        raise CliError(f"--cases must be at least 0, got {cases}")
-    lhs, rhs = bound_sweep(Rng(stage_seed(base_seed, _TAG_VERIFY)), cases)
+def cmd_verify_bounds(cfg, out):
+    cases = cfg.eval.cases
+    lhs, rhs = bound_sweep(Rng(stage_seed(cfg.data.seed, _TAG_VERIFY)), cases)
     ok = lhs <= rhs + 1e-10
     with atomic_write(os.path.join(out, "bounds.csv")) as fh:
         fh.write("case,kind,order,lhs,rhs,margin,ok\n")
@@ -215,17 +191,15 @@ def cmd_verify_bounds(cfg, base_seed, out, cases):
     return 0
 
 
-def cmd_eval(cfg, base_seed, out):
-    X = _dataset(cfg, base_seed)
+def cmd_eval(cfg, out):
+    X = _dataset(cfg)
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
     generator = _load_generator(os.path.join(out, "generator.bin"), anchors)
-    e = cfg["eval"]
-    sampler = SamplerConfig(**cfg["sampler"])
-    G = sample_codings(neighbor_table(anchors, sampler.d), e["n_generated"],
-                       sampler, Rng(stage_seed(base_seed, _TAG_EVAL)))
+    G = sample_codings(neighbor_table(anchors, cfg.sampler.d), cfg.eval.n_generated,
+                       cfg.sampler, Rng(stage_seed(cfg.data.seed, _TAG_EVAL)))
     generated = generator.forward(G)
-    held = _dataset(cfg, base_seed, heldout=True)
-    bandwidth = e["bandwidth"] if e["bandwidth"] > 0 else median_pairwise_distance(held)
+    held = _dataset(cfg, heldout=True)
+    bandwidth = cfg.eval.bandwidth or median_pairwise_distance(held)
     score = mmd2(generated, held, bandwidth)
     probe = min(100, len(generated))
     positive = 0
@@ -250,6 +224,13 @@ def cmd_eval(cfg, base_seed, out):
     print(f"eval: mmd2={score:.6g} bandwidth={bandwidth:.6g} "
           f"pearson>0 for {positive}/{probe}")
     return 0
+
+
+# subcommand flags that override a config key of the same name
+_FLAGS = (("lcc", "m"), ("lcc", "q"), ("gan", "iters"), ("gan", "phi"), ("sampler", "d"),
+          ("eval", "cases"))
+_COMMANDS = {"train-ae": cmd_train_ae, "learn-lcc": cmd_learn_lcc, "train-gan": cmd_train_gan,
+             "verify-bounds": cmd_verify_bounds, "eval": cmd_eval}
 
 
 def build_parser():
@@ -281,34 +262,16 @@ def build_parser():
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = load_config(args.config)
-        overrides = [("output", "dir", args.out)]
-        if args.command == "learn-lcc":
-            overrides += [("lcc", "m", args.m), ("lcc", "q", args.q)]
-        if args.command == "train-gan":
-            overrides += [("gan", "iters", args.iters), ("gan", "phi", args.phi)]
-        if args.command == "sample" and args.d is not None:
-            overrides.append(("sampler", "d", args.d))
-        apply_overrides(cfg, overrides)
-        base_seed = args.seed if args.seed is not None else cfg["data"]["seed"]
-        out = cfg["output"]["dir"]
+        # a flag left unset, or not defined for this command, keeps the file's value
+        cfg = load_config(args.config, [("data", "seed", args.seed), ("output", "dir", args.out)]
+                          + [(s, k, getattr(args, k, None)) for s, k in _FLAGS])
+        out = cfg.output.dir
         os.makedirs(out, exist_ok=True)
-        if args.command == "train-ae":
-            return cmd_train_ae(cfg, base_seed, out)
-        if args.command == "learn-lcc":
-            return cmd_learn_lcc(cfg, base_seed, out)
-        if args.command == "train-gan":
-            return cmd_train_gan(cfg, base_seed, out)
         if args.command == "sample":
-            return cmd_sample(cfg, base_seed, out, args.n, args.generator)
+            return cmd_sample(cfg, out, args.n, args.generator)
         if args.command == "interpolate":
-            return cmd_interpolate(cfg, base_seed, out, args.steps, args.generator)
-        if args.command == "verify-bounds":
-            cases = args.cases if args.cases is not None else cfg["eval"]["cases"]
-            return cmd_verify_bounds(cfg, base_seed, out, cases)
-        if args.command == "eval":
-            return cmd_eval(cfg, base_seed, out)
-        raise CliError(f"unknown command {args.command!r}")
+            return cmd_interpolate(cfg, out, args.steps, args.generator)
+        return _COMMANDS[args.command](cfg, out)
     except (LccgenError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -7,8 +7,6 @@ from .core import (
     init_anchors,
     lcc_objective,
     learn_anchors,
-    localization_measure,
-    reconstruct,
     solve_coding,
     solve_codings,
 )

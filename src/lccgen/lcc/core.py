@@ -29,6 +29,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .. import LccgenError
+from ..config import LccConfig
 from ..rng import Rng
 
 _EPS_SMOOTH = 1e-12  # smoothing inside sqrt of the reconstruction term
@@ -47,30 +48,6 @@ class LccError(LccgenError):
 
 class InsufficientDataError(LccError):
     """Fewer input points than requested anchors."""
-
-
-@dataclass
-class LccConfig:
-    m: int = 128
-    q: int = 2
-    l_h: float = 1.0
-    l_q: float = 1.0
-    coding_tol: float = 1e-9
-    anchor_tol: float = 1e-6
-    max_outer_iters: int = 100
-    seed: int = 0
-
-    def __post_init__(self):
-        if self.q not in (2, 3):
-            raise ValueError(f"q must be 2 or 3, got {self.q}")
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
-        if self.l_h < 0 or self.l_q < 0:
-            raise ValueError("l_h and l_q must be nonnegative")
-        if self.coding_tol <= 0 or self.anchor_tol <= 0:
-            raise ValueError("tolerances must be positive")
-        if self.max_outer_iters < 0:
-            raise ValueError("max_outer_iters must be >= 0")
 
 
 @dataclass
@@ -131,14 +108,6 @@ def _as_points(points) -> np.ndarray:
     if not np.all(np.isfinite(h)):
         raise ValueError("points must be finite")
     return h
-
-
-def reconstruct(coding: Coding, anchors: AnchorSet) -> np.ndarray:
-    """r(h) = V @ gamma."""
-    w = coding.weights
-    if w.shape[0] != anchors.m:
-        raise ValueError(f"coding has {w.shape[0]} weights for {anchors.m} anchors")
-    return anchors.anchors @ w
 
 
 def _penalties(H: np.ndarray, V: np.ndarray, l_q: float, q: int):
@@ -605,19 +574,20 @@ def init_anchors(points, m: int, rng: Rng) -> np.ndarray:
     return centers.T
 
 
-def learn_anchors(points, config: LccConfig, trace=None):
+def learn_anchors(points, config: LccConfig, seed: int, trace=None):
     """Alternate coding solves and anchor updates until the objective settles.
 
-    Each outer iteration codes every point with `solve_codings`, warm
-    started from the last iteration's codings, then updates the anchors
-    with the codings frozen (`_update_anchors`).  Returns (AnchorSet,
+    The anchors start at k-means++ seeds drawn from `Rng(seed)`.  Each outer
+    iteration codes every point with `solve_codings`, warm started from the
+    last iteration's codings, then updates the anchors with the codings
+    frozen (`_update_anchors`).  Returns (AnchorSet,
     (n, m) array, reasons): the anchors, the codings of the n points for
     those anchors, one row each, and each row's stop reason from
     `solve_codings`.  If `trace` is a list, the objective after each outer
     iteration is appended to it.
     """
     H = _as_points(points)
-    V = init_anchors(H, config.m, Rng(config.seed))
+    V = init_anchors(H, config.m, Rng(seed))
     G = None
     obj_prev = None
     for _ in range(config.max_outer_iters):
@@ -667,22 +637,3 @@ def _update_anchors(H, G, V, config: LccConfig):
             return V_try
         step *= 0.5
     return V
-
-
-def localization_measure(points, codings, anchors: AnchorSet, config: LccConfig) -> float:
-    """Mean over points of 2*l_h*||h - r(h)|| + l_q * sum_j |g_j|*||v_j - r(h)||^q.
-
-    `codings` is the (n, m) weight array of the n points, one row each.
-    Distances in the second term are measured to the reconstruction r(h),
-    not to the point itself as during training.
-    """
-    H = _as_points(points)
-    G = np.asarray(codings, dtype=np.float64)
-    V = anchors.anchors
-    R = G @ V.T  # (n, d_b) reconstructions
-    res = H - R
-    first = 2.0 * config.l_h * np.sqrt(np.sum(res * res, axis=1))
-    diff = V.T[None, :, :] - R[:, None, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
-    second = config.l_q * np.sum(np.abs(G) * dist**config.q, axis=1)
-    return float(np.mean(first + second))

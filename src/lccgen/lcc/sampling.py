@@ -15,11 +15,10 @@ draws equal n single draws bit for bit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .. import LccgenError
+from ..config import SamplerConfig
 from ..rng import Rng, u64_to_normals, u64_to_uniforms
 from .core import AnchorSet, Coding, check_codings
 
@@ -28,21 +27,6 @@ _MAX_REDRAWS = 64
 
 class SamplingError(LccgenError):
     """Raised when Gaussian weights keep landing too close to sum zero."""
-
-
-@dataclass
-class SamplerConfig:
-    """d anchors per neighborhood; a draw whose Gaussian weights sum to less
-    than min_abs_sum in absolute value is redrawn."""
-
-    d: int
-    min_abs_sum: float = 1e-2
-
-    def __post_init__(self):
-        if self.d < 1:
-            raise ValueError("d must be >= 1")
-        if self.min_abs_sum <= 0:
-            raise ValueError("min_abs_sum must be positive")
 
 
 def knn(query, anchors: AnchorSet, k: int) -> np.ndarray:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..config import AutoencoderConfig
 from ..rng import Rng
 from .adam import adam_step, init_adam
 from .net import Mlp, TrainingDivergedError, build_mlp, backward, check_finite, forward_cached
@@ -28,44 +29,32 @@ def ae_loss_and_grads(encoder: Mlp, decoder: Mlp, batch):
     return loss, enc_grads, dec_grads
 
 
-def train_autoencoder(
-    data,
-    latent_dim: int,
-    hidden: int = 64,
-    epochs: int = 20,
-    batch: int = 64,
-    lr: float = 2e-4,
-    activation: str = "tanh",
-    seed: int = 0,
-):
+def train_autoencoder(data, config: AutoencoderConfig, seed: int):
     """Returns (encoder, decoder, per-epoch loss history).
 
-    Hidden layers use `activation`, outputs are linear; `activation="identity"`
-    gives a purely linear autoencoder.
+    Hidden layers use `config.activation`, outputs are linear;
+    `activation="identity"` gives a purely linear autoencoder.
     """
-    if epochs < 0:
-        raise ValueError(f"epochs={epochs} must be at least 0")
-    if batch < 1:
-        raise ValueError(f"batch={batch} must be at least 1")
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("data must be a nonempty (n, dim) array")
     n, dim = X.shape
     rng = Rng(seed)
-    encoder = build_mlp([dim, hidden, latent_dim], [activation, "identity"], rng)
-    decoder = build_mlp([latent_dim, hidden, dim], [activation, "identity"], rng)
+    acts = [config.activation, "identity"]
+    encoder = build_mlp([dim, config.hidden, config.latent_dim], acts, rng)
+    decoder = build_mlp([config.latent_dim, config.hidden, dim], acts, rng)
     enc_state = init_adam(encoder.params())
     dec_state = init_adam(decoder.params())
     history = []
-    for epoch in range(epochs):
+    for epoch in range(config.epochs):
         order = np.argsort(rng.uniforms(n), kind="stable")
-        for start in range(0, n, batch):
-            idx = order[start : start + batch]
+        for start in range(0, n, config.batch):
+            idx = order[start : start + config.batch]
             loss, enc_grads, dec_grads = ae_loss_and_grads(encoder, decoder, X[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            adam_step(encoder.params(), enc_grads, enc_state, lr=lr)
-            adam_step(decoder.params(), dec_grads, dec_state, lr=lr)
+            adam_step(encoder.params(), enc_grads, enc_state, lr=config.lr)
+            adam_step(decoder.params(), dec_grads, dec_state, lr=config.lr)
             check_finite(encoder, f"epoch {epoch}")
             check_finite(decoder, f"epoch {epoch}")
         history.append(reconstruction_mse(encoder, decoder, X))

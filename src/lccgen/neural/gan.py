@@ -14,8 +14,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..config import GanConfig, SamplerConfig
 from ..lcc.core import AnchorSet
-from ..lcc.sampling import SamplerConfig, neighbor_table, sample_codings
+from ..lcc.sampling import neighbor_table, sample_codings
 from ..rng import Rng
 from .adam import AdamState, adam_step, init_adam
 from .net import Mlp, TrainingDivergedError, backward, build_mlp, check_finite, forward_cached
@@ -28,7 +29,7 @@ class MeasuringFunction:
     """phi applied to discriminator scores; "log" clamps its argument to
     [EPS_PHI, 1 - EPS_PHI] before the log."""
 
-    kind: str = "log"
+    kind: str
 
     def __post_init__(self):
         if self.kind not in ("log", "identity"):
@@ -53,31 +54,18 @@ class GanModel:
     phi: MeasuringFunction
     gen_state: AdamState
     disc_state: AdamState
-    lr: float = 2e-4
-    beta1: float = 0.5
-    beta2: float = 0.999
 
 
-def build_gan(
-    data_dim: int,
-    m: int,
-    phi: str = "log",
-    hidden: int = 128,
-    lr: float = 2e-4,
-    beta1: float = 0.5,
-    beta2: float = 0.999,
-    generator_output: str = "identity",
-    seed: int = 0,
-) -> GanModel:
+def build_gan(data_dim: int, m: int, gan: GanConfig = GanConfig(), seed: int = 0) -> GanModel:
+    """Both networks, each with hidden layers of width `gan.hidden`, and
+    their Adam states."""
     rng = Rng(seed)
-    measuring = MeasuringFunction(phi)
-    gen = build_mlp([m, hidden, hidden, data_dim], ["relu", "relu", generator_output], rng)
-    disc_out = "sigmoid" if phi == "log" else "identity"
-    disc = build_mlp([data_dim, hidden, hidden, 1], ["relu", "relu", disc_out], rng)
-    return GanModel(
-        gen, disc, measuring, init_adam(gen.params()), init_adam(disc.params()),
-        lr=lr, beta1=beta1, beta2=beta2,
-    )
+    measuring = MeasuringFunction(gan.phi)
+    gen = build_mlp([m, gan.hidden, gan.hidden, data_dim],
+                    ["relu", "relu", gan.generator_output], rng)
+    disc_out = "sigmoid" if gan.phi == "log" else "identity"
+    disc = build_mlp([data_dim, gan.hidden, gan.hidden, 1], ["relu", "relu", disc_out], rng)
+    return GanModel(gen, disc, measuring, init_adam(gen.params()), init_adam(disc.params()))
 
 
 def disc_objective_and_grads(gan: GanModel, reals, codings):
@@ -106,48 +94,37 @@ def gen_objective_and_grads(gan: GanModel, codings):
     return value, grads
 
 
-def train_gan(
-    data,
-    anchors: AnchorSet,
-    sampler_config: SamplerConfig,
-    gan: GanModel,
-    iters: int,
-    batch: int = 64,
-    seed: int = 0,
-):
-    """Runs the alternating updates in place; returns (gan, trace) where
-    trace[i] = (d_objective, g_objective) as evaluated before each update."""
-    if iters < 0:
-        raise ValueError(f"iters={iters} must be at least 0")
-    if batch < 1:
-        raise ValueError(f"batch={batch} must be at least 1")
+def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
+              gan: GanConfig, seed: int):
+    """Runs `gan.iters` alternating updates on `model` in place; returns
+    (model, trace) where trace[i] = (d_objective, g_objective) as evaluated
+    before each update."""
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("data must be a nonempty (n, dim) array")
-    if X.shape[1] != gan.discriminator.in_dim:
+    if X.shape[1] != model.discriminator.in_dim:
         raise ValueError("data dim does not match the discriminator input")
-    if anchors.m != gan.generator.in_dim:
+    if anchors.m != model.generator.in_dim:
         raise ValueError("anchor count does not match the generator input")
     n = X.shape[0]
     rng = Rng(seed)
-    table = neighbor_table(anchors, sampler_config.d)
+    table = neighbor_table(anchors, sampler.d)
+    adam = {"lr": gan.lr, "beta1": gan.beta1, "beta2": gan.beta2}
     trace = []
-    for it in range(iters):
-        codings = sample_codings(table, batch, sampler_config, rng)
-        idx = np.minimum((rng.uniforms(batch) * n).astype(np.int64), n - 1)
-        d_val, d_grads = disc_objective_and_grads(gan, X[idx], codings)
+    for it in range(gan.iters):
+        codings = sample_codings(table, gan.batch, sampler, rng)
+        idx = np.minimum((rng.uniforms(gan.batch) * n).astype(np.int64), n - 1)
+        d_val, d_grads = disc_objective_and_grads(model, X[idx], codings)
         if not np.isfinite(d_val):
             raise TrainingDivergedError(f"non-finite discriminator objective at iteration {it}")
-        adam_step(gan.discriminator.params(), [-g for g in d_grads], gan.disc_state,
-                  lr=gan.lr, beta1=gan.beta1, beta2=gan.beta2)
-        check_finite(gan.discriminator, f"iteration {it}")
+        adam_step(model.discriminator.params(), [-g for g in d_grads], model.disc_state, **adam)
+        check_finite(model.discriminator, f"iteration {it}")
 
-        codings = sample_codings(table, batch, sampler_config, rng)
-        g_val, g_grads = gen_objective_and_grads(gan, codings)
+        codings = sample_codings(table, gan.batch, sampler, rng)
+        g_val, g_grads = gen_objective_and_grads(model, codings)
         if not np.isfinite(g_val):
             raise TrainingDivergedError(f"non-finite generator objective at iteration {it}")
-        adam_step(gan.generator.params(), g_grads, gan.gen_state,
-                  lr=gan.lr, beta1=gan.beta1, beta2=gan.beta2)
-        check_finite(gan.generator, f"iteration {it}")
+        adam_step(model.generator.params(), g_grads, model.gen_state, **adam)
+        check_finite(model.generator, f"iteration {it}")
         trace.append((d_val, g_val))
-    return gan, trace
+    return model, trace

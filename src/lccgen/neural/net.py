@@ -73,6 +73,8 @@ def build_mlp(dims, acts, rng: Rng) -> Mlp:
         if act not in _ACT:
             raise ValueError(f"unknown activation {act!r}")
         fan_in, fan_out = dims[i], dims[i + 1]
+        if min(fan_in, fan_out) < 1:
+            raise ValueError(f"layer {i} is {fan_in} x {fan_out}; every width must be at least 1")
         if act == "relu":
             std = np.sqrt(2.0 / fan_in)
         else:

@@ -31,6 +31,7 @@ from lccgen.bounds import (
     tangent_mixing_gap,
 )
 from lccgen.cli import main
+from lccgen.config import GanConfig
 from lccgen.datasets import make_ring
 from lccgen.lcc.core import AnchorSet, LccConfig, learn_anchors, solve_coding
 from lccgen.lcc.sampling import (
@@ -105,10 +106,10 @@ def _ring_learning_run(out_dir):
     for q, l_q in ((2, 1.0), (3, 1e-4)):
         cfg = LccConfig(
             m=8, q=q, l_h=1.0, l_q=l_q,
-            anchor_tol=1e-12, max_outer_iters=30, seed=7,
+            anchor_tol=1e-12, max_outer_iters=30,
         )
         trace = []
-        anchors, G, _ = learn_anchors(data, cfg, trace=trace)
+        anchors, G, _ = learn_anchors(data, cfg, 7, trace=trace)
         paths = {
             "anchors": os.path.join(out_dir, f"anchors_q{q}.csv"),
             "codings": os.path.join(out_dir, f"codings_q{q}.csv"),
@@ -260,7 +261,7 @@ def test_criterion_5_gradient_correctness():
         lambda: ae_loss_and_grads(enc, dec, X)[0], enc.params() + dec.params(), eg + dg
     )
 
-    gan = build_gan(data_dim=3, m=4, hidden=6, seed=9)
+    gan = build_gan(3, 4, GanConfig(hidden=6), seed=9)
     drng = Rng(8)
     reals = np.asarray(drng.normals(6 * 3)).reshape(6, 3)
     codings = np.asarray(drng.normals(6 * 4)).reshape(6, 4)

@@ -4,7 +4,6 @@ messages that name the offending key or file."""
 import hashlib
 import importlib
 import importlib.util
-import inspect
 import os
 import re
 import shutil
@@ -16,10 +15,9 @@ import pytest
 
 from lccgen.bounds import QuadraticGenerator, SmoothnessConstants
 from lccgen.cli import main
-from lccgen.config import DEFAULTS
+from lccgen.config import DEFAULTS, GanConfig
 from lccgen.lcc.core import LccConfig
-from lccgen.lcc.sampling import SamplerConfig
-from lccgen.neural.autoencoder import reconstruction_mse, train_autoencoder
+from lccgen.neural.autoencoder import reconstruction_mse
 from lccgen.neural.gan import build_gan
 from lccgen.neural.net import Layer, Mlp
 from lccgen.rng import Rng, stage_seed
@@ -172,8 +170,7 @@ def test_train_gan_zero_iters_checkpoint_matches_init(staged, tmp_path):
     cfg2 = write_cfg(str(tmp_path), out2)
     assert main(["--config", cfg2, "train-gan", "--iters", "0"]) == 0
     saved = load_model(os.path.join(out2, "generator.bin"))
-    want = build_gan(2, 4, phi="log", hidden=8, lr=2e-4, beta1=0.5, beta2=0.999,
-                     generator_output="identity", seed=stage_seed(7, 3))
+    want = build_gan(2, 4, GanConfig(hidden=8), seed=stage_seed(7, 3))
     for a, b in zip(saved.layers, want.generator.layers):
         assert np.array_equal(a.w, b.w)
         assert np.array_equal(a.b, b.b)
@@ -277,11 +274,11 @@ def test_reduced_ring_pipeline_bytes_match_fixture(tmp_path):
 def test_verify_bounds_rejects_negative_cases(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--out", str(out), "verify-bounds", "--cases", "-5"]) == 1
-    assert capsys.readouterr().err == "error: --cases must be at least 0, got -5\n"
+    assert capsys.readouterr().err == "error: [eval] cases=-5 must be at least 0\n"
     cfg = tmp_path / "neg.ini"
     cfg.write_text("[eval]\ncases = -5\n")
     assert main(["--config", str(cfg), "--out", str(out), "verify-bounds"]) == 1
-    assert capsys.readouterr().err == "error: --cases must be at least 0, got -5\n"
+    assert capsys.readouterr().err == "error: [eval] cases=-5 must be at least 0\n"
     assert not (out / "bounds.csv").exists()
     # zero cases is a valid, empty sweep
     assert main(["--out", str(out), "verify-bounds", "--cases", "0"]) == 0
@@ -306,14 +303,30 @@ def test_verify_bounds_violation_ends_in_error_line(tmp_path, capsys, monkeypatc
 
 
 @pytest.mark.parametrize("argv, edit, err", [
-    (["train-gan", "--iters", "-5"], None, "iters=-5 must be at least 0"),
-    (["train-ae"], ("epochs = 2", "epochs = -3"), "epochs=-3 must be at least 0"),
-    (["train-ae"], ("batch = 32", "batch = 0"), "batch=0 must be at least 1"),
-    (["train-gan"], ("batch = 8", "batch = 0"), "batch=0 must be at least 1"),
-    (["train-gan"], ("batch = 8", "batch = -4"), "batch=-4 must be at least 1"),
-], ids=["gan-iters", "ae-epochs", "ae-batch", "gan-batch-0", "gan-batch-neg"])
+    (["train-gan", "--iters", "-5"], None, "[gan] iters=-5 must be at least 0"),
+    (["train-ae"], ("epochs = 2", "epochs = -3"), "[autoencoder] epochs=-3 must be at least 0"),
+    (["train-ae"], ("batch = 32", "batch = 0"), "[autoencoder] batch=0 must be at least 1"),
+    (["train-gan"], ("batch = 8", "batch = 0"), "[gan] batch=0 must be at least 1"),
+    (["train-gan"], ("batch = 8", "batch = -4"), "[gan] batch=-4 must be at least 1"),
+    (["train-ae"], ("[autoencoder]", "[autoencoder]\nlatent_dim = 0"),
+     "[autoencoder] latent_dim=0 must be at least 1"),
+    (["train-ae"], ("lr = 0.01", "lr = nan"), "[autoencoder] lr=nan must be positive and finite"),
+    (["train-ae"], ("lr = 0.01", "lr = -1"), "[autoencoder] lr=-1.0 must be positive and finite"),
+    (["train-gan"], ("hidden = 8\nbatch = 8", "hidden = 0\nbatch = 8"),
+     "[gan] hidden=0 must be at least 1"),
+    (["train-gan"], ("[gan]", "[gan]\nlr = nan"), "[gan] lr=nan must be positive and finite"),
+    (["train-gan"], ("[gan]", "[gan]\nbeta1 = 1.5"), "[gan] beta1=1.5 must be in [0, 1)"),
+    (["train-gan"], ("[gan]", "[gan]\nbeta2 = -1"), "[gan] beta2=-1.0 must be in [0, 1)"),
+    (["eval"], ("[eval]", "[eval]\nbandwidth = -1"),
+     "[eval] bandwidth=-1.0 must be finite and at least 0"),
+    (["eval"], ("n_generated = 32", "n_generated = 0"), "[eval] n_generated=0 must be at least 1"),
+    (["learn-lcc", "--m", "0"], None, "[lcc] m=0 must be at least 1"),
+], ids=["gan-iters", "ae-epochs", "ae-batch", "gan-batch-0", "gan-batch-neg",
+        "ae-latent-dim", "ae-lr-nan", "ae-lr-neg", "gan-hidden", "gan-lr-nan", "gan-beta1",
+        "gan-beta2", "eval-bandwidth", "eval-n-generated", "lcc-m"])
 def test_bad_training_sizes_are_one_error_line(staged, tmp_path, capsys, argv, edit, err):
-    # refused before any training, so no checkpoint is overwritten
+    # refused when the config is loaded, before any stage runs, so no
+    # artifact is overwritten
     _, out = staged
     out2 = tmp_path / "out"
     shutil.copytree(out, out2)
@@ -403,7 +416,7 @@ def test_truncated_generator_is_one_error_line(staged, tmp_path, capsys):
     shutil.copytree(out, out2)
     cfg2 = write_cfg(str(tmp_path), out2)
     gen_path = os.path.join(out2, "generator.bin")
-    save_model(gen_path, build_gan(2, 4, hidden=8, seed=3).generator)
+    save_model(gen_path, build_gan(2, 4, GanConfig(hidden=8), seed=3).generator)
     with open(gen_path, "r+b") as fh:
         fh.truncate(20)
     assert main(["--config", cfg2, "sample", "--n", "5"]) == 1
@@ -443,7 +456,7 @@ def test_generator_for_other_anchors_writes_nothing(staged, tmp_path, capsys, st
     out2 = str(tmp_path / "out")
     shutil.copytree(out, out2)
     cfg2 = write_cfg(str(tmp_path), out2)
-    save_model(os.path.join(out2, "generator.bin"), build_gan(2, 16, hidden=8, seed=3).generator)
+    save_model(os.path.join(out2, "generator.bin"), build_gan(2, 16, GanConfig(hidden=8), seed=3).generator)
     assert main(["--config", cfg2, stage]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "m=4" in err[0]
@@ -542,14 +555,17 @@ def test_mnist_heldout_images_stay_out_of_training(tmp_path):
                                                         rel=1e-12)
 
 
-# limit applies first: with limit = 4, four images remain and all are held out
+# limit applies first: with limit = 4, four images remain and all are held
+# out; a negative count is refused when the config is loaded, before the
+# images are read
 @pytest.mark.parametrize("n_heldout, limit, left", [(4, 4, 4), (-2, 0, 6)])
 def test_mnist_bad_heldout_count_is_one_error_line(tmp_path, capsys, n_heldout, limit, left):
     cfg, out, _ = _mnist_cfg(tmp_path, n_heldout=n_heldout, limit=limit)
     assert main(["--config", cfg, "train-ae"]) == 1
     err = capsys.readouterr().err.splitlines()
-    assert err == [f"error: {tmp_path / 'images.idx'}: [eval] n_heldout={n_heldout} must be "
-                   f"at least 0 and leave some of its {left} images for training"]
+    assert err == ([f"error: [eval] n_heldout={n_heldout} must be at least 0"] if n_heldout < 0
+                   else [f"error: {tmp_path / 'images.idx'}: [eval] n_heldout={n_heldout} must "
+                         f"be at least 0 and leave some of its {left} images for training"])
     assert not os.path.exists(os.path.join(out, "ae_losses.csv"))
 
 
@@ -579,7 +595,8 @@ def test_names_the_benchmark_and_cli_rely_on_resolve():
         assert callable(getattr(serialize, attr)), attr
     assert callable(importlib.import_module("lccgen.lcc.sampling").knn)
     assert "next_u64" in vars(Rng) and "next_u64_array" in vars(Rng)
-    # the CLI hands each config section to its stage whole
-    LccConfig(**DEFAULTS["lcc"], seed=0)
-    SamplerConfig(**DEFAULTS["sampler"])
-    inspect.signature(train_autoencoder).bind(None, **DEFAULTS["autoencoder"], seed=0)
+    # the calls benchmarks/workloads.py makes into the package
+    assert LccConfig(**DEFAULTS["lcc"]).m == 16  # workloads.M, "the default [lcc] m"
+    assert isinstance(DEFAULTS["sampler"]["d"], int)
+    assert isinstance(DEFAULTS["data"]["noise_sigma"], float)
+    assert build_gan(2, 16, seed=0).generator.in_dim == 16

@@ -20,8 +20,6 @@ from lccgen.lcc.core import (
     init_anchors,
     lcc_objective,
     learn_anchors,
-    localization_measure,
-    reconstruct,
     solve_coding,
     solve_codings,
 )
@@ -92,7 +90,7 @@ def test_solve_coding_exact_anchor_hit_is_one_hot():
     coding = solve_coding(V[:, 2].copy(), anchors, cfg)
     assert coding.weights.tolist() == [0.0, 0.0, 1.0, 0.0]
     # reconstruction is bitwise the anchor
-    assert np.array_equal(reconstruct(coding, anchors), V[:, 2])
+    assert np.array_equal(anchors.anchors @ coding.weights, V[:, 2])
     obj = lcc_objective(V[:, 2][None, :], coding.weights[None, :], anchors, cfg)
     assert obj == 0.0
 
@@ -356,8 +354,8 @@ def test_solve_codings_degenerate_inputs_take_the_newton_path(V, H):
 
 def test_learn_anchors_codings_are_certified_on_the_default_ring():
     pts = make_ring(2000, radius=1.0, noise_sigma=0.01, seed=7)
-    cfg = LccConfig(m=16, max_outer_iters=4, seed=7)
-    anchors, G, reasons = learn_anchors(pts, cfg)
+    cfg = LccConfig(m=16, max_outer_iters=4)
+    anchors, G, reasons = learn_anchors(pts, cfg, 7)
     V = anchors.anchors
     assert set(reasons) <= {"hit", "vertex", "gap"}
     on_anchor = np.any(np.all(pts[:, :, None] == V[None, :, :], axis=1), axis=1)
@@ -387,7 +385,7 @@ def test_anchor_set_validates_finiteness():
 
 def test_reconstruct_convex_combination():
     c = Coding(np.array([0.5, 0.5]))
-    assert np.array_equal(reconstruct(c, SQUARE_ANCHORS), np.zeros(2))
+    assert np.array_equal(SQUARE_ANCHORS.anchors @ c.weights, np.zeros(2))
 
 
 def test_config_validation():
@@ -397,49 +395,13 @@ def test_config_validation():
         LccConfig(m=4, coding_tol=0.0)
 
 
-# --- localization measure: hand-evaluated values ---
-
-
-def test_localization_measure_hand_value_q2():
-    # r(h) = 0, first term 0, second term 0.5*1 + 0.5*1 = 1
-    cfg = LccConfig(m=2, q=2, l_h=1.0, l_q=1.0)
-    codings = np.array([[0.5, 0.5]])
-    q_val = localization_measure(np.zeros((1, 2)), codings, SQUARE_ANCHORS, cfg)
-    assert abs(q_val - 1.0) <= 1e-12
-
-
-def test_localization_measure_hand_value_q3():
-    # ||v - r(h)||^3 = 1 for both anchors
-    cfg = LccConfig(m=2, q=3, l_h=1.0, l_q=1.0)
-    codings = np.array([[0.5, 0.5]])
-    q_val = localization_measure(np.zeros((1, 2)), codings, SQUARE_ANCHORS, cfg)
-    assert abs(q_val - 1.0) <= 1e-12
-
-
-def test_localization_measure_zero_on_self_anchor():
-    anchors = AnchorSet(np.array([[1.5], [-0.5]]))
-    cfg = LccConfig(m=1)
-    q_val = localization_measure(
-        np.array([[1.5, -0.5]]), np.array([[1.0]]), anchors, cfg
-    )
-    assert q_val == 0.0
-
-
-def test_localization_measure_is_mean_over_points():
-    cfg = LccConfig(m=2, q=2, l_h=1.0, l_q=1.0)
-    pts = np.zeros((3, 2))
-    codings = np.full((3, 2), 0.5)
-    q_val = localization_measure(pts, codings, SQUARE_ANCHORS, cfg)
-    assert abs(q_val - 1.0) <= 1e-12  # mean, not sum
-
-
 # --- anchor learning ---
 
 
 def test_learn_anchors_identical_points_collapse():
     pts = np.tile(np.array([0.3, -0.7]), (40, 1))
-    cfg = LccConfig(m=3, max_outer_iters=20, seed=1)
-    anchors, G, _ = learn_anchors(pts, cfg)
+    cfg = LccConfig(m=3, max_outer_iters=20)
+    anchors, G, _ = learn_anchors(pts, cfg, 1)
     obj = lcc_objective(pts, G, anchors, cfg)
     assert obj < 1e-6
     assert np.allclose(anchors.anchors, np.array([[0.3], [-0.7]]), atol=1e-4)
@@ -448,8 +410,8 @@ def test_learn_anchors_identical_points_collapse():
 def test_learn_anchors_self_representation_fixed_point():
     # N == M distinct points: anchors start at the points, objective 0
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
-    cfg = LccConfig(m=4, max_outer_iters=5, seed=0)
-    anchors, G, _ = learn_anchors(pts, cfg)
+    cfg = LccConfig(m=4, max_outer_iters=5)
+    anchors, G, _ = learn_anchors(pts, cfg, 0)
     obj = lcc_objective(pts, G, anchors, cfg)
     assert obj <= 1e-9
 
@@ -457,7 +419,7 @@ def test_learn_anchors_self_representation_fixed_point():
 def test_learn_anchors_insufficient_data():
     cfg = LccConfig(m=8)
     with pytest.raises(InsufficientDataError):
-        learn_anchors(np.zeros((5, 2)), cfg)
+        learn_anchors(np.zeros((5, 2)), cfg, 0)
 
 
 def test_learn_anchors_monotone_on_circle():
@@ -465,18 +427,18 @@ def test_learn_anchors_monotone_on_circle():
     for q, l_q in ((2, 1.0), (3, 1e-4)):
         trace = []
         cfg = LccConfig(
-            m=8, q=q, l_q=l_q, max_outer_iters=30, anchor_tol=1e-12, seed=7
+            m=8, q=q, l_q=l_q, max_outer_iters=30, anchor_tol=1e-12
         )
-        learn_anchors(pts, cfg, trace=trace)
+        learn_anchors(pts, cfg, 7, trace=trace)
         diffs = np.diff(np.array(trace))
         assert np.all(diffs <= 1e-8), f"objective rose by {diffs.max()} at q={q}"
 
 
 def test_learn_anchors_zero_iters_returns_initialization():
     pts = make_ring(50, radius=1.0, noise_sigma=0.0, seed=3)
-    cfg = LccConfig(m=4, max_outer_iters=0, seed=9)
+    cfg = LccConfig(m=4, max_outer_iters=0)
     trace = []
-    anchors, G, _ = learn_anchors(pts, cfg, trace=trace)
+    anchors, G, _ = learn_anchors(pts, cfg, 9, trace=trace)
     assert trace == []
     expected = init_anchors(pts, 4, Rng(9))
     assert np.array_equal(anchors.anchors, expected)
@@ -498,7 +460,7 @@ def test_init_anchors_refuses_fewer_points_than_anchors():
 
 def test_learn_anchors_runtime_budget():
     pts = make_ring(200, radius=1.0, noise_sigma=0.0, seed=7)
-    cfg = LccConfig(m=8, q=2, max_outer_iters=30, anchor_tol=1e-12, seed=7)
+    cfg = LccConfig(m=8, q=2, max_outer_iters=30, anchor_tol=1e-12)
     t0 = time.time()
-    learn_anchors(pts, cfg)
+    learn_anchors(pts, cfg, 7)
     assert time.time() - t0 < 30.0

@@ -6,8 +6,8 @@ import math
 import numpy as np
 import pytest
 
+from lccgen.config import AutoencoderConfig, GanConfig, SamplerConfig
 from lccgen.lcc.core import AnchorSet
-from lccgen.lcc.sampling import SamplerConfig
 from lccgen.neural.adam import adam_step, init_adam
 from lccgen.neural.autoencoder import (
     TrainingDivergedError,
@@ -89,6 +89,16 @@ def test_build_mlp_rejects_an_unknown_activation():
         build_mlp([2, 3, 1], ["relu", "swish"], Rng(0))
 
 
+@pytest.mark.parametrize("dims, why", [
+    ([2, 0, 1], "^layer 0 is 2 x 0; every width must be at least 1$"),
+    ([2, 3, -1], "^layer 1 is 3 x -1; every width must be at least 1$"),
+    ([0, 3, 1], "^layer 0 is 0 x 3; every width must be at least 1$"),
+])
+def test_build_mlp_rejects_a_layer_width_below_1(dims, why):
+    with pytest.raises(ValueError, match=why):
+        build_mlp(dims, ["relu", "identity"], Rng(0))
+
+
 # -------------------------------------------------------------- gradients
 
 
@@ -135,7 +145,7 @@ def _relu_preacts_clear_of_kinks(net, X, margin=1e-3):
 
 
 def test_discriminator_gradients_match_finite_differences():
-    gan = build_gan(data_dim=3, m=4, hidden=6, seed=9)
+    gan = build_gan(3, 4, GanConfig(hidden=6), seed=9)
     rng = Rng(8)
     reals = np.asarray(rng.normals(6 * 3)).reshape(6, 3)
     codings = np.asarray(rng.normals(6 * 4)).reshape(6, 4)
@@ -153,7 +163,7 @@ def test_discriminator_gradients_match_finite_differences():
 
 
 def test_generator_gradients_match_finite_differences():
-    gan = build_gan(data_dim=3, m=4, hidden=6, seed=9)
+    gan = build_gan(3, 4, GanConfig(hidden=6), seed=9)
     rng = Rng(16)
     codings = np.asarray(rng.normals(6 * 4)).reshape(6, 4)
     codings /= codings.sum(axis=1, keepdims=True)
@@ -243,17 +253,15 @@ def test_adam_in_place_matches_the_out_of_place_formula_bit_for_bit():
 def test_autoencoder_memorizes_a_repeated_point():
     point = np.array([0.7, -0.3, 1.1])
     X = np.tile(point, (8, 1))
-    enc, dec, hist = train_autoencoder(
-        X, latent_dim=2, hidden=8, epochs=400, batch=8, lr=1e-2,
-        activation="identity", seed=1,
-    )
+    enc, dec, hist = train_autoencoder(X, AutoencoderConfig(
+        latent_dim=2, hidden=8, epochs=400, batch=8, lr=1e-2, activation="identity"), 1)
     assert hist[-1] < 1e-6
     assert reconstruction_mse(enc, dec, X) == hist[-1]
 
 
 def test_autoencoder_zero_epochs_returns_init():
     X = np.asarray(Rng(2).normals(10 * 3)).reshape(10, 3)
-    enc, dec, hist = train_autoencoder(X, latent_dim=2, epochs=0, seed=5)
+    enc, dec, hist = train_autoencoder(X, AutoencoderConfig(epochs=0), 5)
     assert hist == []
     assert dec.forward(enc.forward(X)).shape == X.shape
 
@@ -263,10 +271,8 @@ def test_linear_autoencoder_recovers_a_line_in_r3():
     direction = np.array([0.5, -1.0, 2.0])
     offset = np.array([0.1, 0.2, -0.3])
     X = t[:, None] * direction[None, :] + offset[None, :]
-    _, _, hist = train_autoencoder(
-        X, latent_dim=1, hidden=8, epochs=600, batch=50, lr=1e-2,
-        activation="identity", seed=3,
-    )
+    _, _, hist = train_autoencoder(X, AutoencoderConfig(
+        latent_dim=1, hidden=8, epochs=600, batch=50, lr=1e-2, activation="identity"), 3)
     assert hist[-1] < 1e-4
 
 
@@ -275,10 +281,8 @@ def test_autoencoder_divergence_raises():
     # forward pass and the loss check must catch the inf
     X = np.asarray(Rng(4).normals(16 * 3)).reshape(16, 3)
     with np.errstate(all="ignore"), pytest.raises(TrainingDivergedError):
-        train_autoencoder(
-            X, latent_dim=2, hidden=8, epochs=5, batch=16, lr=1e80,
-            activation="identity", seed=0,
-        )
+        train_autoencoder(X, AutoencoderConfig(
+            latent_dim=2, hidden=8, epochs=5, batch=16, lr=1e80, activation="identity"), 0)
     # non-finite parameters raise the same package error, not a builtin one
     net = build_mlp([2, 2], ["identity"], Rng(0))
     net.layers[0].b[1] = np.nan
@@ -292,9 +296,9 @@ def _square_anchors():
 
 def test_gan_zero_iters_is_identity():
     X = np.asarray(Rng(1).normals(32 * 2)).reshape(32, 2)
-    ref = build_gan(data_dim=2, m=4, hidden=8, seed=3)
-    gan = build_gan(data_dim=2, m=4, hidden=8, seed=3)
-    gan, trace = train_gan(X, _square_anchors(), SamplerConfig(d=2), gan, iters=0, seed=2)
+    ref = build_gan(2, 4, GanConfig(hidden=8), seed=3)
+    gan = build_gan(2, 4, GanConfig(hidden=8), seed=3)
+    gan, trace = train_gan(X, _square_anchors(), SamplerConfig(d=2), gan, GanConfig(iters=0), 2)
     assert trace == []
     for a, b in zip(ref.generator.params(), gan.generator.params()):
         assert np.array_equal(a, b)
@@ -303,7 +307,7 @@ def test_gan_zero_iters_is_identity():
 
 
 def test_tiny_lr_discriminator_step_ascends_frozen_objective():
-    gan = build_gan(data_dim=2, m=4, hidden=8, lr=1e-6, seed=7)
+    gan = build_gan(2, 4, GanConfig(hidden=8), seed=7)
     rng = Rng(8)
     reals = np.asarray(rng.normals(16 * 2)).reshape(16, 2)
     codings = np.asarray(rng.normals(16 * 4)).reshape(16, 4)
@@ -315,7 +319,7 @@ def test_tiny_lr_discriminator_step_ascends_frozen_objective():
 
 
 def test_tiny_lr_generator_step_descends_frozen_objective():
-    gan = build_gan(data_dim=2, m=4, hidden=8, lr=1e-6, seed=7)
+    gan = build_gan(2, 4, GanConfig(hidden=8), seed=7)
     rng = Rng(9)
     codings = np.asarray(rng.normals(16 * 4)).reshape(16, 4)
     codings /= codings.sum(axis=1, keepdims=True)
@@ -329,31 +333,32 @@ def test_gan_training_is_deterministic():
     X = np.asarray(Rng(3).normals(64 * 2)).reshape(64, 2)
     traces = []
     for _ in range(2):
-        gan = build_gan(data_dim=2, m=4, hidden=8, seed=11)
+        gan = build_gan(2, 4, GanConfig(hidden=8), seed=11)
         _, trace = train_gan(
-            X, _square_anchors(), SamplerConfig(d=2), gan, iters=5, batch=16, seed=13
+            X, _square_anchors(), SamplerConfig(d=2), gan, GanConfig(iters=5, batch=16), 13
         )
         traces.append(trace)
     assert traces[0] == traces[1]
 
 
 def test_gan_rejects_mismatched_shapes():
-    gan = build_gan(data_dim=2, m=4, hidden=8, seed=0)
+    gan = build_gan(2, 4, GanConfig(hidden=8), seed=0)
     X3 = np.zeros((8, 3))
     with pytest.raises(ValueError):
-        train_gan(X3, _square_anchors(), SamplerConfig(d=2), gan, iters=1)
-    gan5 = build_gan(data_dim=2, m=5, hidden=8, seed=0)
+        train_gan(X3, _square_anchors(), SamplerConfig(d=2), gan, GanConfig(iters=1), 0)
+    gan5 = build_gan(2, 5, GanConfig(hidden=8), seed=0)
     with pytest.raises(ValueError):
-        train_gan(np.zeros((8, 2)), _square_anchors(), SamplerConfig(d=2), gan5, iters=1)
+        train_gan(np.zeros((8, 2)), _square_anchors(), SamplerConfig(d=2), gan5,
+                  GanConfig(iters=1), 0)
 
 
 def test_gan_divergence_raises_the_training_error():
     # infinite data make the discriminator's scores, and so J_D, NaN
-    gan = build_gan(data_dim=2, m=4, hidden=8, seed=0)
+    gan = build_gan(2, 4, GanConfig(hidden=8), seed=0)
     X = np.full((8, 2), np.inf)
     with np.errstate(all="ignore"), pytest.raises(
             TrainingDivergedError, match="^non-finite discriminator objective at iteration 0$"):
-        train_gan(X, _square_anchors(), SamplerConfig(d=2), gan, iters=3, batch=4)
+        train_gan(X, _square_anchors(), SamplerConfig(d=2), gan, GanConfig(iters=3, batch=4), 0)
 
 
 def test_measuring_function_rejects_unknown_tag():
