@@ -50,7 +50,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lcc.core import AnchorSet, Coding
+from .lcc.core import AnchorSet, Coding, pin_row_sums
 from .rng import Rng, normal_u64s, u64_to_ball_points, u64_to_normals, u64_to_uniforms
 
 
@@ -207,7 +207,6 @@ def _configurations(rng: Rng, dim: int, m: int, walks):
     _walk_configuration walked, all of one (dim, m)."""
     starts, zs, sums, h_starts = zip(*walks)
     n = len(walks)
-    rows = np.arange(n)
     starts = np.asarray(starts)[:, None]
     ball = normal_u64s(dim) + 1
     bits = rng.u64_at(starts + np.arange(1, m * ball + 1)).reshape(n, m, ball)
@@ -220,8 +219,7 @@ def _configurations(rng: Rng, dim: int, m: int, walks):
     case, slot = np.nonzero(np.arange(Z.shape[1]) < np.array([len(z) for z in zs])[:, None])
     W = np.zeros((n, m))
     W[case, support[case, slot]] = (Z / np.array(sums)[:, None])[case, slot]
-    top = support[rows, np.argmax(np.abs(Z), axis=1)]
-    W[rows, top] -= W.sum(axis=1) - 1.0
+    pin_row_sums(W)
     r = np.matmul(V, W[..., None])[..., 0]
     bits = rng.u64_at(np.asarray(h_starts)[:, None] + np.arange(1, ball + 1))
     h = r + u64_to_ball_points(bits, dim, 0.5)

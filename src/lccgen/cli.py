@@ -84,11 +84,9 @@ def _load_generator(path, anchors):
 
 
 def _loss_csv(path, header, rows):
-    with atomic_write(path) as fh:
-        fh.write(",".join(header) + "\n")
-        for i, row in enumerate(rows):
-            cells = [str(i)] + [fmt_float(v) for v in row]
-            fh.write(",".join(cells) + "\n")
+    """One line per step: the step's index, then its losses."""
+    rows = np.asarray(rows, dtype=np.float64)
+    matrix_to_csv(path, np.column_stack([np.arange(len(rows)), rows]), header)
 
 
 def cmd_train_ae(cfg, out):
@@ -96,7 +94,7 @@ def cmd_train_ae(cfg, out):
         _dataset(cfg), cfg.autoencoder, stage_seed(cfg.data.seed, _TAG_AE))
     save_model(os.path.join(out, "ae_encoder.bin"), encoder)
     save_model(os.path.join(out, "ae_decoder.bin"), decoder)
-    _loss_csv(os.path.join(out, "ae_losses.csv"), ["epoch", "loss"], [(v,) for v in history])
+    _loss_csv(os.path.join(out, "ae_losses.csv"), ["epoch", "loss"], history)
     print(f"train-ae: {len(history)} epochs, final loss "
           f"{history[-1]:.6g}" if history else "train-ae: 0 epochs")
     return 0
@@ -112,8 +110,7 @@ def cmd_learn_lcc(cfg, out):
     save_anchors(os.path.join(out, "anchors.bin"), anchors)
     anchors_to_csv(os.path.join(out, "anchors.csv"), anchors)
     codings_to_csv(os.path.join(out, "codings.csv"), G)
-    _loss_csv(os.path.join(out, "lcc_objective.csv"), ["iter", "objective"],
-              [(v,) for v in trace])
+    _loss_csv(os.path.join(out, "lcc_objective.csv"), ["iter", "objective"], trace)
     print(f"learn-lcc: m={anchors.m} d_b={anchors.d_b}, "
           f"objective {trace[0]:.6g} -> {trace[-1]:.6g} in {len(trace)} iters"
           if trace else "learn-lcc: 0 iterations")
@@ -192,6 +189,8 @@ def cmd_verify_bounds(cfg, out):
 
 
 def cmd_eval(cfg, out):
+    if cfg.eval.n_heldout < 2:
+        raise ConfigError(f"[eval] n_heldout={cfg.eval.n_heldout} must be at least 2 for eval")
     X = _dataset(cfg)
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
     generator = _load_generator(os.path.join(out, "generator.bin"), anchors)
@@ -214,13 +213,11 @@ def cmd_eval(cfg, out):
     ])
     dim = X.shape[1]
     side = int(round(np.sqrt(dim)))
-    if dim == 2:
-        write_pgm(os.path.join(out, "grid.pgm"), scatter_image(generated))
-    elif side * side == dim:
+    # square dims tile as images; other data scatter their first two coordinates
+    if side * side == dim:
         write_pgm(os.path.join(out, "grid.pgm"), tile_images(generated[:64], 8))
     else:
-        write_pgm(os.path.join(out, "grid.pgm"),
-                  scatter_image(generated[:, :2]))
+        write_pgm(os.path.join(out, "grid.pgm"), scatter_image(generated[:, :2]))
     print(f"eval: mmd2={score:.6g} bandwidth={bandwidth:.6g} "
           f"pearson>0 for {positive}/{probe}")
     return 0

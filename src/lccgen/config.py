@@ -16,8 +16,7 @@ from dataclasses import asdict, dataclass
 from types import SimpleNamespace
 
 from . import LccgenError
-
-ACTIVATIONS = ("identity", "relu", "tanh", "sigmoid")  # the layers neural.net defines
+from .neural.net import ACTIVATIONS, PHIS
 
 
 class ConfigError(LccgenError, ValueError):
@@ -132,7 +131,7 @@ class GanConfig(_Section):
     batch: int = 64
     lr: float = 2e-4
     hidden: int = 128
-    phi: str = "log"  # log | identity
+    phi: str = "log"  # a key of neural.net.PHIS
     beta1: float = 0.5
     beta2: float = 0.999
     generator_output: str = "identity"
@@ -142,7 +141,7 @@ class GanConfig(_Section):
         self._min("batch", 1)
         self._positive("lr")
         self._min("hidden", 1)
-        self._one_of("phi", ("log", "identity"))
+        self._one_of("phi", PHIS)
         self._need("beta1", 0 <= self.beta1 < 1, "must be in [0, 1)")
         self._need("beta2", 0 <= self.beta2 < 1, "must be in [0, 1)")
         self._one_of("generator_output", ACTIVATIONS)

@@ -260,9 +260,10 @@ def _newton_codings(H, V, Z, W, C, l_h, G):
     return out
 
 
-def _squash(G):
-    """Moves the rounding in each row's sum onto its largest weight, so
-    every row sums to 1."""
+def pin_row_sums(G):
+    """Moves the rounding in each row's sum onto its largest weight, in
+    place, so every row sums to 1; returns G.  Every sum-to-one coding the
+    package builds is pinned here."""
     top = np.argmax(np.abs(G), axis=1)
     G[np.arange(len(G)), top] -= G.sum(axis=1) - 1.0
     return G
@@ -485,7 +486,7 @@ def _solve_rows(H, V, config: LccConfig, G0):
     if m > d_b and rest.size:
         Gv, Y, basis, done = _lp_vertices(H[rest], V, C[rest], dist[rest],
                                           None if G0 is None else G0[rest])
-        Gv = _squash(Gv)
+        Gv = pin_row_sums(Gv)
         gap = _row_objectives(H[rest], Gv, V, C[rest], l_h) - _dual_bounds(
             H[rest], V, C[rest], Y, l_h)
         won = done & (gap <= tol)
@@ -495,7 +496,7 @@ def _solve_rows(H, V, config: LccConfig, G0):
         if out.size:
             i = rest[out]
             near = np.argsort(dist[i], axis=1)[:, :d_b + 1]
-            Gf = _squash(_face_codings(H[i], V, C[i], (basis[out], near), l_h))
+            Gf = pin_row_sums(_face_codings(H[i], V, C[i], (basis[out], near), l_h))
             ok = _certified_gaps(H[i], Gf, V, C[i], l_h) <= tol
             G[i[ok]] = Gf[ok]
             reasons[i[ok]] = "gap"
@@ -520,8 +521,8 @@ def _solve_rows(H, V, config: LccConfig, G0):
             g = np.ones((len(i), 1))  # the only coding
         else:
             start = np.full((len(i), m), 1.0 / m) if G0 is None else G0[i]
-            g = _squash(_newton_codings(h, V, Z, W, c, l_h, start))
-            snap = _squash(np.where(np.abs(g) > _SNAP, g, 0.0))
+            g = pin_row_sums(_newton_codings(h, V, Z, W, c, l_h, start))
+            snap = pin_row_sums(np.where(np.abs(g) > _SNAP, g, 0.0))
             pick = _row_objectives(h, snap, V, c, l_h) < _row_objectives(h, g, V, c, l_h)
             g = np.where(pick[:, None], snap, g)
         G[i] = g

@@ -10,7 +10,8 @@ Bulk draws come from `sample_codings` and paths from `interpolate`, both
 as (n, m) weight arrays; `Coding` objects are only built for single draws
 (`sample_coding`, `sample_coding_pair`).  A batch rewinds the stream at a
 rejected draw and redraws it with the single-draw routine, so n batch
-draws equal n single draws bit for bit.
+draws equal n single draws bit for bit.  Either way each row's sum is
+pinned to 1 by `core.pin_row_sums`.
 """
 
 from __future__ import annotations
@@ -18,11 +19,12 @@ from __future__ import annotations
 import numpy as np
 
 from .. import LccgenError
-from ..config import SamplerConfig
-from ..rng import Rng, u64_to_normals, u64_to_uniforms
-from .core import AnchorSet, Coding, check_codings
+from ..config import ConfigError, SamplerConfig
+from ..rng import Rng, normal_u64s, u64_to_normals, u64_to_uniforms
+from .core import AnchorSet, Coding, check_codings, pin_row_sums
 
 _MAX_REDRAWS = 64
+_BLOCK = 256  # draws sample_codings decodes at a time
 
 
 class SamplingError(LccgenError):
@@ -44,6 +46,11 @@ def knn(query, anchors: AnchorSet, k: int) -> np.ndarray:
     return order[:k]
 
 
+def _check_d(d: int, m: int) -> None:
+    if d > m:
+        raise ConfigError(f"[sampler] d={d} exceeds the anchor count m={m}")
+
+
 def neighbor_table(anchors: AnchorSet, d: int) -> np.ndarray:
     """Precomputed (m, d) kNN table, one row per center anchor: row j is
     knn(anchors.anchors[:, j], anchors, d).
@@ -51,17 +58,14 @@ def neighbor_table(anchors: AnchorSet, d: int) -> np.ndarray:
     An anchor queried against its own set is at distance 0, so each center
     occupies the first slot of its row (barring exact duplicates, where the
     lower index wins)."""
+    _check_d(d, anchors.m)
     return np.stack([knn(anchors.anchors[:, j], anchors, d) for j in range(anchors.m)])
 
 
 def _place(w, neighbors, z, s):
-    """Writes z / s onto each row's neighbors and pins the row sum to exactly
-    1 by absorbing the rounding into the row's largest slot."""
-    rows = np.arange(w.shape[0])
-    zs = z / s[:, None]
-    w[rows[:, None], neighbors] = zs
-    top = neighbors[rows, np.argmax(np.abs(zs), axis=1)]
-    w[rows, top] -= w.sum(axis=1) - 1.0
+    """Writes z / s onto each row's neighbors and pins each row's sum to 1."""
+    w[np.arange(w.shape[0])[:, None], neighbors] = z / s[:, None]
+    pin_row_sums(w)
 
 
 def _draw_on_neighborhood(neighbors, m, config: SamplerConfig, rng: Rng) -> np.ndarray:
@@ -83,10 +87,12 @@ def sample_codings(table, n: int, config: SamplerConfig, rng: Rng) -> np.ndarray
 
     Bit-identical to n sequential draws (center = rng.randint(m), then
     _draw_on_neighborhood on table[center]) and leaves rng at the same
-    position.  The stream is cut into per-draw blocks of one center u64 and
-    2*ceil(d/2) normal u64s; a rejected draw rewinds rng to just past its
-    center u64, is redrawn by _draw_on_neighborhood, and the draws after it
-    start a fresh block.
+    position.  The stream is decoded in blocks of at most _BLOCK draws, each
+    draw one center u64 and normal_u64s(d) normal u64s; a rejected draw
+    rewinds rng to just past its center u64, is redrawn by
+    _draw_on_neighborhood, and the draws after it start a fresh block.  A
+    rejection thus wastes at most one block's decoding, and the work stays
+    linear in n.
     """
     d = config.d
     m = len(table)
@@ -94,21 +100,22 @@ def sample_codings(table, n: int, config: SamplerConfig, rng: Rng) -> np.ndarray
         raise ValueError(f"table has shape {table.shape}, expected (m, {d})")
     if n < 0:
         raise ValueError("n must be >= 0")
-    per_draw = 1 + 2 * ((d + 1) // 2)  # center u64, then one attempt's normals
+    per_draw = 1 + normal_u64s(d)  # center u64, then one attempt's normals
     w = np.zeros((n, m))
     done = 0
     while done < n:
         start = rng.counter
-        block = rng.next_u64_array((n - done) * per_draw).reshape(n - done, per_draw)
+        size = min(n - done, _BLOCK)
+        block = rng.next_u64_array(size * per_draw).reshape(size, per_draw)
         u = u64_to_uniforms(block[:, 0])
         neighbors = table[np.minimum((u * m).astype(np.int64), m - 1)]
         z = u64_to_normals(block[:, 1:], d)
         s = z.sum(axis=1)
         low = np.flatnonzero(np.abs(s) < config.min_abs_sum)
-        good = int(low[0]) if low.size else n - done
+        good = int(low[0]) if low.size else size
         _place(w[done:done + good], neighbors[:good], z[:good], s[:good])
         done += good
-        if done < n:
+        if good < size:
             rng.counter = start + good * per_draw + 1
             w[done] = _draw_on_neighborhood(neighbors[good], m, config, rng)
             done += 1
@@ -117,8 +124,7 @@ def sample_codings(table, n: int, config: SamplerConfig, rng: Rng) -> np.ndarray
 
 def _neighborhood(anchors: AnchorSet, config: SamplerConfig, rng: Rng) -> np.ndarray:
     """The d nearest anchors of a uniformly drawn center anchor."""
-    if config.d > anchors.m:
-        raise ValueError(f"d={config.d} exceeds anchor count m={anchors.m}")
+    _check_d(config.d, anchors.m)
     center = rng.randint(anchors.m)
     return knn(anchors.anchors[:, center], anchors, config.d)
 

@@ -19,39 +19,15 @@ from ..lcc.core import AnchorSet
 from ..lcc.sampling import neighbor_table, sample_codings
 from ..rng import Rng
 from .adam import AdamState, adam_step, init_adam
-from .net import Mlp, TrainingDivergedError, backward, build_mlp, check_finite, forward_cached
-
-EPS_PHI = 1e-7
-
-
-@dataclass
-class MeasuringFunction:
-    """phi applied to discriminator scores; "log" clamps its argument to
-    [EPS_PHI, 1 - EPS_PHI] before the log."""
-
-    kind: str
-
-    def __post_init__(self):
-        if self.kind not in ("log", "identity"):
-            raise ValueError(f"phi must be 'log' or 'identity', got {self.kind!r}")
-
-    def value(self, t):
-        if self.kind == "identity":
-            return t
-        return np.log(np.clip(t, EPS_PHI, 1.0 - EPS_PHI))
-
-    def deriv(self, t):
-        if self.kind == "identity":
-            return np.ones_like(t)
-        inside = (t > EPS_PHI) & (t < 1.0 - EPS_PHI)
-        return np.where(inside, 1.0 / np.clip(t, EPS_PHI, 1.0 - EPS_PHI), 0.0)
+from .net import (PHIS, Mlp, TrainingDivergedError, backward, build_mlp, check_finite,
+                  forward_cached)
 
 
 @dataclass
 class GanModel:
     generator: Mlp
     discriminator: Mlp
-    phi: MeasuringFunction
+    phi: str  # a key of net.PHIS
     gen_state: AdamState
     disc_state: AdamState
 
@@ -60,12 +36,11 @@ def build_gan(data_dim: int, m: int, gan: GanConfig = GanConfig(), seed: int = 0
     """Both networks, each with hidden layers of width `gan.hidden`, and
     their Adam states."""
     rng = Rng(seed)
-    measuring = MeasuringFunction(gan.phi)
     gen = build_mlp([m, gan.hidden, gan.hidden, data_dim],
                     ["relu", "relu", gan.generator_output], rng)
     disc_out = "sigmoid" if gan.phi == "log" else "identity"
     disc = build_mlp([data_dim, gan.hidden, gan.hidden, 1], ["relu", "relu", disc_out], rng)
-    return GanModel(gen, disc, measuring, init_adam(gen.params()), init_adam(disc.params()))
+    return GanModel(gen, disc, gan.phi, init_adam(gen.params()), init_adam(disc.params()))
 
 
 def disc_objective_and_grads(gan: GanModel, reals, codings):
@@ -74,9 +49,10 @@ def disc_objective_and_grads(gan: GanModel, reals, codings):
     fakes = gan.generator.forward(codings)
     score_r, cache_r = forward_cached(gan.discriminator, reals)
     score_f, cache_f = forward_cached(gan.discriminator, fakes)
-    value = float(np.mean(gan.phi.value(score_r)) + np.mean(gan.phi.value(1.0 - score_f)))
-    d_r = gan.phi.deriv(score_r) / n
-    d_f = -gan.phi.deriv(1.0 - score_f) / codings.shape[0]
+    phi, dphi = PHIS[gan.phi]
+    value = float(np.mean(phi(score_r)) + np.mean(phi(1.0 - score_f)))
+    d_r = dphi(score_r) / n
+    d_f = -dphi(1.0 - score_f) / codings.shape[0]
     grads_r, _ = backward(gan.discriminator, cache_r, d_r)
     grads_f, _ = backward(gan.discriminator, cache_f, d_f)
     return value, [a + b for a, b in zip(grads_r, grads_f)]
@@ -87,8 +63,9 @@ def gen_objective_and_grads(gan: GanModel, codings):
     n = codings.shape[0]
     fakes, cache_g = forward_cached(gan.generator, codings)
     score_f, cache_d = forward_cached(gan.discriminator, fakes)
-    value = float(np.mean(gan.phi.value(1.0 - score_f)))
-    d_f = -gan.phi.deriv(1.0 - score_f) / n
+    phi, dphi = PHIS[gan.phi]
+    value = float(np.mean(phi(1.0 - score_f)))
+    d_f = -dphi(1.0 - score_f) / n
     _, d_fakes = backward(gan.discriminator, cache_d, d_f)
     grads, _ = backward(gan.generator, cache_g, d_fakes)
     return value, grads

@@ -1,7 +1,8 @@
 """Small dense networks with hand-written forward and backward passes.
 
 Weights are (in_dim, out_dim); rows of a batch multiply from the left,
-y = act(x @ W + b).  Everything is float64.
+y = act(x @ W + b).  Everything is float64.  `ACTIVATIONS` and the GAN's
+`PHIS` are the only lists of their names; config checks keys against them.
 """
 
 from __future__ import annotations
@@ -18,12 +19,29 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-# activation name -> (f, f'), both functions of the pre-activation z
-_ACT = {
+# activation name -> (f, f'), both functions of the pre-activation z.  The
+# order is a file format: a checkpoint stores each layer's activation as its
+# position here (serialize), so new names go at the end.
+ACTIVATIONS = {
     "identity": (lambda z: z, np.ones_like),
     "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
     "tanh": (np.tanh, lambda z: 1.0 - (t := np.tanh(z)) * t),
     "sigmoid": (_sigmoid, lambda z: (s := _sigmoid(z)) * (1.0 - s)),
+}
+
+EPS_PHI = 1e-7
+
+
+def _clip_phi(t):
+    return np.clip(t, EPS_PHI, 1.0 - EPS_PHI)
+
+
+# GAN measuring function name -> (phi, phi'), both functions of a
+# discriminator score t; "log" clamps t to [EPS_PHI, 1 - EPS_PHI]
+PHIS = {
+    "log": (lambda t: np.log(_clip_phi(t)),
+            lambda t: np.where((t > EPS_PHI) & (t < 1.0 - EPS_PHI), 1.0 / _clip_phi(t), 0.0)),
+    "identity": (lambda t: t, np.ones_like),
 }
 
 
@@ -53,7 +71,7 @@ class Mlp:
         if y.shape[1] != self.in_dim:
             raise ValueError(f"input dim {y.shape[1]}, network expects {self.in_dim}")
         for layer in self.layers:
-            y = _ACT[layer.act][0](y @ layer.w + layer.b)
+            y = ACTIVATIONS[layer.act][0](y @ layer.w + layer.b)
         return y[0] if single else y
 
     def params(self):
@@ -70,7 +88,7 @@ def build_mlp(dims, acts, rng: Rng) -> Mlp:
         raise ValueError("need one activation per layer")
     layers = []
     for i, act in enumerate(acts):
-        if act not in _ACT:
+        if act not in ACTIVATIONS:
             raise ValueError(f"unknown activation {act!r}")
         fan_in, fan_out = dims[i], dims[i + 1]
         if min(fan_in, fan_out) < 1:
@@ -92,7 +110,7 @@ def forward_cached(net: Mlp, X):
     for layer in net.layers:
         z = y @ layer.w + layer.b
         cache.append((y, z))
-        y = _ACT[layer.act][0](z)
+        y = ACTIVATIONS[layer.act][0](z)
     return y, cache
 
 
@@ -106,7 +124,7 @@ def backward(net: Mlp, cache, d_out):
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         x, z = cache[i]
-        dz = dy * _ACT[layer.act][1](z)
+        dz = dy * ACTIVATIONS[layer.act][1](z)
         grads[2 * i] = x.T @ dz
         grads[2 * i + 1] = dz.sum(axis=0)
         dy = dz @ layer.w.T

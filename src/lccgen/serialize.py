@@ -4,10 +4,10 @@ Anchor sets ("LCCA"): magic, u32 LE d_b, u32 LE m, then m*d_b float64 LE in
 column-major order (one anchor after another).
 
 Network checkpoints ("LCCN"): magic, u32 LE layer count, then per layer
-u32 LE rows, u32 LE cols, one activation tag byte (0 identity, 1 relu,
-2 tanh, 3 sigmoid), rows*cols float64 LE weights row-major, cols float64 LE
-biases.  A checkpoint has at least one layer, and each layer's rows equal
-the previous layer's cols.
+u32 LE rows, u32 LE cols, one activation tag byte (the name's position in
+`neural.net.ACTIVATIONS`: 0 identity, 1 relu, 2 tanh, 3 sigmoid), rows*cols
+float64 LE weights row-major, cols float64 LE biases.  A checkpoint has at
+least one layer, and each layer's rows equal the previous layer's cols.
 
 CSV floats are written with repr-faithful %.17g so reruns are byte-identical.
 Every writer goes through `atomic_write`, so an artifact path holds either
@@ -24,12 +24,11 @@ import numpy as np
 
 from . import LccgenError
 from .lcc.core import AnchorSet, check_codings
-from .neural.net import Layer, Mlp
+from .neural.net import ACTIVATIONS, Layer, Mlp
 
 ANCHOR_MAGIC = b"LCCA"
 MODEL_MAGIC = b"LCCN"
-_ACT_TAGS = {"identity": 0, "relu": 1, "tanh": 2, "sigmoid": 3}
-_TAG_ACTS = {v: k for k, v in _ACT_TAGS.items()}
+_ACT_TAGS = {name: tag for tag, name in enumerate(ACTIVATIONS)}
 
 
 class FormatError(LccgenError):
@@ -120,7 +119,7 @@ def load_model(path) -> Mlp:
                               f"gives {layers[-1].b.size}")
         tag = buf[off + 8]
         off += 9
-        if tag not in _TAG_ACTS:
+        if tag >= len(ACTIVATIONS):
             raise FormatError(f"{path}: unknown activation tag {tag} at byte offset {off - 1}")
         need = off + 8 * (rows * cols + cols)
         if len(buf) < need:
@@ -129,7 +128,7 @@ def load_model(path) -> Mlp:
         off += 8 * rows * cols
         b = np.frombuffer(buf, dtype="<f8", count=cols, offset=off)
         off += 8 * cols
-        layers.append(Layer(w.copy(), b.copy(), _TAG_ACTS[tag]))
+        layers.append(Layer(w.copy(), b.copy(), list(ACTIVATIONS)[tag]))
     return Mlp(layers)
 
 

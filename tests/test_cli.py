@@ -271,6 +271,47 @@ def test_reduced_ring_pipeline_bytes_match_fixture(tmp_path):
     assert got == PIPELINE_SHA256
 
 
+# sha256 of every file a reduced swiss-roll pipeline writes at seed 7: 3-D
+# data, which eval's grid scatters by its first two coordinates, the
+# identity phi and a tanh generator output.  At the default [gan] hidden of
+# 128 this run's tanh outputs saturate, and eval ends in "query has zero
+# variance" on a constant sample; hidden = 16 keeps them inside (-1, 1).
+SWISS_ROLL_SHA256 = {
+    "ae_decoder.bin": "660186cd80234d2e77b11517cd06f8f81fa7c3a9cebca2c0ad7d813d6c54baf9",
+    "ae_encoder.bin": "8e9f0f6e18d32cde266db30db5cd2f2e39f3968959a899a066830003929a6504",
+    "ae_losses.csv": "8acf4bd9c0d4ea71c276b4341ec72b5bc6c2239892aab5953ea12bbf0ffd7921",
+    "anchors.bin": "b5defe5038a9c0d54a00b41e9e488a5803b58414aded9002ff7c86dcd83e0b8b",
+    "anchors.csv": "5f5f7fcb751b77663b296f3d8e64aa28e3a41060e94a1772973c238089e07c68",
+    "bounds.csv": "b36e9fb2b1e8cd23bd2f1e90510c17699787efbb3080ed995b2def265b67f9ba",
+    "codings.csv": "7fe331100725e3b4a8fa0b751f2ae49238072dc4bc47b73cf58045af299e8253",
+    "codings_sampled.csv": "1ecf53c140a6f7e960c65ac472593c0655d0c0d98c60f864042dec1a354ed40a",
+    "discriminator.bin": "595ea858d7a61eb77bd6bf7fa257f8b5977dee699b9f5f3c1a32a8b8bb62649b",
+    "gan_losses.csv": "25ac0881d4db7b1bf40e192713f2c38311afea9bfda99fd149eea2617263d93d",
+    "generator.bin": "909e0733f92ad8a234675b277a98d860b35d31e8eb998d10ed5d7d374714a220",
+    "grid.pgm": "c29206eb69f4b6f05bbbcc82d7495df088f6eb8666e431bbd1ca0a6e5474586f",
+    "interp_codings.csv": "b5a62d0ba24b0511e0c8b2e6981f69c90e8351a31666cd44c6ef81b9adf6dda9",
+    "interp_outputs.csv": "3d4305d8a298f8b14852c3acfa65c4f7dc8b526a3e87b413a9af41249e9695c2",
+    "lcc_objective.csv": "a2bfe325553e33e89bcac99b20c0c5d36c1c78f9d0f1527aaabbfde5ae287733",
+    "metrics.csv": "b1c933870da605e46a973d0ffc8efb342b0ce53f80e0b4c2d38293c4b3fbad9b",
+    "sampled_outputs.csv": "b3b1ca8a5f41f93c00111c2acbbea13bda7effa001bb1e27e9f9f5c6915c94bf",
+    "samples.csv": "bbbd7e1c5b78eba12a7400fa4d799b0911793b440356d3413e1131a56e4afef6",
+}
+
+
+def test_reduced_swiss_roll_pipeline_bytes_match_fixture(tmp_path):
+    out = tmp_path / "out"
+    cfg = tmp_path / "swiss.ini"
+    cfg.write_text("[data]\nkind = swiss_roll\nn = 300\nseed = 7\n[autoencoder]\nepochs = 3\n"
+                   "[lcc]\nm = 8\nmax_outer_iters = 5\n"
+                   "[gan]\niters = 100\nhidden = 16\nphi = identity\ngenerator_output = tanh\n"
+                   f"[eval]\nn_generated = 200\nn_heldout = 200\n[output]\ndir = {out}\n")
+    for argv in (["train-ae"], ["learn-lcc"], ["train-gan"], ["sample", "--n", "50"],
+                 ["interpolate", "--steps", "5"], ["eval"], ["verify-bounds", "--cases", "20"]):
+        assert main(["--config", str(cfg)] + argv) == 0, argv
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == SWISS_ROLL_SHA256
+
+
 def test_verify_bounds_rejects_negative_cases(tmp_path, capsys):
     out = tmp_path / "out"
     assert main(["--out", str(out), "verify-bounds", "--cases", "-5"]) == 1
@@ -321,12 +362,17 @@ def test_verify_bounds_violation_ends_in_error_line(tmp_path, capsys, monkeypatc
      "[eval] bandwidth=-1.0 must be finite and at least 0"),
     (["eval"], ("n_generated = 32", "n_generated = 0"), "[eval] n_generated=0 must be at least 1"),
     (["learn-lcc", "--m", "0"], None, "[lcc] m=0 must be at least 1"),
+    # valid for the training stages; eval needs two held-out points
+    (["eval"], ("n_heldout = 32", "n_heldout = 0"),
+     "[eval] n_heldout=0 must be at least 2 for eval"),
+    (["eval"], ("n_heldout = 32", "n_heldout = 1"),
+     "[eval] n_heldout=1 must be at least 2 for eval"),
 ], ids=["gan-iters", "ae-epochs", "ae-batch", "gan-batch-0", "gan-batch-neg",
         "ae-latent-dim", "ae-lr-nan", "ae-lr-neg", "gan-hidden", "gan-lr-nan", "gan-beta1",
-        "gan-beta2", "eval-bandwidth", "eval-n-generated", "lcc-m"])
+        "gan-beta2", "eval-bandwidth", "eval-n-generated", "lcc-m", "eval-n-heldout-0",
+        "eval-n-heldout-1"])
 def test_bad_training_sizes_are_one_error_line(staged, tmp_path, capsys, argv, edit, err):
-    # refused when the config is loaded, before any stage runs, so no
-    # artifact is overwritten
+    # refused before the stage reads its data, so no artifact is overwritten
     _, out = staged
     out2 = tmp_path / "out"
     shutil.copytree(out, out2)
@@ -394,6 +440,23 @@ def test_sampler_giving_up_is_one_error_line(staged, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "redraws" in err[0]
     assert not os.path.exists(os.path.join(out2, "codings_sampled.csv"))
+
+
+@pytest.mark.parametrize("argv", [["sample", "--d", "5"], ["train-gan"], ["interpolate"],
+                                  ["eval"]], ids=lambda argv: argv[0])
+def test_sampler_d_above_the_anchor_count_writes_nothing(full_pipeline, tmp_path, capsys, argv):
+    _, out = full_pipeline
+    out2 = tmp_path / "out"
+    shutil.copytree(out, out2)
+    before = {p.name: p.read_bytes() for p in out2.iterdir()}
+    cfg2 = write_cfg(str(tmp_path), str(out2))
+    if "--d" not in argv:
+        with open(cfg2, "a") as fh:
+            fh.write("\n[sampler]\nd = 5\n")
+    assert main(["--config", cfg2] + argv) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        "error: [sampler] d=5 exceeds the anchor count m=4"]
+    assert {p.name: p.read_bytes() for p in out2.iterdir()} == before
 
 
 @pytest.mark.parametrize("n", ["0", "-3"])

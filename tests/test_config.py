@@ -1,12 +1,23 @@
-"""The README's configuration block against the section dataclasses."""
+"""Configuration: the README's block against the section dataclasses, the
+name tables the string keys are checked against, and the imports that let
+config read those tables."""
 
 import configparser
 import os
 import re
+import subprocess
+import sys
 
-from lccgen.config import DEFAULTS
+import pytest
+
+import lccgen
+from lccgen.config import DEFAULTS, AutoencoderConfig, ConfigError, GanConfig
+from lccgen.neural.net import ACTIVATIONS, PHIS, build_mlp
+from lccgen.rng import Rng
+from lccgen.serialize import load_model, save_model
 
 README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
+PACKAGE = os.path.dirname(lccgen.__file__)
 
 
 def test_readme_ini_block_states_every_default():
@@ -19,3 +30,46 @@ def test_readme_ini_block_states_every_default():
     for section, kv in DEFAULTS.items():
         for key, value in kv.items():
             assert type(value)(parser[section][key]) == value, f"[{section}] {key}"
+
+
+def test_every_module_imports_first():
+    # config imports neural.net; a package __init__ that re-exported a
+    # module importing config would make that a cycle, which fails here
+    # for whichever module starts it
+    names = []
+    for root, _, files in os.walk(PACKAGE):
+        for f in sorted(files):
+            if f.endswith(".py"):
+                rel = os.path.relpath(os.path.join(root, f[:-3]), os.path.dirname(PACKAGE))
+                parts = rel.split(os.sep)
+                names.append(".".join(parts[:-1] if parts[-1] == "__init__" else parts))
+    assert "lccgen.config" in names and "lccgen.neural.net" in names
+    code = ("import importlib, sys\n"
+            f"for name in {sorted(names)!r}:\n"
+            "    for key in [k for k in sys.modules if k.split('.')[0] == 'lccgen']:\n"
+            "        del sys.modules[key]\n"
+            "    importlib.import_module(name)\n")
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(PACKAGE))
+    done = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert done.returncode == 0, done.stderr
+
+
+def test_every_activation_round_trips_and_is_a_config_value(tmp_path):
+    path = tmp_path / "net.bin"
+    for act in ACTIVATIONS:
+        net = build_mlp([2, 3], [act], Rng(1))
+        save_model(path, net)
+        # the tag byte after the magic, layer count, rows and cols is a file
+        # format: the name's position in the table
+        assert path.read_bytes()[16] == ("identity", "relu", "tanh", "sigmoid").index(act)
+        layer = load_model(path).layers[0]
+        assert layer.act == act
+        assert layer.w.tobytes() == net.layers[0].w.tobytes()
+        assert AutoencoderConfig(activation=act).activation == act
+        assert GanConfig(generator_output=act).generator_output == act
+    for phi in PHIS:
+        assert GanConfig(phi=phi).phi == phi
+    with pytest.raises(ConfigError, match="must be identity, relu, tanh or sigmoid$"):
+        AutoencoderConfig(activation="swish")
+    with pytest.raises(ConfigError, match="must be identity, relu, tanh or sigmoid$"):
+        GanConfig(generator_output="swish")

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from lccgen.config import AutoencoderConfig, GanConfig, SamplerConfig
+from lccgen.config import AutoencoderConfig, ConfigError, GanConfig, SamplerConfig
 from lccgen.lcc.core import AnchorSet
 from lccgen.neural.adam import adam_step, init_adam
 from lccgen.neural.autoencoder import (
@@ -16,7 +16,6 @@ from lccgen.neural.autoencoder import (
     train_autoencoder,
 )
 from lccgen.neural.gan import (
-    MeasuringFunction,
     build_gan,
     disc_objective_and_grads,
     gen_objective_and_grads,
@@ -362,5 +361,5 @@ def test_gan_divergence_raises_the_training_error():
 
 
 def test_measuring_function_rejects_unknown_tag():
-    with pytest.raises(ValueError):
-        MeasuringFunction("hinge")
+    with pytest.raises(ConfigError, match=r"^\[gan\] phi='hinge' must be log or identity$"):
+        GanConfig(phi="hinge")

@@ -266,6 +266,16 @@ def test_sample_codings_matches_per_draw_loop_after_refills():
     assert rng.counter == ref_rng.counter
 
 
+def test_sample_codings_decodes_about_what_it_consumes():
+    # each rejected draw re-decodes at most the rest of its block, so the
+    # decoded u64s stay within a small factor of the consumed ones
+    V = np.asarray(Rng(3).normals(2 * 16)).reshape(2, 16)
+    cfg = SamplerConfig()
+    rng = _CountingRng(11)
+    sample_codings(neighbor_table(AnchorSet(V), cfg.d), 100_000, cfg, rng)
+    assert sum(rng.fetches) <= 3 * rng.counter
+
+
 def _seed_where(table, n, cfg, wanted):
     """The first seed whose reference run satisfies wanted(tries, gave_up),
     tries holding the attempt count of each draw the reference completed."""
