@@ -202,9 +202,10 @@ def cmd_eval(cfg, out):
     score = mmd2(generated, held, bandwidth)
     probe = min(100, len(generated))
     positive = 0
-    for i in range(probe):
-        _, dist = pearson_nn(generated[i], X)
-        positive += 1 if dist > 0.0 else 0
+    for q in generated[:probe]:
+        # a constant sample has no correlation distance; it counts as not positive
+        if np.any(q != q[0]):
+            positive += 1 if pearson_nn(q, X)[1] > 0.0 else 0
     matrix_to_csv(os.path.join(out, "samples.csv"), generated)
     kv_to_csv(os.path.join(out, "metrics.csv"), [
         ("mmd2", score),

@@ -8,10 +8,11 @@ the sum-to-one property and never leaves the union of their supports.
 
 Bulk draws come from `sample_codings` and paths from `interpolate`, both
 as (n, m) weight arrays; `Coding` objects are only built for single draws
-(`sample_coding`, `sample_coding_pair`).  A batch rewinds the stream at a
-rejected draw and redraws it with the single-draw routine, so n batch
-draws equal n single draws bit for bit.  Either way each row's sum is
-pinned to 1 by `core.pin_row_sums`.
+(`sample_coding`, `sample_coding_pair`).  Batches come from one stream
+walker, `walk_codings`, which decodes a window of the stream from its
+counters and steps only through the rejected attempts, so n batch draws
+equal n single draws bit for bit.  Either way each row's sum is pinned to 1
+by `core.pin_row_sums`.
 """
 
 from __future__ import annotations
@@ -20,11 +21,11 @@ import numpy as np
 
 from .. import LccgenError
 from ..config import ConfigError, SamplerConfig
-from ..rng import Rng, normal_u64s, u64_to_normals, u64_to_uniforms
+from ..rng import Rng, normal_u64s, u64_to_normals_at_every_offset, u64_to_uniforms
 from .core import AnchorSet, Coding, check_codings, pin_row_sums
 
 _MAX_REDRAWS = 64
-_BLOCK = 256  # draws sample_codings decodes at a time
+_WINDOW = 1024  # draws walk_codings decodes at a time
 
 
 class SamplingError(LccgenError):
@@ -68,6 +69,10 @@ def _place(w, neighbors, z, s):
     pin_row_sums(w)
 
 
+def _gave_up(config: SamplerConfig) -> SamplingError:
+    return SamplingError(f"|sum(z)| stayed below {config.min_abs_sum} after {_MAX_REDRAWS} redraws")
+
+
 def _draw_on_neighborhood(neighbors, m, config: SamplerConfig, rng: Rng) -> np.ndarray:
     """One (m,) coding on the neighborhood, its normals redrawn while
     |sum(z)| < min_abs_sum, at most _MAX_REDRAWS times."""
@@ -78,48 +83,82 @@ def _draw_on_neighborhood(neighbors, m, config: SamplerConfig, rng: Rng) -> np.n
             w = np.zeros((1, m))
             _place(w, neighbors[None, :], z, s)
             return w[0]
-    raise SamplingError(f"|sum(z)| stayed below {config.min_abs_sum} after {_MAX_REDRAWS} redraws")
+    raise _gave_up(config)
+
+
+def _walk(table, config: SamplerConfig, rng: Rng, runs, w):
+    """Writes the codings of the (codings, uniforms) count rows `runs` into
+    the zero (n, m) array w and returns the uniforms, flat.  Decodes the
+    window's counters once, with slack, and the Gaussian sum of the attempt
+    that would start at every offset; a rejected attempt shifts every later
+    read by one attempt, so one step per rejected attempt places every
+    read.  Decodes more when rejections use up the slack."""
+    m, d = table.shape
+    if d != config.d:
+        raise ValueError(f"table has shape {table.shape}, expected (m, {config.d})")
+    per = normal_u64s(d)  # u64s per attempt
+    n = int(runs[:, 0].sum())
+    extra = np.zeros(n, dtype=np.int64)  # uniforms read after each draw
+    np.add.at(extra, np.cumsum(runs[:, 0]) - 1, runs[:, 1])
+    before = np.cumsum(extra) - extra
+    center0 = np.arange(n) * (1 + per) + before  # offsets if nothing is rejected
+    need = n * (1 + per) + int(extra.sum())
+    start, size, slack = rng.counter, 0, per * (n // 16 + 8)
+    rejects = np.zeros(n, dtype=np.int64)
+    j = shift = 0  # shift: u64s that the rejected attempts so far took
+    while True:
+        if need + shift > size:
+            size, slack = need + shift + slack, 4 * slack
+            bits = rng.u64_at(np.arange(start + 1, start + size + 1, dtype=np.uint64))
+            z = u64_to_normals_at_every_offset(bits, d)
+            s = z.sum(axis=1)
+            low = np.abs(s) < config.min_abs_sum
+        hit = low[center0[j:] + shift + 1]
+        k = int(np.argmax(hit))
+        if not hit[k]:
+            break
+        j += k
+        rejects[j] += 1
+        if rejects[j] > _MAX_REDRAWS:
+            raise _gave_up(config)
+        shift += per
+    rng.counter = start + need + shift
+    centers = center0 + per * (np.cumsum(rejects) - rejects)
+    accepted = centers + 1 + per * rejects
+    u = u64_to_uniforms(bits[centers])
+    _place(w, table[np.minimum((u * m).astype(np.int64), m - 1)], z[accepted], s[accepted])
+    check_codings(w)
+    reads = np.repeat(accepted + per - before, extra) + np.arange(int(extra.sum()))
+    return u64_to_uniforms(bits[reads])
+
+
+def walk_codings(table, config: SamplerConfig, rng: Rng, runs):
+    """Yields (codings, uniforms) per (c, k) in `runs`, c >= 1: the (c, m)
+    weights of c draws over the table's m = len(table) anchors, then the
+    next k uniforms.  Bit-identical to reading in turn (per draw, center =
+    rng.randint(m), then _draw_on_neighborhood on table[center]; then
+    rng.uniforms(k)), and leaves rng at the same position.  Runs are walked
+    at most _WINDOW draws (or one run) at a time, so SamplingError may come
+    a window early."""
+    runs = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
+    step = max(1, _WINDOW // int(runs[:, 0].max(initial=1)))  # runs per window
+    for first in range(0, len(runs), step):
+        window = runs[first:first + step]
+        w = np.zeros((int(window[:, 0].sum()), len(table)))
+        u = _walk(table, config, rng, window, w)
+        yield from zip(np.split(w, np.cumsum(window[:-1, 0])),
+                       np.split(u, np.cumsum(window[:-1, 1])))
 
 
 def sample_codings(table, n: int, config: SamplerConfig, rng: Rng) -> np.ndarray:
     """n random codings over the table's m = len(table) anchors, as an (n, m)
-    weight array with one row per draw.
-
-    Bit-identical to n sequential draws (center = rng.randint(m), then
-    _draw_on_neighborhood on table[center]) and leaves rng at the same
-    position.  The stream is decoded in blocks of at most _BLOCK draws, each
-    draw one center u64 and normal_u64s(d) normal u64s; a rejected draw
-    rewinds rng to just past its center u64, is redrawn by
-    _draw_on_neighborhood, and the draws after it start a fresh block.  A
-    rejection thus wastes at most one block's decoding, and the work stays
-    linear in n.
-    """
-    d = config.d
-    m = len(table)
-    if table.shape[1] != d:
-        raise ValueError(f"table has shape {table.shape}, expected (m, {d})")
+    weight array: the walker's one-run call, a window at a time."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    per_draw = 1 + normal_u64s(d)  # center u64, then one attempt's normals
-    w = np.zeros((n, m))
-    done = 0
-    while done < n:
-        start = rng.counter
-        size = min(n - done, _BLOCK)
-        block = rng.next_u64_array(size * per_draw).reshape(size, per_draw)
-        u = u64_to_uniforms(block[:, 0])
-        neighbors = table[np.minimum((u * m).astype(np.int64), m - 1)]
-        z = u64_to_normals(block[:, 1:], d)
-        s = z.sum(axis=1)
-        low = np.flatnonzero(np.abs(s) < config.min_abs_sum)
-        good = int(low[0]) if low.size else size
-        _place(w[done:done + good], neighbors[:good], z[:good], s[:good])
-        done += good
-        if good < size:
-            rng.counter = start + good * per_draw + 1
-            w[done] = _draw_on_neighborhood(neighbors[good], m, config, rng)
-            done += 1
-    return check_codings(w)
+    w = np.zeros((n, len(table)))
+    for s in range(0, n, _WINDOW):
+        _walk(table, config, rng, np.array([[min(_WINDOW, n - s), 0]]), w[s:s + _WINDOW])
+    return w
 
 
 def _neighborhood(anchors: AnchorSet, config: SamplerConfig, rng: Rng) -> np.ndarray:

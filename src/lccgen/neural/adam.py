@@ -20,14 +20,22 @@ def init_adam(params) -> AdamState:
 
 def adam_step(params, grads, state: AdamState, lr=2e-4, beta1=0.5, beta2=0.999, eps=1e-8):
     """One descent step, updating the parameter arrays and the moment
-    buffers in place."""
+    buffers in place, with two scratch arrays per parameter array:
+    p -= (lr * m / (1 - beta1**t)) / (sqrt(v / (1 - beta2**t)) + eps)."""
     state.t += 1
     t = state.t
     for p, g, m, v in zip(params, grads, state.m, state.v):
+        step = np.multiply(1.0 - beta1, g)
         m *= beta1
-        m += (1.0 - beta1) * g
+        m += step
+        np.multiply(1.0 - beta2, g, out=step)
+        step *= g
         v *= beta2
-        v += ((1.0 - beta2) * g) * g
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        p -= (lr * m_hat) / (np.sqrt(v_hat) + eps)
+        v += step
+        np.divide(m, 1.0 - beta1**t, out=step)
+        step *= lr
+        denom = np.divide(v, 1.0 - beta2**t)
+        np.sqrt(denom, out=denom)
+        denom += eps
+        step /= denom
+        p -= step

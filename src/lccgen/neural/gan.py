@@ -16,7 +16,7 @@ import numpy as np
 
 from ..config import GanConfig, SamplerConfig
 from ..lcc.core import AnchorSet
-from ..lcc.sampling import neighbor_table, sample_codings
+from ..lcc.sampling import neighbor_table, walk_codings
 from ..rng import Rng
 from .adam import AdamState, adam_step, init_adam
 from .net import (PHIS, Mlp, TrainingDivergedError, backward, build_mlp, check_finite,
@@ -40,7 +40,7 @@ def build_gan(data_dim: int, m: int, gan: GanConfig = GanConfig(), seed: int = 0
                     ["relu", "relu", gan.generator_output], rng)
     disc_out = "sigmoid" if gan.phi == "log" else "identity"
     disc = build_mlp([data_dim, gan.hidden, gan.hidden, 1], ["relu", "relu", disc_out], rng)
-    return GanModel(gen, disc, gan.phi, init_adam(gen.params()), init_adam(disc.params()))
+    return GanModel(gen, disc, gan.phi, init_adam([gen.flat]), init_adam([disc.flat]))
 
 
 def disc_objective_and_grads(gan: GanModel, reals, codings):
@@ -53,9 +53,9 @@ def disc_objective_and_grads(gan: GanModel, reals, codings):
     value = float(np.mean(phi(score_r)) + np.mean(phi(1.0 - score_f)))
     d_r = dphi(score_r) / n
     d_f = -dphi(1.0 - score_f) / codings.shape[0]
-    grads_r, _ = backward(gan.discriminator, cache_r, d_r)
-    grads_f, _ = backward(gan.discriminator, cache_f, d_f)
-    return value, [a + b for a, b in zip(grads_r, grads_f)]
+    grads, _ = backward(gan.discriminator, cache_r, d_r)
+    grads += backward(gan.discriminator, cache_f, d_f)[0]
+    return value, grads
 
 
 def gen_objective_and_grads(gan: GanModel, codings):
@@ -83,25 +83,27 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
         raise ValueError("data dim does not match the discriminator input")
     if anchors.m != model.generator.in_dim:
         raise ValueError("anchor count does not match the generator input")
-    n = X.shape[0]
-    rng = Rng(seed)
-    table = neighbor_table(anchors, sampler.d)
+    n, b = X.shape[0], gan.batch
+    # per iteration the stream gives D's codings, the data indices, then G's codings
+    stream = walk_codings(neighbor_table(anchors, sampler.d), sampler, Rng(seed),
+                          [(b, b), (b, 0)] * gan.iters)
     adam = {"lr": gan.lr, "beta1": gan.beta1, "beta2": gan.beta2}
     trace = []
     for it in range(gan.iters):
-        codings = sample_codings(table, gan.batch, sampler, rng)
-        idx = np.minimum((rng.uniforms(gan.batch) * n).astype(np.int64), n - 1)
+        codings, u = next(stream)
+        idx = np.minimum((u * n).astype(np.int64), n - 1)
         d_val, d_grads = disc_objective_and_grads(model, X[idx], codings)
         if not np.isfinite(d_val):
             raise TrainingDivergedError(f"non-finite discriminator objective at iteration {it}")
-        adam_step(model.discriminator.params(), [-g for g in d_grads], model.disc_state, **adam)
+        adam_step([model.discriminator.flat], [np.negative(d_grads, out=d_grads)],
+                  model.disc_state, **adam)
         check_finite(model.discriminator, f"iteration {it}")
 
-        codings = sample_codings(table, gan.batch, sampler, rng)
+        codings, _ = next(stream)
         g_val, g_grads = gen_objective_and_grads(model, codings)
         if not np.isfinite(g_val):
             raise TrainingDivergedError(f"non-finite generator objective at iteration {it}")
-        adam_step(model.generator.params(), g_grads, model.gen_state, **adam)
+        adam_step([model.generator.flat], [g_grads], model.gen_state, **adam)
         check_finite(model.generator, f"iteration {it}")
         trace.append((d_val, g_val))
     return model, trace

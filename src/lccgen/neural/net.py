@@ -56,9 +56,29 @@ class Layer:
     act: str
 
 
-@dataclass
+def _layer_views(vec, layers):
+    """(w, b) views of a vector laid out like Mlp.flat, one pair per layer."""
+    views, off = [], 0
+    for layer in layers:
+        rows, cols = layer.w.shape
+        w = vec[off:off + rows * cols].reshape(rows, cols)
+        off += rows * cols
+        views.append((w, vec[off:off + cols]))
+        off += cols
+    return views
+
+
 class Mlp:
-    layers: list
+    """Layers holding views of one vector, `flat` (layer by layer, w then b),
+    into which the given layers' arrays are copied."""
+
+    def __init__(self, layers):
+        self.flat = np.empty(sum(layer.w.size + layer.b.size for layer in layers))
+        self.layers = []
+        for (w, b), layer in zip(_layer_views(self.flat, layers), layers):
+            w[...] = layer.w
+            b[...] = layer.b
+            self.layers.append(Layer(w, b, layer.act))
 
     @property
     def in_dim(self) -> int:
@@ -73,13 +93,6 @@ class Mlp:
         for layer in self.layers:
             y = ACTIVATIONS[layer.act][0](y @ layer.w + layer.b)
         return y[0] if single else y
-
-    def params(self):
-        out = []
-        for layer in self.layers:
-            out.append(layer.w)
-            out.append(layer.b)
-        return out
 
 
 def build_mlp(dims, acts, rng: Rng) -> Mlp:
@@ -117,21 +130,25 @@ def forward_cached(net: Mlp, X):
 def backward(net: Mlp, cache, d_out):
     """Gradients of a scalar loss given d(loss)/d(output).
 
-    Returns (grads, d_input) with grads ordered like Mlp.params().
+    Returns (grads, d_input) with grads one vector laid out like net.flat.
     """
-    grads = [None] * (2 * len(net.layers))
+    grads = np.empty_like(net.flat)
+    views = _layer_views(grads, net.layers)
     dy = np.asarray(d_out, dtype=np.float64)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         x, z = cache[i]
         dz = dy * ACTIVATIONS[layer.act][1](z)
-        grads[2 * i] = x.T @ dz
-        grads[2 * i + 1] = dz.sum(axis=0)
+        gw, gb = views[i]
+        np.matmul(x.T, dz, out=gw)
+        gb[...] = dz.sum(axis=0)
         dy = dz @ layer.w.T
     return grads, dy
 
 
 def check_finite(net: Mlp, where: str):
+    if np.all(np.isfinite(net.flat)):
+        return
     for i, layer in enumerate(net.layers):
         if not (np.all(np.isfinite(layer.w)) and np.all(np.isfinite(layer.b))):
             raise TrainingDivergedError(f"non-finite parameters in layer {i} after {where}")

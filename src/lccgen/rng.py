@@ -58,17 +58,36 @@ def u64_to_uniforms(bits) -> np.ndarray:
     return (bits >> np.uint64(11)).astype(np.float64) * _INV_2_53
 
 
+def _polar(ur, ut):
+    """Box-Muller's r = sqrt(-2 ln(1 - ur)), cos(2 pi ut) and sin(2 pi ut)."""
+    theta = 2.0 * np.pi * ut
+    return np.sqrt(-2.0 * np.log1p(-ur)), np.cos(theta), np.sin(theta)
+
+
+def _interleave(r, cos, sin, n: int) -> np.ndarray:
+    out = np.empty(r.shape[:-1] + (2 * r.shape[-1],))
+    out[..., 0::2] = r * cos
+    out[..., 1::2] = r * sin
+    return out[..., :n]
+
+
 def u64_to_normals(bits, n: int) -> np.ndarray:
     """Box-Muller along the last axis of a (..., 2 * ceil(n/2)) u64 block: the
     first half feeds r, the second half theta.  Returns (..., n)."""
     pairs = bits.shape[-1] // 2
     u = u64_to_uniforms(bits)
-    r = np.sqrt(-2.0 * np.log1p(-u[..., :pairs]))
-    theta = 2.0 * np.pi * u[..., pairs:]
-    out = np.empty(bits.shape[:-1] + (2 * pairs,))
-    out[..., 0::2] = r * np.cos(theta)
-    out[..., 1::2] = r * np.sin(theta)
-    return out[..., :n]
+    return _interleave(*_polar(u[..., :pairs], u[..., pairs:]), n)
+
+
+def u64_to_normals_at_every_offset(bits, n: int) -> np.ndarray:
+    """Row o is u64_to_normals(bits[o:o + normal_u64s(n)], n), for every
+    offset o of a 1-D u64 array, with each u64's log and trig run once.
+    Returns (len(bits) - normal_u64s(n) + 1, n)."""
+    pairs = normal_u64s(n) // 2
+    u = u64_to_uniforms(bits)
+    r, cos, sin = (np.lib.stride_tricks.sliding_window_view(a, pairs) for a in _polar(u, u))
+    rows = len(u) - 2 * pairs + 1
+    return _interleave(r[:rows], cos[pairs:], sin[pairs:], n)
 
 
 def normal_u64s(n: int) -> int:

@@ -128,7 +128,7 @@ def load_model(path) -> Mlp:
         off += 8 * rows * cols
         b = np.frombuffer(buf, dtype="<f8", count=cols, offset=off)
         off += 8 * cols
-        layers.append(Layer(w.copy(), b.copy(), list(ACTIVATIONS)[tag]))
+        layers.append(Layer(w, b, list(ACTIVATIONS)[tag]))
     return Mlp(layers)
 
 

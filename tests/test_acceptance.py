@@ -258,7 +258,7 @@ def test_criterion_5_gradient_correctness():
     X = np.asarray(rng.normals(6 * 3)).reshape(6, 3)
     _, eg, dg = ae_loss_and_grads(enc, dec, X)
     worst = _fd_worst(
-        lambda: ae_loss_and_grads(enc, dec, X)[0], enc.params() + dec.params(), eg + dg
+        lambda: ae_loss_and_grads(enc, dec, X)[0], [enc.flat, dec.flat], [eg, dg]
     )
 
     gan = build_gan(3, 4, GanConfig(hidden=6), seed=9)
@@ -271,7 +271,7 @@ def test_criterion_5_gradient_correctness():
     _, grads = disc_objective_and_grads(gan, reals, codings)
     worst = max(worst, _fd_worst(
         lambda: disc_objective_and_grads(gan, reals, codings)[0],
-        gan.discriminator.params(), grads,
+        [gan.discriminator.flat], [grads],
     ))
 
     codings2 = np.asarray(Rng(16).normals(6 * 4)).reshape(6, 4)
@@ -281,7 +281,7 @@ def test_criterion_5_gradient_correctness():
     _, ggrads = gen_objective_and_grads(gan, codings2)
     worst = max(worst, _fd_worst(
         lambda: gen_objective_and_grads(gan, codings2)[0],
-        gan.generator.params(), ggrads,
+        [gan.generator.flat], [ggrads],
     ))
     elapsed = time.perf_counter() - t0
     ok = worst < 1e-4 and elapsed < 10.0

@@ -273,9 +273,10 @@ def test_reduced_ring_pipeline_bytes_match_fixture(tmp_path):
 
 # sha256 of every file a reduced swiss-roll pipeline writes at seed 7: 3-D
 # data, which eval's grid scatters by its first two coordinates, the
-# identity phi and a tanh generator output.  At the default [gan] hidden of
-# 128 this run's tanh outputs saturate, and eval ends in "query has zero
-# variance" on a constant sample; hidden = 16 keeps them inside (-1, 1).
+# identity phi and a tanh generator output.  hidden = 16 keeps the tanh
+# outputs inside (-1, 1); at the default [gan] hidden of 128 they saturate
+# into constant samples, which test_eval_counts_a_constant_sample_as_not_positive
+# runs.
 SWISS_ROLL_SHA256 = {
     "ae_decoder.bin": "660186cd80234d2e77b11517cd06f8f81fa7c3a9cebca2c0ad7d813d6c54baf9",
     "ae_encoder.bin": "8e9f0f6e18d32cde266db30db5cd2f2e39f3968959a899a066830003929a6504",
@@ -310,6 +311,22 @@ def test_reduced_swiss_roll_pipeline_bytes_match_fixture(tmp_path):
         assert main(["--config", str(cfg)] + argv) == 0, argv
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert got == SWISS_ROLL_SHA256
+
+
+def test_eval_counts_a_constant_sample_as_not_positive(tmp_path):
+    # the swiss-roll fixture's config at the default [gan] hidden of 128,
+    # whose tanh outputs saturate at (1, 1, 1): a constant sample has no
+    # correlation distance, so eval counts it as not positive
+    out = tmp_path / "out"
+    cfg = tmp_path / "swiss.ini"
+    cfg.write_text("[data]\nkind = swiss_roll\nn = 300\nseed = 7\n[autoencoder]\nepochs = 3\n"
+                   "[lcc]\nm = 8\nmax_outer_iters = 5\n"
+                   "[gan]\niters = 100\nphi = identity\ngenerator_output = tanh\n"
+                   f"[eval]\nn_generated = 200\nn_heldout = 200\n[output]\ndir = {out}\n")
+    for argv in (["train-ae"], ["learn-lcc"], ["train-gan"], ["eval"]):
+        assert main(["--config", str(cfg)] + argv) == 0, argv
+    keys = [row.split(",")[0] for row in (out / "metrics.csv").read_text().splitlines()]
+    assert keys == ["name", "mmd2", "bandwidth", "pearson_positive_fraction"]
 
 
 def test_verify_bounds_rejects_negative_cases(tmp_path, capsys):
@@ -440,6 +457,11 @@ def test_sampler_giving_up_is_one_error_line(staged, tmp_path, capsys):
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error:") and "redraws" in err[0]
     assert not os.path.exists(os.path.join(out2, "codings_sampled.csv"))
+    assert main(["--config", cfg2, "train-gan"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:") and "redraws" in err[0]
+    for name in ("generator.bin", "discriminator.bin", "gan_losses.csv"):
+        assert not os.path.exists(os.path.join(out2, name)), name
 
 
 @pytest.mark.parametrize("argv", [["sample", "--d", "5"], ["train-gan"], ["interpolate"],

@@ -98,6 +98,43 @@ def test_build_mlp_rejects_a_layer_width_below_1(dims, why):
         build_mlp(dims, ["relu", "identity"], Rng(0))
 
 
+# ------------------------------------------------------------ flat layout
+
+
+def test_build_mlp_layers_are_views_of_one_flat_vector():
+    net = build_mlp([3, 5, 2], ["relu", "identity"], Rng(1))
+    assert net.flat.shape == (3 * 5 + 5 + 5 * 2 + 2,)
+    for layer in net.layers:
+        assert np.shares_memory(layer.w, net.flat) and np.shares_memory(layer.b, net.flat)
+    # layer by layer, w row-major then b
+    want = np.concatenate([a.reshape(-1) for layer in net.layers for a in (layer.w, layer.b)])
+    assert net.flat.tobytes() == want.tobytes()
+    net.flat[-1] = 9.0
+    assert net.layers[-1].b[-1] == 9.0
+
+
+def test_mlp_from_another_nets_layers_copies_them():
+    a = build_mlp([2, 3, 1], ["relu", "identity"], Rng(2))
+    arrays = [(layer.w, layer.b) for layer in a.layers]
+    keep = a.flat.copy()
+    c = Mlp(a.layers)
+    assert all(layer.w is w and layer.b is b for layer, (w, b) in zip(a.layers, arrays))
+    assert not np.shares_memory(c.flat, a.flat)
+    assert c.flat.tobytes() == keep.tobytes()
+    c.flat += 1.0
+    assert a.flat.tobytes() == keep.tobytes()
+    assert np.shares_memory(a.layers[0].w, a.flat)
+
+
+def test_check_finite_names_the_first_non_finite_layer():
+    net = build_mlp([2, 3, 3, 1], ["relu", "relu", "identity"], Rng(0))
+    check_finite(net, "step 1")
+    net.layers[2].w[0, 0] = np.inf
+    net.layers[1].b[2] = np.nan
+    with pytest.raises(TrainingDivergedError, match="layer 1 after step 2"):
+        check_finite(net, "step 2")
+
+
 # -------------------------------------------------------------- gradients
 
 
@@ -107,7 +144,7 @@ def test_zero_net_zero_targets_zero_gradient():
     X = np.zeros((4, 3))
     loss, eg, dg = ae_loss_and_grads(enc, dec, X)
     assert loss == 0.0
-    assert all(np.all(g == 0.0) for g in eg + dg)
+    assert np.all(eg == 0.0) and np.all(dg == 0.0)
 
 
 def test_backward_is_linear_in_the_loss():
@@ -128,7 +165,7 @@ def test_autoencoder_gradients_match_finite_differences():
     X = np.asarray(rng.normals(6 * 3)).reshape(6, 3)
     _, eg, dg = ae_loss_and_grads(enc, dec, X)
     worst = fd_check(
-        lambda: ae_loss_and_grads(enc, dec, X)[0], enc.params() + dec.params(), eg + dg
+        lambda: ae_loss_and_grads(enc, dec, X)[0], [enc.flat, dec.flat], [eg, dg]
     )
     assert worst < 1e-4
 
@@ -155,8 +192,8 @@ def test_discriminator_gradients_match_finite_differences():
     _, grads = disc_objective_and_grads(gan, reals, codings)
     worst = fd_check(
         lambda: disc_objective_and_grads(gan, reals, codings)[0],
-        gan.discriminator.params(),
-        grads,
+        [gan.discriminator.flat],
+        [grads],
     )
     assert worst < 1e-4
 
@@ -172,8 +209,8 @@ def test_generator_gradients_match_finite_differences():
     _, grads = gen_objective_and_grads(gan, codings)
     worst = fd_check(
         lambda: gen_objective_and_grads(gan, codings)[0],
-        gan.generator.params(),
-        grads,
+        [gan.generator.flat],
+        [grads],
     )
     assert worst < 1e-4
 
@@ -299,10 +336,8 @@ def test_gan_zero_iters_is_identity():
     gan = build_gan(2, 4, GanConfig(hidden=8), seed=3)
     gan, trace = train_gan(X, _square_anchors(), SamplerConfig(d=2), gan, GanConfig(iters=0), 2)
     assert trace == []
-    for a, b in zip(ref.generator.params(), gan.generator.params()):
-        assert np.array_equal(a, b)
-    for a, b in zip(ref.discriminator.params(), gan.discriminator.params()):
-        assert np.array_equal(a, b)
+    assert np.array_equal(ref.generator.flat, gan.generator.flat)
+    assert np.array_equal(ref.discriminator.flat, gan.discriminator.flat)
 
 
 def test_tiny_lr_discriminator_step_ascends_frozen_objective():
@@ -312,7 +347,7 @@ def test_tiny_lr_discriminator_step_ascends_frozen_objective():
     codings = np.asarray(rng.normals(16 * 4)).reshape(16, 4)
     codings /= codings.sum(axis=1, keepdims=True)
     before, grads = disc_objective_and_grads(gan, reals, codings)
-    adam_step(gan.discriminator.params(), [-g for g in grads], gan.disc_state, lr=1e-6)
+    adam_step([gan.discriminator.flat], [-grads], gan.disc_state, lr=1e-6)
     after, _ = disc_objective_and_grads(gan, reals, codings)
     assert after > before
 
@@ -323,7 +358,7 @@ def test_tiny_lr_generator_step_descends_frozen_objective():
     codings = np.asarray(rng.normals(16 * 4)).reshape(16, 4)
     codings /= codings.sum(axis=1, keepdims=True)
     before, grads = gen_objective_and_grads(gan, codings)
-    adam_step(gan.generator.params(), grads, gan.gen_state, lr=1e-6)
+    adam_step([gan.generator.flat], [grads], gan.gen_state, lr=1e-6)
     after, _ = gen_objective_and_grads(gan, codings)
     assert after < before
 

@@ -6,6 +6,7 @@ import pytest
 from lccgen.lcc.core import AnchorSet, Coding
 from lccgen.lcc.sampling import (
     _MAX_REDRAWS,
+    _WINDOW,
     SamplerConfig,
     SamplingError,
     interpolate,
@@ -14,6 +15,7 @@ from lccgen.lcc.sampling import (
     sample_coding,
     sample_coding_pair,
     sample_codings,
+    walk_codings,
 )
 from lccgen.rng import Rng
 
@@ -219,15 +221,15 @@ def _per_draw(table, n, cfg, rng, tries=None):
 
 
 class _CountingRng(Rng):
-    """Rng that records how many u64s each bulk fetch asks for."""
+    """Rng that records the counters each decode asks for."""
 
     def __init__(self, seed):
         super().__init__(seed)
-        self.fetches = []
+        self.decodes = []
 
-    def next_u64_array(self, n):
-        self.fetches.append(n)
-        return super().next_u64_array(n)
+    def u64_at(self, counters):
+        self.decodes.append(np.asarray(counters))
+        return super().u64_at(counters)
 
 
 def test_sample_codings_matches_per_draw_loop():
@@ -261,19 +263,25 @@ def test_sample_codings_matches_per_draw_loop_after_refills():
     ref_rng = Rng(9)
     want = _per_draw(table, 50, cfg, ref_rng)
     assert got.tobytes() == want.tobytes()
-    assert rng.fetches[0] == 50 * 3
-    assert len(rng.fetches) > 1  # redraws happened and cost a refill
     assert rng.counter == ref_rng.counter
+    # the first decode covers the 50 draws with no rejection; rejections use
+    # up its slack, so the walker decodes more of the same window, from the
+    # same first counter, up to the last counter it consumed
+    assert len(rng.decodes[0]) >= 50 * 3
+    assert len(rng.decodes) > 1
+    for counters in rng.decodes:
+        assert list(counters[:1]) == [1] and np.all(np.diff(counters) == 1)
+    assert len(rng.decodes[-1]) >= rng.counter
 
 
 def test_sample_codings_decodes_about_what_it_consumes():
-    # each rejected draw re-decodes at most the rest of its block, so the
-    # decoded u64s stay within a small factor of the consumed ones
+    # each window decodes its draws once plus a little slack, so the decoded
+    # u64s stay within a small factor of the consumed ones
     V = np.asarray(Rng(3).normals(2 * 16)).reshape(2, 16)
     cfg = SamplerConfig()
     rng = _CountingRng(11)
     sample_codings(neighbor_table(AnchorSet(V), cfg.d), 100_000, cfg, rng)
-    assert sum(rng.fetches) <= 3 * rng.counter
+    assert sum(len(c) for c in rng.decodes) <= 3 * rng.counter
 
 
 def _seed_where(table, n, cfg, wanted):
@@ -316,6 +324,28 @@ def test_sample_codings_gives_up_after_accepted_draws():
         sample_codings(table, 3, cfg, Rng(seed))
 
 
+@pytest.mark.parametrize("attempts", [_MAX_REDRAWS + 1, _MAX_REDRAWS + 2])
+def test_sample_codings_stops_after_the_last_allowed_redraw(attempts):
+    # |z| >= 2.5 holds for about one normal in eighty; the seed's first draw
+    # first clears the guard at the given attempt, the last one allowed or
+    # the one after it
+    table = neighbor_table(SQUARE, 1)
+    cfg = SamplerConfig(d=1, min_abs_sum=2.5)
+
+    def first_clearing_attempt(seed):
+        rng = Rng(seed)
+        rng.randint(4)
+        return next((k for k in range(1, attempts + 1) if abs(rng.normals(1)[0]) >= 2.5), None)
+
+    seed = next(s for s in range(100_000) if first_clearing_attempt(s) == attempts)
+    if attempts == _MAX_REDRAWS + 1:
+        want = _per_draw(table, 1, cfg, Rng(seed))
+        assert sample_codings(table, 1, cfg, Rng(seed)).tobytes() == want.tobytes()
+    else:
+        with pytest.raises(SamplingError):
+            sample_codings(table, 1, cfg, Rng(seed))
+
+
 def test_sample_codings_gives_up_like_the_per_draw_path():
     table = neighbor_table(SQUARE, 2)
     cfg = SamplerConfig(d=2, min_abs_sum=1e9)
@@ -331,3 +361,36 @@ def test_sample_codings_rejects_a_mismatched_table():
         sample_codings(table, 3, SamplerConfig(d=3), Rng(0))
     with pytest.raises(ValueError):
         sample_codings(table[:, :1], 3, SamplerConfig(d=2), Rng(0))
+
+
+def _gan_stream_reference(table, batch, iters, cfg, rng):
+    """What train_gan reads per iteration, drawn in turn: D's codings, the
+    data-index uniforms, then G's codings."""
+    out = []
+    for _ in range(iters):
+        out.append(_per_draw(table, batch, cfg, rng).tobytes())
+        out.append(rng.uniforms(batch).tobytes())
+        out.append(_per_draw(table, batch, cfg, rng).tobytes())
+    return out
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("min_abs_sum", [1e-2, 0.5, 1.0])
+@pytest.mark.parametrize("batch,iters", [(48, 13), (5, 3), (_WINDOW + 77, 2)])
+def test_walk_codings_matches_the_sequential_gan_stream(d, min_abs_sum, batch, iters):
+    # windows end mid-iteration and the last one is partial; with d = 1 and
+    # a guard of 1.0, about two attempts in three are rejected, which
+    # overruns any fixed slack
+    assert (2 * batch * iters) % _WINDOW != 0
+    V = np.asarray(Rng(d).normals(2 * 16)).reshape(2, 16)
+    table = neighbor_table(AnchorSet(V), d)
+    cfg = SamplerConfig(d=d, min_abs_sum=min_abs_sum)
+    ref_rng, rng = Rng(40 + d, 7), Rng(40 + d, 7)
+    want = _gan_stream_reference(table, batch, iters, cfg, ref_rng)
+    got = []
+    for codings, uniforms in walk_codings(table, cfg, rng, [(batch, batch), (batch, 0)] * iters):
+        got.append(codings.tobytes())
+        if uniforms.size:
+            got.append(uniforms.tobytes())
+    assert got == want
+    assert rng.counter == ref_rng.counter

@@ -69,6 +69,17 @@ def test_model_roundtrip_is_bitwise(tmp_path):
         assert a.act == b.act
 
 
+def test_loaded_model_layers_are_writable_views_of_its_flat_vector(tmp_path):
+    net = build_mlp([3, 5, 2], ["relu", "tanh"], Rng(7))
+    path = tmp_path / "m.lccn"
+    save_model(path, net)
+    back = load_model(path)
+    assert back.flat.tobytes() == net.flat.tobytes()
+    assert back.flat.flags.writeable
+    for layer in back.layers:
+        assert np.shares_memory(layer.w, back.flat) and np.shares_memory(layer.b, back.flat)
+
+
 def test_model_header_bytes(tmp_path):
     net = build_mlp([2, 1], ["sigmoid"], Rng(0))
     path = tmp_path / "m.lccn"
