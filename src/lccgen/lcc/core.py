@@ -111,9 +111,15 @@ def _as_points(points) -> np.ndarray:
 
 
 def _penalties(H: np.ndarray, V: np.ndarray, l_q: float, q: int):
-    # c_ij = l_q * ||v_j - h_i||^q, shape (n, m); dist returned for reuse
-    diff = H[:, None, :] - V.T[None, :, :]
-    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    # c_ij = l_q * ||v_j - h_i||^q, shape (n, m); dist returned for reuse.
+    # Squares add one coordinate at a time, left to right: the order np.sum
+    # takes over an (n, m, d_b) difference array when m >= 2.
+    dist = np.zeros((len(H), V.shape[1]))
+    for h, v in zip(H.T, V):
+        diff = np.subtract.outer(h, v)
+        diff *= diff
+        dist += diff
+    np.sqrt(dist, out=dist)
     return l_q * dist**q, dist
 
 
@@ -334,13 +340,14 @@ def _lp_vertices(H, V, C, dist, G0):
     return G, Y, basis, done
 
 
-def _face_codings(H, V, C, bases, l_h):
+def _face_codings(H, V, C, dist, bases, l_h):
     """The best coding with a residual on the faces of each row's bases.
 
     A row whose LP dual leaves the ball ||y|| <= 2*l_h has an optimum with a
     nonzero residual, mostly on d_b anchors or one.  The candidates are the
     faces of d_b anchors of each basis in `bases` (each (n, d_b + 1)
-    anchor indices) and their anchors on their own.  On a face S, with the
+    anchor indices) and their anchors on their own, whose objective is
+    2*l_h*dist + c with `_penalties`' (C, dist).  On a face S, with the
     signs s of h's affine coordinates on S, the coding minimizes
     2*l_h*||e|| + sum_S s_j*c_j*g_j in closed form: write g = 1/d_b + N t,
     with N spanning the plane 1'x = 0, and A = V_S N.  Stationarity fixes
@@ -372,10 +379,9 @@ def _face_codings(H, V, C, bases, l_h):
     g = 1.0 / d_b + (Ap @ (e0 - size[..., None] * p)[..., None])[..., 0] @ N.T
     face_obj = np.where((room > 0.0) & (e_off > 0.0) & np.all(s * g > 0.0, axis=2),
                         two_lh * size + np.sum(c * g, axis=2), np.inf)
-    ones = np.concatenate(bases, axis=1)  # the basis anchors on their own
-    E1 = H[:, None, :] - V.T[ones]
-    one_obj = two_lh * np.sqrt(np.sum(E1 * E1, axis=2)) + np.take_along_axis(C, ones, axis=1)
     rows = np.arange(len(H))
+    ones = np.concatenate(bases, axis=1)  # the basis anchors on their own
+    one_obj = two_lh * dist[rows[:, None], ones] + C[rows[:, None], ones]
     G = np.zeros((len(H), V.shape[1]))
     q = np.argmin(face_obj, axis=1)
     use = face_obj[rows, q] < np.min(one_obj, axis=1)
@@ -496,7 +502,7 @@ def _solve_rows(H, V, config: LccConfig, G0):
         if out.size:
             i = rest[out]
             near = np.argsort(dist[i], axis=1)[:, :d_b + 1]
-            Gf = pin_row_sums(_face_codings(H[i], V, C[i], (basis[out], near), l_h))
+            Gf = pin_row_sums(_face_codings(H[i], V, C[i], dist[i], (basis[out], near), l_h))
             ok = _certified_gaps(H[i], Gf, V, C[i], l_h) <= tol
             G[i[ok]] = Gf[ok]
             reasons[i[ok]] = "gap"
@@ -617,8 +623,7 @@ def _update_anchors(H, G, V, config: LccConfig):
     beta = l_h / np.sqrt(np.sum(E * E, axis=1) + _EPS_SMOOTH)  # (n,)
     W = l_q * np.abs(G)
     if q == 3:
-        diff = H[:, None, :] - V.T[None, :, :]
-        W = W * np.sqrt(np.sum(diff * diff, axis=2))
+        W = W * _penalties(H, V, l_q, q)[1]
 
     A = (G * beta[:, None]).T @ G + np.diag(W.sum(axis=0))
     B = (G * beta[:, None]).T @ H + W.T @ H

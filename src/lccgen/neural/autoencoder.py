@@ -43,8 +43,7 @@ def train_autoencoder(data, config: AutoencoderConfig, seed: int):
     acts = [config.activation, "identity"]
     encoder = build_mlp([dim, config.hidden, config.latent_dim], acts, rng)
     decoder = build_mlp([config.latent_dim, config.hidden, dim], acts, rng)
-    enc_state = init_adam([encoder.flat])
-    dec_state = init_adam([decoder.flat])
+    state = init_adam([encoder.flat, decoder.flat])
     history = []
     for epoch in range(config.epochs):
         order = np.argsort(rng.uniforms(n), kind="stable")
@@ -53,8 +52,7 @@ def train_autoencoder(data, config: AutoencoderConfig, seed: int):
             loss, enc_grads, dec_grads = ae_loss_and_grads(encoder, decoder, X[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            adam_step([encoder.flat], [enc_grads], enc_state, lr=config.lr)
-            adam_step([decoder.flat], [dec_grads], dec_state, lr=config.lr)
+            adam_step([encoder.flat, decoder.flat], [enc_grads, dec_grads], state, lr=config.lr)
             check_finite(encoder, f"epoch {epoch}")
             check_finite(decoder, f"epoch {epoch}")
         history.append(reconstruction_mse(encoder, decoder, X))

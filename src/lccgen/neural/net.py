@@ -19,14 +19,16 @@ def _sigmoid(z):
     return 1.0 / (1.0 + np.exp(-z))
 
 
-# activation name -> (f, f'), both functions of the pre-activation z.  The
-# order is a file format: a checkpoint stores each layer's activation as its
-# position here (serialize), so new names go at the end.
+# activation name -> (f, f'): y = f(z) of the pre-activation z, and the
+# derivative f'(z) written as a function of the output y, so backward reads
+# it off forward_cached's outputs.  The order is a file format: a checkpoint
+# stores each layer's activation as its position here (serialize), so new
+# names go at the end.
 ACTIVATIONS = {
     "identity": (lambda z: z, np.ones_like),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda z: (z > 0.0).astype(np.float64)),
-    "tanh": (np.tanh, lambda z: 1.0 - (t := np.tanh(z)) * t),
-    "sigmoid": (_sigmoid, lambda z: (s := _sigmoid(z)) * (1.0 - s)),
+    "relu": (lambda z: np.maximum(z, 0.0), lambda y: y > 0.0),
+    "tanh": (np.tanh, lambda y: 1.0 - y * y),
+    "sigmoid": (_sigmoid, lambda y: y * (1.0 - y)),
 }
 
 EPS_PHI = 1e-7
@@ -116,14 +118,13 @@ def build_mlp(dims, acts, rng: Rng) -> Mlp:
 
 
 def forward_cached(net: Mlp, X):
-    """Forward pass keeping layer inputs and pre-activations for backprop."""
-    X = np.asarray(X, dtype=np.float64)
+    """Forward pass keeping each layer's (input, output) pair for backprop."""
+    y = np.asarray(X, dtype=np.float64)
     cache = []
-    y = X
     for layer in net.layers:
-        z = y @ layer.w + layer.b
-        cache.append((y, z))
-        y = ACTIVATIONS[layer.act][0](z)
+        x = y
+        y = ACTIVATIONS[layer.act][0](x @ layer.w + layer.b)
+        cache.append((x, y))
     return y, cache
 
 
@@ -137,8 +138,8 @@ def backward(net: Mlp, cache, d_out):
     dy = np.asarray(d_out, dtype=np.float64)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
-        x, z = cache[i]
-        dz = dy * ACTIVATIONS[layer.act][1](z)
+        x, y = cache[i]
+        dz = dy * ACTIVATIONS[layer.act][1](y)
         gw, gb = views[i]
         np.matmul(x.T, dz, out=gw)
         gb[...] = dz.sum(axis=0)

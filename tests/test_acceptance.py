@@ -244,8 +244,8 @@ def _fd_worst(loss_fn, params, grads, step=1e-5):
 def _relu_clear(net, X, margin=1e-3):
     _, cache = forward_cached(net, X)
     return all(
-        np.min(np.abs(z)) > margin
-        for (x, z), layer in zip(cache, net.layers)
+        np.min(np.abs(x @ layer.w + layer.b)) > margin
+        for (x, _), layer in zip(cache, net.layers)
         if layer.act == "relu"
     )
 

@@ -313,6 +313,38 @@ def test_reduced_swiss_roll_pipeline_bytes_match_fixture(tmp_path):
     assert got == SWISS_ROLL_SHA256
 
 
+# sha256 of every file train-ae and learn-lcc write on a relu autoencoder's
+# ring embedding with q = 3 and m = 8.  Its rows take the paths the two
+# pipelines above miss: face codings for rows outside the anchors' hull
+# ("gap"), the Newton solve ("cap"), q = 3's anchor weights, and backtracking
+# steps that move the anchors.
+RELU_Q3_SHA256 = {
+    "ae_decoder.bin": "ded3e48cd2cb38865cec068a903a8e1f866f94d4a05e98b628a92b777d3b2e43",
+    "ae_encoder.bin": "cab41374ee553b380b15ac82343b7870859e7284dc34f8069642a6bd9cc2ed72",
+    "ae_losses.csv": "b547d470a4895249dcf1451afd63be04699d355863173e52102c5be51f0106df",
+    "anchors.bin": "b04a10f6713cd427960ff02ece8da56d63392010e87723ed7c246c6ddd82058c",
+    "anchors.csv": "a110a7c1eceb6fa70cefeb3c581ddb86240f70fb33e6411f96a801b5e72d490e",
+    "codings.csv": "fb411f4d7028c0bebce4ee21d8e47619af9095debd31c7bb3c8cbefcf921f26b",
+    "lcc_objective.csv": "2bbe0ed30108eed6c5a123ad6da3fa51044775f20a039bad56e6753ee53d3588",
+}
+
+
+def test_reduced_relu_q3_fit_bytes_match_fixture(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = tmp_path / "relu.ini"
+    cfg.write_text("[data]\nkind = ring\nn = 300\nseed = 7\n"
+                   "[autoencoder]\nepochs = 3\nactivation = relu\n"
+                   "[lcc]\nm = 8\nq = 3\nmax_outer_iters = 3\n"
+                   f"[output]\ndir = {out}\n")
+    for argv in (["train-ae"], ["learn-lcc"]):
+        assert main(["--config", str(cfg)] + argv) == 0, argv
+    line = capsys.readouterr().out.splitlines()[-1]
+    m = re.fullmatch(r"codings: (\d+) vertex, (\d+) hit, (\d+) gap, (\d+) cap", line)
+    assert m and int(m.group(3)) > 0, line
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == RELU_Q3_SHA256
+
+
 def test_eval_counts_a_constant_sample_as_not_positive(tmp_path):
     # the swiss-roll fixture's config at the default [gan] hidden of 128,
     # whose tanh outputs saturate at (1, 1, 1): a constant sample has no

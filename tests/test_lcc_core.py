@@ -366,6 +366,50 @@ def test_learn_anchors_codings_are_certified_on_the_default_ring():
         assert _row_objective(h, g, anchors, cfg) <= _row_objective(h, g_cold, anchors, cfg) + cfg.coding_tol
 
 
+def _reference_penalties(H, V, l_q, q):
+    # built from the whole (n, m, d_b) difference array
+    diff = H[:, None, :] - V.T[None, :, :]
+    dist = np.sqrt(np.sum(diff * diff, axis=2))
+    return l_q * dist**q, dist
+
+
+def _reference_objective(H, G, V, config):
+    C, _ = _reference_penalties(H, V, config.l_q, config.q)
+    E = H - G @ V.T
+    rec = np.sqrt(np.sum(E * E, axis=1))
+    return float(np.sum(2.0 * config.l_h * rec) + np.sum(np.abs(G) * C))
+
+
+@pytest.mark.parametrize("m", [1, 16])
+@pytest.mark.parametrize("n", [1, 513, 2000])
+@pytest.mark.parametrize("d_b", [1, 2, 3, 5, 9])
+def test_penalties_match_the_difference_array_bit_for_bit(d_b, n, m):
+    rng = Rng(100 * d_b + n + m)
+    # coordinates of different sizes, so the order of the sum shows
+    H = np.asarray(rng.normals(n * d_b)).reshape(n, d_b) * np.geomspace(1e-3, 1e3, d_b)
+    V = np.asarray(rng.normals(d_b * m)).reshape(d_b, m)
+    H[0] = V[:, 0]  # a hit, at distance exactly 0
+    G = np.asarray(rng.normals(n * m)).reshape(n, m)
+    G[:, 0] += 1.0 - G.sum(axis=1)
+    # with one anchor numpy sums the difference array along its contiguous
+    # coordinate axis, pairwise once there are more than 8 coordinates;
+    # everywhere else it adds them left to right, as _penalties does
+    exact = m > 1 or d_b <= 8
+    for q in (2, 3):
+        config = LccConfig(m=m, q=q, l_h=0.8, l_q=1.3)
+        got = core._penalties(H, V, config.l_q, q)
+        want = _reference_penalties(H, V, config.l_q, q)
+        assert got[1][0, 0] == 0.0
+        for a, b in zip(got, want):
+            if exact:
+                assert np.array_equal(a, b)
+            else:
+                np.testing.assert_array_max_ulp(a, b, maxulp=8)
+        obj = lcc_objective(H, G, AnchorSet(V), config)
+        ref = _reference_objective(H, G, V, config)
+        assert obj == ref if exact else obj == pytest.approx(ref, rel=1e-14)
+
+
 def test_coding_support_is_not_an_argument():
     with pytest.raises(TypeError):
         Coding(np.array([1.0, 0.0]), support=np.array([1]))

@@ -21,7 +21,15 @@ from lccgen.neural.gan import (
     gen_objective_and_grads,
     train_gan,
 )
-from lccgen.neural.net import Layer, Mlp, backward, build_mlp, check_finite, forward_cached
+from lccgen.neural.net import (
+    ACTIVATIONS,
+    Layer,
+    Mlp,
+    backward,
+    build_mlp,
+    check_finite,
+    forward_cached,
+)
 from lccgen.rng import Rng
 
 
@@ -158,6 +166,73 @@ def test_backward_is_linear_in_the_loss():
         assert np.allclose(2.0 * a, b, rtol=1e-13, atol=0)
 
 
+# each activation's derivative as a function of the pre-activation z
+_PREACT_DERIVATIVES = {
+    "identity": np.ones_like,
+    "relu": lambda z: (z > 0.0).astype(np.float64),
+    "tanh": lambda z: 1.0 - np.tanh(z) * np.tanh(z),
+    "sigmoid": lambda z: (1.0 / (1.0 + np.exp(-z))) * (1.0 - 1.0 / (1.0 + np.exp(-z))),
+}
+
+
+def _reference_backward(net, X, d_out):
+    """backward from the pre-activations of a fresh forward pass."""
+    xs, zs, y = [], [], X
+    for layer in net.layers:
+        xs.append(y)
+        zs.append(y @ layer.w + layer.b)
+        y = ACTIVATIONS[layer.act][0](zs[-1])
+    grads, dy = [], d_out
+    for layer, x, z in reversed(list(zip(net.layers, xs, zs))):
+        dz = dy * _PREACT_DERIVATIVES[layer.act](z)
+        grads = [(x.T @ dz).reshape(-1), dz.sum(axis=0)] + grads
+        dy = dz @ layer.w.T
+    return np.concatenate(grads), dy
+
+
+@pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+def test_backward_from_outputs_matches_preactivation_derivatives_bit_for_bit(act):
+    rng = Rng(21)
+    net = build_mlp([3, 7, 5, 2], [act, act, act], rng)
+    for layer in net.layers[1:]:
+        layer.b[...] = rng.normals(layer.b.size)
+    X = np.asarray(rng.normals(9 * 3)).reshape(9, 3)
+    X[0] = 0.0  # first-layer pre-activations exactly 0 (zero biases there)
+    X[1:3] *= 200.0  # saturated sigmoids and tanhs
+    assert np.any(X[0] @ net.layers[0].w == 0.0)
+    d_out = np.asarray(rng.normals(9 * 2)).reshape(9, 2)
+    out, cache = forward_cached(net, X)
+    grads, d_in = backward(net, cache, d_out)
+    want_grads, want_d_in = _reference_backward(net, X, d_out)
+    assert np.array_equal(out, net.forward(X))
+    assert np.array_equal(grads, want_grads)
+    assert np.array_equal(d_in, want_d_in)
+    if act in ("sigmoid", "tanh"):
+        assert np.any(cache[0][1] == 1.0)  # saturated, with derivative exactly 0
+
+
+@pytest.mark.parametrize("act", ["tanh", "relu"])
+def test_autoencoder_one_adam_state_matches_one_per_network(act):
+    X = np.asarray(Rng(4).normals(40 * 3)).reshape(40, 3)
+    config = AutoencoderConfig(hidden=6, epochs=3, batch=16, lr=0.01, activation=act)
+    enc, dec, history = train_autoencoder(X, config, seed=5)
+    # the same loop, stepping each network against its own Adam state
+    rng = Rng(5)
+    acts = [act, "identity"]
+    enc2 = build_mlp([3, 6, 2], acts, rng)
+    dec2 = build_mlp([2, 6, 3], acts, rng)
+    enc_state, dec_state = init_adam([enc2.flat]), init_adam([dec2.flat])
+    for _ in range(config.epochs):
+        order = np.argsort(rng.uniforms(40), kind="stable")
+        for start in range(0, 40, config.batch):
+            _, eg, dg = ae_loss_and_grads(enc2, dec2, X[order[start:start + config.batch]])
+            adam_step([enc2.flat], [eg], enc_state, lr=config.lr)
+            adam_step([dec2.flat], [dg], dec_state, lr=config.lr)
+    assert np.array_equal(enc.flat, enc2.flat)
+    assert np.array_equal(dec.flat, dec2.flat)
+    assert history[-1] == reconstruction_mse(enc2, dec2, X)
+
+
 def test_autoencoder_gradients_match_finite_differences():
     rng = Rng(14)
     enc = build_mlp([3, 4, 2], ["tanh", "identity"], rng)
@@ -174,8 +249,8 @@ def _relu_preacts_clear_of_kinks(net, X, margin=1e-3):
     # central differences are only a valid oracle away from the relu kink
     _, cache = forward_cached(net, X)
     return all(
-        np.min(np.abs(z)) > margin
-        for (x, z), layer in zip(cache, net.layers)
+        np.min(np.abs(x @ layer.w + layer.b)) > margin
+        for (x, _), layer in zip(cache, net.layers)
         if layer.act == "relu"
     )
 
