@@ -25,10 +25,10 @@ from .neural.autoencoder import train_autoencoder
 from .neural.gan import build_gan, train_gan
 from .rng import Rng, stage_seed
 from .serialize import (
+    FLOAT,
     anchors_to_csv,
     atomic_write,
     codings_to_csv,
-    fmt_float,
     kv_to_csv,
     load_anchors,
     matrix_to_csv,
@@ -170,13 +170,13 @@ def cmd_verify_bounds(cfg, out):
     cases = cfg.eval.cases
     lhs, rhs = bound_sweep(Rng(stage_seed(cfg.data.seed, _TAG_VERIFY)), cases)
     ok = lhs <= rhs + 1e-10
+    line = f"%d,%s,%d,{FLOAT},{FLOAT},{FLOAT},%d\n"
     with atomic_write(os.path.join(out, "bounds.csv")) as fh:
         fh.write("case,kind,order,lhs,rhs,margin,ok\n")
         for (case, kind, order), l, r, margin, good in zip(
                 np.ndindex(ok.shape), lhs.ravel().tolist(), rhs.ravel().tolist(),
                 (rhs - lhs).ravel().tolist(), ok.ravel().tolist()):
-            fh.write(f"{case},{_BOUND_KINDS[kind]},{order + 1},{fmt_float(l)},{fmt_float(r)},"
-                     f"{fmt_float(margin)},{int(good)}\n")
+            fh.write(line % (case, _BOUND_KINDS[kind], order + 1, l, r, margin, good))
     violations = int(np.count_nonzero(~ok))
     print(f"verify-bounds: {cases} configurations, {ok.size} checks, "
           f"{violations} violations")

@@ -24,6 +24,7 @@ holds one point's weights.  `check_codings` defines a valid coding for both.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -76,7 +77,7 @@ class AnchorSet:
 def check_codings(G: np.ndarray) -> np.ndarray:
     """Returns the (n, m) weight array G after checking that every weight is
     finite and every row sums to 1 within 1e-9; raises ValueError if not."""
-    if not np.all(np.isfinite(G)):
+    if not np.isfinite(G).all():
         raise ValueError("weights must be finite")
     sums = G.sum(axis=1)
     off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
@@ -136,8 +137,8 @@ def lcc_objective(points, weights, anchors: AnchorSet, config: LccConfig) -> flo
 
 def _row_objectives(H, G, V, C, l_h):
     E = H - G @ V.T
-    rec = np.sqrt(np.sum(E * E, axis=1))
-    return 2.0 * l_h * rec + np.sum(np.abs(G) * C, axis=1)
+    rec = np.sqrt((E * E).sum(axis=1))
+    return 2.0 * l_h * rec + (np.abs(G) * C).sum(axis=1)
 
 
 def _solve_scaled(scaled, r, b):
@@ -270,7 +271,7 @@ def pin_row_sums(G):
     """Moves the rounding in each row's sum onto its largest weight, in
     place, so every row sums to 1; returns G.  Every sum-to-one coding the
     package builds is pinned here."""
-    top = np.argmax(np.abs(G), axis=1)
+    top = np.abs(G).argmax(axis=1)
     G[np.arange(len(G)), top] -= G.sum(axis=1) - 1.0
     return G
 
@@ -286,58 +287,84 @@ def _lp_vertices(H, V, C, dist, G0):
     weight to reach zero.  Returns (G, Y, basis, done): the vertex weights,
     the dual y and the anchors of each row's last basis, and the rows that
     reached an optimal vertex within _MAX_PIVOTS.  Rows with a singular
-    basis, an unbounded ray or no optimum by then are left undone.
+    basis, an unbounded ray or no optimum by then are left undone.  The
+    arrays of the rows still pivoting are compacted only when a row leaves,
+    and the pass in which the last row leaves is the last.
     """
     n = len(H)
     d_b, m = V.shape
-    k = d_b + 1
     A = np.vstack([V, np.ones((1, m))])  # columns (v_j, 1)
-    b = np.hstack([H, np.ones((n, 1))])
+    AT = A.T.copy()
+    norms = np.sqrt((A * A).sum(axis=0))
     key = dist if G0 is None else np.where(G0 != 0.0, -np.abs(G0), dist)
-    basis = np.argsort(key, axis=1, kind="stable")[:, :k]
-    sign = np.ones((n, k))  # side of zero each basic weight is on
+    basis = np.argsort(key, axis=1, kind="stable")[:, :d_b + 1]
     G = np.zeros((n, m))
     Y = np.zeros((n, d_b))
     done = np.zeros(n, dtype=bool)
-    live = np.arange(n)
+    live = np.arange(n)  # the rows still pivoting; b, c and sign hold theirs
+    rows = live  # positions in those arrays
+    b = np.hstack([H, np.ones((n, 1))])[:, :, None]
+    c = C
+    sign = np.ones(basis.shape)  # side of zero each basic weight is on
     for _ in range(_MAX_PIVOTS):
         bas = basis[live]
-        M = np.moveaxis(A[:, bas], 0, 1)
+        M = AT[bas].swapaxes(1, 2)
         # |det| against the product of column norms (Hadamard's bound)
-        ok = np.abs(np.linalg.det(M)) > 1e-12 * np.prod(np.linalg.norm(M, axis=1), axis=1)
-        live, bas, M = live[ok], bas[ok], M[ok]
-        if live.size == 0:
-            break
+        ok = np.abs(np.linalg.det(M)) > 1e-12 * norms[bas].prod(axis=1)
+        if not ok.all():
+            live, bas, M, b, c, sign = (v[ok] for v in (live, bas, M, b, c, sign))
+            if not live.size:
+                break
+            rows = np.arange(live.size)
         inv = np.linalg.inv(M)
-        g = (inv @ b[live][:, :, None])[:, :, 0]
-        sg = np.where(np.abs(g) > 1e-13, np.sign(g), sign[live])
-        c = C[live]
-        pi = (np.swapaxes(inv, 1, 2) @ (sg * np.take_along_axis(c, bas, axis=1))[:, :, None])[:, :, 0]
+        g = (inv @ b)[:, :, 0]
+        sg = np.where(np.abs(g) > 1e-13, np.sign(g), sign)
+        pi = (inv.swapaxes(1, 2) @ (sg * c[rows[:, None], bas])[:, :, None])[:, :, 0]
         P = pi[:, :d_b] @ V + pi[:, d_b:]
         viol = np.abs(P) - c
-        np.put_along_axis(viol, bas, -np.inf, axis=1)
-        rows = np.arange(len(live))
-        enter = np.argmax(viol, axis=1)
+        viol[rows[:, None], bas] = -np.inf
+        enter = viol.argmax(axis=1)
         opt = viol[rows, enter] <= 1e-12 * c[rows, enter]
-        fin = live[opt]
-        G[fin[:, None], bas[opt]] = g[opt]
-        Y[fin] = pi[opt, :d_b]
-        done[fin] = True
+        if opt.any():
+            fin = live[opt]
+            G[fin[:, None], bas[opt]] = g[opt]
+            Y[fin] = pi[opt, :d_b]
+            done[fin] = True
+            if opt.all():
+                break
         s = np.sign(P[rows, enter])  # the entering weight moves by s*t
-        piv = ~opt
-        live, inv, g, sg, enter, s = live[piv], inv[piv], g[piv], sg[piv], enter[piv], s[piv]
-        d = s[:, None] * (inv @ A[:, enter].T[:, :, None])[:, :, 0]  # basic weights move by -d*t
+        d = s[:, None] * (inv @ AT[enter][:, :, None])[:, :, 0]  # basic weights move by -d*t
         toward = sg * d  # > 0: that weight shrinks toward zero
-        moving = toward > 1e-12 * np.max(np.abs(d), axis=1, keepdims=True)
-        ratio = np.full(toward.shape, np.inf)
-        ratio[moving] = np.maximum(sg * g, 0.0)[moving] / toward[moving]
-        leave = np.argmin(ratio, axis=1)
-        bounded = np.any(moving, axis=1)
-        live, leave, enter, s = live[bounded], leave[bounded], enter[bounded], s[bounded]
-        sign[live] = sg[bounded]
+        moving = toward > 1e-12 * np.abs(d).max(axis=1, keepdims=True)
+        ratio = np.divide(np.maximum(sg * g, 0.0), toward, out=np.full(toward.shape, np.inf),
+                          where=moving)
+        leave = ratio.argmin(axis=1)
+        stay = ~opt & moving.any(axis=1)  # the others are done or unbounded
+        if not stay.all():
+            live, b, c, sg, enter, leave, s = (v[stay] for v in (live, b, c, sg, enter, leave, s))
+            if not live.size:
+                break
+            rows = np.arange(live.size)
         basis[live, leave] = enter
-        sign[live, leave] = s
+        sign = sg
+        sign[rows, leave] = s
     return G, Y, basis, done
+
+
+@functools.cache
+def _face_slots(d_b, n_bases):
+    """(slots, N) for `_face_codings` on n_bases bases of d_b + 1 anchors.
+
+    slots, (n_bases * (d_b + 1), d_b), indexes the bases laid side by side:
+    face q of a basis keeps every slot of it but q.  N, (d_b, d_b - 1), is
+    an orthonormal basis of the plane 1'x = 0.  Both are read-only.
+    """
+    k = d_b + 1
+    keep = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, d_b)
+    slots = np.concatenate([keep + k * i for i in range(n_bases)])
+    N = np.linalg.qr(np.ones((d_b, 1)), mode="complete")[0][:, 1:]
+    slots.flags.writeable = N.flags.writeable = False
+    return slots, N
 
 
 def _face_codings(H, V, C, dist, bases, l_h):
@@ -357,36 +384,33 @@ def _face_codings(H, V, C, dist, bases, l_h):
     A face counts when its weights keep the signs s.  Returns the (n, m)
     codings of the lowest objective.
     """
-    k = bases[0].shape[1]
-    d_b = k - 1
+    d_b = bases[0].shape[1] - 1
     two_lh = 2.0 * l_h
-    drop = ~np.eye(k, dtype=bool)  # face q keeps every basis slot but q
-    faces = np.concatenate([np.stack([b[:, keep] for keep in drop], axis=1) for b in bases],
-                           axis=1)  # (n, faces, d_b)
+    slots, N = _face_slots(d_b, len(bases))
+    rows = np.arange(len(H))
+    ones = np.concatenate(bases, axis=1)  # the basis anchors on their own
+    faces = ones[:, slots]  # (n, faces, d_b)
     VS = np.moveaxis(V[:, faces], 0, 2)  # (n, faces, d_b, d_b), columns v_j
-    N = np.linalg.qr(np.ones((d_b, 1)), mode="complete")[0][:, 1:]
     e0 = H[:, None, :] - VS.sum(axis=3) / d_b
     A = VS @ N
     Ap = np.linalg.pinv(A)
     t0 = (Ap @ e0[..., None])[..., 0]  # h's affine coordinates on S are 1/d_b + N t0
     s = np.where(1.0 / d_b + t0 @ N.T < 0.0, -1.0, 1.0)
-    c = s * np.take_along_axis(C[:, None, :], faces, axis=2)
-    p = (np.swapaxes(Ap, 2, 3) @ (c @ N)[..., None])[..., 0] / two_lh
+    c = s * C[rows[:, None, None], faces]
+    p = (Ap.swapaxes(2, 3) @ (c @ N)[..., None])[..., 0] / two_lh
     off = e0 - (A @ t0[..., None])[..., 0]
-    room = 1.0 - np.sum(p * p, axis=2)
-    e_off = np.sqrt(np.sum(off * off, axis=2))
+    room = 1.0 - (p * p).sum(axis=2)
+    e_off = np.sqrt((off * off).sum(axis=2))
     size = e_off / np.sqrt(np.where(room > 0.0, room, 1.0))
     g = 1.0 / d_b + (Ap @ (e0 - size[..., None] * p)[..., None])[..., 0] @ N.T
-    face_obj = np.where((room > 0.0) & (e_off > 0.0) & np.all(s * g > 0.0, axis=2),
-                        two_lh * size + np.sum(c * g, axis=2), np.inf)
-    rows = np.arange(len(H))
-    ones = np.concatenate(bases, axis=1)  # the basis anchors on their own
+    face_obj = np.where((room > 0.0) & (e_off > 0.0) & (s * g > 0.0).all(axis=2),
+                        two_lh * size + (c * g).sum(axis=2), np.inf)
     one_obj = two_lh * dist[rows[:, None], ones] + C[rows[:, None], ones]
     G = np.zeros((len(H), V.shape[1]))
-    q = np.argmin(face_obj, axis=1)
-    use = face_obj[rows, q] < np.min(one_obj, axis=1)
+    q = face_obj.argmin(axis=1)
+    use = face_obj[rows, q] < one_obj.min(axis=1)
     G[rows[use, None], faces[use, q[use]]] = g[use, q[use]]
-    G[rows[~use], ones[~use, np.argmin(one_obj[~use], axis=1)]] = 1.0
+    G[rows[~use], ones[~use, one_obj[~use].argmin(axis=1)]] = 1.0
     return G
 
 
@@ -399,13 +423,13 @@ def _dual_bounds(H, V, C, Y, l_h):
     t <= 1 that makes the pair feasible; (0, 0) always is.
     """
     P = Y @ V
-    lam = np.min(C - P, axis=1)
+    lam = (C - P).min(axis=1)
     P += lam[:, None]
     np.abs(P, out=P)
-    norm = np.sqrt(np.sum(Y * Y, axis=1))
+    norm = np.sqrt((Y * Y).sum(axis=1))
     t = np.minimum(np.divide(2.0 * l_h, norm, out=np.ones_like(norm), where=norm > 0.0),
-                   np.min(np.divide(C, P, out=np.ones_like(P), where=P > 0.0), axis=1))
-    return np.minimum(t, 1.0) * (np.sum(Y * H, axis=1) + lam)
+                   np.divide(C, P, out=np.ones_like(P), where=P > 0.0).min(axis=1))
+    return np.minimum(t, 1.0) * ((Y * H).sum(axis=1) + lam)
 
 
 def _certified_gaps(H, G, V, C, l_h):
@@ -420,11 +444,11 @@ def _certified_gaps(H, G, V, C, l_h):
     the vertex's dual when the residual is zero.
     """
     E = H - G @ V.T
-    norm = np.sqrt(np.sum(E * E, axis=1))[:, None]
+    norm = np.sqrt((E * E).sum(axis=1))[:, None]
     Y = np.divide(2.0 * l_h * E, norm, out=np.zeros_like(E), where=norm > 0.0)
     rows = np.arange(len(G))
-    first = np.argmax(G != 0.0, axis=1)
     rest = G != 0.0
+    first = rest.argmax(axis=1)
     rest[rows, first] = False
     D = np.where(rest[:, :, None], V.T[None, :, :] - V.T[first][:, None, :], 0.0)
     sc = np.sign(G) * C
@@ -432,8 +456,8 @@ def _certified_gaps(H, G, V, C, l_h):
     Dp = np.linalg.pinv(D)
     a = (Dp @ beta[:, :, None])[:, :, 0]  # the point of the set nearest 0
     off = Y - (Dp @ (D @ Y[:, :, None]))[:, :, 0]  # Y's offset from a within the set
-    room = 4.0 * l_h * l_h - np.sum(a * a, axis=1)
-    reach = np.sqrt(np.sum(off * off, axis=1))
+    room = 4.0 * l_h * l_h - (a * a).sum(axis=1)
+    reach = np.sqrt((off * off).sum(axis=1))
     push = (room > 0.0) & (reach > 0.0)
     off[push] *= (np.sqrt(room[push]) / reach[push])[:, None]
     lower = np.maximum(_dual_bounds(H, V, C, Y, l_h), _dual_bounds(H, V, C, a + off, l_h))
@@ -485,27 +509,27 @@ def _solve_rows(H, V, config: LccConfig, G0):
     C, dist = _penalties(H, V, config.l_q, config.q)
     G = np.zeros((n, m))
     reasons = np.full(n, "cap", dtype="<U6")
-    hits = np.flatnonzero(np.any(dist == 0.0, axis=1))
-    G[hits, np.argmin(dist[hits], axis=1)] = 1.0
-    reasons[hits] = "hit"
-    rest = np.flatnonzero(reasons != "hit")
+    hit = (dist == 0.0).any(axis=1)
+    rest = np.flatnonzero(~hit)
+    if rest.size < n:
+        G[hit, dist[hit].argmin(axis=1)] = 1.0
+        reasons[hit] = "hit"
     if m > d_b and rest.size:
-        Gv, Y, basis, done = _lp_vertices(H[rest], V, C[rest], dist[rest],
-                                          None if G0 is None else G0[rest])
+        h, c, dr = H[rest], C[rest], dist[rest]
+        Gv, Y, basis, done = _lp_vertices(h, V, c, dr, None if G0 is None else G0[rest])
         Gv = pin_row_sums(Gv)
-        gap = _row_objectives(H[rest], Gv, V, C[rest], l_h) - _dual_bounds(
-            H[rest], V, C[rest], Y, l_h)
-        won = done & (gap <= tol)
+        won = done & (_row_objectives(h, Gv, V, c, l_h) - _dual_bounds(h, V, c, Y, l_h) <= tol)
         G[rest[won]] = Gv[won]
         reasons[rest[won]] = "vertex"
         out = np.flatnonzero(done & ~won)  # the dual left the ball
         if out.size:
-            i = rest[out]
-            near = np.argsort(dist[i], axis=1)[:, :d_b + 1]
-            Gf = pin_row_sums(_face_codings(H[i], V, C[i], dist[i], (basis[out], near), l_h))
-            ok = _certified_gaps(H[i], Gf, V, C[i], l_h) <= tol
-            G[i[ok]] = Gf[ok]
-            reasons[i[ok]] = "gap"
+            h, c, dr = h[out], c[out], dr[out]
+            near = dr.argsort(axis=1)[:, :d_b + 1]
+            Gf = pin_row_sums(_face_codings(h, V, c, dr, (basis[out], near), l_h))
+            ok = _certified_gaps(h, Gf, V, c, l_h) <= tol
+            i = rest[out[ok]]
+            G[i] = Gf[ok]
+            reasons[i] = "gap"
             won[out[ok]] = True
         rest = rest[~won]
     if rest.size and m > 1:
@@ -536,7 +560,7 @@ def _solve_rows(H, V, config: LccConfig, G0):
     if G0 is not None:
         lower = _row_objectives(H, G0, V, C, l_h) < _row_objectives(H, G, V, C, l_h)
         # a warm start on another support is no longer that vertex
-        moved = lower & np.any((G0 != 0.0) != (G != 0.0), axis=1)
+        moved = lower & ((G0 != 0.0) != (G != 0.0)).any(axis=1)
         G[lower] = G0[lower]
         reasons[moved & (reasons == "vertex")] = "gap"
     return G, reasons
@@ -551,7 +575,7 @@ def solve_coding(h, anchors: AnchorSet, config: LccConfig) -> Coding:
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1 or h.shape[0] != anchors.d_b:
         raise ValueError(f"point has shape {h.shape}, anchors expect ({anchors.d_b},)")
-    if not np.all(np.isfinite(h)):
+    if not np.isfinite(h).all():
         raise ValueError("point must be finite")
     if anchors.m != config.m:
         raise ValueError(f"anchor set has m={anchors.m} but config.m={config.m}")

@@ -9,7 +9,8 @@ u32 LE rows, u32 LE cols, one activation tag byte (the name's position in
 float64 LE weights row-major, cols float64 LE biases.  A checkpoint has at
 least one layer, and each layer's rows equal the previous layer's cols.
 
-CSV floats are written with repr-faithful %.17g so reruns are byte-identical.
+CSV floats are written with repr-faithful %.17g (`FLOAT`) so reruns are
+byte-identical; a writer formats a whole row, or a whole cell, with one `%`.
 Every writer goes through `atomic_write`, so an artifact path holds either
 its previous bytes or the complete new file, never a partial one.
 """
@@ -29,6 +30,8 @@ from .neural.net import ACTIVATIONS, Layer, Mlp
 ANCHOR_MAGIC = b"LCCA"
 MODEL_MAGIC = b"LCCN"
 _ACT_TAGS = {name: tag for tag, name in enumerate(ACTIVATIONS)}
+FLOAT = "%.17g"
+_CSV_ROWS = 256  # rows whose cells codings_to_csv formats at a time
 
 
 class FormatError(LccgenError):
@@ -36,7 +39,7 @@ class FormatError(LccgenError):
 
 
 def fmt_float(x: float) -> str:
-    return "%.17g" % x
+    return FLOAT % x
 
 
 @contextlib.contextmanager
@@ -78,11 +81,17 @@ def load_anchors(path) -> AnchorSet:
     return AnchorSet(flat.reshape(m, d_b).T.copy())
 
 
+def _write_rows(fh, M) -> None:
+    """One line per row of the 2-D float array M."""
+    line = ",".join([FLOAT] * M.shape[1]) + "\n"
+    for row in M:
+        fh.write(line % tuple(row.tolist()))
+
+
 def anchors_to_csv(path, anchors: AnchorSet) -> None:
     """One anchor per row."""
     with atomic_write(path) as fh:
-        for j in range(anchors.m):
-            fh.write(",".join(fmt_float(x) for x in anchors.anchors[:, j]) + "\n")
+        _write_rows(fh, anchors.anchors.T)
 
 
 def save_model(path, net: Mlp) -> None:
@@ -138,16 +147,16 @@ def codings_to_csv(path, weights) -> None:
     W = np.asarray(weights, dtype=np.float64)
     if W.ndim != 2:
         raise ValueError(f"expected an (n, m) weight array, got shape {W.shape}")
-    rows, cols = np.nonzero(W)
-    vals = W[rows, cols].tolist()
-    cols = cols.tolist()
-    ends = np.cumsum(np.bincount(rows, minlength=len(W))).tolist()
+    cell = "%d:" + FLOAT
     with atomic_write(path) as fh:
-        start = 0
-        for end in ends:
-            fh.write(",".join([f"{j}:{fmt_float(x)}" for j, x in
-                               zip(cols[start:end], vals[start:end])]) + "\n")
-            start = end
+        for lo in range(0, len(W), _CSV_ROWS):
+            block = W[lo:lo + _CSV_ROWS]
+            rows, cols = np.nonzero(block)
+            cells = [cell % jx for jx in zip(cols.tolist(), block[rows, cols].tolist())]
+            start = 0
+            for end in np.cumsum(np.bincount(rows, minlength=len(block))).tolist():
+                fh.write(",".join(cells[start:end]) + "\n")
+                start = end
 
 
 def codings_from_csv(path, m: int) -> np.ndarray:
@@ -170,11 +179,11 @@ def codings_from_csv(path, m: int) -> np.ndarray:
 
 
 def matrix_to_csv(path, rows, header=None) -> None:
+    M = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     with atomic_write(path) as fh:
         if header:
             fh.write(",".join(header) + "\n")
-        for row in np.atleast_2d(np.asarray(rows, dtype=np.float64)):
-            fh.write(",".join(fmt_float(x) for x in row) + "\n")
+        _write_rows(fh, M)
 
 
 def kv_to_csv(path, pairs) -> None:

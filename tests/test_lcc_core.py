@@ -6,6 +6,7 @@ can be minimized by scanning gamma_1 over a fine grid.  Hand-evaluated
 objective values below were derived independently of the implementation.
 """
 
+import hashlib
 import time
 
 import numpy as np
@@ -330,17 +331,21 @@ def test_points_outside_the_hull_take_closed_form_codings(monkeypatch):
         assert set(reasons) <= {"vertex", "gap"}
 
 
-@pytest.mark.parametrize("V, H", [
+# (V, H) sets on which no LP vertex certifies, so the rows take the Newton path
+DEGENERATE = {
     # collinear anchors: every basis [V_B; 1'] is singular
-    (np.array([[-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0]]),
-     np.array([[0.2, 0.0], [0.3, 0.1], [-2.0, 0.05]])),
+    "collinear": (np.array([[-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0]]),
+                  np.array([[0.2, 0.0], [0.3, 0.1], [-2.0, 0.05]])),
     # two anchors at one point, the nearest pair for every row
-    (np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
-     np.array([[0.1, 0.1], [0.05, 0.02], [0.4, 0.3]])),
+    "duplicate": (np.array([[0.0, 0.0, 1.0, 0.0], [0.0, 0.0, 0.0, 1.0]]),
+                  np.array([[0.1, 0.1], [0.05, 0.02], [0.4, 0.3]])),
     # m = 2 < d_b + 1 = 4: no vertex has d_b + 1 anchors
-    (np.array([[1.0, -1.0], [0.5, 0.0], [0.0, 2.0]]),
-     np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.2, 0.1, 0.4]])),
-], ids=["collinear", "duplicate", "m<d_b+1"])
+    "m<d_b+1": (np.array([[1.0, -1.0], [0.5, 0.0], [0.0, 2.0]]),
+                np.array([[0.0, 0.0, 0.0], [1.0, 1.0, 1.0], [0.2, 0.1, 0.4]])),
+}
+
+
+@pytest.mark.parametrize("V, H", DEGENERATE.values(), ids=DEGENERATE.keys())
 def test_solve_codings_degenerate_inputs_take_the_newton_path(V, H):
     cfg = LccConfig(m=V.shape[1])
     G, reasons = solve_codings(H, V, cfg)
@@ -350,6 +355,109 @@ def test_solve_codings_degenerate_inputs_take_the_newton_path(V, H):
     for h, g in zip(H, G):  # no worse than the uniform start
         uniform = np.full(V.shape[1], 1.0 / V.shape[1])
         assert _row_objective(h, g, anchors, cfg) <= _row_objective(h, uniform, anchors, cfg)
+
+
+# sha256 of the solve_coding weights over _pinned_encodes(), one call per
+# point, taken before the one-row solve's fixed cost was cut
+ONE_ROW_SHA256 = {
+    2: "e4a6d1307e50b78dac6eda211aeabbd555bd439f703755320cb9a65f1665792d",
+    3: "567df6603744b6a8ceed70f7e39930bf5e967dc39681561a3ad9491d147619b2",
+}
+
+
+def _pinned_encodes():
+    """(V, H) sets that reach every path: anchor hits and LP vertices on and
+    inside the ring, face codings outside it (radius 1.02 to 3) and the
+    Newton solve on the degenerate sets."""
+    V = _ring_anchors().anchors
+    H = np.concatenate([V[:, [0, 5, 11]].T] + [make_ring(12, radius=r, noise_sigma=0.01, seed=3)
+                                              for r in (0.9, 1.0, 1.02, 1.5, 3.0)])
+    return [(V, H), *DEGENERATE.values()]
+
+
+def _counting(monkeypatch, name):
+    """Wraps core.<name> to record the rows of each call; returns the record."""
+    calls = []
+    fn = getattr(core, name)
+
+    def counted(*args):
+        calls.append(len(args[0]))
+        return fn(*args)
+
+    monkeypatch.setattr(core, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_one_row_encodes_match_pinned_bytes(q, monkeypatch):
+    faces = _counting(monkeypatch, "_face_codings")
+    newton = _counting(monkeypatch, "_newton_codings")
+    digest = hashlib.sha256()
+    reasons = set()
+    for V, H in _pinned_encodes():
+        cfg = LccConfig(m=V.shape[1], q=q)
+        for h in H:
+            digest.update(solve_coding(h, AnchorSet(V), cfg).weights.tobytes())
+        reasons |= set(solve_codings(H, V, cfg)[1])
+    assert {"hit", "vertex", "gap"} <= reasons
+    assert faces and newton, "both residual paths should run"
+    assert digest.hexdigest() == ONE_ROW_SHA256[q]
+
+
+def test_lp_passes_stop_with_the_last_row(monkeypatch):
+    # count the stacked factorizations instead of timing them: a block
+    # optimal at its first basis takes one pass, and no pass runs on zero rows
+    stacks = []
+    for name in ("inv", "det"):
+        fn = getattr(np.linalg, name)
+        monkeypatch.setattr(np.linalg, name,
+                            lambda a, fn=fn, name=name: stacks.append((name, len(a))) or fn(a))
+    V = _ring_anchors().anchors
+    # the centroid of three neighbouring anchors lies in their triangle,
+    # the first basis of the simplex
+    centroids = ((V[:, :-2] + V[:, 1:-1] + V[:, 2:]) / 3.0).T
+    for q in (2, 3):
+        stacks.clear()
+        _, reasons = solve_codings(centroids, V, LccConfig(m=16, q=q))
+        assert set(reasons) == {"vertex"}
+        assert stacks == [("det", len(centroids)), ("inv", len(centroids))]
+    stacks.clear()
+    cfg = LccConfig(m=16)
+    for h in np.concatenate([centroids, _ring_points()]):
+        solve_coding(h, AnchorSet(V), cfg)
+    assert stacks.count(("inv", 1)) > len(centroids) + len(_ring_points()), \
+        "some rows should pivot"
+    assert {n for _, n in stacks} == {1}
+
+
+def test_one_row_calls_match_the_batched_rows():
+    # a row's stop reason does not depend on its block; hit and vertex
+    # rows come out bit for bit, and gap rows, whose stacked LAPACK calls
+    # differ in shape, to within rounding
+    V = _ring_anchors().anchors
+    cases = [(V, _ring_points(), q) for q in (2, 3)]
+    rng = Rng(2249)
+    for _ in range(20):
+        d_b = 2 + rng.randint(3)
+        m = d_b + 1 + rng.randint(9)
+        V = np.asarray(rng.normals(d_b * m)).reshape(d_b, m)
+        H = np.asarray(rng.normals(30 * d_b)).reshape(30, d_b)
+        H[:3] = V[:, :3].T
+        cases.append((V, H, 2 + rng.randint(2)))
+    seen = set()
+    for V, H, q in cases:
+        anchors, cfg = AnchorSet(V), LccConfig(m=V.shape[1], q=q)
+        G, reasons = solve_codings(H, V, cfg)
+        seen |= set(reasons)
+        for h, g, why in zip(H, G, reasons):
+            g1, why1 = solve_codings(h[None], V, cfg)
+            assert why1[0] == why
+            if why in ("hit", "vertex"):
+                assert g1[0].tobytes() == g.tobytes()
+            else:
+                obj = _row_objective(h, g, anchors, cfg)
+                assert _row_objective(h, g1[0], anchors, cfg) == pytest.approx(obj, rel=1e-12)
+    assert {"hit", "vertex", "gap"} <= seen
 
 
 def test_learn_anchors_codings_are_certified_on_the_default_ring():

@@ -145,6 +145,42 @@ def test_matrix_and_kv_csv_shapes(tmp_path):
     assert lines[1] == "mmd2,0.125"
 
 
+# values whose text is easy to get wrong: signed zero, infinities, nan,
+# the smallest subnormal, a huge value and integral floats
+EDGE_FLOATS = [-0.0, np.inf, -np.inf, np.nan, 5e-324, 1e300, 3.0, -7.0, 0.1, 2.0**53]
+
+
+def _reference_line(values):
+    # one float at a time, as the writers did before they formatted whole rows
+    return ",".join(format(float(x), ".17g") for x in values) + "\n"
+
+
+def test_csv_writers_match_a_per_float_reference(tmp_path):
+    path = tmp_path / "out.csv"
+    M = np.array(EDGE_FLOATS).reshape(5, 2)
+    for rows, header in ((M, ["a", "b"]), (M[:, :1], None), (M.ravel(), None),
+                         (np.zeros((0, 3)), None)):
+        matrix_to_csv(path, rows, header)
+        want = "".join(_reference_line(row) for row in np.atleast_2d(rows))
+        assert path.read_text() == ("a,b\n" if header else "") + want
+    W = np.zeros((4, 5))
+    W[0, [0, 2, 3, 4]] = EDGE_FLOATS[1:5]
+    W[2, [1, 4]] = [1e300, 3.0]  # row 1 has no nonzeros; -0.0 counts as zero
+    W[3, 0] = -0.0
+    # more rows than the writer formats at a time, with empty rows among them
+    big = np.asarray(Rng(3).normals(600 * 7)).reshape(600, 7)
+    big[np.abs(big) < 0.8] = 0.0
+    big[250:260] = 0.0
+    for G in (W, W[:0], big):
+        codings_to_csv(path, G)
+        want = "".join(",".join(f"{j}:{format(float(x), '.17g')}" for j, x in enumerate(row)
+                                if x != 0.0) + "\n" for row in G)
+        assert path.read_text() == want
+    V = np.array([[-0.0, 5e-324, 1e300], [3.0, -7.0, 0.1]])
+    anchors_to_csv(path, AnchorSet(V))
+    assert path.read_text() == "".join(_reference_line(V[:, j]) for j in range(3))
+
+
 def test_anchors_csv_one_row_per_anchor(tmp_path):
     V = np.array([[1.0, 3.0], [2.0, 4.0]])
     path = tmp_path / "a.csv"
