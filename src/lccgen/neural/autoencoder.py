@@ -10,30 +10,36 @@ from .adam import adam_step, init_adam
 from .net import Mlp, TrainingDivergedError, build_mlp, backward, check_finite, forward_cached
 
 
-def reconstruction_mse(encoder: Mlp, decoder: Mlp, data) -> float:
-    """Mean over all entries of the squared reconstruction error."""
+def reconstruction_mse(ae: Mlp, data) -> float:
+    """Mean over all entries of the squared reconstruction error of `ae`,
+    the encoder's layers followed by the decoder's."""
     X = np.asarray(data, dtype=np.float64)
-    diff = decoder.forward(encoder.forward(X)) - X
-    return float(np.mean(diff * diff))
+    diff = ae.forward(X)
+    diff -= X
+    diff *= diff
+    return float(np.mean(diff))
 
 
-def ae_loss_and_grads(encoder: Mlp, decoder: Mlp, batch):
+def ae_loss_and_grads(ae: Mlp, batch):
+    """The batch's reconstruction MSE and its gradient, laid out like ae.flat."""
     X = np.asarray(batch, dtype=np.float64)
-    z, enc_cache = forward_cached(encoder, X)
-    xhat, dec_cache = forward_cached(decoder, z)
+    xhat, cache = forward_cached(ae, X)
     diff = xhat - X
     loss = float(np.mean(diff * diff))
-    d_xhat = 2.0 * diff / diff.size
-    dec_grads, dz = backward(decoder, dec_cache, d_xhat)
-    enc_grads, _ = backward(encoder, enc_cache, dz)
-    return loss, enc_grads, dec_grads
+    diff *= 2.0
+    diff /= diff.size
+    grads, _ = backward(ae, cache, diff)
+    return loss, grads
 
 
 def train_autoencoder(data, config: AutoencoderConfig, seed: int):
     """Returns (encoder, decoder, per-epoch loss history).
 
     Hidden layers use `config.activation`, outputs are linear;
-    `activation="identity"` gives a purely linear autoencoder.
+    `activation="identity"` gives a purely linear autoencoder.  Training
+    steps one four-layer network, the encoder's two layers then the
+    decoder's, so a divergence error's layer index counts encoder layers
+    0-1, then decoder layers 2-3.
     """
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
@@ -43,17 +49,17 @@ def train_autoencoder(data, config: AutoencoderConfig, seed: int):
     acts = [config.activation, "identity"]
     encoder = build_mlp([dim, config.hidden, config.latent_dim], acts, rng)
     decoder = build_mlp([config.latent_dim, config.hidden, dim], acts, rng)
-    state = init_adam([encoder.flat, decoder.flat])
+    ae = Mlp(encoder.layers + decoder.layers)
+    state = init_adam([ae.flat])
     history = []
     for epoch in range(config.epochs):
         order = np.argsort(rng.uniforms(n), kind="stable")
         for start in range(0, n, config.batch):
             idx = order[start : start + config.batch]
-            loss, enc_grads, dec_grads = ae_loss_and_grads(encoder, decoder, X[idx])
+            loss, grads = ae_loss_and_grads(ae, X[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            adam_step([encoder.flat, decoder.flat], [enc_grads, dec_grads], state, lr=config.lr)
-            check_finite(encoder, f"epoch {epoch}")
-            check_finite(decoder, f"epoch {epoch}")
-        history.append(reconstruction_mse(encoder, decoder, X))
-    return encoder, decoder, history
+            adam_step([ae.flat], [grads], state, lr=config.lr)
+            check_finite(ae, f"epoch {epoch}")
+        history.append(reconstruction_mse(ae, X))
+    return Mlp(ae.layers[:2]), Mlp(ae.layers[2:]), history

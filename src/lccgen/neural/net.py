@@ -15,20 +15,21 @@ from .. import LccgenError
 from ..rng import Rng
 
 
-def _sigmoid(z):
-    return 1.0 / (1.0 + np.exp(-z))
-
-
-# activation name -> (f, f'): y = f(z) of the pre-activation z, and the
-# derivative f'(z) written as a function of the output y, so backward reads
-# it off forward_cached's outputs.  The order is a file format: a checkpoint
-# stores each layer's activation as its position here (serialize), so new
-# names go at the end.
+# activation name -> (f, f'): y = f(z, out=None) of the pre-activation z,
+# written into `out` when given (out=z computes in place) and leaving z alone
+# otherwise; and the derivative f'(z) written as a function of the output y,
+# so backward reads it off forward_cached's outputs.  identity's f' is None:
+# backward passes the gradient through it unchanged.  The order is a file
+# format: a checkpoint stores each layer's activation as its position here
+# (serialize), so new names go at the end.
 ACTIVATIONS = {
-    "identity": (lambda z: z, np.ones_like),
-    "relu": (lambda z: np.maximum(z, 0.0), lambda y: y > 0.0),
+    "identity": (np.positive, None),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda y: y > 0.0),
     "tanh": (np.tanh, lambda y: 1.0 - y * y),
-    "sigmoid": (_sigmoid, lambda y: y * (1.0 - y)),
+    # 1 / (1 + exp(-z)), one operation at a time in one buffer
+    "sigmoid": (lambda z, out=None: np.divide(
+                    1.0, np.add(np.exp(y := np.negative(z, out=out), out=y), 1.0, out=y), out=y),
+                lambda y: y * (1.0 - y)),
 }
 
 EPS_PHI = 1e-7
@@ -70,6 +71,13 @@ def _layer_views(vec, layers):
     return views
 
 
+def _layer_forward(layer: Layer, x):
+    """act(x @ w + b), computed in the one array x @ w allocates."""
+    y = x @ layer.w
+    y += layer.b
+    return ACTIVATIONS[layer.act][0](y, out=y)
+
+
 class Mlp:
     """Layers holding views of one vector, `flat` (layer by layer, w then b),
     into which the given layers' arrays are copied."""
@@ -93,7 +101,7 @@ class Mlp:
         if y.shape[1] != self.in_dim:
             raise ValueError(f"input dim {y.shape[1]}, network expects {self.in_dim}")
         for layer in self.layers:
-            y = ACTIVATIONS[layer.act][0](y @ layer.w + layer.b)
+            y = _layer_forward(layer, y)
         return y[0] if single else y
 
 
@@ -123,7 +131,7 @@ def forward_cached(net: Mlp, X):
     cache = []
     for layer in net.layers:
         x = y
-        y = ACTIVATIONS[layer.act][0](x @ layer.w + layer.b)
+        y = _layer_forward(layer, x)
         cache.append((x, y))
     return y, cache
 
@@ -139,10 +147,11 @@ def backward(net: Mlp, cache, d_out):
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         x, y = cache[i]
-        dz = dy * ACTIVATIONS[layer.act][1](y)
+        deriv = ACTIVATIONS[layer.act][1]
+        dz = dy if deriv is None else dy * deriv(y)
         gw, gb = views[i]
         np.matmul(x.T, dz, out=gw)
-        gb[...] = dz.sum(axis=0)
+        dz.sum(axis=0, out=gb)
         dy = dz @ layer.w.T
     return grads, dy
 

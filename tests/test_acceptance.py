@@ -42,7 +42,7 @@ from lccgen.lcc.sampling import (
 )
 from lccgen.neural.autoencoder import ae_loss_and_grads
 from lccgen.neural.gan import build_gan, disc_objective_and_grads, gen_objective_and_grads
-from lccgen.neural.net import build_mlp, forward_cached
+from lccgen.neural.net import Mlp, build_mlp, forward_cached
 from lccgen.rng import Rng, stage_seed
 from lccgen.serialize import (
     anchors_to_csv,
@@ -255,11 +255,10 @@ def test_criterion_5_gradient_correctness():
     rng = Rng(14)
     enc = build_mlp([3, 4, 2], ["tanh", "identity"], rng)
     dec = build_mlp([2, 4, 3], ["tanh", "identity"], rng)
+    ae = Mlp(enc.layers + dec.layers)
     X = np.asarray(rng.normals(6 * 3)).reshape(6, 3)
-    _, eg, dg = ae_loss_and_grads(enc, dec, X)
-    worst = _fd_worst(
-        lambda: ae_loss_and_grads(enc, dec, X)[0], [enc.flat, dec.flat], [eg, dg]
-    )
+    _, ae_grads = ae_loss_and_grads(ae, X)
+    worst = _fd_worst(lambda: ae_loss_and_grads(ae, X)[0], [ae.flat], [ae_grads])
 
     gan = build_gan(3, 4, GanConfig(hidden=6), seed=9)
     drng = Rng(8)

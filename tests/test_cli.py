@@ -661,8 +661,9 @@ def test_mnist_heldout_images_stay_out_of_training(tmp_path):
         last = float(fh.read().splitlines()[-1].split(",")[1])
     encoder = load_model(os.path.join(out, "ae_encoder.bin"))
     decoder = load_model(os.path.join(out, "ae_decoder.bin"))
-    assert last == reconstruction_mse(encoder, decoder, train)
-    assert last != reconstruction_mse(encoder, decoder, images)
+    ae = Mlp(encoder.layers + decoder.layers)
+    assert last == reconstruction_mse(ae, train)
+    assert last != reconstruction_mse(ae, images)
     # learn-lcc codes the four training images only
     assert len(codings_from_csv(os.path.join(out, "codings.csv"), 3)) == 4
     # eval's bandwidth is the one pairwise distance of the two held-out images

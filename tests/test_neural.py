@@ -85,6 +85,58 @@ def test_forward_matches_scalar_hand_evaluation():
     assert np.allclose(got, want, rtol=0, atol=1e-15)
 
 
+def _out_of_place_forward(net, x):
+    for layer in net.layers:
+        x = ACTIVATIONS[layer.act][0](x @ layer.w + layer.b)
+    return x
+
+
+@pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+def test_in_place_layer_passes_match_out_of_place_bit_for_bit(act):
+    rng = Rng(31)
+    net = build_mlp([3, 64, 5, 2], [act, act, act], rng)
+    for layer in net.layers:
+        layer.b[...] = rng.normals(layer.b.size)
+    X = np.asarray(rng.normals(2000 * 3)).reshape(2000, 3)
+    X[:20] *= 300.0  # saturated tanh and sigmoid rows
+    keep = X.copy()
+    want = _out_of_place_forward(net, X)
+    out, cache = forward_cached(net, X)
+    assert np.array_equal(X, keep)  # forward_cached never writes its input
+    assert cache[0][0] is X
+    if act in ("sigmoid", "tanh"):
+        assert np.any(np.abs(cache[0][1]) == 1.0)
+    assert out.tobytes() == want.tobytes()
+    assert net.forward(X).tobytes() == want.tobytes()
+    # a 1-D input: forward takes it as one row, forward_cached as a vector
+    x = X[7]
+    assert net.forward(x).tobytes() == _out_of_place_forward(net, x[None, :])[0].tobytes()
+    assert forward_cached(net, x)[0].tobytes() == _out_of_place_forward(net, x).tobytes()
+    assert np.array_equal(X, keep)
+
+
+@pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+def test_activation_without_out_leaves_its_input_alone(act):
+    f = ACTIVATIONS[act][0]
+    z = np.array([[-800.0, -3.5, -0.0, 0.0], [1e-300, 0.25, 40.0, 800.0]])
+    keep = z.copy()
+    with np.errstate(over="ignore"):
+        y = f(z)
+    assert z.tobytes() == keep.tobytes()
+    assert not np.shares_memory(y, z)
+    buf = np.empty_like(z)
+    with np.errstate(over="ignore"):
+        assert f(z, out=buf) is buf and buf.tobytes() == y.tobytes()
+        assert f(z, out=z) is z and z.tobytes() == y.tobytes()
+
+
+def test_sigmoid_matches_its_formula_bit_for_bit():
+    z = np.concatenate([np.linspace(-800.0, 800.0, 4001), [-0.0, 1e-300, -745.2, 709.8]])
+    with np.errstate(over="ignore"):
+        want = 1.0 / (1.0 + np.exp(-z))
+        assert ACTIVATIONS["sigmoid"][0](z).tobytes() == want.tobytes()
+
+
 def test_forward_rejects_wrong_dim():
     net = build_mlp([2, 3], ["identity"], Rng(0))
     with pytest.raises(ValueError):
@@ -147,12 +199,12 @@ def test_check_finite_names_the_first_non_finite_layer():
 
 
 def test_zero_net_zero_targets_zero_gradient():
-    enc = Mlp([Layer(np.zeros((3, 2)), np.zeros(2), "identity")])
-    dec = Mlp([Layer(np.zeros((2, 3)), np.zeros(3), "identity")])
+    ae = Mlp([Layer(np.zeros((3, 2)), np.zeros(2), "identity"),
+              Layer(np.zeros((2, 3)), np.zeros(3), "identity")])
     X = np.zeros((4, 3))
-    loss, eg, dg = ae_loss_and_grads(enc, dec, X)
+    loss, grads = ae_loss_and_grads(ae, X)
     assert loss == 0.0
-    assert np.all(eg == 0.0) and np.all(dg == 0.0)
+    assert grads.shape == ae.flat.shape and np.all(grads == 0.0)
 
 
 def test_backward_is_linear_in_the_loss():
@@ -216,7 +268,8 @@ def test_autoencoder_one_adam_state_matches_one_per_network(act):
     X = np.asarray(Rng(4).normals(40 * 3)).reshape(40, 3)
     config = AutoencoderConfig(hidden=6, epochs=3, batch=16, lr=0.01, activation=act)
     enc, dec, history = train_autoencoder(X, config, seed=5)
-    # the same loop, stepping each network against its own Adam state
+    # the same loop on two separate networks: the decoder's backward pass
+    # feeds the encoder's, and each network steps against its own Adam state
     rng = Rng(5)
     acts = [act, "identity"]
     enc2 = build_mlp([3, 6, 2], acts, rng)
@@ -225,23 +278,42 @@ def test_autoencoder_one_adam_state_matches_one_per_network(act):
     for _ in range(config.epochs):
         order = np.argsort(rng.uniforms(40), kind="stable")
         for start in range(0, 40, config.batch):
-            _, eg, dg = ae_loss_and_grads(enc2, dec2, X[order[start:start + config.batch]])
+            batch = X[order[start:start + config.batch]]
+            z, enc_cache = forward_cached(enc2, batch)
+            xhat, dec_cache = forward_cached(dec2, z)
+            diff = xhat - batch
+            dg, dz = backward(dec2, dec_cache, 2.0 * diff / diff.size)
+            eg, _ = backward(enc2, enc_cache, dz)
             adam_step([enc2.flat], [eg], enc_state, lr=config.lr)
             adam_step([dec2.flat], [dg], dec_state, lr=config.lr)
     assert np.array_equal(enc.flat, enc2.flat)
     assert np.array_equal(dec.flat, dec2.flat)
-    assert history[-1] == reconstruction_mse(enc2, dec2, X)
+    diff = dec2.forward(enc2.forward(X)) - X
+    assert history[-1] == float(np.mean(diff * diff))
+
+
+def test_autoencoder_returns_networks_with_separate_buffers():
+    X = np.asarray(Rng(4).normals(20 * 3)).reshape(20, 3)
+    enc, dec, _ = train_autoencoder(X, AutoencoderConfig(hidden=6, epochs=1, batch=8), 5)
+    assert [layer.w.shape for layer in enc.layers] == [(3, 6), (6, 2)]
+    assert [layer.w.shape for layer in dec.layers] == [(2, 6), (6, 3)]
+    assert not np.shares_memory(enc.flat, dec.flat)
+    for net in (enc, dec):
+        for layer in net.layers:
+            assert np.shares_memory(layer.w, net.flat) and np.shares_memory(layer.b, net.flat)
+    keep = dec.flat.copy()
+    enc.flat += 1.0
+    assert dec.flat.tobytes() == keep.tobytes()
 
 
 def test_autoencoder_gradients_match_finite_differences():
     rng = Rng(14)
     enc = build_mlp([3, 4, 2], ["tanh", "identity"], rng)
     dec = build_mlp([2, 4, 3], ["tanh", "identity"], rng)
+    ae = Mlp(enc.layers + dec.layers)
     X = np.asarray(rng.normals(6 * 3)).reshape(6, 3)
-    _, eg, dg = ae_loss_and_grads(enc, dec, X)
-    worst = fd_check(
-        lambda: ae_loss_and_grads(enc, dec, X)[0], [enc.flat, dec.flat], [eg, dg]
-    )
+    _, grads = ae_loss_and_grads(ae, X)
+    worst = fd_check(lambda: ae_loss_and_grads(ae, X)[0], [ae.flat], [grads])
     assert worst < 1e-4
 
 
@@ -367,7 +439,7 @@ def test_autoencoder_memorizes_a_repeated_point():
     enc, dec, hist = train_autoencoder(X, AutoencoderConfig(
         latent_dim=2, hidden=8, epochs=400, batch=8, lr=1e-2, activation="identity"), 1)
     assert hist[-1] < 1e-6
-    assert reconstruction_mse(enc, dec, X) == hist[-1]
+    assert reconstruction_mse(Mlp(enc.layers + dec.layers), X) == hist[-1]
 
 
 def test_autoencoder_zero_epochs_returns_init():
