@@ -1,16 +1,35 @@
 """Sample-quality metrics: kernel two-sample distance and a correlation
-nearest-neighbor probe."""
+nearest-neighbor probe.
+
+Each (n, n) matrix is filled in place in one buffer.  `_pairwise_sq_dists`
+writes a @ b.T into it and turns it into squared distances in place, one
+block of `_BLOCK` rows at a time for the outer sum of squared norms, with
+the same float operations per entry as max(aa + bb - 2 (a @ b.T), 0).
+`mmd2` fills its three kernels in turn in one flat buffer of max(m, n)^2
+floats, each in a contiguous view of the buffer's front, so k.sum() adds in
+the order it would on a fresh array.  `median_pairwise_distance` keeps the
+full (n, n) matrix, because BLAS does not promise a row the same bits when
+it is computed in a smaller block, and one copy of its strict upper
+triangle.
+"""
 
 from __future__ import annotations
 
 import numpy as np
 
+_BLOCK = 64  # rows per outer-sum temporary in _pairwise_sq_dists
 
-def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+
+def _pairwise_sq_dists(a: np.ndarray, b: np.ndarray, out=None) -> np.ndarray:
+    """(len(a), len(b)) squared distances, written into `out` when given."""
     aa = np.sum(a * a, axis=1)
     bb = np.sum(b * b, axis=1)
-    d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
-    return np.maximum(d2, 0.0)
+    d2 = np.matmul(a, b.T, out=out)
+    d2 *= 2.0
+    for i in range(0, len(aa), _BLOCK):
+        rows = d2[i:i + _BLOCK]
+        np.subtract(np.add.outer(aa[i:i + _BLOCK], bb), rows, out=rows)
+    return np.maximum(d2, 0.0, out=d2)
 
 
 def median_pairwise_distance(xs) -> float:
@@ -18,9 +37,21 @@ def median_pairwise_distance(xs) -> float:
     a = np.asarray(xs, dtype=np.float64)
     if a.ndim != 2 or a.shape[0] < 2:
         raise ValueError("need at least two points")
+    n = a.shape[0]
     d2 = _pairwise_sq_dists(a, a)
-    iu = np.triu_indices(a.shape[0], k=1)
-    med = float(np.median(np.sqrt(d2[iu])))
+    # the pairs i < j, in np.triu_indices(n, 1) order
+    pairs = np.empty(n * (n - 1) // 2)
+    off = 0
+    for i in range(n - 1):
+        pairs[off:off + n - 1 - i] = d2[i, i + 1:]
+        off += n - 1 - i
+    # np.median's middle one or two ranks, and the last rank, where a NaN
+    # sorts; sqrt keeps the order, so only the middle values need it
+    mid = slice((pairs.size - 1) // 2, pairs.size // 2 + 1)
+    pairs.partition(sorted({mid.start, mid.stop - 1, pairs.size - 1}))
+    if np.isnan(pairs[-1]):
+        return float("nan")
+    med = float(np.mean(np.sqrt(pairs[mid])))
     if med <= 0.0:
         raise ValueError("median pairwise distance is zero; pass a bandwidth explicitly")
     return med
@@ -47,12 +78,14 @@ def mmd2(xs, ys, bandwidth: float) -> float:
     if m < 2 or n < 2:
         return 0.0
     scale = -0.5 / (bandwidth * bandwidth)
+    flat = np.empty(max(m, n) ** 2)
 
     def kernel(p, q):
-        return np.exp(scale * _pairwise_sq_dists(p, q))
+        k = _pairwise_sq_dists(p, q, out=flat[:len(p) * len(q)].reshape(len(p), len(q)))
+        k *= scale
+        return np.exp(k, out=k)
 
     def off_diagonal_mean(p, q):
-        # reduced here, so only one kernel matrix is alive at a time
         k = kernel(p, q)
         return (k.sum() - np.trace(k)) / (p.shape[0] * (p.shape[0] - 1))
 

@@ -66,7 +66,7 @@ def gen_objective_and_grads(gan: GanModel, codings):
     phi, dphi = PHIS[gan.phi]
     value = float(np.mean(phi(1.0 - score_f)))
     d_f = -dphi(1.0 - score_f) / n
-    _, d_fakes = backward(gan.discriminator, cache_d, d_f)
+    _, d_fakes = backward(gan.discriminator, cache_d, d_f, params=False)
     grads, _ = backward(gan.generator, cache_g, d_fakes)
     return value, grads
 

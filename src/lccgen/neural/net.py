@@ -136,22 +136,25 @@ def forward_cached(net: Mlp, X):
     return y, cache
 
 
-def backward(net: Mlp, cache, d_out):
+def backward(net: Mlp, cache, d_out, params=True):
     """Gradients of a scalar loss given d(loss)/d(output).
 
-    Returns (grads, d_input) with grads one vector laid out like net.flat.
+    Returns (grads, d_input) with grads one vector laid out like net.flat;
+    with params=False, (None, d_input), and the parameter gradients are not
+    computed.
     """
-    grads = np.empty_like(net.flat)
-    views = _layer_views(grads, net.layers)
+    grads = np.empty_like(net.flat) if params else None
+    views = _layer_views(grads, net.layers) if params else None
     dy = np.asarray(d_out, dtype=np.float64)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         x, y = cache[i]
         deriv = ACTIVATIONS[layer.act][1]
         dz = dy if deriv is None else dy * deriv(y)
-        gw, gb = views[i]
-        np.matmul(x.T, dz, out=gw)
-        dz.sum(axis=0, out=gb)
+        if params:
+            gw, gb = views[i]
+            np.matmul(x.T, dz, out=gw)
+            dz.sum(axis=0, out=gb)
         dy = dz @ layer.w.T
     return grads, dy
 

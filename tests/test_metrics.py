@@ -1,12 +1,14 @@
 """Metric tests with hand-loop oracles for the kernel statistic and the
-correlation nearest-neighbor probe."""
+correlation nearest-neighbor probe, a one-expression oracle for the in-place
+kernel code, and its memory bound."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from lccgen.metrics import median_pairwise_distance, mmd2, pearson_nn
+from lccgen.metrics import _pairwise_sq_dists, median_pairwise_distance, mmd2, pearson_nn
 from lccgen.rng import Rng
 
 
@@ -157,3 +159,88 @@ def test_median_pairwise_distance_hand_case():
         median_pairwise_distance(pts[:1])
     with pytest.raises(ValueError):
         median_pairwise_distance(np.zeros((3, 2)))
+
+
+# the kernel code as one expression per matrix, each on a fresh array: the
+# in-place code must give the same bits
+
+
+def oracle_sq_dists(a, b):
+    aa = np.sum(a * a, axis=1)
+    bb = np.sum(b * b, axis=1)
+    d2 = aa[:, None] + bb[None, :] - 2.0 * (a @ b.T)
+    return np.maximum(d2, 0.0)
+
+
+def oracle_median_pairwise(a):
+    d2 = oracle_sq_dists(a, a)
+    iu = np.triu_indices(a.shape[0], k=1)
+    return float(np.median(np.sqrt(d2[iu])))
+
+
+def oracle_mmd2(a, b, bandwidth):
+    scale = -0.5 / (bandwidth * bandwidth)
+
+    def kernel(p, q):
+        return np.exp(scale * oracle_sq_dists(p, q))
+
+    def off_diagonal_mean(p, q):
+        k = kernel(p, q)
+        return (k.sum() - np.trace(k)) / (p.shape[0] * (p.shape[0] - 1))
+
+    sxy = off_diagonal_mean(a, b) if len(a) == len(b) else kernel(a, b).mean()
+    return float(off_diagonal_mean(a, a) + off_diagonal_mean(b, b) - 2.0 * sxy)
+
+
+# 63, 64 and 65 straddle the 64-row block; 2, 3 and 63 points give odd pair
+# counts, 64, 65 and 1000 even ones
+@pytest.mark.parametrize("dim", [1, 2, 784])
+@pytest.mark.parametrize("n", [2, 3, 63, 64, 65, 1000])
+def test_kernel_code_matches_one_expression_oracle_bit_for_bit(n, dim):
+    rng = Rng(1000 * n + dim)
+    a = np.asarray(rng.normals(n * dim)).reshape(n, dim)
+    b = np.asarray(rng.normals(n * dim)).reshape(n, dim) + 0.5
+    c = np.asarray(rng.normals((n + 1) * dim)).reshape(n + 1, dim)
+    assert np.array_equal(_pairwise_sq_dists(a, a), oracle_sq_dists(a, a))
+    assert np.array_equal(_pairwise_sq_dists(a, c), oracle_sq_dists(a, c))
+    out = np.full((n + 1, n), np.nan)
+    assert _pairwise_sq_dists(c, a, out=out) is out
+    assert np.array_equal(out, oracle_sq_dists(c, a))
+    bandwidth = oracle_median_pairwise(a)
+    assert median_pairwise_distance(a) == bandwidth
+    assert mmd2(a, b, bandwidth) == oracle_mmd2(a, b, bandwidth)
+    assert mmd2(a, c, bandwidth) == oracle_mmd2(a, c, bandwidth)
+    assert mmd2(c, a, bandwidth) == oracle_mmd2(c, a, bandwidth)
+
+
+def test_median_pairwise_distance_nan_and_all_equal():
+    pts = np.asarray(Rng(9).normals(7 * 2)).reshape(7, 2)
+    pts[4, 1] = np.nan
+    assert math.isnan(oracle_median_pairwise(pts))
+    assert math.isnan(median_pairwise_distance(pts))
+    with pytest.raises(ValueError, match="zero"):
+        median_pairwise_distance(np.full((5, 3), 2.5))
+
+
+def _peak_in_nn_arrays(fn, n):
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return (peak - base) / (n * n * 8)
+
+
+def test_kernel_matrices_share_one_buffer():
+    # numpy reports its data buffers to tracemalloc; the oracle, which holds
+    # two (n, n) arrays at once, shows that it does
+    n = 1000
+    rng = Rng(10)
+    a = np.asarray(rng.normals(n * 2)).reshape(n, 2)
+    b = np.asarray(rng.normals(n * 2)).reshape(n, 2)
+    assert _peak_in_nn_arrays(lambda: oracle_mmd2(a, b, 1.0), n) >= 1.9
+    assert _peak_in_nn_arrays(lambda: mmd2(a, b, 1.0), n) <= 1.25
+    assert _peak_in_nn_arrays(lambda: median_pairwise_distance(a), n) <= 1.75

@@ -218,6 +218,19 @@ def test_backward_is_linear_in_the_loss():
         assert np.allclose(2.0 * a, b, rtol=1e-13, atol=0)
 
 
+@pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+def test_backward_without_params_gives_the_same_input_gradient(act):
+    rng = Rng(22)
+    net = build_mlp([3, 6, 4, 2], ["relu", act, act], rng)
+    X = np.asarray(rng.normals(5 * 3)).reshape(5, 3)
+    d_out = np.asarray(rng.normals(5 * 2)).reshape(5, 2)
+    _, cache = forward_cached(net, X)
+    grads, d_in = backward(net, cache, d_out)
+    none, d_in_only = backward(net, cache, d_out, params=False)
+    assert grads.shape == net.flat.shape and none is None
+    assert np.array_equal(d_in_only, d_in)
+
+
 # each activation's derivative as a function of the pre-activation z
 _PREACT_DERIVATIVES = {
     "identity": np.ones_like,
