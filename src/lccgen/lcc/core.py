@@ -13,8 +13,8 @@ weak duality (see its docstring for the stop reasons).  Most rows are
 vertices of the zero-residual LP min sum_j c_j |g_j| s.t. V g = h,
 sum(g) = 1, found by a lockstep simplex.  Points outside the anchors' hull
 mostly take a closed-form coding with a residual on d_b anchors; the rest
-go to damped Newton steps on a smoothed objective within the plane
-sum(g) = 1, with the smoothing driven down to 1e-10.  `solve_coding` is its
+go to an active set over faces, the sets of anchors that carry a row's
+nonzero weights, each solved in closed form.  `solve_coding` is its
 one-row call.
 `learn_anchors` alternates it with a weighted least-squares anchor update.
 
@@ -34,13 +34,9 @@ from ..config import LccConfig
 from ..rng import Rng
 
 _EPS_SMOOTH = 1e-12  # smoothing inside sqrt of the reconstruction term
-_MAX_PIVOTS = 50  # simplex pivots per row before the Newton fallback
+_MAX_PIVOTS = 50  # simplex pivots per row before the active-set fallback
 _ROWS = 512  # rows per block of solve_codings, bounding its (rows, m) temporaries
-_MU_START = 1e-1  # smoothing levels of the Newton solve
-_MU_FLOOR = 1e-10
-_MAX_NEWTON = 50  # Newton steps per smoothing level
-_SNAP = 1e-8  # weights below this are also tried at exactly zero
-_STEPS = 0.5 ** np.arange(53)  # line-search step lengths 1, 1/2, ..., 2^-52
+_MAX_STEPS = 200  # active-set steps per row
 
 
 class LccError(LccgenError):
@@ -139,132 +135,6 @@ def _row_objectives(H, G, V, C, l_h):
     E = H - G @ V.T
     rec = np.sqrt((E * E).sum(axis=1))
     return 2.0 * l_h * rec + (np.abs(G) * C).sum(axis=1)
-
-
-def _solve_scaled(scaled, r, b):
-    """Solves (scaled / outer(r, r)) x = b, stacked over any leading axis;
-    least squares where the matrix is singular."""
-    rhs = (r * b)[..., None]
-    try:
-        y = np.linalg.solve(scaled, rhs)
-    except np.linalg.LinAlgError:  # no curvature at all along some direction
-        y = np.linalg.pinv(scaled) @ rhs
-    return r * y[..., 0]
-
-
-def _smoothed(G, E, C, two_lh, mu2):
-    """(s, a, F_mu) of each row at weights G with residuals E."""
-    S = np.sqrt(np.sum(E * E, axis=1) + mu2)
-    A = np.sqrt(G * G + mu2[:, None])
-    return S, A, two_lh * S + np.sum(C * A, axis=1)
-
-
-def _best_steps(V, C, two_lh, mu2, G, E, dirs):
-    """For each row, the point with the lowest F_mu among g + t*d over the
-    row's directions d (dirs is (rows, k, m)) and t = 1, 1/2, ..., 2^-52;
-    returns (g, e, s, a, F_mu) there."""
-    T = _STEPS[:, None]
-    Es = E[:, None, None, :] - T * (dirs @ V.T)[:, :, None, :]
-    Ss = np.sqrt(np.sum(Es * Es, axis=3) + mu2[:, None, None])
-    As = np.multiply(T, dirs[:, :, None, :])  # the one (rows, k, 53, m) array
-    As += G[:, None, None, :]
-    np.multiply(As, As, out=As)
-    As += mu2[:, None, None, None]
-    np.sqrt(As, out=As)
-    F = two_lh * Ss + (As @ C[:, None, :, None])[..., 0]
-    i = np.arange(len(G))
-    d, k = np.divmod(np.argmin(F.reshape(len(G), -1), axis=1), len(_STEPS))
-    return G + _STEPS[k][:, None] * dirs[i, d], Es[i, d, k], Ss[i, d, k], As[i, d, k], F[i, d, k]
-
-
-def _newton_codings(H, V, Z, W, C, l_h, G):
-    """Damped Newton on the smoothed objective over the plane sum(g) = 1,
-    every row of G in lockstep, each at its own smoothing level.
-
-    Minimizes F_mu(g) = 2*l_h*sqrt(||h - V g||^2 + mu^2)
-    + sum_j c_j*sqrt(g_j^2 + mu^2) for mu = 1e-1, 1e-3, ..., 1e-9, 1e-10;
-    F_mu - f is at most (2*l_h + sum(c))*mu.  Each level starts from the
-    last one's result, moved along the tangent of the minimizer path g(mu)
-    when that lowers the new F_mu.  A step solves the KKT system (Hessian
-    bordered by the constraint row) in the orthonormal basis Z of the plane
-    1'd = 0, whose trailing columns span the null space of [V; 1'] (W = V Z
-    is zero there); there only the penalty has curvature, which the
-    bordered form rounds away against the residual term's 1/mu-sized
-    curvature when l_q is small.  A second step uses the penalty's
-    majorizer curvature c/a (a = sqrt(g^2 + mu^2)) in place of
-    c*mu^2/a^3, as the Newton step can overshoot a weight by orders of
-    magnitude.  The iterate moves to the best point on F_mu of either step
-    scaled by 1, 1/2, ..., 2^-52: at least Armijo backtracking's decrease.
-    A level ends when the squared Newton decrement drops below
-    1e-2*mu*F_mu (1e-14*F_mu on the last level), or after _MAX_NEWTON
-    steps.  Rows leave the stacks once their last level ends.
-    """
-    two_lh = 2.0 * l_h
-    out = np.empty_like(G)
-    rows = np.arange(len(G))  # the rows of out still iterating
-    c, g = C, G.copy()
-    e = H - g @ V.T
-    mu = np.full(len(G), _MU_START)
-    s, a, f = _smoothed(g, e, c, two_lh, mu * mu)
-    steps = np.zeros(len(G), dtype=int)
-    while rows.size:
-        mu2 = mu * mu
-        tol = np.where(mu > _MU_FLOOR, 1e-2 * mu, 1e-14) * f
-        # residual-term Hessian (2 l_h / s) W'(I - e e'/s^2)W, with the
-        # middle factor split into the projector off e plus (mu/s)^2
-        # along e so it stays positive semidefinite at tiny mu
-        norm_e = np.sqrt(np.maximum(s * s - mu2, 0.0))
-        unit = np.divide(e, norm_e[:, None], out=np.zeros_like(e), where=norm_e[:, None] > 0.0)
-        pe = unit @ W
-        B = W - unit[:, :, None] * pe[:, None, :]
-        hess = np.swapaxes(B, 1, 2) @ B + (mu2 / (s * s))[:, None, None] * (
-            pe[:, :, None] * pe[:, None, :])
-        hess *= (two_lh / s)[:, None, None]
-        # the penalty's curvature for the Newton step, and its majorizer
-        ca = c / a
-        curv = np.empty((len(c), 2, c.shape[1]))
-        np.multiply(ca, mu2[:, None] / (a * a), out=curv[:, 0])
-        curv[:, 1] = ca
-        hess = hess[:, None] + (Z.T * curv[:, :, None, :]) @ Z
-        grad = (ca * g) @ Z - (two_lh * norm_e / s)[:, None] * pe  # pe * norm_e = W'e
-        # symmetric diagonal scaling: curvatures span many decades at small mu
-        h_diag = np.diagonal(hess, axis1=2, axis2=3)
-        r = 1.0 / np.sqrt(np.where(h_diag > 0.0, h_diag, 1.0))
-        scaled = hess * r[..., :, None] * r[..., None, :]
-        x = _solve_scaled(scaled, r, -grad[:, None, :])
-        # minus the squared Newton decrement
-        won = np.sum(grad * x[:, 0], axis=1) < -tol
-        if won.any():
-            step = _best_steps(V, c, two_lh, mu2, g, e, x @ Z.T)
-            won &= step[4] < f
-            g, e, s, a, f = (np.where(won.reshape(-1, *[1] * (new.ndim - 1)), new, old)
-                             for new, old in zip(step, (g, e, s, a, f)))
-            steps += won
-        ended = ~won | (steps >= _MAX_NEWTON)
-        last = ended & (mu <= _MU_FLOOR)
-        nxt = np.flatnonzero(ended & ~last)
-        if nxt.size:
-            m0 = mu[nxt]
-            mu_next = np.maximum(m0 * 1e-2, _MU_FLOOR)
-            # tangent of g(mu), from Newton's Hessian: H dx/dmu = -d grad/dmu
-            dgrad = (-ca[nxt] * g[nxt] * (m0[:, None] / (a[nxt] * a[nxt]))) @ Z
-            dgrad += (two_lh * m0 / s[nxt] ** 3)[:, None] * (e[nxt] @ W)
-            tangent = (mu_next - m0)[:, None] * (
-                _solve_scaled(scaled[nxt, 0], r[nxt, 0], -dgrad) @ Z.T)
-            mu[nxt] = mu_next
-            mu2 = mu_next * mu_next
-            s[nxt], a[nxt], f[nxt] = _smoothed(g[nxt], e[nxt], c[nxt], two_lh, mu2)
-            step = _best_steps(V, c[nxt], two_lh, mu2, g[nxt], e[nxt], tangent[:, None, :])
-            better = step[4] < f[nxt]
-            g[nxt[better]], e[nxt[better]], s[nxt[better]], a[nxt[better]], f[nxt[better]] = (
-                v[better] for v in step)
-            steps[nxt] = 0
-        if last.any():
-            out[rows[last]] = g[last]
-            keep = ~last
-            rows, c, g, e, s, a, f, mu, steps = (
-                v[keep] for v in (rows, c, g, e, s, a, f, mu, steps))
-    return out
 
 
 def pin_row_sums(G):
@@ -414,6 +284,90 @@ def _face_codings(H, V, C, dist, bases, l_h):
     return G
 
 
+def _active_set_codings(H, V, C, dist, l_h):
+    """Exact codings by an active set over faces, one row at a time.
+
+    A face is a set S of anchors with a sign s_j for each weight.  On it
+    the objective is 2*l_h*||h - V_S g|| + sum_S s_j*c_j*g_j, whose optimum
+    on 1'g = 1 is `_face_codings`' closed form with k = |S| anchors, here
+    in differences from S's first anchor: g = (1 - 1't, t), A = V_S[1:] -
+    v_S0, e0 = h - v_S0.  Each row starts at its best single anchor and
+    repeats (the lasso active set of Osborne, Presnell & Turlach, IMA J.
+    Numer. Anal. 2000):
+
+    - move toward the face optimum, or along the ray on which the face
+      objective falls without bound (||p|| >= 1); a weight that reaches
+      zero on the way stops the move and leaves S;
+    - at the face optimum, take y = 2*l_h*e/||e||, or 2*l_h*p from the
+      face's stationarity equations where the residual is rounding, and
+      lam from S's first anchor; stop if every |v_j'y + lam| <= c_j, else
+      add the most violated anchor with the sign of v_j'y + lam;
+    - if [V_S; 1'] then has a null space, pivot as the simplex does: the
+      residual stays, the entering weight grows in its sign, and the first
+      weight to reach zero leaves.
+
+    No move raises the objective.  Returns (G, Y): the (n, m) codings and
+    each row's last dual point, after at most _MAX_STEPS steps a row.
+    """
+    two_lh = 2.0 * l_h
+    G = np.zeros((len(H), V.shape[1]))
+    Y = np.zeros(H.shape)
+    for i, (h, c) in enumerate(zip(H, C)):
+        S = [int(np.argmin(two_lh * dist[i] + c))]
+        s = g = np.ones(1)
+        y = Y[i]
+        for _ in range(_MAX_STEPS):
+            A = V[:, S[1:]] - V[:, S[:1]]
+            U, sv, Wt = np.linalg.svd(A)
+            step = np.inf
+            if len(S) - 1 > (sv > 1e-12 * sv[:1]).sum():  # the entering weight pivots
+                d = np.concatenate([[-Wt[-1].sum()], Wt[-1]]) * (s[-1] / Wt[-1, -1])
+            else:
+                e0 = h - V[:, S[0]]
+                Ap = Wt.T @ ((1.0 / sv)[:, None] * U[:, :len(sv)].T)  # pinv(A)
+                sc = s * c[S]
+                p = Ap.T @ (sc[1:] - sc[0]) / two_lh
+                room = 1.0 - p @ p
+                if room > 0.0:
+                    off = e0 - A @ (Ap @ e0)
+                    t = Ap @ (e0 - np.sqrt(off @ off / room) * p)
+                    d = np.concatenate([[1.0 - t.sum()], t]) - g
+                    step = 1.0
+                else:
+                    t = -(Ap @ p)
+                    d = np.concatenate([[-t.sum()], t])
+            toward = -s * d  # > 0: that weight shrinks toward zero
+            ratio = np.divide(s * g, toward, out=np.full(len(S), np.inf),
+                              where=toward > 1e-12 * np.abs(d).max())
+            q = ratio.argmin()
+            if ratio[q] < step:
+                g = np.delete(g + ratio[q] * d, q)
+                s = np.delete(s, q)
+                del S[q]
+                continue
+            if step == np.inf:  # no weight leaves; cannot happen with c > 0
+                break
+            g = g + d
+            e = h - V[:, S] @ g
+            norm = np.sqrt(e @ e)
+            y = two_lh * (e / norm if norm > 1e-12 * max(1.0, np.sqrt(h @ h)) else p)
+            # v_j'y + lam = (v_j - v_S0)'y + s_0 c_0; a violation within the
+            # rounding of its terms, at most ||y|| ||v_j - v_S0||, does not count
+            D = V - V[:, S[:1]]
+            P = y @ D + sc[0]
+            viol = np.abs(P) - (1.0 + 1e-12) * c - 1e-13 * np.sqrt((y @ y) * (D * D).sum(axis=0))
+            viol[S] = -np.inf
+            j = int(viol.argmax())
+            if viol[j] <= 0.0:
+                break
+            S.append(j)
+            s = np.append(s, np.sign(P[j]))
+            g = np.append(g, 0.0)
+        G[i, S] = g
+        Y[i] = y
+    return G, Y
+
+
 def _dual_bounds(H, V, C, Y, l_h):
     """Weak-duality lower bounds on each row's coding objective.
 
@@ -421,15 +375,33 @@ def _dual_bounds(H, V, C, Y, l_h):
     coding g has objective >= y'h + lam.  Each row takes the largest lam
     for its y, min_j (c_j - v_j'y), and scales (y, lam) by the largest
     t <= 1 that makes the pair feasible; (0, 0) always is.
+
+    The rounding in v_k'y + lam, a sum of O(1) terms, can swamp the tiny
+    c_k of an anchor next to h and scale a valid pair down to almost
+    nothing.  So a row that some constraint scales down is bounded again in
+    coordinates centred on its anchor k of least c, where that constraint
+    reads |lam| <= c_k and lam is clipped to it, and keeps the larger bound.
     """
-    P = Y @ V
-    lam = (C - P).min(axis=1)
-    P += lam[:, None]
-    np.abs(P, out=P)
     norm = np.sqrt((Y * Y).sum(axis=1))
-    t = np.minimum(np.divide(2.0 * l_h, norm, out=np.ones_like(norm), where=norm > 0.0),
-                   np.divide(C, P, out=np.ones_like(P), where=P > 0.0).min(axis=1))
-    return np.minimum(t, 1.0) * ((Y * H).sum(axis=1) + lam)
+    ball = np.divide(2.0 * l_h, norm, out=np.ones_like(norm), where=norm > 0.0)
+
+    def bound(P, c, yh, ball, floor):
+        lam = np.maximum((c - P).min(axis=1), floor)
+        P += lam[:, None]
+        np.abs(P, out=P)
+        fit = np.divide(c, P, out=np.ones_like(P), where=P > 0.0).min(axis=1)
+        return fit, np.minimum(np.minimum(ball, fit), 1.0) * (yh + lam)
+
+    fit, lower = bound(Y @ V, C, (Y * H).sum(axis=1), ball, -np.inf)
+    low = np.flatnonzero(fit < 1.0 - 1e-9)
+    if low.size:
+        y, c = Y[low], C[low]
+        k = c.argmin(axis=1)
+        vk = V.T[k]
+        P = ((V.T[None, :, :] - vk[:, None, :]) @ y[:, :, None])[:, :, 0]  # 0 at k
+        yh = (y * (H[low] - vk)).sum(axis=1)
+        lower[low] = np.maximum(lower[low], bound(P, c, yh, ball[low], -c.min(axis=1))[1])
+    return lower
 
 
 def _certified_gaps(H, G, V, C, l_h):
@@ -477,8 +449,8 @@ def solve_codings(H, V, config: LccConfig, G0=None):
       simplex of `_lp_vertices`, whose dual point also certifies the full
       objective to a weak-duality gap of at most config.coding_tol.
     - "gap": any other coding certified to a gap of at most
-      config.coding_tol by a dual point built from its residual and its
-      support (`_certified_gaps`).
+      config.coding_tol by a dual point, built from its residual and its
+      support (`_certified_gaps`) or the last one of the active set.
     - "cap": a coding that no dual point certified.
 
     A row whose optimal LP vertex is not certified has a dual y outside
@@ -487,11 +459,9 @@ def solve_codings(H, V, config: LccConfig, G0=None):
     basis and of its d_b + 1 nearest anchors (`_face_codings`).  Rows
     still uncertified, and those with a singular basis, at the pivot cap,
     or with m < d_b + 1, keep their warm start when that certifies, and
-    otherwise take the better of the smoothed Newton solve
-    (`_newton_codings`, from the warm start or uniform weights) and that
-    solve with its weights below 1e-8 set to zero.  A row of G0 (each
-    summing to 1) replaces its result wherever it scores lower, so no row
-    ends above its warm start.
+    otherwise take the exact coding of the active set
+    (`_active_set_codings`).  A row of G0 (each summing to 1) replaces its
+    result wherever it scores lower, so no row ends above its warm start.
     """
     G = np.zeros((len(H), V.shape[1]))
     reasons = np.full(len(H), "cap", dtype="<U6")
@@ -532,31 +502,19 @@ def _solve_rows(H, V, config: LccConfig, G0):
             reasons[i] = "gap"
             won[out[ok]] = True
         rest = rest[~won]
-    if rest.size and m > 1:
-        Z = np.linalg.qr(np.hstack([np.ones((m, 1)), V.T]), mode="complete")[0][:, 1:]
-        W = V @ Z
-        W[:, min(d_b, m - 1):] = 0.0  # V Z on the null space, zero up to rounding
-    block = max(1, 2**16 // (m * len(_STEPS)))  # bounds _best_steps' array
-    for lo in range(0, rest.size, block):
-        i = rest[lo:lo + block]
-        if G0 is not None:  # a warm start that already certifies skips Newton
-            won = _certified_gaps(H[i], G0[i], V, C[i], l_h) <= tol
-            G[i[won]] = G0[i[won]]
-            reasons[i[won]] = "gap"
-            i = i[~won]
-            if not i.size:
-                continue
-        h, c = H[i], C[i]
-        if m == 1:
-            g = np.ones((len(i), 1))  # the only coding
-        else:
-            start = np.full((len(i), m), 1.0 / m) if G0 is None else G0[i]
-            g = pin_row_sums(_newton_codings(h, V, Z, W, c, l_h, start))
-            snap = pin_row_sums(np.where(np.abs(g) > _SNAP, g, 0.0))
-            pick = _row_objectives(h, snap, V, c, l_h) < _row_objectives(h, g, V, c, l_h)
-            g = np.where(pick[:, None], snap, g)
-        G[i] = g
-        reasons[i[_certified_gaps(h, g, V, c, l_h) <= tol]] = "gap"
+    if G0 is not None and rest.size:  # a warm start that already certifies is kept
+        won = _certified_gaps(H[rest], G0[rest], V, C[rest], l_h) <= tol
+        G[rest[won]] = G0[rest[won]]
+        reasons[rest[won]] = "gap"
+        rest = rest[~won]
+    if rest.size:
+        h, c = H[rest], C[rest]
+        g, y = _active_set_codings(h, V, c, dist[rest], l_h)
+        g = pin_row_sums(g)
+        G[rest] = g
+        gaps = np.minimum(_row_objectives(h, g, V, c, l_h) - _dual_bounds(h, V, c, y, l_h),
+                          _certified_gaps(h, g, V, c, l_h))
+        reasons[rest[gaps <= tol]] = "gap"
     if G0 is not None:
         lower = _row_objectives(H, G0, V, C, l_h) < _row_objectives(H, G, V, C, l_h)
         # a warm start on another support is no longer that vertex

@@ -50,7 +50,7 @@ def train_autoencoder(data, config: AutoencoderConfig, seed: int):
     encoder = build_mlp([dim, config.hidden, config.latent_dim], acts, rng)
     decoder = build_mlp([config.latent_dim, config.hidden, dim], acts, rng)
     ae = Mlp(encoder.layers + decoder.layers)
-    state = init_adam([ae.flat])
+    state = init_adam(ae.flat)
     history = []
     for epoch in range(config.epochs):
         order = np.argsort(rng.uniforms(n), kind="stable")
@@ -59,7 +59,7 @@ def train_autoencoder(data, config: AutoencoderConfig, seed: int):
             loss, grads = ae_loss_and_grads(ae, X[idx])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
-            adam_step([ae.flat], [grads], state, lr=config.lr)
+            adam_step(ae.flat, grads, state, lr=config.lr)
             check_finite(ae, f"epoch {epoch}")
         history.append(reconstruction_mse(ae, X))
     return Mlp(ae.layers[:2]), Mlp(ae.layers[2:]), history

@@ -40,7 +40,7 @@ def build_gan(data_dim: int, m: int, gan: GanConfig = GanConfig(), seed: int = 0
                     ["relu", "relu", gan.generator_output], rng)
     disc_out = "sigmoid" if gan.phi == "log" else "identity"
     disc = build_mlp([data_dim, gan.hidden, gan.hidden, 1], ["relu", "relu", disc_out], rng)
-    return GanModel(gen, disc, gan.phi, init_adam([gen.flat]), init_adam([disc.flat]))
+    return GanModel(gen, disc, gan.phi, init_adam(gen.flat), init_adam(disc.flat))
 
 
 def disc_objective_and_grads(gan: GanModel, reals, codings):
@@ -95,7 +95,7 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
         d_val, d_grads = disc_objective_and_grads(model, X[idx], codings)
         if not np.isfinite(d_val):
             raise TrainingDivergedError(f"non-finite discriminator objective at iteration {it}")
-        adam_step([model.discriminator.flat], [np.negative(d_grads, out=d_grads)],
+        adam_step(model.discriminator.flat, np.negative(d_grads, out=d_grads),
                   model.disc_state, **adam)
         check_finite(model.discriminator, f"iteration {it}")
 
@@ -103,7 +103,7 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
         g_val, g_grads = gen_objective_and_grads(model, codings)
         if not np.isfinite(g_val):
             raise TrainingDivergedError(f"non-finite generator objective at iteration {it}")
-        adam_step([model.generator.flat], [g_grads], model.gen_state, **adam)
+        adam_step(model.generator.flat, g_grads, model.gen_state, **adam)
         check_finite(model.generator, f"iteration {it}")
         trace.append((d_val, g_val))
     return model, trace

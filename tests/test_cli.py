@@ -16,6 +16,7 @@ import pytest
 from lccgen.bounds import QuadraticGenerator, SmoothnessConstants
 from lccgen.cli import main
 from lccgen.config import DEFAULTS, GanConfig
+from lccgen.lcc import core
 from lccgen.lcc.core import LccConfig
 from lccgen.neural.autoencoder import reconstruction_mse
 from lccgen.neural.gan import build_gan
@@ -258,12 +259,15 @@ PIPELINE_SHA256 = {
 }
 
 
+RING_INI = ("[data]\nkind = ring\nn = 300\nseed = 7\n[autoencoder]\nepochs = 3\n"
+            "[lcc]\nm = 8\n[gan]\niters = 40\n"
+            "[eval]\nn_generated = 200\nn_heldout = 200\n[output]\ndir = {out}\n")
+
+
 def test_reduced_ring_pipeline_bytes_match_fixture(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "ring.ini"
-    cfg.write_text("[data]\nkind = ring\nn = 300\nseed = 7\n[autoencoder]\nepochs = 3\n"
-                   "[lcc]\nm = 8\n[gan]\niters = 40\n"
-                   f"[eval]\nn_generated = 200\nn_heldout = 200\n[output]\ndir = {out}\n")
+    cfg.write_text(RING_INI.format(out=out))
     for argv in (["train-ae"], ["learn-lcc"], ["train-gan"], ["sample", "--n", "50"],
                  ["interpolate", "--steps", "5"], ["eval"], ["verify-bounds", "--cases", "20"]):
         assert main(["--config", str(cfg)] + argv) == 0, argv
@@ -299,13 +303,16 @@ SWISS_ROLL_SHA256 = {
 }
 
 
+SWISS_ROLL_INI = ("[data]\nkind = swiss_roll\nn = 300\nseed = 7\n[autoencoder]\nepochs = 3\n"
+                  "[lcc]\nm = 8\nmax_outer_iters = 5\n"
+                  "[gan]\niters = 100\nhidden = 16\nphi = identity\ngenerator_output = tanh\n"
+                  "[eval]\nn_generated = 200\nn_heldout = 200\n[output]\ndir = {out}\n")
+
+
 def test_reduced_swiss_roll_pipeline_bytes_match_fixture(tmp_path):
     out = tmp_path / "out"
     cfg = tmp_path / "swiss.ini"
-    cfg.write_text("[data]\nkind = swiss_roll\nn = 300\nseed = 7\n[autoencoder]\nepochs = 3\n"
-                   "[lcc]\nm = 8\nmax_outer_iters = 5\n"
-                   "[gan]\niters = 100\nhidden = 16\nphi = identity\ngenerator_output = tanh\n"
-                   f"[eval]\nn_generated = 200\nn_heldout = 200\n[output]\ndir = {out}\n")
+    cfg.write_text(SWISS_ROLL_INI.format(out=out))
     for argv in (["train-ae"], ["learn-lcc"], ["train-gan"], ["sample", "--n", "50"],
                  ["interpolate", "--steps", "5"], ["eval"], ["verify-bounds", "--cases", "20"]):
         assert main(["--config", str(cfg)] + argv) == 0, argv
@@ -313,19 +320,35 @@ def test_reduced_swiss_roll_pipeline_bytes_match_fixture(tmp_path):
     assert got == SWISS_ROLL_SHA256
 
 
+@pytest.mark.parametrize("ini", [RING_INI, SWISS_ROLL_INI], ids=["ring", "swiss_roll"])
+def test_reduced_pipelines_send_no_row_to_the_active_set(ini, tmp_path, monkeypatch):
+    # every coding the two fixtures above pin is a hit, an LP vertex or a
+    # closed-form face coding; none comes from the active-set fallback
+    rows = []
+    active = core._active_set_codings
+    monkeypatch.setattr(core, "_active_set_codings",
+                        lambda *args: rows.append(len(args[0])) or active(*args))
+    cfg = tmp_path / "fixture.ini"
+    cfg.write_text(ini.format(out=tmp_path / "out"))
+    for argv in (["train-ae"], ["learn-lcc"]):
+        assert main(["--config", str(cfg)] + argv) == 0, argv
+    assert sum(rows) == 0
+
+
 # sha256 of every file train-ae and learn-lcc write on a relu autoencoder's
 # ring embedding with q = 3 and m = 8.  Its rows take the paths the two
 # pipelines above miss: face codings for rows outside the anchors' hull
-# ("gap"), the Newton solve ("cap"), q = 3's anchor weights, and backtracking
-# steps that move the anchors.
+# ("gap"), rows within 1e-5 of an anchor, whose vertex certificates need the
+# dual bound in coordinates centred on that anchor, q = 3's anchor weights,
+# and backtracking steps that move the anchors.
 RELU_Q3_SHA256 = {
     "ae_decoder.bin": "ded3e48cd2cb38865cec068a903a8e1f866f94d4a05e98b628a92b777d3b2e43",
     "ae_encoder.bin": "cab41374ee553b380b15ac82343b7870859e7284dc34f8069642a6bd9cc2ed72",
     "ae_losses.csv": "b547d470a4895249dcf1451afd63be04699d355863173e52102c5be51f0106df",
-    "anchors.bin": "b04a10f6713cd427960ff02ece8da56d63392010e87723ed7c246c6ddd82058c",
-    "anchors.csv": "a110a7c1eceb6fa70cefeb3c581ddb86240f70fb33e6411f96a801b5e72d490e",
-    "codings.csv": "fb411f4d7028c0bebce4ee21d8e47619af9095debd31c7bb3c8cbefcf921f26b",
-    "lcc_objective.csv": "2bbe0ed30108eed6c5a123ad6da3fa51044775f20a039bad56e6753ee53d3588",
+    "anchors.bin": "c87fd415ce98fd95dd1324378556b9f1b10d7a3f5c00d3e1923ff1e95970fdd5",
+    "anchors.csv": "078fc9a093cf040f3e789b7c9a15b9ff054f6fe034c18a840a76c954bd7ddf41",
+    "codings.csv": "428717f3bf262685b766cd7b6c773df0a8bf38089a27c598baf5eb8fff4ce54c",
+    "lcc_objective.csv": "12edec2c29b08f04d29169e497d15caa4f8b94fc2dff884c3c31d929c5ca9da3",
 }
 
 
@@ -341,6 +364,7 @@ def test_reduced_relu_q3_fit_bytes_match_fixture(tmp_path, capsys):
     line = capsys.readouterr().out.splitlines()[-1]
     m = re.fullmatch(r"codings: (\d+) vertex, (\d+) hit, (\d+) gap, (\d+) cap", line)
     assert m and int(m.group(3)) > 0, line
+    assert int(m.group(4)) == 0, line
     got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
     assert got == RELU_Q3_SHA256
 

@@ -198,8 +198,8 @@ def test_solve_coding_meets_the_dual_bound_on_the_ring():
 
 def test_solve_coding_zeroes_the_smoothed_weights_of_far_points():
     # off the ring the optimum is sparse (mostly one-hot) with a nonzero
-    # residual; the smoothing leaves ~1e-10 on the other weights, worth up
-    # to 2e-7 of objective here, so only the snapped candidate meets 1e-9
+    # residual; a weight left at ~1e-10 on the other anchors would cost up
+    # to 2e-7 of objective here, so only exact zeros meet 1e-9
     anchors = _ring_anchors()
     V = anchors.anchors
     rng = Rng(8)
@@ -214,10 +214,9 @@ def test_solve_coding_zeroes_the_smoothed_weights_of_far_points():
 
 
 def test_solve_coding_small_penalties_stay_near_the_dual_bound():
-    # penalties far below the residual term leave almost no curvature along
-    # the null space of [V; 1']: a pure Newton step there overshoots by many
-    # orders of magnitude; without the majorizer step two of these 60
-    # codings exceeded the bound by 19% and by 420 times the bound
+    # penalties far below the residual term make the objective nearly flat
+    # along the null space of [V; 1'], where a step sized by curvature can
+    # overshoot by orders of magnitude
     for scale, l_q, q in ((1.0, 1e-10, 2), (1e-3, 1.0, 3)):
         rng = Rng(5)
         for _ in range(30):
@@ -234,8 +233,8 @@ def test_solve_coding_small_penalties_stay_near_the_dual_bound():
 
 
 def test_solve_coding_keeps_a_warm_start_that_is_already_optimal():
-    # the smoothed solve ends within ~1e-9 of the optimum, so a warm start
-    # nearer than that must come back no worse (to 1e-12)
+    # a solve ends within rounding of the optimum, and a warm start nearer
+    # than its certificate's 1e-9 must come back no worse (to 1e-12)
     cfg2 = LccConfig(m=2, q=2, l_h=1.0, l_q=1.0)
     for x in np.linspace(-0.9, 0.9, 7):
         # h on the segment between the anchors: exact reconstruction with
@@ -318,11 +317,11 @@ def test_solve_codings_rows_agree_with_one_row_solves():
 
 def test_points_outside_the_hull_take_closed_form_codings(monkeypatch):
     # off the polygon the optimum carries a residual on one or two anchors;
-    # the closed-form face codings certify these without the Newton solve
-    def no_newton(*args):
-        raise AssertionError("a row reached the Newton solve")
+    # the closed-form face codings certify these without the active set
+    def no_active_set(*args):
+        raise AssertionError("a row reached the active set")
 
-    monkeypatch.setattr(core, "_newton_codings", no_newton)
+    monkeypatch.setattr(core, "_active_set_codings", no_active_set)
     V = _ring_anchors().anchors
     H = np.concatenate([make_ring(40, radius=r, noise_sigma=0.01, seed=11)
                         for r in (1.02, 1.5, 3.0)])
@@ -331,7 +330,55 @@ def test_points_outside_the_hull_take_closed_form_codings(monkeypatch):
         assert set(reasons) <= {"vertex", "gap"}
 
 
-# (V, H) sets on which no LP vertex certifies, so the rows take the Newton path
+
+def test_rows_next_to_an_anchor_keep_their_vertex_certificates():
+    # h within 1e-7 or 1e-6 of anchor 0 gives it a c_0 below the rounding in
+    # v_0'y + lam, which must not scale the vertex's valid dual point away
+    anchors = _ring_anchors()
+    V = anchors.anchors
+    a = 2.0 * np.pi * np.arange(12) / 12
+    for q in (2, 3):
+        cfg = LccConfig(m=16, q=q)
+        for r in (1e-7, 1e-6):
+            H = V[:, 0] + r * np.stack([np.cos(a), np.sin(a)], axis=1)
+            G, reasons = solve_codings(H, V, cfg)
+            assert set(reasons) == {"vertex"}, (q, r, reasons)
+            for h, g in zip(H, G):
+                c = cfg.l_q * np.sqrt(np.sum((V - h[:, None]) ** 2, axis=0)) ** q
+                gap = _row_objective(h, g, anchors, cfg) - _dual_lower_bound(h, V, c, cfg.l_h)
+                assert -1e-9 <= gap <= cfg.coding_tol
+
+
+@pytest.mark.parametrize("d_b, m", [(3, 16), (5, 64)])
+def test_residual_rows_above_two_dimensions_meet_their_dual_bound(d_b, m, monkeypatch):
+    # Gaussian points on k-means++ anchors: many optima carry a residual on
+    # 2 to d_b anchors, which only the active set reaches.  Each such row is
+    # checked against the bound of y = 2*l_h*e/||e||, exactly the optimal
+    # dual at a residual optimum, with its best lam and scaled to feasibility
+    active = _counting(monkeypatch, "_active_set_codings")
+    H = np.asarray(Rng(d_b).normals(300 * d_b)).reshape(300, d_b)
+    V = init_anchors(H, m, Rng(d_b))
+    for q in (2, 3):
+        active.clear()
+        cfg = LccConfig(m=m, q=q)
+        G, reasons = solve_codings(H, V, cfg)
+        assert "cap" not in reasons
+        assert active and active[0] > 50
+        E = H - G @ V.T
+        norm = np.sqrt(np.sum(E * E, axis=1))
+        res = norm > 1e-9
+        Y = 2.0 * cfg.l_h * E[res] / norm[res, None]
+        c = cfg.l_q * np.sqrt(np.sum((H[res][:, None, :] - V.T[None]) ** 2, axis=2)) ** q
+        P = Y @ V
+        lam = np.min(c - P, axis=1)
+        t = np.minimum(1.0, np.min(c / np.abs(P + lam[:, None]), axis=1))
+        bound = t * (np.sum(Y * H[res], axis=1) + lam)
+        obj = 2.0 * cfg.l_h * norm[res] + np.sum(np.abs(G[res]) * c, axis=1)
+        assert res.sum() > 100
+        assert np.all(obj - bound <= cfg.coding_tol), f"up to {np.max(obj - bound):.3g} above"
+
+
+# (V, H) sets on which no LP vertex certifies, so the rows take the active set
 DEGENERATE = {
     # collinear anchors: every basis [V_B; 1'] is singular
     "collinear": (np.array([[-1.0, -0.5, 0.0, 0.5, 1.0], [0.0, 0.0, 0.0, 0.0, 0.0]]),
@@ -346,29 +393,36 @@ DEGENERATE = {
 
 
 @pytest.mark.parametrize("V, H", DEGENERATE.values(), ids=DEGENERATE.keys())
-def test_solve_codings_degenerate_inputs_take_the_newton_path(V, H):
+def test_solve_codings_degenerate_inputs_take_the_active_set(V, H):
     cfg = LccConfig(m=V.shape[1])
     G, reasons = solve_codings(H, V, cfg)
     check_codings(G)
     assert set(reasons) <= {"gap", "cap"}
+    assert "cap" not in reasons
     anchors = AnchorSet(V)
     for h, g in zip(H, G):  # no worse than the uniform start
         uniform = np.full(V.shape[1], 1.0 / V.shape[1])
         assert _row_objective(h, g, anchors, cfg) <= _row_objective(h, uniform, anchors, cfg)
 
 
-# sha256 of the solve_coding weights over _pinned_encodes(), one call per
-# point, taken before the one-row solve's fixed cost was cut
-ONE_ROW_SHA256 = {
-    2: "e4a6d1307e50b78dac6eda211aeabbd555bd439f703755320cb9a65f1665792d",
-    3: "567df6603744b6a8ceed70f7e39930bf5e967dc39681561a3ad9491d147619b2",
+# sha256 of the solve_coding weights over the ring set of _pinned_encodes(),
+# one call per point, taken while the residual fallback was a smoothed Newton
+# solve, which these rows never reach
+ONE_ROW_RING_SHA256 = {
+    2: "e6a547123130014bfe5f3838c818400096d1f5f2a4a28d0cd6dcbfae4564de5d",
+    3: "c8f668caf5d63fa154ff96c08f7bb2ad0b832f2a3eab4c3b65d59335e68d643e",
+}
+# and over its degenerate sets, taken when the active set replaced that fallback
+ONE_ROW_DEGENERATE_SHA256 = {
+    2: "69cb3fc468a62c9ab079b57294231479b046e0b61cfbdc23e5a49a2d8e6cbbd3",
+    3: "ee7b177fc2f98fed49bd8e12bf1ed217f1d03b9fc0322133d864828d3326a7fe",
 }
 
 
 def _pinned_encodes():
     """(V, H) sets that reach every path: anchor hits and LP vertices on and
     inside the ring, face codings outside it (radius 1.02 to 3) and the
-    Newton solve on the degenerate sets."""
+    active set on the degenerate sets."""
     V = _ring_anchors().anchors
     H = np.concatenate([V[:, [0, 5, 11]].T] + [make_ring(12, radius=r, noise_sigma=0.01, seed=3)
                                               for r in (0.9, 1.0, 1.02, 1.5, 3.0)])
@@ -391,17 +445,21 @@ def _counting(monkeypatch, name):
 @pytest.mark.parametrize("q", [2, 3])
 def test_one_row_encodes_match_pinned_bytes(q, monkeypatch):
     faces = _counting(monkeypatch, "_face_codings")
-    newton = _counting(monkeypatch, "_newton_codings")
-    digest = hashlib.sha256()
+    active = _counting(monkeypatch, "_active_set_codings")
+    ring, *degenerate = _pinned_encodes()
+    digests = []
     reasons = set()
-    for V, H in _pinned_encodes():
-        cfg = LccConfig(m=V.shape[1], q=q)
-        for h in H:
-            digest.update(solve_coding(h, AnchorSet(V), cfg).weights.tobytes())
-        reasons |= set(solve_codings(H, V, cfg)[1])
+    for sets in ([ring], degenerate):
+        digest = hashlib.sha256()
+        for V, H in sets:
+            cfg = LccConfig(m=V.shape[1], q=q)
+            for h in H:
+                digest.update(solve_coding(h, AnchorSet(V), cfg).weights.tobytes())
+            reasons |= set(solve_codings(H, V, cfg)[1])
+        digests.append(digest.hexdigest())
     assert {"hit", "vertex", "gap"} <= reasons
-    assert faces and newton, "both residual paths should run"
-    assert digest.hexdigest() == ONE_ROW_SHA256[q]
+    assert faces and active, "both residual paths should run"
+    assert digests == [ONE_ROW_RING_SHA256[q], ONE_ROW_DEGENERATE_SHA256[q]]
 
 
 def test_lp_passes_stop_with_the_last_row(monkeypatch):

@@ -287,7 +287,7 @@ def test_autoencoder_one_adam_state_matches_one_per_network(act):
     acts = [act, "identity"]
     enc2 = build_mlp([3, 6, 2], acts, rng)
     dec2 = build_mlp([2, 6, 3], acts, rng)
-    enc_state, dec_state = init_adam([enc2.flat]), init_adam([dec2.flat])
+    enc_state, dec_state = init_adam(enc2.flat), init_adam(dec2.flat)
     for _ in range(config.epochs):
         order = np.argsort(rng.uniforms(40), kind="stable")
         for start in range(0, 40, config.batch):
@@ -297,8 +297,8 @@ def test_autoencoder_one_adam_state_matches_one_per_network(act):
             diff = xhat - batch
             dg, dz = backward(dec2, dec_cache, 2.0 * diff / diff.size)
             eg, _ = backward(enc2, enc_cache, dz)
-            adam_step([enc2.flat], [eg], enc_state, lr=config.lr)
-            adam_step([dec2.flat], [dg], dec_state, lr=config.lr)
+            adam_step(enc2.flat, eg, enc_state, lr=config.lr)
+            adam_step(dec2.flat, dg, dec_state, lr=config.lr)
     assert np.array_equal(enc.flat, enc2.flat)
     assert np.array_equal(dec.flat, dec2.flat)
     diff = dec2.forward(enc2.forward(X)) - X
@@ -379,68 +379,66 @@ def test_generator_gradients_match_finite_differences():
 
 
 def test_adam_zero_gradient_leaves_params_alone():
-    p = [np.array([1.0, -2.0])]
+    p = np.array([1.0, -2.0])
     state = init_adam(p)
-    adam_step(p, [np.zeros(2)], state)
-    assert np.array_equal(p[0], [1.0, -2.0])
-    assert np.all(state.m[0] == 0.0) and np.all(state.v[0] == 0.0)
+    adam_step(p, np.zeros(2), state)
+    assert np.array_equal(p, [1.0, -2.0])
+    assert np.all(state.m == 0.0) and np.all(state.v == 0.0)
 
 
 def test_adam_moments_decay_on_zero_gradient():
-    p = [np.array([1.0])]
+    p = np.array([1.0])
     state = init_adam(p)
-    adam_step(p, [np.array([1.0])], state)
-    m1 = state.m[0].copy()
-    adam_step(p, [np.array([0.0])], state)
-    assert state.m[0][0] == 0.5 * m1[0]
+    adam_step(p, np.array([1.0]), state)
+    m1 = state.m.copy()
+    adam_step(p, np.array([0.0]), state)
+    assert state.m[0] == 0.5 * m1[0]
     assert state.t == 2
 
 
 def test_adam_zero_lr_freezes_params():
-    p = [np.array([3.0])]
-    adam_step(p, [np.array([7.0])], init_adam(p), lr=0.0)
-    assert p[0][0] == 3.0
+    p = np.array([3.0])
+    adam_step(p, np.array([7.0]), init_adam(p), lr=0.0)
+    assert p[0] == 3.0
 
 
 def test_adam_single_step_hand_arithmetic():
     # p=1, g=1, defaults lr=2e-4 beta1=0.5 beta2=0.999 eps=1e-8, t=1
-    p = [np.array([1.0])]
+    p = np.array([1.0])
     state = init_adam(p)
-    adam_step(p, [np.array([1.0])], state)
+    adam_step(p, np.array([1.0]), state)
     m = 0.5 * 0.0 + (1.0 - 0.5) * 1.0
     v = 0.999 * 0.0 + (1.0 - 0.999) * 1.0 * 1.0
     m_hat = m / (1.0 - 0.5)
     v_hat = v / (1.0 - 0.999)
     want = 1.0 - 2e-4 * m_hat / (math.sqrt(v_hat) + 1e-8)
-    assert abs(p[0][0] - want) < 1e-15
-    assert state.m[0][0] == m and state.v[0][0] == v and state.t == 1
+    assert abs(p[0] - want) < 1e-15
+    assert state.m[0] == m and state.v[0] == v and state.t == 1
 
 
 def test_adam_in_place_matches_the_out_of_place_formula_bit_for_bit():
     # the parameter and moment arrays are updated in place, with the same
     # float operations in the same order as fresh arrays would get them
     rng = Rng(21)
-    shapes = [(3, 4), (4,), (4, 1), (1,)]
-    params = [rng.normals(int(np.prod(s))).reshape(s) for s in shapes]
-    ids = [id(p) for p in params]
-    state = init_adam(params)
-    want = [p.copy() for p in params]
-    m = [np.zeros(s) for s in shapes]
-    v = [np.zeros(s) for s in shapes]
     lr, b1, b2, eps = 1e-2, 0.5, 0.999, 1e-8
-    for t in range(1, 6):
-        grads = [rng.normals(int(np.prod(s))).reshape(s) for s in shapes]
-        assert adam_step(params, grads, state, lr, b1, b2, eps) is None
-        for i, g in enumerate(grads):
-            m[i] = b1 * m[i] + (1.0 - b1) * g
-            v[i] = b2 * v[i] + (1.0 - b2) * g * g
-            m_hat = m[i] / (1.0 - b1**t)
-            v_hat = v[i] / (1.0 - b2**t)
-            want[i] = want[i] - lr * m_hat / (np.sqrt(v_hat) + eps)
-            assert params[i].tobytes() == want[i].tobytes()
-            assert state.m[i].tobytes() == m[i].tobytes()
-            assert state.v[i].tobytes() == v[i].tobytes()
-    assert [id(p) for p in params] == ids
+    for shape in [(3, 4), (4,), (4, 1), (1,)]:
+        p = rng.normals(int(np.prod(shape))).reshape(shape)
+        state = init_adam(p)
+        buffers = (id(p), id(state.m), id(state.v))
+        want = p.copy()
+        m = np.zeros(shape)
+        v = np.zeros(shape)
+        for t in range(1, 6):
+            g = rng.normals(int(np.prod(shape))).reshape(shape)
+            assert adam_step(p, g, state, lr, b1, b2, eps) is None
+            m = b1 * m + (1.0 - b1) * g
+            v = b2 * v + (1.0 - b2) * g * g
+            m_hat = m / (1.0 - b1**t)
+            v_hat = v / (1.0 - b2**t)
+            want = want - lr * m_hat / (np.sqrt(v_hat) + eps)
+            assert p.tobytes() == want.tobytes()
+            assert (state.m.tobytes(), state.v.tobytes()) == (m.tobytes(), v.tobytes())
+        assert (id(p), id(state.m), id(state.v)) == buffers
 
 
 # ---------------------------------------------------------------- training
@@ -507,7 +505,7 @@ def test_tiny_lr_discriminator_step_ascends_frozen_objective():
     codings = np.asarray(rng.normals(16 * 4)).reshape(16, 4)
     codings /= codings.sum(axis=1, keepdims=True)
     before, grads = disc_objective_and_grads(gan, reals, codings)
-    adam_step([gan.discriminator.flat], [-grads], gan.disc_state, lr=1e-6)
+    adam_step(gan.discriminator.flat, -grads, gan.disc_state, lr=1e-6)
     after, _ = disc_objective_and_grads(gan, reals, codings)
     assert after > before
 
@@ -518,7 +516,7 @@ def test_tiny_lr_generator_step_descends_frozen_objective():
     codings = np.asarray(rng.normals(16 * 4)).reshape(16, 4)
     codings /= codings.sum(axis=1, keepdims=True)
     before, grads = gen_objective_and_grads(gan, codings)
-    adam_step([gan.generator.flat], [grads], gan.gen_state, lr=1e-6)
+    adam_step(gan.generator.flat, grads, gan.gen_state, lr=1e-6)
     after, _ = gen_objective_and_grads(gan, codings)
     assert after < before
 
