@@ -368,7 +368,7 @@ def _active_set_codings(H, V, C, dist, l_h):
     return G, Y
 
 
-def _dual_bounds(H, V, C, Y, l_h):
+def _dual_bounds(H, V, C, Y, l_h, tol):
     """Weak-duality lower bounds on each row's coding objective.
 
     For any y with ||y|| <= 2*l_h and lam with |v_j'y + lam| <= c_j, every
@@ -378,9 +378,10 @@ def _dual_bounds(H, V, C, Y, l_h):
 
     The rounding in v_k'y + lam, a sum of O(1) terms, can swamp the tiny
     c_k of an anchor next to h and scale a valid pair down to almost
-    nothing.  So a row that some constraint scales down is bounded again in
-    coordinates centred on its anchor k of least c, where that constraint
-    reads |lam| <= c_k and lam is clipped to it, and keeps the larger bound.
+    nothing.  So a row whose scaling costs its bound more than tol / 1000
+    is bounded again in coordinates centred on its anchor k of least c,
+    where that constraint reads |lam| <= c_k and lam is clipped to it, and
+    keeps the larger bound.
     """
     norm = np.sqrt((Y * Y).sum(axis=1))
     ball = np.divide(2.0 * l_h, norm, out=np.ones_like(norm), where=norm > 0.0)
@@ -390,10 +391,11 @@ def _dual_bounds(H, V, C, Y, l_h):
         P += lam[:, None]
         np.abs(P, out=P)
         fit = np.divide(c, P, out=np.ones_like(P), where=P > 0.0).min(axis=1)
-        return fit, np.minimum(np.minimum(ball, fit), 1.0) * (yh + lam)
+        b = yh + lam
+        return (1.0 - fit) * np.abs(b), np.minimum(np.minimum(ball, fit), 1.0) * b
 
-    fit, lower = bound(Y @ V, C, (Y * H).sum(axis=1), ball, -np.inf)
-    low = np.flatnonzero(fit < 1.0 - 1e-9)
+    loss, lower = bound(Y @ V, C, (Y * H).sum(axis=1), ball, -np.inf)
+    low = np.flatnonzero(loss > 1e-3 * tol)
     if low.size:
         y, c = Y[low], C[low]
         k = c.argmin(axis=1)
@@ -404,7 +406,7 @@ def _dual_bounds(H, V, C, Y, l_h):
     return lower
 
 
-def _certified_gaps(H, G, V, C, l_h):
+def _certified_gaps(H, G, V, C, l_h, tol):
     """Each row's objective minus the better of two weak-duality bounds.
 
     One takes y = 2*l_h*e/||e|| from the row's residual e.  The other
@@ -432,7 +434,8 @@ def _certified_gaps(H, G, V, C, l_h):
     reach = np.sqrt((off * off).sum(axis=1))
     push = (room > 0.0) & (reach > 0.0)
     off[push] *= (np.sqrt(room[push]) / reach[push])[:, None]
-    lower = np.maximum(_dual_bounds(H, V, C, Y, l_h), _dual_bounds(H, V, C, a + off, l_h))
+    lower = np.maximum(_dual_bounds(H, V, C, Y, l_h, tol),
+                       _dual_bounds(H, V, C, a + off, l_h, tol))
     return _row_objectives(H, G, V, C, l_h) - lower
 
 
@@ -488,7 +491,8 @@ def _solve_rows(H, V, config: LccConfig, G0):
         h, c, dr = H[rest], C[rest], dist[rest]
         Gv, Y, basis, done = _lp_vertices(h, V, c, dr, None if G0 is None else G0[rest])
         Gv = pin_row_sums(Gv)
-        won = done & (_row_objectives(h, Gv, V, c, l_h) - _dual_bounds(h, V, c, Y, l_h) <= tol)
+        gaps = _row_objectives(h, Gv, V, c, l_h) - _dual_bounds(h, V, c, Y, l_h, tol)
+        won = done & (gaps <= tol)
         G[rest[won]] = Gv[won]
         reasons[rest[won]] = "vertex"
         out = np.flatnonzero(done & ~won)  # the dual left the ball
@@ -496,14 +500,14 @@ def _solve_rows(H, V, config: LccConfig, G0):
             h, c, dr = h[out], c[out], dr[out]
             near = dr.argsort(axis=1)[:, :d_b + 1]
             Gf = pin_row_sums(_face_codings(h, V, c, dr, (basis[out], near), l_h))
-            ok = _certified_gaps(h, Gf, V, c, l_h) <= tol
+            ok = _certified_gaps(h, Gf, V, c, l_h, tol) <= tol
             i = rest[out[ok]]
             G[i] = Gf[ok]
             reasons[i] = "gap"
             won[out[ok]] = True
         rest = rest[~won]
     if G0 is not None and rest.size:  # a warm start that already certifies is kept
-        won = _certified_gaps(H[rest], G0[rest], V, C[rest], l_h) <= tol
+        won = _certified_gaps(H[rest], G0[rest], V, C[rest], l_h, tol) <= tol
         G[rest[won]] = G0[rest[won]]
         reasons[rest[won]] = "gap"
         rest = rest[~won]
@@ -512,8 +516,8 @@ def _solve_rows(H, V, config: LccConfig, G0):
         g, y = _active_set_codings(h, V, c, dist[rest], l_h)
         g = pin_row_sums(g)
         G[rest] = g
-        gaps = np.minimum(_row_objectives(h, g, V, c, l_h) - _dual_bounds(h, V, c, y, l_h),
-                          _certified_gaps(h, g, V, c, l_h))
+        gaps = np.minimum(_row_objectives(h, g, V, c, l_h) - _dual_bounds(h, V, c, y, l_h, tol),
+                          _certified_gaps(h, g, V, c, l_h, tol))
         reasons[rest[gaps <= tol]] = "gap"
     if G0 is not None:
         lower = _row_objectives(H, G0, V, C, l_h) < _row_objectives(H, G, V, C, l_h)
@@ -581,8 +585,7 @@ def learn_anchors(points, config: LccConfig, seed: int, trace=None):
     obj_prev = None
     for _ in range(config.max_outer_iters):
         G, _ = solve_codings(H, V, config, G)
-        V = _update_anchors(H, G, V, config)
-        obj = lcc_objective(H, G, AnchorSet(V), config)
+        V, obj = _update_anchors(H, G, V, config)
         if trace is not None:
             trace.append(obj)
         if obj_prev is not None and abs(obj - obj_prev) < config.anchor_tol * max(1.0, obj_prev):
@@ -599,6 +602,7 @@ def _update_anchors(H, G, V, config: LccConfig):
     weight at the current anchors; for q=3 one factor of ||v - h|| is frozen
     as well, leaving a quadratic whose normal equations couple anchors
     through the codings.  Backtracking keeps the true objective nonincreasing.
+    Returns (V, objective): the anchors and the objective at them.
     """
     l_h, l_q, q = config.l_h, config.l_q, config.q
     E = H - G @ V.T
@@ -616,12 +620,12 @@ def _update_anchors(H, G, V, config: LccConfig):
         X = np.linalg.lstsq(A, B, rcond=None)[0]
     V_cand = X.T
 
-    cfg_anchor = AnchorSet(V)
-    f_cur = lcc_objective(H, G, cfg_anchor, config)
+    f_cur = lcc_objective(H, G, AnchorSet(V), config)
     step = 1.0
     for _ in range(30):
         V_try = V + step * (V_cand - V)
-        if lcc_objective(H, G, AnchorSet(V_try), config) <= f_cur:
-            return V_try
+        f_try = lcc_objective(H, G, AnchorSet(V_try), config)
+        if f_try <= f_cur:
+            return V_try, f_try
         step *= 0.5
-    return V
+    return V, f_cur

@@ -8,11 +8,11 @@ the sum-to-one property and never leaves the union of their supports.
 
 Bulk draws come from `sample_codings` and paths from `interpolate`, both
 as (n, m) weight arrays; `Coding` objects are only built for single draws
-(`sample_coding`, `sample_coding_pair`).  Batches come from one stream
-walker, `walk_codings`, which decodes a window of the stream from its
-counters and steps only through the rejected attempts, so n batch draws
-equal n single draws bit for bit.  Either way each row's sum is pinned to 1
-by `core.pin_row_sums`.
+(`sample_coding`, `sample_coding_pair`).  Every draw goes through one
+stream walker, `_walk`, which decodes a window of the stream from its
+counters and steps only through the rejected attempts; a single draw is a
+one-draw batch, and a pair is two walks on its center's row.  Each row's
+sum is pinned to 1 by `core.pin_row_sums`.
 """
 
 from __future__ import annotations
@@ -63,36 +63,14 @@ def neighbor_table(anchors: AnchorSet, d: int) -> np.ndarray:
     return np.stack([knn(anchors.anchors[:, j], anchors, d) for j in range(anchors.m)])
 
 
-def _place(w, neighbors, z, s):
-    """Writes z / s onto each row's neighbors and pins each row's sum to 1."""
-    w[np.arange(w.shape[0])[:, None], neighbors] = z / s[:, None]
-    pin_row_sums(w)
-
-
-def _gave_up(config: SamplerConfig) -> SamplingError:
-    return SamplingError(f"|sum(z)| stayed below {config.min_abs_sum} after {_MAX_REDRAWS} redraws")
-
-
-def _draw_on_neighborhood(neighbors, m, config: SamplerConfig, rng: Rng) -> np.ndarray:
-    """One (m,) coding on the neighborhood, its normals redrawn while
-    |sum(z)| < min_abs_sum, at most _MAX_REDRAWS times."""
-    for _ in range(_MAX_REDRAWS + 1):
-        z = rng.normals(len(neighbors))[None, :]
-        s = z.sum(axis=1)
-        if abs(s[0]) >= config.min_abs_sum:
-            w = np.zeros((1, m))
-            _place(w, neighbors[None, :], z, s)
-            return w[0]
-    raise _gave_up(config)
-
-
 def _walk(table, config: SamplerConfig, rng: Rng, runs, w):
     """Writes the codings of the (codings, uniforms) count rows `runs` into
-    the zero (n, m) array w and returns the uniforms, flat.  Decodes the
-    window's counters once, with slack, and the Gaussian sum of the attempt
-    that would start at every offset; a rejected attempt shifts every later
-    read by one attempt, so one step per rejected attempt places every
-    read.  Decodes more when rejections use up the slack."""
+    the zero (n, anchors) array w, each on the table row its center u64
+    picks, and returns the uniforms, flat.  Decodes the window's counters
+    once, with slack, and the Gaussian sum of the attempt that would start
+    at every offset; a rejected attempt shifts every later read by one
+    attempt, so one step per rejected attempt places every read.  Decodes
+    more when rejections use up the slack."""
     m, d = table.shape
     if d != config.d:
         raise ValueError(f"table has shape {table.shape}, expected (m, {config.d})")
@@ -120,14 +98,16 @@ def _walk(table, config: SamplerConfig, rng: Rng, runs, w):
         j += k
         rejects[j] += 1
         if rejects[j] > _MAX_REDRAWS:
-            raise _gave_up(config)
+            raise SamplingError(f"|sum(z)| stayed below {config.min_abs_sum} "
+                                f"after {_MAX_REDRAWS} redraws")
         shift += per
     rng.counter = start + need + shift
     centers = center0 + per * (np.cumsum(rejects) - rejects)
     accepted = centers + 1 + per * rejects
     u = u64_to_uniforms(bits[centers])
-    _place(w, table[np.minimum((u * m).astype(np.int64), m - 1)], z[accepted], s[accepted])
-    check_codings(w)
+    neighbors = table[np.minimum((u * m).astype(np.int64), m - 1)]
+    w[np.arange(n)[:, None], neighbors] = z[accepted] / s[accepted, None]
+    check_codings(pin_row_sums(w))
     reads = np.repeat(accepted + per - before, extra) + np.arange(int(extra.sum()))
     return u64_to_uniforms(bits[reads])
 
@@ -136,10 +116,10 @@ def walk_codings(table, config: SamplerConfig, rng: Rng, runs):
     """Yields (codings, uniforms) per (c, k) in `runs`, c >= 1: the (c, m)
     weights of c draws over the table's m = len(table) anchors, then the
     next k uniforms.  Bit-identical to reading in turn (per draw, center =
-    rng.randint(m), then _draw_on_neighborhood on table[center]; then
-    rng.uniforms(k)), and leaves rng at the same position.  Runs are walked
-    at most _WINDOW draws (or one run) at a time, so SamplingError may come
-    a window early."""
+    rng.randint(m), then rng.normals(d) until |sum| >= min_abs_sum, placed
+    on table[center]; then rng.uniforms(k)), and leaves rng at the same
+    position.  Runs are walked at most _WINDOW draws (or one run) at a
+    time, so SamplingError may come a window early."""
     runs = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
     step = max(1, _WINDOW // int(runs[:, 0].max(initial=1)))  # runs per window
     for first in range(0, len(runs), step):
@@ -161,25 +141,22 @@ def sample_codings(table, n: int, config: SamplerConfig, rng: Rng) -> np.ndarray
     return w
 
 
-def _neighborhood(anchors: AnchorSet, config: SamplerConfig, rng: Rng) -> np.ndarray:
-    """The d nearest anchors of a uniformly drawn center anchor."""
-    _check_d(config.d, anchors.m)
-    center = rng.randint(anchors.m)
-    return knn(anchors.anchors[:, center], anchors, config.d)
-
-
 def sample_coding(anchors: AnchorSet, config: SamplerConfig, rng: Rng) -> Coding:
     """One random coding supported on a local neighborhood of the anchors."""
-    neighbors = _neighborhood(anchors, config, rng)
-    return Coding(_draw_on_neighborhood(neighbors, anchors.m, config, rng))
+    return Coding(sample_codings(neighbor_table(anchors, config.d), 1, config, rng)[0])
 
 
 def sample_coding_pair(anchors: AnchorSet, config: SamplerConfig, rng: Rng):
-    """Two codings drawn on the same neighborhood, for interpolation."""
-    neighbors = _neighborhood(anchors, config, rng)
-    a = _draw_on_neighborhood(neighbors, anchors.m, config, rng)
-    b = _draw_on_neighborhood(neighbors, anchors.m, config, rng)
-    return Coding(a), Coding(b)
+    """Two codings drawn on the same neighborhood, for interpolation: one
+    center, then two walks on its row, each started one u64 back, because
+    a one-row table ignores the center u64 that the walker reads."""
+    _check_d(config.d, anchors.m)
+    row = knn(anchors.anchors[:, rng.randint(anchors.m)], anchors, config.d)[None, :]
+    w = np.zeros((2, anchors.m))
+    for i in range(2):
+        rng.counter -= 1
+        _walk(row, config, rng, np.array([[1, 0]]), w[i:i + 1])
+    return Coding(w[0]), Coding(w[1])
 
 
 def interpolate(a: Coding, b: Coding, steps: int) -> np.ndarray:

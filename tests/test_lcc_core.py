@@ -349,6 +349,20 @@ def test_rows_next_to_an_anchor_keep_their_vertex_certificates():
                 assert -1e-9 <= gap <= cfg.coding_tol
 
 
+def test_large_objectives_keep_their_certificates_when_scaled_by_rounding():
+    # one anchor forces g = (1); its exact dual y = 2*l_h*e/||e|| is scaled
+    # by about 1 - 1e-9 through the rounding in v'y + lam, which on an
+    # objective of 60 or more costs the bound more than coding_tol
+    V = np.array([[1.0], [2.0]])
+    a = 0.3 + 2.0 * np.pi * np.arange(5) / 5
+    cfg = LccConfig(m=1, q=3, l_q=9.2e-8, l_h=8.07)
+    for r in (1.0, 3.7, 10.0):
+        H = V[:, 0] + r * np.stack([np.cos(a), np.sin(a)], axis=1)
+        G, reasons = solve_codings(H, V, cfg)
+        assert np.all(G == 1.0)
+        assert "cap" not in reasons, (r, reasons)
+
+
 @pytest.mark.parametrize("d_b, m", [(3, 16), (5, 64)])
 def test_residual_rows_above_two_dimensions_meet_their_dual_bound(d_b, m, monkeypatch):
     # Gaussian points on k-means++ anchors: many optima carry a residual on

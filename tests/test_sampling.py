@@ -194,30 +194,82 @@ def test_interpolate_rejects_bad_args():
         interpolate(a, b, 3)
 
 
+def _draw_on(neighbors, m, cfg, rng, tries=None):
+    """Reference written out apart from the sampler: one (m,) draw on a fixed
+    neighborhood, normals until |sum| clears the guard, then z / sum with
+    the rounding pinned into the largest slot.  Appends the attempt count to
+    `tries` when given."""
+    for attempt in range(1, _MAX_REDRAWS + 2):
+        z = rng.normals(len(neighbors))
+        s = float(z.sum())
+        if abs(s) >= cfg.min_abs_sum:
+            break
+    else:
+        raise SamplingError("reference gave up")
+    if tries is not None:
+        tries.append(attempt)
+    w = np.zeros(m)
+    w[neighbors] = z / s
+    top = neighbors[int(np.argmax(np.abs(w[neighbors])))]
+    w[top] -= w.sum() - 1.0
+    return w
+
+
 def _per_draw(table, n, cfg, rng, tries=None):
-    """Reference written out apart from the sampler: n sequential draws, each
-    a center, normals until |sum| clears the guard, then z / sum with the
-    rounding pinned into the largest slot.  Appends each draw's attempt
-    count to `tries` when given."""
-    m, d = table.shape
-    out = []
-    for _ in range(n):
-        neighbors = table[rng.randint(m)]
-        for attempt in range(1, _MAX_REDRAWS + 2):
-            z = rng.normals(d)
-            s = float(z.sum())
-            if abs(s) >= cfg.min_abs_sum:
-                break
-        else:
-            raise SamplingError("reference gave up")
-        if tries is not None:
-            tries.append(attempt)
-        w = np.zeros(m)
-        w[neighbors] = z / s
-        top = neighbors[int(np.argmax(np.abs(w[neighbors])))]
-        w[top] -= w.sum() - 1.0
-        out.append(w)
-    return np.stack(out)
+    """n sequential reference draws, each a center, then `_draw_on` on its
+    table row."""
+    m = len(table)
+    return np.stack([_draw_on(table[rng.randint(m)], m, cfg, rng, tries) for _ in range(n)])
+
+
+def _pair_reference(table, cfg, rng, tries=None):
+    """A center, then two `_draw_on` draws on its table row."""
+    neighbors = table[rng.randint(len(table))]
+    return [_draw_on(neighbors, len(table), cfg, rng, tries) for _ in range(2)]
+
+
+@pytest.mark.parametrize("d", [1, 2, 3])
+@pytest.mark.parametrize("min_abs_sum", [1e-2, 0.5, 1.0])
+def test_single_draws_match_the_per_draw_reference(d, min_abs_sum):
+    V = np.asarray(Rng(60 + d).normals(2 * 12)).reshape(2, 12)
+    anchors = AnchorSet(V)
+    table = neighbor_table(anchors, d)
+    cfg = SamplerConfig(d=d, min_abs_sum=min_abs_sum)
+    ref_rng, rng = Rng(50 + d, 5), Rng(50 + d, 5)
+    tries = []
+    for _ in range(40):
+        want = _per_draw(table, 1, cfg, ref_rng, tries)[0]
+        assert sample_coding(anchors, cfg, rng).weights.tobytes() == want.tobytes()
+        assert rng.counter == ref_rng.counter
+        want = _pair_reference(table, cfg, ref_rng, tries)
+        got = sample_coding_pair(anchors, cfg, rng)
+        assert [c.weights.tobytes() for c in got] == [w.tobytes() for w in want]
+        assert rng.counter == ref_rng.counter
+    if min_abs_sum >= 0.5:  # the guard forced redraws in both kinds of draw
+        assert max(tries[0::3]) > 1 and max(tries[1::3] + tries[2::3]) > 1
+
+
+@pytest.mark.parametrize("gives_up", [0, 1])
+def test_pair_gives_up_like_the_reference(gives_up):
+    # |z| >= 2.5 holds for about one normal in eighty, so a draw often runs
+    # out of redraws; the seed's pair gives up at the given draw
+    table = neighbor_table(SQUARE, 1)
+    cfg = SamplerConfig(d=1, min_abs_sum=2.5)
+
+    def gave_up_at(seed):
+        tries = []
+        try:
+            _pair_reference(table, cfg, Rng(seed), tries)
+        except SamplingError:
+            return len(tries)
+        return None
+
+    seed = next(s for s in range(10_000) if gave_up_at(s) == gives_up)
+    with pytest.raises(SamplingError):
+        sample_coding_pair(SQUARE, cfg, Rng(seed))
+    if gives_up == 0:  # a single draw reads what the pair's first draw reads
+        with pytest.raises(SamplingError):
+            sample_coding(SQUARE, cfg, Rng(seed))
 
 
 class _CountingRng(Rng):
