@@ -11,11 +11,10 @@ with q = 2 or 3.  `solve_codings` is the one coding solver: for fixed
 anchors it solves every point's weights at once and certifies each row by
 weak duality (see its docstring for the stop reasons).  Most rows are
 vertices of the zero-residual LP min sum_j c_j |g_j| s.t. V g = h,
-sum(g) = 1, found by a lockstep simplex.  Points outside the anchors' hull
-mostly take a closed-form coding with a residual on d_b anchors; the rest
-go to an active set over faces, the sets of anchors that carry a row's
-nonzero weights, each solved in closed form.  `solve_coding` is its
-one-row call.
+sum(g) = 1, found by a lockstep simplex.  The rest, mostly points outside
+the anchors' hull, go to an active set over faces, the sets of anchors
+that carry a row's nonzero weights, each solved in closed form; it steps
+its rows in lockstep too.  `solve_coding` is its one-row call.
 `learn_anchors` alternates it with a weighted least-squares anchor update.
 
 Codings in bulk are (n, m) weight arrays, one row per point; a `Coding`
@@ -24,7 +23,6 @@ holds one point's weights.  `check_codings` defines a valid coding for both.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -154,12 +152,12 @@ def _lp_vertices(H, V, C, dist, G0):
     is one stacked solve with the (d_b+1, d_b+1) basis matrices [V_B; 1'];
     the entering anchor is the one whose dual constraint
     |v_j'y + lam| <= c_j is most violated, the leaving one the first basic
-    weight to reach zero.  Returns (G, Y, basis, done): the vertex weights,
-    the dual y and the anchors of each row's last basis, and the rows that
-    reached an optimal vertex within _MAX_PIVOTS.  Rows with a singular
-    basis, an unbounded ray or no optimum by then are left undone.  The
-    arrays of the rows still pivoting are compacted only when a row leaves,
-    and the pass in which the last row leaves is the last.
+    weight to reach zero.  Returns (G, Y, done): the vertex weights, the
+    dual y of each row's last basis, and the rows that reached an optimal
+    vertex within _MAX_PIVOTS.  Rows with a singular basis or no optimum by
+    then are left undone.  The arrays of the rows still pivoting are
+    compacted only when a row leaves, and the pass in which the last row
+    leaves is the last.
     """
     n = len(H)
     d_b, m = V.shape
@@ -209,162 +207,148 @@ def _lp_vertices(H, V, C, dist, G0):
         ratio = np.divide(np.maximum(sg * g, 0.0), toward, out=np.full(toward.shape, np.inf),
                           where=moving)
         leave = ratio.argmin(axis=1)
-        stay = ~opt & moving.any(axis=1)  # the others are done or unbounded
-        if not stay.all():
-            live, b, c, sg, enter, leave, s = (v[stay] for v in (live, b, c, sg, enter, leave, s))
-            if not live.size:
-                break
+        if opt.any():
+            live, b, c, sg, enter, leave, s = (v[~opt] for v in (live, b, c, sg, enter, leave, s))
             rows = np.arange(live.size)
         basis[live, leave] = enter
         sign = sg
         sign[rows, leave] = s
-    return G, Y, basis, done
+    return G, Y, done
 
 
-@functools.cache
-def _face_slots(d_b, n_bases):
-    """(slots, N) for `_face_codings` on n_bases bases of d_b + 1 anchors.
+def _dots(a, b):
+    """Row-wise dot products of two (n, k) arrays."""
+    return (a[:, None, :] @ b[:, :, None])[:, 0, 0]
 
-    slots, (n_bases * (d_b + 1), d_b), indexes the bases laid side by side:
-    face q of a basis keeps every slot of it but q.  N, (d_b, d_b - 1), is
-    an orthonormal basis of the plane 1'x = 0.  Both are read-only.
+
+def _face_moves(H, VS, s, c, w, two_lh):
+    """Each row's move on its face S of k anchors (see `_active_set_codings`).
+
+    VS, (d_b, rows, k), holds the anchors of S and s, c and w, (rows, k),
+    their signs, penalties and weights.  With g = (1 - 1't, t),
+    A = V_S[1:] - v_S0, e0 = h - v_S0 and sc = s*c, stationarity fixes the
+    part of e/||e|| in A's range to p = pinv(A)'(sc[1:] - sc_0) / (2*l_h);
+    the part off it is e0's, so the face optimum has ||e|| = ||e_off|| /
+    sqrt(1 - ||p||^2) and t = pinv(A) (e0 - ||e|| p).  If ||p|| >= 1 the
+    objective falls along t = -pinv(A) p.  Returns (d, inside, p): the
+    weights' direction, whether a step of 1 along it reaches the face
+    optimum (else it is a ray or a pivot), and p.
     """
-    k = d_b + 1
-    keep = np.nonzero(~np.eye(k, dtype=bool))[1].reshape(k, d_b)
-    slots = np.concatenate([keep + k * i for i in range(n_bases)])
-    N = np.linalg.qr(np.ones((d_b, 1)), mode="complete")[0][:, 1:]
-    slots.flags.writeable = N.flags.writeable = False
-    return slots, N
+    rows, k = w.shape
+    p = np.zeros(H.shape)
+    if k == 1:  # the one weight moves to 1
+        return 1.0 - w, np.ones(rows, dtype=bool), p
+    A = (VS[:, :, 1:] - VS[:, :, :1]).transpose(1, 0, 2)  # (rows, d_b, k - 1)
+    U, sv, Wt = np.linalg.svd(A)
+    # full rank, else [V_S; 1'] has a null space along which the entering weight pivots
+    inside = sv[:, -1] > 1e-12 * sv[:, 0] if k <= H.shape[1] + 1 else np.zeros(rows, dtype=bool)
+    d = np.empty(w.shape)
+    f = slice(None)
+    if not inside.all():
+        null = Wt[~inside, -1]
+        d[~inside] = (np.concatenate([-null.sum(axis=1, keepdims=True), null], axis=1)
+                      * (s[~inside, -1] / null[:, -1])[:, None])
+        if not inside.any():
+            return d, inside, p
+        f = np.flatnonzero(inside)
+    sc = s[f] * c[f]
+    e0 = H[f] - VS[:, f, 0].T
+    Ap = Wt[f].swapaxes(1, 2) @ ((1.0 / sv[f])[:, :, None] * U[f, :, :k - 1].swapaxes(1, 2))
+    p[f] = pf = (Ap.swapaxes(1, 2) @ (sc[:, 1:] - sc[:, :1])[:, :, None])[:, :, 0] / two_lh
+    room = 1.0 - _dots(pf, pf)
+    inside[f] = face = room > 0.0  # else the objective falls along a ray
+    off = e0 - (A[f] @ (Ap @ e0[:, :, None]))[:, :, 0]
+    norm = np.sqrt(_dots(off, off) / np.where(face, room, 1.0))
+    t = (Ap @ np.where(face[:, None], e0 - norm[:, None] * pf, pf)[:, :, None])[:, :, 0]
+    np.negative(t, out=t, where=~face[:, None])
+    tsum = t.sum(axis=1)
+    d[f] = (np.concatenate([np.where(face, 1.0 - tsum, -tsum)[:, None], t], axis=1)
+            - np.where(face[:, None], w[f], 0.0))
+    return d, inside, p
 
 
-def _face_codings(H, V, C, dist, bases, l_h):
-    """The best coding with a residual on the faces of each row's bases.
+def _active_set_codings(H, V, C, G0, l_h):
+    """Exact codings by an active set over faces, all rows stepped together.
 
-    A row whose LP dual leaves the ball ||y|| <= 2*l_h has an optimum with a
-    nonzero residual, mostly on d_b anchors or one.  The candidates are the
-    faces of d_b anchors of each basis in `bases` (each (n, d_b + 1)
-    anchor indices) and their anchors on their own, whose objective is
-    2*l_h*dist + c with `_penalties`' (C, dist).  On a face S, with the
-    signs s of h's affine coordinates on S, the coding minimizes
-    2*l_h*||e|| + sum_S s_j*c_j*g_j in closed form: write g = 1/d_b + N t,
-    with N spanning the plane 1'x = 0, and A = V_S N.  Stationarity fixes
-    the part of e/||e|| in A's range to p = pinv(A)' N'(s*c) / (2*l_h); the
-    part of e off that range is that of e0 = h - V_S 1/d_b, so
-    ||e|| = ||e_off|| / sqrt(1 - ||p||^2), and t = pinv(A) (e0 - ||e|| p).
-    A face counts when its weights keep the signs s.  Returns the (n, m)
-    codings of the lowest objective.
+    A face is a set S of anchors with a sign s_j for each weight, on which
+    the objective is 2*l_h*||h - V_S g|| + sum_S s_j*c_j*g_j.  Each row
+    starts on the support of its row of G0 and repeats (the lasso active
+    set of Osborne, Presnell & Turlach, IMA J. Numer. Anal. 2000):
+
+    - move toward the face optimum, or along a ray on which the face
+      objective falls (`_face_moves`); a weight that reaches zero on the
+      way stops the move and leaves S;
+    - at the face optimum, take y = 2*l_h*e/||e||, or 2*l_h*p where the
+      residual is rounding, and lam from S's first anchor; stop if every
+      |v_j'y + lam| <= c_j, else add the most violated anchor with the sign
+      of v_j'y + lam;
+    - if [V_S; 1'] then has a null space, pivot as the simplex does.
+
+    A step takes every open row, one stacked SVD per face size, and gives
+    each row the float operations it would get alone.  Returns (G, Y): the
+    codings and each row's last dual point, after at most _MAX_STEPS steps.
     """
-    d_b = bases[0].shape[1] - 1
+    n, m = G0.shape
     two_lh = 2.0 * l_h
-    slots, N = _face_slots(d_b, len(bases))
-    rows = np.arange(len(H))
-    ones = np.concatenate(bases, axis=1)  # the basis anchors on their own
-    faces = ones[:, slots]  # (n, faces, d_b)
-    VS = np.moveaxis(V[:, faces], 0, 2)  # (n, faces, d_b, d_b), columns v_j
-    e0 = H[:, None, :] - VS.sum(axis=3) / d_b
-    A = VS @ N
-    Ap = np.linalg.pinv(A)
-    t0 = (Ap @ e0[..., None])[..., 0]  # h's affine coordinates on S are 1/d_b + N t0
-    s = np.where(1.0 / d_b + t0 @ N.T < 0.0, -1.0, 1.0)
-    c = s * C[rows[:, None, None], faces]
-    p = (Ap.swapaxes(2, 3) @ (c @ N)[..., None])[..., 0] / two_lh
-    off = e0 - (A @ t0[..., None])[..., 0]
-    room = 1.0 - (p * p).sum(axis=2)
-    e_off = np.sqrt((off * off).sum(axis=2))
-    size = e_off / np.sqrt(np.where(room > 0.0, room, 1.0))
-    g = 1.0 / d_b + (Ap @ (e0 - size[..., None] * p)[..., None])[..., 0] @ N.T
-    face_obj = np.where((room > 0.0) & (e_off > 0.0) & (s * g > 0.0).all(axis=2),
-                        two_lh * size + (c * g).sum(axis=2), np.inf)
-    one_obj = two_lh * dist[rows[:, None], ones] + C[rows[:, None], ones]
-    G = np.zeros((len(H), V.shape[1]))
-    q = face_obj.argmin(axis=1)
-    use = face_obj[rows, q] < one_obj.min(axis=1)
-    G[rows[use, None], faces[use, q[use]]] = g[use, q[use]]
-    G[rows[~use], ones[~use, one_obj[~use].argmin(axis=1)]] = 1.0
-    return G
-
-
-def _active_set_codings(H, V, C, dist, l_h):
-    """Exact codings by an active set over faces, one row at a time.
-
-    A face is a set S of anchors with a sign s_j for each weight.  On it
-    the objective is 2*l_h*||h - V_S g|| + sum_S s_j*c_j*g_j, whose optimum
-    on 1'g = 1 is `_face_codings`' closed form with k = |S| anchors, here
-    in differences from S's first anchor: g = (1 - 1't, t), A = V_S[1:] -
-    v_S0, e0 = h - v_S0.  Each row starts at its best single anchor and
-    repeats (the lasso active set of Osborne, Presnell & Turlach, IMA J.
-    Numer. Anal. 2000):
-
-    - move toward the face optimum, or along the ray on which the face
-      objective falls without bound (||p|| >= 1); a weight that reaches
-      zero on the way stops the move and leaves S;
-    - at the face optimum, take y = 2*l_h*e/||e||, or 2*l_h*p from the
-      face's stationarity equations where the residual is rounding, and
-      lam from S's first anchor; stop if every |v_j'y + lam| <= c_j, else
-      add the most violated anchor with the sign of v_j'y + lam;
-    - if [V_S; 1'] then has a null space, pivot as the simplex does: the
-      residual stays, the entering weight grows in its sign, and the first
-      weight to reach zero leaves.
-
-    No move raises the objective.  Returns (G, Y): the (n, m) codings and
-    each row's last dual point, after at most _MAX_STEPS steps a row.
-    """
-    two_lh = 2.0 * l_h
-    G = np.zeros((len(H), V.shape[1]))
+    small = 1e-12 * np.maximum(1.0, np.sqrt(_dots(H, H)))  # a residual that is rounding
+    # each row's face, in its order of entry: anchors, signs and weights,
+    # padded to the d_b + 2 anchors a face can reach
+    size = (G0 != 0.0).sum(axis=1)
+    S = np.argsort(G0 == 0.0, axis=1, kind="stable")[:, :min(len(V) + 2, m)]
+    g = G0[np.arange(n)[:, None], S]
+    s = np.sign(g)
     Y = np.zeros(H.shape)
-    for i, (h, c) in enumerate(zip(H, C)):
-        S = [int(np.argmin(two_lh * dist[i] + c))]
-        s = g = np.ones(1)
-        y = Y[i]
-        for _ in range(_MAX_STEPS):
-            A = V[:, S[1:]] - V[:, S[:1]]
-            U, sv, Wt = np.linalg.svd(A)
-            step = np.inf
-            if len(S) - 1 > (sv > 1e-12 * sv[:1]).sum():  # the entering weight pivots
-                d = np.concatenate([[-Wt[-1].sum()], Wt[-1]]) * (s[-1] / Wt[-1, -1])
-            else:
-                e0 = h - V[:, S[0]]
-                Ap = Wt.T @ ((1.0 / sv)[:, None] * U[:, :len(sv)].T)  # pinv(A)
-                sc = s * c[S]
-                p = Ap.T @ (sc[1:] - sc[0]) / two_lh
-                room = 1.0 - p @ p
-                if room > 0.0:
-                    off = e0 - A @ (Ap @ e0)
-                    t = Ap @ (e0 - np.sqrt(off @ off / room) * p)
-                    d = np.concatenate([[1.0 - t.sum()], t]) - g
-                    step = 1.0
-                else:
-                    t = -(Ap @ p)
-                    d = np.concatenate([[-t.sum()], t])
-            toward = -s * d  # > 0: that weight shrinks toward zero
-            ratio = np.divide(s * g, toward, out=np.full(len(S), np.inf),
-                              where=toward > 1e-12 * np.abs(d).max())
-            q = ratio.argmin()
-            if ratio[q] < step:
-                g = np.delete(g + ratio[q] * d, q)
-                s = np.delete(s, q)
-                del S[q]
+    live = np.arange(n)
+    for _ in range(_MAX_STEPS):
+        if not live.size:
+            break
+        stop = np.zeros(n, dtype=bool)
+        sizes = size[live]
+        ks = np.flatnonzero(np.bincount(sizes)).tolist()
+        for k in ks:
+            r = live if len(ks) == 1 else live[sizes == k]
+            F, sg, w = S[r, :k], s[r, :k], g[r, :k]
+            VS, c = V[:, F], C[r[:, None], F]
+            d, inside, p = _face_moves(H[r], VS, sg, c, w, two_lh)
+            toward = -sg * d  # > 0: that weight shrinks toward zero
+            ratio = np.divide(sg * w, toward, out=np.full(d.shape, np.inf),
+                              where=toward > 1e-12 * np.abs(d).max(axis=1, keepdims=True))
+            at = ratio.min(axis=1)
+            out = at < np.where(inside, 1.0, np.inf)
+            if out.any():  # the first weight to reach zero leaves
+                lv, keep = r[out], np.arange(k) != ratio[out].argmin(axis=1)[:, None]
+                for dst, src in ((S, F[out]), (s, sg[out]), (g, w[out] + at[out, None] * d[out])):
+                    dst[lv, :k - 1] = src[keep].reshape(-1, k - 1)
+                size[lv] = k - 1
+                inside &= ~out
+            stop[r[~(out | inside)]] = True  # no weight leaves; cannot happen with c > 0
+            if not inside.any():
                 continue
-            if step == np.inf:  # no weight leaves; cannot happen with c > 0
-                break
-            g = g + d
-            e = h - V[:, S] @ g
-            norm = np.sqrt(e @ e)
-            y = two_lh * (e / norm if norm > 1e-12 * max(1.0, np.sqrt(h @ h)) else p)
+            a = slice(None) if inside.all() else np.flatnonzero(inside)  # at the face optimum
+            ra, Fa, wa = r[a], F[a], w[a] + d[a]
+            g[ra, :k] = wa
+            e = H[ra] - (VS[:, a].swapaxes(0, 1) @ wa[:, :, None])[:, :, 0]
+            norm = np.sqrt(_dots(e, e))
+            y = two_lh * np.divide(e, norm[:, None], out=p[a], where=(norm > small[ra])[:, None])
+            Y[ra] = y
             # v_j'y + lam = (v_j - v_S0)'y + s_0 c_0; a violation within the
             # rounding of its terms, at most ||y|| ||v_j - v_S0||, does not count
-            D = V - V[:, S[:1]]
-            P = y @ D + sc[0]
-            viol = np.abs(P) - (1.0 + 1e-12) * c - 1e-13 * np.sqrt((y @ y) * (D * D).sum(axis=0))
-            viol[S] = -np.inf
-            j = int(viol.argmax())
-            if viol[j] <= 0.0:
-                break
-            S.append(j)
-            s = np.append(s, np.sign(P[j]))
-            g = np.append(g, 0.0)
-        G[i, S] = g
-        Y[i] = y
+            D = V - VS[:, a, :1].swapaxes(0, 1)
+            P = (y[:, None, :] @ D)[:, 0] + sg[a, :1] * c[a, :1]
+            viol = (np.abs(P) - (1.0 + 1e-12) * C[ra]
+                    - 1e-13 * np.sqrt(_dots(y, y)[:, None] * (D * D).sum(axis=1)))
+            viol[np.arange(len(ra))[:, None], Fa] = -np.inf
+            best = viol.max(axis=1) <= 0.0
+            stop[ra[best]] = True
+            if not best.all():  # the most violated anchor enters at weight 0
+                grow = np.flatnonzero(~best)
+                j = viol[grow].argmax(axis=1)
+                S[ra[grow], k], s[ra[grow], k], g[ra[grow], k] = j, np.sign(P[grow, j]), 0.0
+                size[ra[grow]] = k + 1
+        live = live[~stop[live]]
+    G = np.zeros((n, m))
+    row, slot = np.nonzero(np.arange(S.shape[1]) < size[:, None])
+    G[row, S[row, slot]] = g[row, slot]
     return G, Y
 
 
@@ -452,19 +436,19 @@ def solve_codings(H, V, config: LccConfig, G0=None):
       simplex of `_lp_vertices`, whose dual point also certifies the full
       objective to a weak-duality gap of at most config.coding_tol.
     - "gap": any other coding certified to a gap of at most
-      config.coding_tol by a dual point, built from its residual and its
-      support (`_certified_gaps`) or the last one of the active set.
+      config.coding_tol by a dual point: the last one of the active set,
+      or one built from the coding's residual and support
+      (`_certified_gaps`).
     - "cap": a coding that no dual point certified.
 
-    A row whose optimal LP vertex is not certified has a dual y outside
-    the ball ||y|| <= 2*l_h, as points outside the anchors' hull do; it
-    tries the closed-form codings with a residual on the faces of its LP
-    basis and of its d_b + 1 nearest anchors (`_face_codings`).  Rows
-    still uncertified, and those with a singular basis, at the pivot cap,
-    or with m < d_b + 1, keep their warm start when that certifies, and
-    otherwise take the exact coding of the active set
-    (`_active_set_codings`).  A row of G0 (each summing to 1) replaces its
-    result wherever it scores lower, so no row ends above its warm start.
+    A row the simplex does not certify (its LP dual leaves the ball
+    ||y|| <= 2*l_h, as for points outside the anchors' hull, or it has a
+    singular basis, hits the pivot cap or has m < d_b + 1) keeps its warm
+    start when that certifies, and otherwise takes the exact coding of the
+    active set (`_active_set_codings`), started at its LP vertex when the
+    simplex reached one and else at its best single anchor.  A row of G0
+    (each summing to 1) replaces its result wherever it scores lower, so
+    no row ends above its warm start.
     """
     G = np.zeros((len(H), V.shape[1]))
     reasons = np.full(len(H), "cap", dtype="<U6")
@@ -488,23 +472,13 @@ def _solve_rows(H, V, config: LccConfig, G0):
         G[hit, dist[hit].argmin(axis=1)] = 1.0
         reasons[hit] = "hit"
     if m > d_b and rest.size:
-        h, c, dr = H[rest], C[rest], dist[rest]
-        Gv, Y, basis, done = _lp_vertices(h, V, c, dr, None if G0 is None else G0[rest])
+        h, c = H[rest], C[rest]
+        Gv, Y, done = _lp_vertices(h, V, c, dist[rest], None if G0 is None else G0[rest])
         Gv = pin_row_sums(Gv)
         gaps = _row_objectives(h, Gv, V, c, l_h) - _dual_bounds(h, V, c, Y, l_h, tol)
         won = done & (gaps <= tol)
-        G[rest[won]] = Gv[won]
         reasons[rest[won]] = "vertex"
-        out = np.flatnonzero(done & ~won)  # the dual left the ball
-        if out.size:
-            h, c, dr = h[out], c[out], dr[out]
-            near = dr.argsort(axis=1)[:, :d_b + 1]
-            Gf = pin_row_sums(_face_codings(h, V, c, dr, (basis[out], near), l_h))
-            ok = _certified_gaps(h, Gf, V, c, l_h, tol) <= tol
-            i = rest[out[ok]]
-            G[i] = Gf[ok]
-            reasons[i] = "gap"
-            won[out[ok]] = True
+        G[rest[done]] = Gv[done]  # an uncertified vertex starts the active set
         rest = rest[~won]
     if G0 is not None and rest.size:  # a warm start that already certifies is kept
         won = _certified_gaps(H[rest], G0[rest], V, C[rest], l_h, tol) <= tol
@@ -512,12 +486,15 @@ def _solve_rows(H, V, config: LccConfig, G0):
         reasons[rest[won]] = "gap"
         rest = rest[~won]
     if rest.size:
-        h, c = H[rest], C[rest]
-        g, y = _active_set_codings(h, V, c, dist[rest], l_h)
-        g = pin_row_sums(g)
-        G[rest] = g
-        gaps = np.minimum(_row_objectives(h, g, V, c, l_h) - _dual_bounds(h, V, c, y, l_h, tol),
-                          _certified_gaps(h, g, V, c, l_h, tol))
+        h, c, start = H[rest], C[rest], G[rest]
+        one = np.flatnonzero(~start.any(axis=1))  # no vertex: the best single anchor
+        start[one, (2.0 * l_h * dist[rest[one]] + c[one]).argmin(axis=1)] = 1.0
+        g, y = _active_set_codings(h, V, c, start, l_h)
+        G[rest] = g = pin_row_sums(g)
+        gaps = _row_objectives(h, g, V, c, l_h) - _dual_bounds(h, V, c, y, l_h, tol)
+        open_ = np.flatnonzero(gaps > tol)
+        if open_.size:
+            gaps[open_] = _certified_gaps(h[open_], g[open_], V, c[open_], l_h, tol)
         reasons[rest[gaps <= tol]] = "gap"
     if G0 is not None:
         lower = _row_objectives(H, G0, V, C, l_h) < _row_objectives(H, G, V, C, l_h)

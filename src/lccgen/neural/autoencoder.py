@@ -46,10 +46,8 @@ def train_autoencoder(data, config: AutoencoderConfig, seed: int):
         raise ValueError("data must be a nonempty (n, dim) array")
     n, dim = X.shape
     rng = Rng(seed)
-    acts = [config.activation, "identity"]
-    encoder = build_mlp([dim, config.hidden, config.latent_dim], acts, rng)
-    decoder = build_mlp([config.latent_dim, config.hidden, dim], acts, rng)
-    ae = Mlp(encoder.layers + decoder.layers)
+    ae = build_mlp([dim, config.hidden, config.latent_dim, config.hidden, dim],
+                   [config.activation, "identity"] * 2, rng)
     state = init_adam(ae.flat)
     history = []
     for epoch in range(config.epochs):

@@ -315,20 +315,23 @@ def test_solve_codings_rows_agree_with_one_row_solves():
         assert abs(_row_objective(h, gw, anchors, cfg) - warm) <= cfg.coding_tol
 
 
-def test_points_outside_the_hull_take_closed_form_codings(monkeypatch):
-    # off the polygon the optimum carries a residual on one or two anchors;
-    # the closed-form face codings certify these without the active set
-    def no_active_set(*args):
-        raise AssertionError("a row reached the active set")
-
-    monkeypatch.setattr(core, "_active_set_codings", no_active_set)
-    V = _ring_anchors().anchors
-    H = np.concatenate([make_ring(40, radius=r, noise_sigma=0.01, seed=11)
-                        for r in (1.02, 1.5, 3.0)])
+def test_points_outside_the_hull_take_closed_form_codings():
+    # off the polygon the optimum carries a residual on one or two anchors,
+    # the closed-form optimum of an active-set face: every such row is
+    # certified ("gap", never "cap") and meets the exact dual bound
+    anchors = _ring_anchors()
+    V = anchors.anchors
+    radii = (1.02, 1.5, 3.0)
+    H = np.concatenate([make_ring(40, radius=r, noise_sigma=0.01, seed=11) for r in radii])
     for q in (2, 3):
-        _, reasons = solve_codings(H, V, LccConfig(m=16, q=q))
+        cfg = LccConfig(m=16, q=q)
+        G, reasons = solve_codings(H, V, cfg)
         assert set(reasons) <= {"vertex", "gap"}
-
+        assert set(reasons[40:]) == {"gap"}, "rows at radii 1.5 and 3 lie outside the hull"
+        for h, g in zip(H[reasons == "gap"], G[reasons == "gap"]):
+            c = cfg.l_q * np.sqrt(np.sum((V - h[:, None]) ** 2, axis=0)) ** q
+            gap = _row_objective(h, g, anchors, cfg) - _dual_lower_bound(h, V, c, cfg.l_h)
+            assert -1e-9 <= gap <= cfg.coding_tol, f"gap row is {gap:.3g} above the bound"
 
 
 def test_rows_next_to_an_anchor_keep_their_vertex_certificates():
@@ -419,12 +422,115 @@ def test_solve_codings_degenerate_inputs_take_the_active_set(V, H):
         assert _row_objective(h, g, anchors, cfg) <= _row_objective(h, uniform, anchors, cfg)
 
 
+def _per_row_active_set(H, V, C, G0, l_h):
+    """The active set one row at a time, as it was before its rows were
+    stepped together, started on each row's support of G0."""
+    two_lh = 2.0 * l_h
+    G = np.zeros((len(H), V.shape[1]))
+    Y = np.zeros(H.shape)
+    for i, (h, c) in enumerate(zip(H, C)):
+        S = [int(j) for j in np.flatnonzero(G0[i])]
+        g = G0[i, S]
+        s = np.sign(g)
+        y = Y[i]
+        for _ in range(core._MAX_STEPS):
+            A = V[:, S[1:]] - V[:, S[:1]]
+            U, sv, Wt = np.linalg.svd(A)
+            step = np.inf
+            if len(S) - 1 > (sv > 1e-12 * sv[:1]).sum():  # the entering weight pivots
+                d = np.concatenate([[-Wt[-1].sum()], Wt[-1]]) * (s[-1] / Wt[-1, -1])
+            else:
+                e0 = h - V[:, S[0]]
+                Ap = Wt.T @ ((1.0 / sv)[:, None] * U[:, :len(sv)].T)  # pinv(A)
+                sc = s * c[S]
+                p = Ap.T @ (sc[1:] - sc[0]) / two_lh
+                room = 1.0 - p @ p
+                if room > 0.0:
+                    off = e0 - A @ (Ap @ e0)
+                    t = Ap @ (e0 - np.sqrt(off @ off / room) * p)
+                    d = np.concatenate([[1.0 - t.sum()], t]) - g
+                    step = 1.0
+                else:
+                    t = -(Ap @ p)
+                    d = np.concatenate([[-t.sum()], t])
+            toward = -s * d
+            ratio = np.divide(s * g, toward, out=np.full(len(S), np.inf),
+                              where=toward > 1e-12 * np.abs(d).max())
+            q = ratio.argmin()
+            if ratio[q] < step:
+                g = np.delete(g + ratio[q] * d, q)
+                s = np.delete(s, q)
+                del S[q]
+                continue
+            if step == np.inf:
+                break
+            g = g + d
+            e = h - V[:, S] @ g
+            norm = np.sqrt(e @ e)
+            y = two_lh * (e / norm if norm > 1e-12 * max(1.0, np.sqrt(h @ h)) else p)
+            D = V - V[:, S[:1]]
+            P = y @ D + sc[0]
+            viol = np.abs(P) - (1.0 + 1e-12) * c - 1e-13 * np.sqrt((y @ y) * (D * D).sum(axis=0))
+            viol[S] = -np.inf
+            j = int(viol.argmax())
+            if viol[j] <= 0.0:
+                break
+            S.append(j)
+            s = np.append(s, np.sign(P[j]))
+            g = np.append(g, 0.0)
+        G[i, S] = g
+        Y[i] = y
+    return G, Y
+
+
+def _active_set_starts(H, V, cfg):
+    """(C, starts): the penalties and the two starts solve_codings gives the
+    active set, each row's LP vertex where the simplex reaches one and
+    otherwise its best single anchor, and that anchor alone for every row."""
+    C, dist = core._penalties(H, V, cfg.l_q, cfg.q)
+    single = np.zeros(C.shape)
+    single[np.arange(len(H)), (2.0 * cfg.l_h * dist + C).argmin(axis=1)] = 1.0
+    vertex = single.copy()
+    if V.shape[1] > V.shape[0]:
+        Gv, _, done = core._lp_vertices(H, V, C, dist, None)
+        vertex[done] = core.pin_row_sums(Gv)[done]
+    return C, (single, vertex)
+
+
+def _gaussian_sets():
+    for d_b, m in ((3, 16), (5, 64)):
+        H = np.asarray(Rng(d_b).normals(150 * d_b)).reshape(150, d_b)
+        yield init_anchors(H, m, Rng(d_b)), H
+
+
+@pytest.mark.parametrize("V, H, exact", [(V, H, False) for V, H in _gaussian_sets()]
+                         + [(V, H, True) for V, H in DEGENERATE.values()],
+                         ids=["gauss3", "gauss5", *DEGENERATE.keys()])
+def test_stepped_active_set_matches_the_per_row_one(V, H, exact):
+    # rows stepped together take the steps they would take alone: the
+    # same support and objective from the same start, bit for bit where
+    # the degenerate sets pin it
+    for q in (2, 3):
+        cfg = LccConfig(m=V.shape[1], q=q)
+        C, starts = _active_set_starts(H, V, cfg)
+        for G0 in starts:
+            G, Y = core._active_set_codings(H, V, C, G0, cfg.l_h)
+            Go, Yo = _per_row_active_set(H, V, C, G0, cfg.l_h)
+            assert np.array_equal(G != 0.0, Go != 0.0)
+            obj = core._row_objectives(H, G, V, C, cfg.l_h)
+            want = core._row_objectives(H, Go, V, C, cfg.l_h)
+            assert np.all(np.abs(obj - want) <= 1e-14 * np.maximum(1.0, want))
+            if exact:
+                assert G.tobytes() == Go.tobytes() and Y.tobytes() == Yo.tobytes()
+
+
 # sha256 of the solve_coding weights over the ring set of _pinned_encodes(),
-# one call per point, taken while the residual fallback was a smoothed Newton
-# solve, which these rows never reach
+# one call per point, taken when its rows outside the hull moved from a
+# closed-form face step to the active set, which had replaced a smoothed
+# Newton fallback
 ONE_ROW_RING_SHA256 = {
-    2: "e6a547123130014bfe5f3838c818400096d1f5f2a4a28d0cd6dcbfae4564de5d",
-    3: "c8f668caf5d63fa154ff96c08f7bb2ad0b832f2a3eab4c3b65d59335e68d643e",
+    2: "9773793c9994baa15d5472782255833eaeccd2b4979a7c5702d08f40c3c50aa1",
+    3: "c7b64090e82a8f19c6877bdd84b8b867fa6dc53ecf99b8a29a6098b8e37d82a4",
 }
 # and over its degenerate sets, taken when the active set replaced that fallback
 ONE_ROW_DEGENERATE_SHA256 = {
@@ -435,8 +541,8 @@ ONE_ROW_DEGENERATE_SHA256 = {
 
 def _pinned_encodes():
     """(V, H) sets that reach every path: anchor hits and LP vertices on and
-    inside the ring, face codings outside it (radius 1.02 to 3) and the
-    active set on the degenerate sets."""
+    inside the ring, the active set from an LP vertex outside it (radius
+    1.02 to 3) and from a single anchor on the degenerate sets."""
     V = _ring_anchors().anchors
     H = np.concatenate([V[:, [0, 5, 11]].T] + [make_ring(12, radius=r, noise_sigma=0.01, seed=3)
                                               for r in (0.9, 1.0, 1.02, 1.5, 3.0)])
@@ -458,7 +564,6 @@ def _counting(monkeypatch, name):
 
 @pytest.mark.parametrize("q", [2, 3])
 def test_one_row_encodes_match_pinned_bytes(q, monkeypatch):
-    faces = _counting(monkeypatch, "_face_codings")
     active = _counting(monkeypatch, "_active_set_codings")
     ring, *degenerate = _pinned_encodes()
     digests = []
@@ -472,7 +577,7 @@ def test_one_row_encodes_match_pinned_bytes(q, monkeypatch):
             reasons |= set(solve_codings(H, V, cfg)[1])
         digests.append(digest.hexdigest())
     assert {"hit", "vertex", "gap"} <= reasons
-    assert faces and active, "both residual paths should run"
+    assert active, "the residual path should run"
     assert digests == [ONE_ROW_RING_SHA256[q], ONE_ROW_DEGENERATE_SHA256[q]]
 
 
