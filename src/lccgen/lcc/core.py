@@ -321,7 +321,6 @@ def _active_set_codings(H, V, C, G0, l_h):
                     dst[lv, :k - 1] = src[keep].reshape(-1, k - 1)
                 size[lv] = k - 1
                 inside &= ~out
-            stop[r[~(out | inside)]] = True  # no weight leaves; cannot happen with c > 0
             if not inside.any():
                 continue
             a = slice(None) if inside.all() else np.flatnonzero(inside)  # at the face optimum

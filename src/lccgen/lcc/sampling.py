@@ -10,8 +10,8 @@ Bulk draws come from `sample_codings` and paths from `interpolate`, both
 as (n, m) weight arrays; `Coding` objects are only built for single draws
 (`sample_coding`, `sample_coding_pair`).  Every draw goes through one
 stream walker, `_walk`, which decodes a window of the stream from its
-counters and steps only through the rejected attempts; a single draw is a
-one-draw batch, and a pair is two walks on its center's row.  Each row's
+counters and steps only through the rejected attempts; a single draw is one
+walk on its center's row, and a pair is two.  Each row's
 sum is pinned to 1 by `core.pin_row_sums`.
 """
 
@@ -141,22 +141,28 @@ def sample_codings(table, n: int, config: SamplerConfig, rng: Rng) -> np.ndarray
     return w
 
 
+def _draws_on_one_center(anchors: AnchorSet, config: SamplerConfig, rng: Rng, n: int):
+    """n codings on the neighborhood of one center: the center by randint,
+    its row by knn, then n walks on that one-row table, each started one
+    u64 back, because a one-row table ignores the center u64 that the walker
+    reads.  n = 1 reads the stream as a one-draw walk over neighbor_table."""
+    _check_d(config.d, anchors.m)
+    row = knn(anchors.anchors[:, rng.randint(anchors.m)], anchors, config.d)[None, :]
+    w = np.zeros((n, anchors.m))
+    for i in range(n):
+        rng.counter -= 1
+        _walk(row, config, rng, np.array([[1, 0]]), w[i:i + 1])
+    return [Coding(x) for x in w]
+
+
 def sample_coding(anchors: AnchorSet, config: SamplerConfig, rng: Rng) -> Coding:
     """One random coding supported on a local neighborhood of the anchors."""
-    return Coding(sample_codings(neighbor_table(anchors, config.d), 1, config, rng)[0])
+    return _draws_on_one_center(anchors, config, rng, 1)[0]
 
 
 def sample_coding_pair(anchors: AnchorSet, config: SamplerConfig, rng: Rng):
-    """Two codings drawn on the same neighborhood, for interpolation: one
-    center, then two walks on its row, each started one u64 back, because
-    a one-row table ignores the center u64 that the walker reads."""
-    _check_d(config.d, anchors.m)
-    row = knn(anchors.anchors[:, rng.randint(anchors.m)], anchors, config.d)[None, :]
-    w = np.zeros((2, anchors.m))
-    for i in range(2):
-        rng.counter -= 1
-        _walk(row, config, rng, np.array([[1, 0]]), w[i:i + 1])
-    return Coding(w[0]), Coding(w[1])
+    """Two codings drawn on the same neighborhood, for interpolation."""
+    return tuple(_draws_on_one_center(anchors, config, rng, 2))
 
 
 def interpolate(a: Coding, b: Coding, steps: int) -> np.ndarray:

@@ -75,7 +75,15 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
               gan: GanConfig, seed: int):
     """Runs `gan.iters` alternating updates on `model` in place; returns
     (model, trace) where trace[i] = (d_objective, g_objective) as evaluated
-    before each update."""
+    before each update.
+
+    Training runs on float32 copies of both networks and their Adam states,
+    the first step of Micikevicius et al., "Mixed Precision Training" (ICLR
+    2018), who go on to float16 arithmetic.  The data are cast once, and
+    each batch of codings at the generator's input.  The trained values are
+    written back into the model's float64 arrays, which hold them exactly,
+    so checkpoints keep their format.  Zero iterations leave the model as
+    built."""
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("data must be a nonempty (n, dim) array")
@@ -83,6 +91,13 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
         raise ValueError("data dim does not match the discriminator input")
     if anchors.m != model.generator.in_dim:
         raise ValueError("anchor count does not match the generator input")
+    if gan.iters == 0:
+        return model, []
+    X = X.astype(np.float32)
+    gen_state, disc_state = (AdamState(s.m.astype(np.float32), s.v.astype(np.float32), s.t)
+                             for s in (model.gen_state, model.disc_state))
+    work = GanModel(Mlp(model.generator.layers, np.float32),
+                    Mlp(model.discriminator.layers, np.float32), model.phi, gen_state, disc_state)
     n, b = X.shape[0], gan.batch
     # per iteration the stream gives D's codings, the data indices, then G's codings
     stream = walk_codings(neighbor_table(anchors, sampler.d), sampler, Rng(seed),
@@ -92,18 +107,22 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
     for it in range(gan.iters):
         codings, u = next(stream)
         idx = np.minimum((u * n).astype(np.int64), n - 1)
-        d_val, d_grads = disc_objective_and_grads(model, X[idx], codings)
+        d_val, d_grads = disc_objective_and_grads(work, X[idx], codings)
         if not np.isfinite(d_val):
             raise TrainingDivergedError(f"non-finite discriminator objective at iteration {it}")
-        adam_step(model.discriminator.flat, np.negative(d_grads, out=d_grads),
-                  model.disc_state, **adam)
-        check_finite(model.discriminator, f"iteration {it}")
+        adam_step(work.discriminator.flat, np.negative(d_grads, out=d_grads),
+                  work.disc_state, **adam)
+        check_finite(work.discriminator, f"iteration {it}")
 
         codings, _ = next(stream)
-        g_val, g_grads = gen_objective_and_grads(model, codings)
+        g_val, g_grads = gen_objective_and_grads(work, codings)
         if not np.isfinite(g_val):
             raise TrainingDivergedError(f"non-finite generator objective at iteration {it}")
-        adam_step(model.generator.flat, g_grads, model.gen_state, **adam)
-        check_finite(model.generator, f"iteration {it}")
+        adam_step(work.generator.flat, g_grads, work.gen_state, **adam)
+        check_finite(work.generator, f"iteration {it}")
         trace.append((d_val, g_val))
+    model.generator.flat[...] = work.generator.flat
+    model.discriminator.flat[...] = work.discriminator.flat
+    for state, src in ((model.gen_state, work.gen_state), (model.disc_state, work.disc_state)):
+        state.m[...], state.v[...], state.t = src.m, src.v, src.t
     return model, trace

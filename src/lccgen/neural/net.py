@@ -1,8 +1,10 @@
 """Small dense networks with hand-written forward and backward passes.
 
 Weights are (in_dim, out_dim); rows of a batch multiply from the left,
-y = act(x @ W + b).  Everything is float64.  `ACTIVATIONS` and the GAN's
-`PHIS` are the only lists of their names; config checks keys against them.
+y = act(x @ W + b).  A network computes in the dtype of its `flat`:
+float64 everywhere except inside `gan.train_gan`, which trains float32
+copies and writes them back widened.  `ACTIVATIONS` and the GAN's `PHIS`
+are the only lists of their names; config checks keys against them.
 """
 
 from __future__ import annotations
@@ -13,6 +15,15 @@ import numpy as np
 
 from .. import LccgenError
 from ..rng import Rng
+
+
+def _sigmoid(z, out=None):
+    """1 / (1 + exp(-z)), one operation at a time in one buffer.  exp(-z)
+    overflows to inf for z below about -88 in float32 (-745 in float64),
+    where 1 / (1 + inf) = 0 is the right value, so the overflow is silent."""
+    with np.errstate(over="ignore"):
+        y = np.negative(z, out=out)
+        return np.divide(1.0, np.add(np.exp(y, out=y), 1.0, out=y), out=y)
 
 
 # activation name -> (f, f'): y = f(z, out=None) of the pre-activation z,
@@ -26,10 +37,7 @@ ACTIVATIONS = {
     "identity": (np.positive, None),
     "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda y: y > 0.0),
     "tanh": (np.tanh, lambda y: 1.0 - y * y),
-    # 1 / (1 + exp(-z)), one operation at a time in one buffer
-    "sigmoid": (lambda z, out=None: np.divide(
-                    1.0, np.add(np.exp(y := np.negative(z, out=out), out=y), 1.0, out=y), out=y),
-                lambda y: y * (1.0 - y)),
+    "sigmoid": (_sigmoid, lambda y: y * (1.0 - y)),
 }
 
 EPS_PHI = 1e-7
@@ -80,10 +88,11 @@ def _layer_forward(layer: Layer, x):
 
 class Mlp:
     """Layers holding views of one vector, `flat` (layer by layer, w then b),
-    into which the given layers' arrays are copied."""
+    into which the given layers' arrays are copied, cast to `dtype`.  The
+    passes compute in flat's dtype and cast their inputs to it."""
 
-    def __init__(self, layers):
-        self.flat = np.empty(sum(layer.w.size + layer.b.size for layer in layers))
+    def __init__(self, layers, dtype=np.float64):
+        self.flat = np.empty(sum(layer.w.size + layer.b.size for layer in layers), dtype=dtype)
         self.layers = []
         for (w, b), layer in zip(_layer_views(self.flat, layers), layers):
             w[...] = layer.w
@@ -95,7 +104,7 @@ class Mlp:
         return self.layers[0].w.shape[0]
 
     def forward(self, x):
-        x = np.asarray(x, dtype=np.float64)
+        x = np.asarray(x, dtype=self.flat.dtype)
         single = x.ndim == 1
         y = x[None, :] if single else x
         if y.shape[1] != self.in_dim:
@@ -127,7 +136,7 @@ def build_mlp(dims, acts, rng: Rng) -> Mlp:
 
 def forward_cached(net: Mlp, X):
     """Forward pass keeping each layer's (input, output) pair for backprop."""
-    y = np.asarray(X, dtype=np.float64)
+    y = np.asarray(X, dtype=net.flat.dtype)
     cache = []
     for layer in net.layers:
         x = y
@@ -145,7 +154,7 @@ def backward(net: Mlp, cache, d_out, params=True):
     """
     grads = np.empty_like(net.flat) if params else None
     views = _layer_views(grads, net.layers) if params else None
-    dy = np.asarray(d_out, dtype=np.float64)
+    dy = np.asarray(d_out, dtype=net.flat.dtype)
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         x, y = cache[i]

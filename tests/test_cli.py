@@ -235,8 +235,8 @@ def test_verify_bounds_bytes_match_fixture(tmp_path, capsys):
         assert hashlib.sha256(fh.read()).hexdigest() == BOUNDS_60_SHA256
 
 
-# sha256 of every file a reduced ring pipeline writes at seed 7, as the
-# pipeline wrote them while Adam still returned fresh parameter arrays
+# sha256 of every file a reduced ring pipeline writes at seed 7; the files
+# from train-gan on as the GAN trains in float32
 PIPELINE_SHA256 = {
     "ae_decoder.bin": "d2e0bc8d1af36040d7ab98c475bbf8bb5b6edc801862e5b72ec3c5a912a3102c",
     "ae_encoder.bin": "684054e2ee2f8c0539b8e76cc038817ac07a8a3d624c9de003bdb62860906775",
@@ -246,16 +246,16 @@ PIPELINE_SHA256 = {
     "bounds.csv": "b36e9fb2b1e8cd23bd2f1e90510c17699787efbb3080ed995b2def265b67f9ba",
     "codings.csv": "ed94a9b40f6df15d8fc3d4ab57c60d38f513cfcabe7ea299a759431fa15dab72",
     "codings_sampled.csv": "064c3ac113b40e05f510d869a23f67980564e24d343fe39245006c54243464fc",
-    "discriminator.bin": "c5d4ee1575f2455960e994741d80f3c21828ce3ed83d1973e687e0c0a2d0071a",
-    "gan_losses.csv": "91a9cbe65fadf8b287fd5f3c5ddfc5885a581385191e4e006c658c5d10810328",
-    "generator.bin": "a22ce9ab0cbb1f3dddfdd793bd09d2515c2ce8129bc27d123a4c8875427b1d72",
-    "grid.pgm": "816797942a9e50a90c5330c39d07d6ca489981f0b5e7f57e6eccf99648798ef9",
+    "discriminator.bin": "b72fe632dc301b2dedbc568fb319de61e7c4b34d5ece4798fbe73b55412b6327",
+    "gan_losses.csv": "8d1609f3f2e71b75c68edb5ee242dfe8d643ba6a9d70aff61484b9d781fffef6",
+    "generator.bin": "72bf3fb1a9890c6283cafee2e9406522b504dbd130373ac304c7c12fb8f7fc47",
+    "grid.pgm": "b03ae51625567782cfb944c964bb8e9f342bc15294a4b55a9a84049f364cdba6",
     "interp_codings.csv": "78cbd8830820c6706f86290ed8fce5e7ce3c8cd8a1054b0a505801ac6bd63111",
-    "interp_outputs.csv": "42b4e7c7390a1900b17db82a2e68d81d54205d62c363e23412384d17a6d66b03",
+    "interp_outputs.csv": "334d6510a9e73979709a886c1ce4f164af09b40a315984fdf09463055ce7ed56",
     "lcc_objective.csv": "5f26ae0fdc682db63fc89847d19236b4080a5a6d983257d9e1250ecc43b7f5d9",
-    "metrics.csv": "e2bcd78ea4c4d8b890241f618b3823b041090135a2bec732587d52c9b1c8512e",
-    "sampled_outputs.csv": "e7e62a1b72630b3eb6560a6b6e2bf1aaac1db54a35af1d948f7f31684b389373",
-    "samples.csv": "c1e3942d456cbfc8c95141694dfb6501e064a38d42c7738b63e0ad5366b71b55",
+    "metrics.csv": "b3ab9dde17a07459cd35e5ab28f14ffb734b29a6ba46c2689bcab37fe102f449",
+    "sampled_outputs.csv": "f446da51912cf4b7a2ee58544b3b7a7e1dacdf299ed67e5c85be55eafcec49c2",
+    "samples.csv": "fb3512203d17617cd81d79232012fd2d095529d215c5b8350c12fa61bd64b81f",
 }
 
 
@@ -275,12 +275,12 @@ def test_reduced_ring_pipeline_bytes_match_fixture(tmp_path):
     assert got == PIPELINE_SHA256
 
 
-# sha256 of every file a reduced swiss-roll pipeline writes at seed 7: 3-D
-# data, which eval's grid scatters by its first two coordinates, the
-# identity phi and a tanh generator output.  hidden = 16 keeps the tanh
-# outputs inside (-1, 1); at the default [gan] hidden of 128 they saturate
-# into constant samples, which test_eval_counts_a_constant_sample_as_not_positive
-# runs.
+# sha256 of every file a reduced swiss-roll pipeline writes at seed 7, the
+# GAN trained in float32 as above: 3-D data, which eval's grid scatters by
+# its first two coordinates, the identity phi and a tanh generator output.
+# hidden = 16 keeps the tanh outputs inside (-1, 1); at the default [gan]
+# hidden of 128 they saturate into constant samples, which
+# test_eval_counts_a_constant_sample_as_not_positive runs.
 SWISS_ROLL_SHA256 = {
     "ae_decoder.bin": "660186cd80234d2e77b11517cd06f8f81fa7c3a9cebca2c0ad7d813d6c54baf9",
     "ae_encoder.bin": "8e9f0f6e18d32cde266db30db5cd2f2e39f3968959a899a066830003929a6504",
@@ -290,16 +290,16 @@ SWISS_ROLL_SHA256 = {
     "bounds.csv": "b36e9fb2b1e8cd23bd2f1e90510c17699787efbb3080ed995b2def265b67f9ba",
     "codings.csv": "ada666bc9f1e6289a3b3c504cdde2a43b8b53b789a922a3a29d54e3133390384",
     "codings_sampled.csv": "1ecf53c140a6f7e960c65ac472593c0655d0c0d98c60f864042dec1a354ed40a",
-    "discriminator.bin": "595ea858d7a61eb77bd6bf7fa257f8b5977dee699b9f5f3c1a32a8b8bb62649b",
-    "gan_losses.csv": "25ac0881d4db7b1bf40e192713f2c38311afea9bfda99fd149eea2617263d93d",
-    "generator.bin": "909e0733f92ad8a234675b277a98d860b35d31e8eb998d10ed5d7d374714a220",
+    "discriminator.bin": "e43a82bdf0bc0b32db9d09264cc60ec48ca2915e62299382f7d5a219684b1343",
+    "gan_losses.csv": "5160e57f62229dc64c5c51cc8eb458b53ea619332139788a7e247ef266c330d9",
+    "generator.bin": "9ad252cd9bac90512f8b91996ff085a5a706df909de21c45682ad89e284c039b",
     "grid.pgm": "c29206eb69f4b6f05bbbcc82d7495df088f6eb8666e431bbd1ca0a6e5474586f",
     "interp_codings.csv": "b5a62d0ba24b0511e0c8b2e6981f69c90e8351a31666cd44c6ef81b9adf6dda9",
-    "interp_outputs.csv": "3d4305d8a298f8b14852c3acfa65c4f7dc8b526a3e87b413a9af41249e9695c2",
+    "interp_outputs.csv": "c1ab7d0d25636974fbeeb44dc4bdc4c164af9a576f95691b25f0eaa976222b1d",
     "lcc_objective.csv": "abb683a993e8efc7980a0b11e5970ce836de5710276b6b922703898da2490e12",
-    "metrics.csv": "b1c933870da605e46a973d0ffc8efb342b0ce53f80e0b4c2d38293c4b3fbad9b",
-    "sampled_outputs.csv": "b3b1ca8a5f41f93c00111c2acbbea13bda7effa001bb1e27e9f9f5c6915c94bf",
-    "samples.csv": "bbbd7e1c5b78eba12a7400fa4d799b0911793b440356d3413e1131a56e4afef6",
+    "metrics.csv": "8049a6bb078d014391b2cdaec050d700452560bcfacf1e67fb6bee6c5ab5e5f4",
+    "sampled_outputs.csv": "8c3cefca5baefce9349b987b98fa708c77edf2c356a2e8acb62b8076c1105cba",
+    "samples.csv": "f993abf4c8122046cfdea430caa499763f93210327afa3304278c5f0d205477e",
 }
 
 

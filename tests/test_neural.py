@@ -2,6 +2,7 @@
 arithmetic, and the training-loop contracts."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -16,6 +17,7 @@ from lccgen.neural.autoencoder import (
     train_autoencoder,
 )
 from lccgen.neural.gan import (
+    GanModel,
     build_gan,
     disc_objective_and_grads,
     gen_objective_and_grads,
@@ -31,6 +33,7 @@ from lccgen.neural.net import (
     forward_cached,
 )
 from lccgen.rng import Rng
+from lccgen.serialize import load_model, save_model
 
 
 def flatten(params):
@@ -137,6 +140,17 @@ def test_sigmoid_matches_its_formula_bit_for_bit():
         assert ACTIVATIONS["sigmoid"][0](z).tobytes() == want.tobytes()
 
 
+def test_float32_sigmoid_is_silent_where_exp_overflows():
+    z = np.array([-200.0, -89.0, 0.0, 89.0], dtype=np.float32)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        y = ACTIVATIONS["sigmoid"][0](z)
+    assert y.dtype == np.float32
+    # exp(89) overflows float32: 1 / (1 + inf) = 0, within 2.3e-39 of the truth
+    assert y.tolist() == [0.0, 0.0, 0.5, 1.0]
+    assert np.allclose(y, 1.0 / (1.0 + np.exp(-z.astype(np.float64))), rtol=0, atol=1e-38)
+
+
 def test_forward_rejects_wrong_dim():
     net = build_mlp([2, 3], ["identity"], Rng(0))
     with pytest.raises(ValueError):
@@ -193,6 +207,24 @@ def test_check_finite_names_the_first_non_finite_layer():
     net.layers[1].b[2] = np.nan
     with pytest.raises(TrainingDivergedError, match="layer 1 after step 2"):
         check_finite(net, "step 2")
+
+
+@pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+def test_float32_passes_stay_float32(act):
+    rng = Rng(23)
+    net = Mlp(build_mlp([3, 6, 4, 2], ["relu", act, act], rng).layers, np.float32)
+    assert net.flat.dtype == np.float32
+    assert all(a.dtype == np.float32 for layer in net.layers for a in (layer.w, layer.b))
+    # float64 inputs, as the sampler writes codings, are cast, not upcast to
+    X = np.asarray(rng.normals(5 * 3)).reshape(5, 3)
+    d_out = np.asarray(rng.normals(5 * 2)).reshape(5, 2)
+    assert net.forward(X).dtype == np.float32
+    out, cache = forward_cached(net, X)
+    assert out.dtype == np.float32
+    assert all(a.dtype == np.float32 for pair in cache for a in pair)
+    grads, d_in = backward(net, cache, d_out)
+    assert grads.dtype == np.float32 and d_in.dtype == np.float32
+    assert backward(net, cache, d_out, params=False)[1].dtype == np.float32
 
 
 # -------------------------------------------------------------- gradients
@@ -375,6 +407,31 @@ def test_generator_gradients_match_finite_differences():
     assert worst < 1e-4
 
 
+def _float32_twin(gan):
+    """Rounds gan's weights to float32 in place; returns a float32 copy."""
+    for net in (gan.generator, gan.discriminator):
+        net.flat[...] = net.flat.astype(np.float32)
+    gen, disc = (Mlp(net.layers, np.float32) for net in (gan.generator, gan.discriminator))
+    return GanModel(gen, disc, gan.phi, init_adam(gen.flat), init_adam(disc.flat))
+
+
+@pytest.mark.parametrize("phi", ["log", "identity"])
+def test_float32_objectives_and_grads_match_float64(phi):
+    gan = build_gan(3, 4, GanConfig(hidden=16, phi=phi), seed=9)
+    gan32 = _float32_twin(gan)
+    rng = Rng(8)
+    reals = np.asarray(rng.normals(32 * 3), dtype=np.float32).reshape(32, 3)
+    codings = np.asarray(rng.normals(32 * 4)).reshape(32, 4)
+    codings = (codings / codings.sum(axis=1, keepdims=True)).astype(np.float32)
+    for f, args in ((disc_objective_and_grads, (reals, codings)),
+                    (gen_objective_and_grads, (codings,))):
+        want, want_grads = f(gan, *(a.astype(np.float64) for a in args))
+        got, grads = f(gan32, *args)
+        assert grads.dtype == np.float32
+        assert abs(got - want) <= 1e-4 * abs(want)
+        assert np.max(np.abs(grads - want_grads)) <= 1e-4 * np.max(np.abs(want_grads))
+
+
 # ------------------------------------------------------------------- adam
 
 
@@ -496,6 +553,22 @@ def test_gan_zero_iters_is_identity():
     assert trace == []
     assert np.array_equal(ref.generator.flat, gan.generator.flat)
     assert np.array_equal(ref.discriminator.flat, gan.discriminator.flat)
+
+
+def test_trained_gan_weights_are_float32_values_that_round_trip(tmp_path):
+    X = np.asarray(Rng(3).normals(64 * 2)).reshape(64, 2)
+    gan = build_gan(2, 4, GanConfig(hidden=8), seed=11)
+    init = gan.generator.flat.copy()
+    gan, trace = train_gan(X, _square_anchors(), SamplerConfig(d=2), gan,
+                           GanConfig(iters=5, batch=16), 13)
+    assert len(trace) == 5 and not np.array_equal(gan.generator.flat, init)
+    for i, (net, state) in enumerate(((gan.generator, gan.gen_state),
+                                      (gan.discriminator, gan.disc_state))):
+        assert net.flat.dtype == np.float64 and state.m.dtype == np.float64 and state.t == 5
+        assert net.flat.astype(np.float32).astype(np.float64).tobytes() == net.flat.tobytes()
+        path = str(tmp_path / f"net{i}.bin")
+        save_model(path, net)
+        assert load_model(path).flat.tobytes() == net.flat.tobytes()
 
 
 def test_tiny_lr_discriminator_step_ascends_frozen_objective():
