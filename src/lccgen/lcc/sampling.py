@@ -64,9 +64,9 @@ def neighbor_table(anchors: AnchorSet, d: int) -> np.ndarray:
 
 
 def _walk(table, config: SamplerConfig, rng: Rng, runs, w):
-    """Writes the codings of the (codings, uniforms) count rows `runs` into
-    the zero (n, anchors) array w, each on the table row its center u64
-    picks, and returns the uniforms, flat.  Decodes the window's counters
+    """Writes the codings of the (codings, uniforms) count rows `runs`, each
+    with at least one coding, into the zero (n, anchors) array w, each on
+    the table row its center u64 picks, and returns the uniforms, flat.  Decodes the window's counters
     once, with slack, and the Gaussian sum of the attempt that would start
     at every offset; a rejected attempt shifts every later read by one
     attempt, so one step per rejected attempt places every read.  Decodes
@@ -75,12 +75,12 @@ def _walk(table, config: SamplerConfig, rng: Rng, runs, w):
     if d != config.d:
         raise ValueError(f"table has shape {table.shape}, expected (m, {config.d})")
     per = normal_u64s(d)  # u64s per attempt
-    n = int(runs[:, 0].sum())
-    extra = np.zeros(n, dtype=np.int64)  # uniforms read after each draw
-    np.add.at(extra, np.cumsum(runs[:, 0]) - 1, runs[:, 1])
-    before = np.cumsum(extra) - extra
-    center0 = np.arange(n) * (1 + per) + before  # offsets if nothing is rejected
-    need = n * (1 + per) + int(extra.sum())
+    ends = np.cumsum(runs, axis=0)
+    n, reads = ends[-1].tolist()
+    before = ends[:, 1] - runs[:, 1]  # uniforms read before each run
+    # offsets if nothing is rejected
+    center0 = np.arange(n) * (1 + per) + np.repeat(before, runs[:, 0])
+    need = n * (1 + per) + reads
     start, size, slack = rng.counter, 0, per * (n // 16 + 8)
     rejects = np.zeros(n, dtype=np.int64)
     j = shift = 0  # shift: u64s that the rejected attempts so far took
@@ -108,8 +108,9 @@ def _walk(table, config: SamplerConfig, rng: Rng, runs, w):
     neighbors = table[np.minimum((u * m).astype(np.int64), m - 1)]
     w[np.arange(n)[:, None], neighbors] = z[accepted] / s[accepted, None]
     check_codings(pin_row_sums(w))
-    reads = np.repeat(accepted + per - before, extra) + np.arange(int(extra.sum()))
-    return u64_to_uniforms(bits[reads])
+    # each run's uniforms follow the accepted attempt of its last draw
+    last = accepted[ends[:, 0] - 1] + per
+    return u64_to_uniforms(bits[np.repeat(last - before, runs[:, 1]) + np.arange(reads)])
 
 
 def walk_codings(table, config: SamplerConfig, rng: Rng, runs):
@@ -126,8 +127,10 @@ def walk_codings(table, config: SamplerConfig, rng: Rng, runs):
         window = runs[first:first + step]
         w = np.zeros((int(window[:, 0].sum()), len(table)))
         u = _walk(table, config, rng, window, w)
-        yield from zip(np.split(w, np.cumsum(window[:-1, 0])),
-                       np.split(u, np.cumsum(window[:-1, 1])))
+        a = b = 0
+        for c, k in np.cumsum(window, axis=0).tolist():  # each run's ends in w and u
+            yield w[a:c], u[b:k]
+            a, b = c, k
 
 
 def sample_codings(table, n: int, config: SamplerConfig, rng: Rng) -> np.ndarray:

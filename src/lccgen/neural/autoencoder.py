@@ -28,7 +28,7 @@ def ae_loss_and_grads(ae: Mlp, batch):
     loss = float(np.mean(diff * diff))
     diff *= 2.0
     diff /= diff.size
-    grads, _ = backward(ae, cache, diff)
+    grads, _ = backward(ae, cache, diff, inputs=False)
     return loss, grads
 
 

@@ -43,31 +43,35 @@ def build_gan(data_dim: int, m: int, gan: GanConfig = GanConfig(), seed: int = 0
     return GanModel(gen, disc, gan.phi, init_adam(gen.flat), init_adam(disc.flat))
 
 
+def _mean(a):
+    """np.mean's value, as sum / size in a's dtype, without its wrapper."""
+    return np.add.reduce(a, axis=None) / a.size
+
+
 def disc_objective_and_grads(gan: GanModel, reals, codings):
     """J_D and its gradient in the discriminator parameters."""
-    n = reals.shape[0]
     fakes = gan.generator.forward(codings)
     score_r, cache_r = forward_cached(gan.discriminator, reals)
     score_f, cache_f = forward_cached(gan.discriminator, fakes)
-    phi, dphi = PHIS[gan.phi]
-    value = float(np.mean(phi(score_r)) + np.mean(phi(1.0 - score_f)))
-    d_r = dphi(score_r) / n
-    d_f = -dphi(1.0 - score_f) / codings.shape[0]
-    grads, _ = backward(gan.discriminator, cache_r, d_r)
-    grads += backward(gan.discriminator, cache_f, d_f)[0]
+    phi_r, d_r = PHIS[gan.phi](score_r)
+    phi_f, d_f = PHIS[gan.phi](1.0 - score_f)
+    value = float(_mean(phi_r) + _mean(phi_f))  # the two means added in their dtype
+    d_r /= reals.shape[0]
+    d_f /= -codings.shape[0]  # -phi'/n, with the sign in the divisor
+    grads, _ = backward(gan.discriminator, cache_r, d_r, inputs=False)
+    grads += backward(gan.discriminator, cache_f, d_f, inputs=False)[0]
     return value, grads
 
 
 def gen_objective_and_grads(gan: GanModel, codings):
     """J_G and its gradient in the generator parameters (discriminator frozen)."""
-    n = codings.shape[0]
     fakes, cache_g = forward_cached(gan.generator, codings)
     score_f, cache_d = forward_cached(gan.discriminator, fakes)
-    phi, dphi = PHIS[gan.phi]
-    value = float(np.mean(phi(1.0 - score_f)))
-    d_f = -dphi(1.0 - score_f) / n
+    phi_f, d_f = PHIS[gan.phi](1.0 - score_f)
+    value = float(_mean(phi_f))
+    d_f /= -codings.shape[0]
     _, d_fakes = backward(gan.discriminator, cache_d, d_f, params=False)
-    grads, _ = backward(gan.generator, cache_g, d_fakes)
+    grads, _ = backward(gan.generator, cache_g, d_fakes, inputs=False)
     return value, grads
 
 

@@ -26,33 +26,58 @@ def _sigmoid(z, out=None):
         return np.divide(1.0, np.add(np.exp(y, out=y), 1.0, out=y), out=y)
 
 
-# activation name -> (f, f'): y = f(z, out=None) of the pre-activation z,
+def _relu_grad(y, dy, out=None):
+    return np.multiply(dy, y > 0.0, out=out)
+
+
+def _tanh_grad(y, dy, out=None):
+    d = np.multiply(y, y)
+    np.subtract(1.0, d, out=d)
+    return np.multiply(dy, d, out=d if out is None else out)
+
+
+def _sigmoid_grad(y, dy, out=None):
+    d = np.subtract(1.0, y)
+    d *= y
+    return np.multiply(dy, d, out=d if out is None else out)
+
+
+# activation name -> (f, g): y = f(z, out=None) of the pre-activation z,
 # written into `out` when given (out=z computes in place) and leaving z alone
-# otherwise; and the derivative f'(z) written as a function of the output y,
-# so backward reads it off forward_cached's outputs.  identity's f' is None:
-# backward passes the gradient through it unchanged.  The order is a file
-# format: a checkpoint stores each layer's activation as its position here
-# (serialize), so new names go at the end.
+# otherwise; and the backward step g(y, dy, out=None) = dy * f'(z), with f'
+# written as a function of the output y (relu y > 0, tanh 1 - y*y, sigmoid
+# y*(1 - y)), so backward reads it off forward_cached's outputs.  g writes
+# into `out` when given (out=dy is allowed) and else into an array of its
+# own, never into y or dy.  identity's g is None: its layers skip f on the
+# way forward and pass the gradient through unchanged on the way back.
+# The order is a file format: a checkpoint stores each layer's activation as
+# its position here (serialize), so new names go at the end.
 ACTIVATIONS = {
     "identity": (np.positive, None),
-    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), lambda y: y > 0.0),
-    "tanh": (np.tanh, lambda y: 1.0 - y * y),
-    "sigmoid": (_sigmoid, lambda y: y * (1.0 - y)),
+    "relu": (lambda z, out=None: np.maximum(z, 0.0, out=out), _relu_grad),
+    "tanh": (np.tanh, _tanh_grad),
+    "sigmoid": (_sigmoid, _sigmoid_grad),
 }
 
 EPS_PHI = 1e-7
 
 
-def _clip_phi(t):
-    return np.clip(t, EPS_PHI, 1.0 - EPS_PHI)
+def _log_phi(t):
+    c = np.maximum(t, EPS_PHI)
+    np.minimum(c, 1.0 - EPS_PHI, out=c)
+    inside = np.greater(c, EPS_PHI)
+    inside &= c < 1.0 - EPS_PHI
+    return np.log(c), np.divide(1.0, c, out=np.zeros(c.shape, c.dtype), where=inside)
 
 
-# GAN measuring function name -> (phi, phi'), both functions of a
-# discriminator score t; "log" clamps t to [EPS_PHI, 1 - EPS_PHI]
+# GAN measuring function name -> t -> (phi(t), phi'(t)) of a discriminator
+# score array t, both in t's dtype.  "log" clamps t once, to
+# c = [EPS_PHI, 1 - EPS_PHI], and gives (log c, 1/c), with phi' = 0 where
+# the clamp binds; "identity" gives (t itself, ones).  phi' is a fresh
+# array, which the caller may scale in place.
 PHIS = {
-    "log": (lambda t: np.log(_clip_phi(t)),
-            lambda t: np.where((t > EPS_PHI) & (t < 1.0 - EPS_PHI), 1.0 / _clip_phi(t), 0.0)),
-    "identity": (lambda t: t, np.ones_like),
+    "log": _log_phi,
+    "identity": lambda t: (t, np.ones(t.shape, t.dtype)),
 }
 
 
@@ -83,7 +108,7 @@ def _layer_forward(layer: Layer, x):
     """act(x @ w + b), computed in the one array x @ w allocates."""
     y = x @ layer.w
     y += layer.b
-    return ACTIVATIONS[layer.act][0](y, out=y)
+    return y if layer.act == "identity" else ACTIVATIONS[layer.act][0](y, out=y)
 
 
 class Mlp:
@@ -145,32 +170,39 @@ def forward_cached(net: Mlp, X):
     return y, cache
 
 
-def backward(net: Mlp, cache, d_out, params=True):
+def backward(net: Mlp, cache, d_out, params=True, inputs=True):
     """Gradients of a scalar loss given d(loss)/d(output).
 
     Returns (grads, d_input) with grads one vector laid out like net.flat;
-    with params=False, (None, d_input), and the parameter gradients are not
-    computed.
+    params=False gives None for grads and inputs=False None for d_input,
+    and that gradient is not computed.  d_out is never written: each
+    dy * f'(y) goes into an array made here, in place once there is one.
     """
     grads = np.empty_like(net.flat) if params else None
     views = _layer_views(grads, net.layers) if params else None
     dy = np.asarray(d_out, dtype=net.flat.dtype)
+    own = False  # whether dy is an array of this call's, free to overwrite
     for i in range(len(net.layers) - 1, -1, -1):
         layer = net.layers[i]
         x, y = cache[i]
-        deriv = ACTIVATIONS[layer.act][1]
-        dz = dy if deriv is None else dy * deriv(y)
+        grad = ACTIVATIONS[layer.act][1]
+        dz = dy if grad is None else grad(y, dy, out=dy if own else None)
         if params:
             gw, gb = views[i]
             np.matmul(x.T, dz, out=gw)
-            dz.sum(axis=0, out=gb)
-        dy = dz @ layer.w.T
-    return grads, dy
+            np.add.reduce(dz, axis=0, out=gb)
+        if i or inputs:
+            dy, own = dz @ layer.w.T, True
+    return grads, (dy if inputs else None)
 
 
 def check_finite(net: Mlp, where: str):
-    if np.all(np.isfinite(net.flat)):
-        return
+    """Raises TrainingDivergedError naming the first layer with a non-finite
+    parameter.  One sum covers them all: it is finite only if every
+    parameter is, and the layers are scanned only when it is not."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        if np.isfinite(np.add.reduce(net.flat)):
+            return
     for i, layer in enumerate(net.layers):
         if not (np.all(np.isfinite(layer.w)) and np.all(np.isfinite(layer.b))):
             raise TrainingDivergedError(f"non-finite parameters in layer {i} after {where}")

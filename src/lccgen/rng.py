@@ -46,11 +46,16 @@ def _mix(z: int) -> int:
     return z ^ (z >> 31)
 
 
+# the constants as numpy scalars, made once rather than on every call
+_U30, _U27, _U31 = np.uint64(30), np.uint64(27), np.uint64(31)
+_UMIX1, _UMIX2, _UGAMMA = np.uint64(_MIX1), np.uint64(_MIX2), np.uint64(_GAMMA)
+
+
 def _mix_array(z):
     # same mixing function vectorized; uint64 arithmetic wraps mod 2^64
-    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
-    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
-    return z ^ (z >> np.uint64(31))
+    z = (z ^ (z >> _U30)) * _UMIX1
+    z = (z ^ (z >> _U27)) * _UMIX2
+    return z ^ (z >> _U31)
 
 
 def u64_to_uniforms(bits) -> np.ndarray:
@@ -85,9 +90,12 @@ def u64_to_normals_at_every_offset(bits, n: int) -> np.ndarray:
     Returns (len(bits) - normal_u64s(n) + 1, n)."""
     pairs = normal_u64s(n) // 2
     u = u64_to_uniforms(bits)
-    r, cos, sin = (np.lib.stride_tricks.sliding_window_view(a, pairs) for a in _polar(u, u))
+    r, cos, sin = _polar(u, u)
+    # z[2i], z[2i + 1]: the normals of r at i and theta `pairs` u64s on, the
+    # pair at position i - o of the attempt at offset o
+    z = _interleave(r[:-pairs], cos[pairs:], sin[pairs:], 2 * (len(u) - pairs))
     rows = len(u) - 2 * pairs + 1
-    return _interleave(r[:rows], cos[pairs:], sin[pairs:], n)
+    return z[2 * np.arange(rows)[:, None] + np.arange(n)]
 
 
 def normal_u64s(n: int) -> int:
@@ -132,7 +140,7 @@ class Rng:
         """The u64s this stream gives at the given counters (the first draw
         is counter 1), without moving the stream."""
         idx = np.asarray(counters, dtype=np.uint64)
-        return _mix_array(np.uint64(self.seed) + idx * np.uint64(_GAMMA))
+        return _mix_array(np.uint64(self.seed) + idx * _UGAMMA)
 
     def uniform(self) -> float:
         return (self.next_u64() >> 11) * _INV_2_53

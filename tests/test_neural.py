@@ -1,6 +1,7 @@
 """Network tests: forward oracles, finite-difference gradient checks, Adam
 arithmetic, and the training-loop contracts."""
 
+import hashlib
 import math
 import warnings
 
@@ -25,6 +26,8 @@ from lccgen.neural.gan import (
 )
 from lccgen.neural.net import (
     ACTIVATIONS,
+    EPS_PHI,
+    PHIS,
     Layer,
     Mlp,
     backward,
@@ -66,6 +69,21 @@ def test_forward_identity_layer_is_identity():
     net = Mlp([Layer(np.eye(3), np.zeros(3), "identity")])
     x = np.array([0.5, -2.0, 3.25])
     assert np.array_equal(net.forward(x), x)
+
+
+@pytest.mark.parametrize("dtype, tiny", [(np.float32, 1e-30), (np.float64, 1e-200)])
+def test_identity_layer_keeps_every_bit_of_its_affine_map(dtype, tiny):
+    # identity layers skip the activation pass; x @ w + b keeps its -0.0s,
+    # here products that underflow to -0.0 plus a -0.0 bias
+    net = Mlp([Layer(np.array([[tiny, 1.0, -2.0], [-tiny, 1.0, 0.5]]),
+                     np.array([-0.0, 0.0, 0.25]), "identity")], dtype)
+    X = np.array([[-tiny, tiny], [1.5, -2.0]], dtype=dtype)
+    want = np.positive(X @ net.layers[0].w + net.layers[0].b)
+    assert want[0, 0] == 0.0 and np.signbit(want[0, 0])
+    out, cache = forward_cached(net, X)
+    assert out.dtype == dtype and out.tobytes() == want.tobytes()
+    assert net.forward(X).tobytes() == want.tobytes()
+    assert cache[0][1] is out
 
 
 def test_forward_relu_kills_negative_input():
@@ -209,6 +227,18 @@ def test_check_finite_names_the_first_non_finite_layer():
         check_finite(net, "step 2")
 
 
+def test_check_finite_passes_finite_parameters_whose_sum_overflows():
+    net = Mlp(build_mlp([2, 3, 1], ["relu", "identity"], Rng(0)).layers, np.float32)
+    net.layers[0].w[...] = 3e38
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert net.flat.astype(np.float64).sum() > np.finfo(np.float32).max
+        check_finite(net, "step 1")
+        net.layers[1].b[0] = np.nan
+        with pytest.raises(TrainingDivergedError, match="^non-finite parameters in layer 1 after"):
+            check_finite(net, "step 2")
+
+
 @pytest.mark.parametrize("act", sorted(ACTIVATIONS))
 def test_float32_passes_stay_float32(act):
     rng = Rng(23)
@@ -261,6 +291,44 @@ def test_backward_without_params_gives_the_same_input_gradient(act):
     none, d_in_only = backward(net, cache, d_out, params=False)
     assert grads.shape == net.flat.shape and none is None
     assert np.array_equal(d_in_only, d_in)
+
+
+# each activation's derivative as a function of its output y, written out
+# of place, one array per operation
+_OUTPUT_DERIVATIVES = {
+    "relu": lambda y: y > 0.0,
+    "tanh": lambda y: 1.0 - y * y,
+    "sigmoid": lambda y: y * (1.0 - y),
+}
+
+
+def _out_of_place_backward(net, cache, d_out):
+    grads, dy = [], d_out
+    for layer, (x, y) in reversed(list(zip(net.layers, cache))):
+        dz = dy if layer.act == "identity" else dy * _OUTPUT_DERIVATIVES[layer.act](y)
+        grads = [(x.T @ dz).reshape(-1), dz.sum(axis=0)] + grads
+        dy = dz @ layer.w.T
+    return np.concatenate(grads), dy
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+@pytest.mark.parametrize("act", sorted(ACTIVATIONS))
+def test_in_place_backward_matches_out_of_place_bit_for_bit(act, dtype):
+    rng = Rng(24)
+    net = Mlp(build_mlp([3, 7, 5, 2], ["relu", act, act], rng).layers, dtype)
+    X = np.asarray(rng.normals(9 * 3), dtype=dtype).reshape(9, 3)
+    X[1:3] *= 200.0  # saturated sigmoids and tanhs
+    d_out = np.asarray(rng.normals(9 * 2), dtype=dtype).reshape(9, 2)
+    keep = d_out.copy()
+    _, cache = forward_cached(net, X)
+    want_grads, want_d_in = _out_of_place_backward(net, cache, d_out)
+    grads, d_in = backward(net, cache, d_out)
+    assert grads.tobytes() == want_grads.tobytes() and d_in.tobytes() == want_d_in.tobytes()
+    # without the input gradient, the parameter gradients keep every bit
+    grads, none = backward(net, cache, d_out, inputs=False)
+    assert none is None and grads.tobytes() == want_grads.tobytes()
+    assert backward(net, cache, d_out, params=False)[1].tobytes() == want_d_in.tobytes()
+    assert d_out.tobytes() == keep.tobytes()  # the caller's d_out is never written
 
 
 # each activation's derivative as a function of the pre-activation z
@@ -430,6 +498,56 @@ def test_float32_objectives_and_grads_match_float64(phi):
         assert grads.dtype == np.float32
         assert abs(got - want) <= 1e-4 * abs(want)
         assert np.max(np.abs(grads - want_grads)) <= 1e-4 * np.max(np.abs(want_grads))
+
+
+def _two_formula_phis(t):
+    """The measuring functions as two separate formulas each, clamping t
+    once for phi and again for phi'."""
+    def clip(t):
+        return np.clip(t, EPS_PHI, 1.0 - EPS_PHI)
+    return {"log": (np.log(clip(t)),
+                    np.where((t > EPS_PHI) & (t < 1.0 - EPS_PHI), 1.0 / clip(t), 0.0)),
+            "identity": (t, np.ones_like(t))}
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_phi_pairs_match_the_two_formulas_bit_for_bit(dtype):
+    t = np.array([0.0, EPS_PHI / 2, EPS_PHI, 0.5, 1.0 - EPS_PHI, 1.0, 1.5], dtype=dtype)
+    # and each clamp bound's neighbours in t's dtype
+    lo, hi = t[2], t[4]
+    t = np.concatenate([t, [np.nextafter(lo, 0), np.nextafter(lo, 1), np.nextafter(hi, 0),
+                            np.nextafter(hi, 2)]]).astype(dtype)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        want = _two_formula_phis(t)
+        for name, f in PHIS.items():
+            phi, dphi = f(t)
+            assert phi.dtype == dtype and dphi.dtype == dtype
+            assert phi.tobytes() == want[name][0].tobytes()
+            assert dphi.tobytes() == want[name][1].tobytes()
+    phi, dphi = PHIS["log"](t)
+    assert dphi[[0, 1, 2, 4, 5, 6]].tolist() == [0.0] * 6 and np.all(dphi[[3]] == 2.0)
+
+
+# sha256 of the trace and both trained flat vectors of a 20-iteration
+# train_gan, computed before the GAN step's passes were made lean; a step
+# that moves any float32 rounding fails here in well under a second
+_GAN_BITS = {
+    ("log", "identity"): "732321c3212863b59aa24d38fcb191fb8a255990d7f333ad156dea6f0198ce1f",
+    ("identity", "tanh"): "6ae974811cef13da69d76ce213350f4333be1f00f7ce14a564ffb6f261509ecf",
+}
+
+
+@pytest.mark.parametrize("phi, out", sorted(_GAN_BITS))
+def test_short_float32_gan_run_keeps_its_bits(phi, out):
+    X = np.asarray(Rng(3).normals(256 * 2)).reshape(256, 2)
+    config = GanConfig(iters=20, batch=32, hidden=32, lr=1e-3, phi=phi, generator_output=out)
+    gan = build_gan(2, 4, config, seed=11)
+    gan, trace = train_gan(X, _square_anchors(), SamplerConfig(d=2), gan, config, 13)
+    digest = hashlib.sha256(np.array(trace).tobytes())
+    digest.update(gan.generator.flat.tobytes())
+    digest.update(gan.discriminator.flat.tobytes())
+    assert digest.hexdigest() == _GAN_BITS[phi, out]
 
 
 # ------------------------------------------------------------------- adam

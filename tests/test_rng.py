@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from lccgen.rng import Rng, normal_u64s, stage_seed, u64_to_ball_points
+from lccgen.rng import (Rng, normal_u64s, stage_seed, u64_to_ball_points, u64_to_normals,
+                        u64_to_normals_at_every_offset)
 
 MASK = (1 << 64) - 1
 GAMMA = 0x9E3779B97F4A7C15
@@ -119,6 +120,17 @@ def test_ball_points_decode_in_bulk_as_drawn_in_turn():
         z = check.normals(dim)
         want = z * (0.5 * check.uniform() ** (1.0 / dim) / float(np.sqrt(np.sum(z * z))))
         assert want.tobytes() == bulk[0].tobytes()
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, 7])
+@pytest.mark.parametrize("length", [39, 3700])
+def test_normals_at_every_offset_are_the_per_offset_normals(n, length):
+    bits = Rng(5).u64_at(np.arange(1, length + 1, dtype=np.uint64))
+    k = normal_u64s(n)
+    got = u64_to_normals_at_every_offset(bits, n)
+    assert got.shape == (length - k + 1, n)
+    want = np.stack([u64_to_normals(bits[o:o + k], n) for o in range(length - k + 1)])
+    assert got.tobytes() == want.tobytes()
 
 
 def test_ball_point_rejects_a_zero_direction():
