@@ -66,11 +66,11 @@ def neighbor_table(anchors: AnchorSet, d: int) -> np.ndarray:
 def _walk(table, config: SamplerConfig, rng: Rng, runs, w):
     """Writes the codings of the (codings, uniforms) count rows `runs`, each
     with at least one coding, into the zero (n, anchors) array w, each on
-    the table row its center u64 picks, and returns the uniforms, flat.  Decodes the window's counters
-    once, with slack, and the Gaussian sum of the attempt that would start
-    at every offset; a rejected attempt shifts every later read by one
-    attempt, so one step per rejected attempt places every read.  Decodes
-    more when rejections use up the slack."""
+    the table row its center u64 picks, and returns the uniforms, flat.
+    Decodes the window's counters once, with slack, and the Gaussian sum of
+    the attempt that would start at every offset; a rejected attempt shifts
+    every later read by one attempt, so one step per rejected attempt places
+    every read.  Decodes more when rejections use up the slack."""
     m, d = table.shape
     if d != config.d:
         raise ValueError(f"table has shape {table.shape}, expected (m, {config.d})")

@@ -5,6 +5,12 @@ y = act(x @ W + b).  A network computes in the dtype of its `flat`:
 float64 everywhere except inside `gan.train_gan`, which trains float32
 copies and writes them back widened.  `ACTIVATIONS` and the GAN's `PHIS`
 are the only lists of their names; config checks keys against them.
+
+The passes compute only what their callers read, with the float operations
+of the plain formulas: identity layers skip their activation, `backward`
+skips the parameter or input gradient a caller discards and multiplies by
+each derivative in arrays of its own, and each `PHIS` entry maps a score
+array t to (phi(t), phi'(t)) from one clamp of t.
 """
 
 from __future__ import annotations
@@ -71,10 +77,11 @@ def _log_phi(t):
 
 
 # GAN measuring function name -> t -> (phi(t), phi'(t)) of a discriminator
-# score array t, both in t's dtype.  "log" clamps t once, to
-# c = [EPS_PHI, 1 - EPS_PHI], and gives (log c, 1/c), with phi' = 0 where
-# the clamp binds; "identity" gives (t itself, ones).  phi' is a fresh
-# array, which the caller may scale in place.
+# score array t, both in t's dtype.  "log" clamps t once, to c in
+# [EPS_PHI, 1 - EPS_PHI], and gives log c, and 1/c where t lies strictly
+# inside that range (0 elsewhere, NaN included); "identity" gives t itself
+# and ones.  phi' is always a fresh array, which the caller may scale in
+# place.
 PHIS = {
     "log": _log_phi,
     "identity": lambda t: (t, np.ones(t.shape, t.dtype)),
