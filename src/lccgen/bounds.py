@@ -24,24 +24,31 @@ Bulk sweep.  `bound_sweep` checks many random configurations at once.  It
 walks the stream a single time: only the four `randint`s that pick a case's
 shape and the rejection loop of its coding read values, and every other
 request just moves the counter.  Those requests are then decoded for all
-cases together from their counters (`Rng.u64_at`), and the cases are
-grouped by (dim, k, m) so that each group's constants and gaps are a few
-stacked array operations.  `random_configuration`, `random_affine`,
-`random_quadratic`, `mixing_gap` and `tangent_mixing_gap` are one-case calls
-of the same code.
+cases together from their counters (`Rng.u64_at`), each piece of work once
+per shape that fixes it: configurations per (dim, m); generators and their
+constants per (dim, k), the affine and the quadratic draw of a case (next to
+each other in the stream) in one stack; and the gaps per (dim, k, m), both
+kinds and both orders in one pass over their shared terms.  An all-zero
+form's spectral norm is exactly 0, so `constants` runs no SVD for it.
+`random_configuration`, `random_affine`, `random_quadratic`, `mixing_gap`
+and `tangent_mixing_gap` are one-case calls of the same code.
 
 Evaluation order.  The stacked code gives the same floats, bit for bit, as
-evaluating one case at a time with einsum, so bounds.csv stays the same:
+evaluating one case, one kind and one order at a time with einsum, so
+bounds.csv stays the same:
 
   - G's quadratic form adds (q[k,i,j] * x_i) * x_j in row-major order, as
     einsum("kij,i,j->k") does; for dim = 2, k = 1 einsum sums each row i
     first and then adds the row sums, and so does `value`;
   - the Jacobian adds q[k,i,j] * x_j over j in order, as einsum("kij,j->ki");
-  - V @ w, A @ x and J @ (h - v) stay BLAS matrix-vector products on the
-    same memory layouts: each case's anchors are a C-ordered (dim, m) block,
-    and A @ v reads the anchor through that block's column stride (a
+  - V @ w, A @ x and J @ (h - v) stay per-case BLAS matrix-vector products
+    on the same memory layouts: each case's anchors are a C-ordered (dim, m)
+    block, and A @ v reads the anchor through that block's column stride (a
     contiguous copy can round differently);
-  - every other sum runs over the same axis of an array of the same shape.
+  - stacking kinds and orders only adds axes that broadcast, and every sum
+    runs over the same axis of an array of the same layout: the sum over a
+    case's m anchors stays one contiguous row, since numpy adds 8 or more
+    values pairwise rather than in turn.
 """
 
 from __future__ import annotations
@@ -56,7 +63,8 @@ from .rng import Rng, normal_u64s, u64_to_ball_points, u64_to_normals, u64_to_un
 
 @dataclass
 class SmoothnessConstants:
-    """Floats for one generator, (N,) arrays for a stack of N."""
+    """Floats for one generator; for a stack, arrays that broadcast against
+    its leading axes, with third 0.0."""
 
     first: float
     second: float
@@ -97,50 +105,55 @@ class QuadraticGenerator:
         # ||J(x)||_2 <= ||A||_2 + 2*||x|| * sqrt(sum_k ||q_k||_2^2); the
         # second-order Taylor residual is (x'-x) @ q_k @ (x'-x) exactly, so
         # the same root-sum-square of spectral norms bounds ratio two, and
-        # constant Hessians make the third-order residual vanish.
-        qnorms = np.linalg.norm(self.q, 2, axis=(-2, -1))
+        # constant Hessians make the third-order residual vanish.  An
+        # all-zero form's spectral norm is exactly 0 and needs no SVD.
+        nonzero = np.any(self.q != 0.0, axis=(-2, -1))
+        qnorms = np.zeros(nonzero.shape)
+        qnorms[nonzero] = np.linalg.norm(self.q[nonzero], 2, axis=(-2, -1))
         rss = np.sqrt(np.sum(qnorms**2, axis=-1))
         first = np.linalg.norm(self.a, 2, axis=(-2, -1)) + 2.0 * radius * rss
         return SmoothnessConstants(first, rss, 0.0)
 
 
-def _gap(gen, V, W, h, constants, tangent):
-    """(lhs, rhs) of the first-order inequality, or of the tangent-corrected
-    one, for anchors V (..., dim, m), codings W (..., m) and points h
-    (..., dim) stacked as gen is."""
+def _gaps(gen, V, W, h, constants):
+    """(lhs, rhs) of both inequalities, each (..., 2) with the first order
+    then the tangent-corrected one, for anchors V (..., dim, m), codings W
+    (..., m) and points h (..., dim) whose leading axes broadcast against
+    gen's stack."""
     r = np.matmul(V, W[..., None])[..., 0]
     rec_err = np.sqrt(np.sum((h - r) ** 2, axis=-1))
     dist_r = np.sqrt(np.sum((V - r[..., None]) ** 2, axis=-2))
     X = np.moveaxis(V, -1, 0)  # (m, ..., dim): anchor j is X[j], a column view of V
     at_anchors = gen.value(X)
-    if tangent:
-        # C-ordered operands, as the per-anchor J and h - v are: BLAS may
-        # round a strided matrix-vector product differently
-        half_j = np.ascontiguousarray(0.5 * gen.jacobian(X))
-        step = np.subtract(h, X, order="C")[..., None]
-        at_anchors = at_anchors + np.matmul(half_j, step)[..., 0]
+    # C-ordered operands, as the per-anchor J and h - v are: BLAS may round
+    # a strided matrix-vector product differently
+    half_j = np.ascontiguousarray(0.5 * gen.jacobian(X))
+    step = np.subtract(h, X, order="C")[..., None]
+    terms = np.stack([at_anchors, at_anchors + np.matmul(half_j, step)[..., 0]], axis=-2)
     # zero weights add exact zeros, so summing every anchor in order equals
     # summing the support in order
-    mixed = np.add.accumulate(np.moveaxis(W, -1, 0)[..., None] * at_anchors, axis=0)[-1]
-    lhs = np.sqrt(np.sum((gen.value(r) - mixed) ** 2, axis=-1))
-    higher, power = (constants.third, 3) if tangent else (constants.second, 2)
-    rhs = 2.0 * constants.first * rec_err + higher * np.sum(np.abs(W) * dist_r**power, axis=-1)
+    mixed = np.add.accumulate(np.moveaxis(W, -1, 0)[..., None, None] * terms, axis=0)[-1]
+    lhs = np.sqrt(np.sum((gen.value(r)[..., None, :] - mixed) ** 2, axis=-1))
+    shared = 2.0 * constants.first * rec_err
+    weights = np.abs(W)
+    rhs = np.stack([shared + constants.second * np.sum(weights * dist_r**2, axis=-1),
+                    shared + constants.third * np.sum(weights * dist_r**3, axis=-1)], axis=-1)
     return lhs, rhs
 
 
 def mixing_gap(gen, coding: Coding, anchors: AnchorSet, h, constants: SmoothnessConstants):
     """(lhs, rhs) of the first-order inequality; lhs <= rhs when the
     constants are valid on the hull of the configuration."""
-    lhs, rhs = _gap(gen, anchors.anchors, coding.weights, np.asarray(h, dtype=np.float64),
-                    constants, tangent=False)
-    return float(lhs), float(rhs)
+    lhs, rhs = _gaps(gen, anchors.anchors, coding.weights, np.asarray(h, dtype=np.float64),
+                     constants)
+    return float(lhs[0]), float(rhs[0])
 
 
 def tangent_mixing_gap(gen, coding: Coding, anchors: AnchorSet, h, constants: SmoothnessConstants):
     """(lhs, rhs) of the tangent-corrected inequality."""
-    lhs, rhs = _gap(gen, anchors.anchors, coding.weights, np.asarray(h, dtype=np.float64),
-                    constants, tangent=True)
-    return float(lhs), float(rhs)
+    lhs, rhs = _gaps(gen, anchors.anchors, coding.weights, np.asarray(h, dtype=np.float64),
+                     constants)
+    return float(lhs[1]), float(rhs[1])
 
 
 def _skip(rng: Rng, count: int) -> int:
@@ -150,41 +163,50 @@ def _skip(rng: Rng, count: int) -> int:
     return start
 
 
-def _generator_sizes(n: int, k: int, quadratic: bool):
-    """Normals per request of random_quadratic (or random_affine): q's raw
-    entries, then A, then b."""
-    return ([k * n * n] if quadratic else []) + [k * n, k]
+_KINDS = (False, True)  # bound_sweep's kind axis: affine, then quadratic
 
 
-def _walk_generator(rng: Rng, n: int, k: int, quadratic: bool) -> int:
-    return _skip(rng, sum(normal_u64s(size) for size in _generator_sizes(n, k, quadratic)))
+def _generator_sizes(n: int, k: int, kinds):
+    """Normals per request of random_quadratic (or random_affine) for each
+    kind in turn: q's raw entries, then A, then b."""
+    return [size for quadratic in kinds
+            for size in ([k * n * n] if quadratic else []) + [k * n, k]]
 
 
-def _generators(rng: Rng, starts, n: int, k: int, quadratic: bool):
-    """Stacked (q, a, b) of the generators whose draws begin after each
-    counter in starts."""
-    sizes = _generator_sizes(n, k, quadratic)
+def _walk_generator(rng: Rng, n: int, k: int, kinds) -> int:
+    return _skip(rng, sum(normal_u64s(size) for size in _generator_sizes(n, k, kinds)))
+
+
+def _generators(rng: Rng, starts, n: int, k: int, kinds):
+    """Stacked (q, a, b), (N, len(kinds), ...), of the generators of the
+    given kinds (quadratic or not) drawn one after another after each of
+    the N counters in starts."""
+    sizes = _generator_sizes(n, k, kinds)
     edges = np.cumsum([0] + [normal_u64s(size) for size in sizes])
     bits = rng.u64_at(np.asarray(starts)[:, None] + np.arange(1, edges[-1] + 1))
-    *raw, a, b = (u64_to_normals(bits[:, lo:hi], size)
-                  for size, lo, hi in zip(sizes, edges, edges[1:]))
-    if raw:
-        raw = raw[0].reshape(-1, k, n, n)
-        q = 0.5 * (raw + np.swapaxes(raw, -1, -2))
-    else:
-        q = np.zeros((len(bits), k, n, n))
-    return q, a.reshape(-1, k, n), b
+    normals = (u64_to_normals(bits[:, lo:hi], size)
+               for size, lo, hi in zip(sizes, edges, edges[1:]))
+    q = np.zeros((len(bits), len(kinds), k, n, n))
+    a = np.empty((len(bits), len(kinds), k, n))
+    b = np.empty((len(bits), len(kinds), k))
+    for kind, quadratic in enumerate(kinds):
+        if quadratic:
+            raw = next(normals).reshape(-1, k, n, n)
+            q[:, kind] = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        a[:, kind] = next(normals).reshape(-1, k, n)
+        b[:, kind] = next(normals)
+    return q, a, b
 
 
 def random_affine(rng: Rng, n: int, k: int) -> QuadraticGenerator:
     """G(x) = A @ x + b: a quadratic map with zero forms."""
-    parts = _generators(rng, [_walk_generator(rng, n, k, False)], n, k, False)
-    return QuadraticGenerator(*(p[0] for p in parts))
+    parts = _generators(rng, [_walk_generator(rng, n, k, (False,))], n, k, (False,))
+    return QuadraticGenerator(*(p[0, 0] for p in parts))
 
 
 def random_quadratic(rng: Rng, n: int, k: int) -> QuadraticGenerator:
-    parts = _generators(rng, [_walk_generator(rng, n, k, True)], n, k, True)
-    return QuadraticGenerator(*(p[0] for p in parts))
+    parts = _generators(rng, [_walk_generator(rng, n, k, (True,))], n, k, (True,))
+    return QuadraticGenerator(*(p[0, 0] for p in parts))
 
 
 def _walk_configuration(rng: Rng, dim: int, m: int, d: int):
@@ -240,6 +262,12 @@ def random_configuration(rng: Rng, dim: int, m: int, d: int):
     return AnchorSet(V[0]), Coding(W[0]), h[0], float(radius[0])
 
 
+def _take(constants: SmoothnessConstants, rows) -> SmoothnessConstants:
+    """The constants of the generators `rows` picks from a stack; a scalar
+    holds for every generator."""
+    return SmoothnessConstants(*(c[rows] if np.ndim(c) else c for c in vars(constants).values()))
+
+
 def bound_sweep(rng: Rng, cases: int):
     """(lhs, rhs) of both inequalities on `cases` random configurations, as
     (cases, 2, 2) arrays indexed [case, kind, order - 1]; kind 0 is the
@@ -252,26 +280,33 @@ def bound_sweep(rng: Rng, cases: int):
         random_configuration(rng, dim, m, d)
         random_affine(rng, dim, k), random_quadratic(rng, dim, k)
     """
-    groups = {}
+    walks, draws, ms = {}, {}, np.empty(cases, dtype=np.int64)
     for case in range(cases):
         dim = 2 + rng.randint(3)
         k = 1 + rng.randint(3)
-        m = 4 + rng.randint(5)
+        m = ms[case] = 4 + rng.randint(5)
         d = 2 + rng.randint(min(3, m - 1))
-        walk = _walk_configuration(rng, dim, m, d)
-        affine = _walk_generator(rng, dim, k, False)
-        quadratic = _walk_generator(rng, dim, k, True)
-        groups.setdefault((dim, k, m), []).append((case, walk, affine, quadratic))
+        walks.setdefault((dim, m), []).append((case, _walk_configuration(rng, dim, m, d)))
+        draws.setdefault((dim, k), []).append((case, _walk_generator(rng, dim, k, _KINDS)))
+    # a case's configuration is row slot[case] of points[dim, m], with a
+    # kind axis that broadcasts against the generator stacks
+    points, slot, radius = {}, np.empty(cases, dtype=np.int64), np.empty(cases)
+    for (dim, m), members in walks.items():
+        idx, group = map(list, zip(*members))
+        V, W, h, radius[idx] = _configurations(rng, dim, m, group)
+        points[dim, m] = V[:, None], W[:, None], h[:, None]
+        slot[idx] = np.arange(len(idx))
     lhs = np.empty((cases, 2, 2))
     rhs = np.empty((cases, 2, 2))
-    for (dim, k, m), members in groups.items():
-        idx, walks, *starts = zip(*members)
-        idx = list(idx)
-        V, W, h, radius = _configurations(rng, dim, m, walks)
-        for kind, quadratic in enumerate((False, True)):
-            gen = QuadraticGenerator(*_generators(rng, starts[kind], dim, k, quadratic))
-            constants = gen.constants(radius)
-            for order, tangent in enumerate((False, True)):
-                lhs[idx, kind, order], rhs[idx, kind, order] = _gap(
-                    gen, V, W, h, constants, tangent)
+    for (dim, k), members in draws.items():
+        idx, group = zip(*members)
+        idx = np.array(idx)
+        q, a, b = _generators(rng, group, dim, k, _KINDS)
+        constants = QuadraticGenerator(q, a, b).constants(radius[idx, None])
+        for m in np.unique(ms[idx]):
+            rows = np.flatnonzero(ms[idx] == m)
+            case = idx[rows]
+            gen = QuadraticGenerator(q[rows], a[rows], b[rows])
+            V, W, h = (part[slot[case]] for part in points[dim, m])
+            lhs[case], rhs[case] = _gaps(gen, V, W, h, _take(constants, rows))
     return lhs, rhs

@@ -7,7 +7,8 @@ import numpy as np
 from ..config import AutoencoderConfig
 from ..rng import Rng
 from .adam import adam_step, init_adam
-from .net import Mlp, TrainingDivergedError, build_mlp, backward, check_finite, forward_cached
+from .net import (Mlp, TrainingDivergedError, _mean, build_mlp, backward, check_finite,
+                  forward_cached)
 
 
 def reconstruction_mse(ae: Mlp, data) -> float:
@@ -17,7 +18,7 @@ def reconstruction_mse(ae: Mlp, data) -> float:
     diff = ae.forward(X)
     diff -= X
     diff *= diff
-    return float(np.mean(diff))
+    return float(_mean(diff))
 
 
 def ae_loss_and_grads(ae: Mlp, batch):
@@ -25,7 +26,7 @@ def ae_loss_and_grads(ae: Mlp, batch):
     X = np.asarray(batch, dtype=np.float64)
     xhat, cache = forward_cached(ae, X)
     diff = xhat - X
-    loss = float(np.mean(diff * diff))
+    loss = float(_mean(diff * diff))
     diff *= 2.0
     diff /= diff.size
     grads, _ = backward(ae, cache, diff, inputs=False)
@@ -51,10 +52,9 @@ def train_autoencoder(data, config: AutoencoderConfig, seed: int):
     state = init_adam(ae.flat)
     history = []
     for epoch in range(config.epochs):
-        order = np.argsort(rng.uniforms(n), kind="stable")
+        shuffled = X[np.argsort(rng.uniforms(n), kind="stable")]
         for start in range(0, n, config.batch):
-            idx = order[start : start + config.batch]
-            loss, grads = ae_loss_and_grads(ae, X[idx])
+            loss, grads = ae_loss_and_grads(ae, shuffled[start : start + config.batch])
             if not np.isfinite(loss):
                 raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
             adam_step(ae.flat, grads, state, lr=config.lr)

@@ -19,7 +19,7 @@ from ..lcc.core import AnchorSet
 from ..lcc.sampling import neighbor_table, walk_codings
 from ..rng import Rng
 from .adam import AdamState, adam_step, init_adam
-from .net import (PHIS, Mlp, TrainingDivergedError, backward, build_mlp, check_finite,
+from .net import (PHIS, Mlp, TrainingDivergedError, _mean, backward, build_mlp, check_finite,
                   forward_cached)
 
 
@@ -41,11 +41,6 @@ def build_gan(data_dim: int, m: int, gan: GanConfig = GanConfig(), seed: int = 0
     disc_out = "sigmoid" if gan.phi == "log" else "identity"
     disc = build_mlp([data_dim, gan.hidden, gan.hidden, 1], ["relu", "relu", disc_out], rng)
     return GanModel(gen, disc, gan.phi, init_adam(gen.flat), init_adam(disc.flat))
-
-
-def _mean(a):
-    """np.mean's value, as sum / size in a's dtype, without its wrapper."""
-    return np.add.reduce(a, axis=None) / a.size
 
 
 def disc_objective_and_grads(gan: GanModel, reals, codings):

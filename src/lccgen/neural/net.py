@@ -23,6 +23,11 @@ from .. import LccgenError
 from ..rng import Rng
 
 
+def _mean(a):
+    """np.mean's value, as sum / size in a's dtype, without its wrapper."""
+    return np.add.reduce(a, axis=None) / a.size
+
+
 def _sigmoid(z, out=None):
     """1 / (1 + exp(-z)), one operation at a time in one buffer.  exp(-z)
     overflows to inf for z below about -88 in float32 (-745 in float64),

@@ -1,5 +1,7 @@
 """Approximation-bound tests: exact small cases and Monte-Carlo sweeps."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
@@ -169,6 +171,25 @@ def test_quadratic_generator_stacks_evaluate_like_single_generators():
     assert np.array_equal(consts.second, [g.constants(2.0).second for g in gens])
 
 
+def test_zero_forms_in_a_stack_give_the_svd_path_constants():
+    # constants skips the SVD of all-zero forms; the spectral norms it would
+    # have computed are exactly 0, so every constant keeps its bits
+    rng = Rng(61)
+    q = np.asarray(rng.normals(6 * 2 * 3 * 3 * 3)).reshape(6, 2, 3, 3, 3)
+    q = 0.5 * (q + np.swapaxes(q, -1, -2))
+    q[:, 0] = 0.0  # affine kind
+    q[2, 1, 1] = 0.0  # one zero form among nonzero ones
+    q[4, 1] = 0.0  # a quadratic kind with every form zero
+    a = np.asarray(rng.normals(6 * 2 * 3 * 3)).reshape(6, 2, 3, 3)
+    radius = 1.0 + np.asarray(rng.uniforms(6))[:, None]
+    consts = QuadraticGenerator(q, a, np.zeros((6, 2, 3))).constants(radius)
+    rss = np.sqrt(np.sum(np.linalg.norm(q, 2, axis=(-2, -1)) ** 2, axis=-1))
+    first = np.linalg.norm(a, 2, axis=(-2, -1)) + 2.0 * radius * rss
+    assert consts.second.tobytes() == rss.tobytes()
+    assert consts.first.tobytes() == first.tobytes()
+    assert np.all(consts.second[:, 0] == 0.0) and consts.third == 0.0
+
+
 def test_quadratic_generator_requires_symmetry():
     q = np.zeros((1, 2, 2))
     q[0, 0, 1] = 1.0  # asymmetric
@@ -262,16 +283,34 @@ def _per_case(rng, cases, shapes):
 
 def test_bound_sweep_matches_per_case_loop_bit_for_bit():
     shapes = set()
-    for seed in (1, 2, 12345, 987654321):
+    runs = [(seed, 300) for seed in (1, 2, 12345, 987654321)]
+    for seed, cases in runs + [(3, 0), (3, 1), (4, 2), (5, 3), (777, 1000)]:
         ref_rng, rng = Rng(seed, 5), Rng(seed, 5)
-        want = _per_case(ref_rng, 300, shapes)
-        got = bound_sweep(rng, 300)
+        want = _per_case(ref_rng, cases, shapes)
+        got = bound_sweep(rng, cases)
+        assert got[0].shape == got[1].shape == (cases, 2, 2)
         assert got[0].tobytes() == want[0].tobytes()
         assert got[1].tobytes() == want[1].tobytes()
         assert rng.counter == ref_rng.counter
     # every shape the sweep can draw, dim = 2 with k = 1 among them
     assert shapes == {(dim, k, m, d) for dim in (2, 3, 4) for k in (1, 2, 3)
                       for m in range(4, 9) for d in (2, 3, 4)}
+
+
+# sha256 of bound_sweep(Rng(2026), 1000)'s lhs and rhs bytes, recorded before
+# the sweep stacked both kinds and both orders; 1,000 cases is the CLI default
+_SWEEP_1000_SHA256 = (
+    "dfc9093a47bf6388c6b53544db49bca769d085f8763dcce0e3431626714ac0e4",
+    "aaeac488855586ad73e87210e39904e152746924b656710d649165d4e1f11e85",
+)
+
+
+def test_bound_sweep_default_size_keeps_its_bytes():
+    rng = Rng(2026)
+    lhs, rhs = bound_sweep(rng, 1000)
+    assert (hashlib.sha256(lhs.tobytes()).hexdigest(),
+            hashlib.sha256(rhs.tobytes()).hexdigest()) == _SWEEP_1000_SHA256
+    assert rng.counter == 82152
 
 
 def test_single_case_calls_match_the_per_case_loop():

@@ -222,6 +222,36 @@ def test_median_pairwise_distance_nan_and_all_equal():
         median_pairwise_distance(np.full((5, 3), 2.5))
 
 
+def _median_inputs():
+    rng = Rng(11)
+    for n in (2, 3, 4, 5, 6, 7):  # pair counts 1, 3, 15 and 21 are odd; 6 and 10 even
+        yield np.asarray(rng.normals(n * 3)).reshape(n, 3)
+    # ties: a grid's pairs repeat a few distances many times
+    yield np.array([[i, j] for i in range(4) for j in range(5)], dtype=np.float64)
+    # 276 pairs on a 9 x 9 grid, where the partition leaves some value other
+    # than the least one above the lower middle rank right after it
+    yield np.floor(np.asarray(Rng(27).uniforms(2 * 24)) * 9).reshape(24, 2)
+    yield np.array([[0.0], [1.0], [1.0], [2.0], [2.0]])
+    pts = np.asarray(rng.normals(6 * 2)).reshape(6, 2)
+    yield np.asfortranarray(pts)  # a layout BLAS multiplies transposed
+    for row in (0, 5):
+        nan = pts.copy()
+        nan[row, 1] = np.nan
+        yield nan
+    yield np.array([[0.0, np.nan], [1.0, 2.0]])
+
+
+def test_median_pairwise_distance_in_place_matches_oracle_bit_for_bit():
+    # the median is selected in the full matrix with its diagonal at +inf;
+    # it must give np.median's bits over the strict upper triangle
+    for a in _median_inputs():
+        got, want = median_pairwise_distance(a), oracle_median_pairwise(a)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes(), a
+    # and with no copy of the pairs: one (n, n) matrix and its row norms
+    a = np.asarray(Rng(12).normals(1000 * 2)).reshape(1000, 2)
+    assert _peak_in_nn_arrays(lambda: median_pairwise_distance(a), 1000) <= 1.1
+
+
 def _peak_in_nn_arrays(fn, n):
     tracemalloc.start()
     try:
