@@ -163,23 +163,23 @@ def _skip(rng: Rng, count: int) -> int:
     return start
 
 
-_KINDS = (False, True)  # bound_sweep's kind axis: affine, then quadratic
+KINDS = ("affine", "quadratic")  # bound_sweep's kind axis
 
 
 def _generator_sizes(n: int, k: int, kinds):
     """Normals per request of random_quadratic (or random_affine) for each
     kind in turn: q's raw entries, then A, then b."""
-    return [size for quadratic in kinds
-            for size in ([k * n * n] if quadratic else []) + [k * n, k]]
+    return [size for kind in kinds
+            for size in ([k * n * n] if kind == "quadratic" else []) + [k * n, k]]
 
 
-def _walk_generator(rng: Rng, n: int, k: int, kinds) -> int:
+def _walk_generator(rng: Rng, n: int, k: int, kinds=KINDS) -> int:
     return _skip(rng, sum(normal_u64s(size) for size in _generator_sizes(n, k, kinds)))
 
 
-def _generators(rng: Rng, starts, n: int, k: int, kinds):
+def _generators(rng: Rng, starts, n: int, k: int, kinds=KINDS):
     """Stacked (q, a, b), (N, len(kinds), ...), of the generators of the
-    given kinds (quadratic or not) drawn one after another after each of
+    given kinds (names from KINDS) drawn one after another after each of
     the N counters in starts."""
     sizes = _generator_sizes(n, k, kinds)
     edges = np.cumsum([0] + [normal_u64s(size) for size in sizes])
@@ -189,23 +189,23 @@ def _generators(rng: Rng, starts, n: int, k: int, kinds):
     q = np.zeros((len(bits), len(kinds), k, n, n))
     a = np.empty((len(bits), len(kinds), k, n))
     b = np.empty((len(bits), len(kinds), k))
-    for kind, quadratic in enumerate(kinds):
-        if quadratic:
+    for i, kind in enumerate(kinds):
+        if kind == "quadratic":
             raw = next(normals).reshape(-1, k, n, n)
-            q[:, kind] = 0.5 * (raw + np.swapaxes(raw, -1, -2))
-        a[:, kind] = next(normals).reshape(-1, k, n)
-        b[:, kind] = next(normals)
+            q[:, i] = 0.5 * (raw + np.swapaxes(raw, -1, -2))
+        a[:, i] = next(normals).reshape(-1, k, n)
+        b[:, i] = next(normals)
     return q, a, b
 
 
 def random_affine(rng: Rng, n: int, k: int) -> QuadraticGenerator:
     """G(x) = A @ x + b: a quadratic map with zero forms."""
-    parts = _generators(rng, [_walk_generator(rng, n, k, (False,))], n, k, (False,))
+    parts = _generators(rng, [_walk_generator(rng, n, k, ("affine",))], n, k, ("affine",))
     return QuadraticGenerator(*(p[0, 0] for p in parts))
 
 
 def random_quadratic(rng: Rng, n: int, k: int) -> QuadraticGenerator:
-    parts = _generators(rng, [_walk_generator(rng, n, k, (True,))], n, k, (True,))
+    parts = _generators(rng, [_walk_generator(rng, n, k, ("quadratic",))], n, k, ("quadratic",))
     return QuadraticGenerator(*(p[0, 0] for p in parts))
 
 
@@ -270,9 +270,9 @@ def _take(constants: SmoothnessConstants, rows) -> SmoothnessConstants:
 
 def bound_sweep(rng: Rng, cases: int):
     """(lhs, rhs) of both inequalities on `cases` random configurations, as
-    (cases, 2, 2) arrays indexed [case, kind, order - 1]; kind 0 is the
-    affine generator and kind 1 the quadratic one.  Case by case the stream
-    is read as this loop would read it, which is also where rng ends:
+    (cases, 2, 2) arrays indexed [case, kind, order - 1], kind i being the
+    KINDS[i] generator.  Case by case the stream is read as this loop would
+    read it, which is also where rng ends:
 
         dim, k = 2 + rng.randint(3), 1 + rng.randint(3)
         m = 4 + rng.randint(5)
@@ -287,7 +287,7 @@ def bound_sweep(rng: Rng, cases: int):
         m = ms[case] = 4 + rng.randint(5)
         d = 2 + rng.randint(min(3, m - 1))
         walks.setdefault((dim, m), []).append((case, _walk_configuration(rng, dim, m, d)))
-        draws.setdefault((dim, k), []).append((case, _walk_generator(rng, dim, k, _KINDS)))
+        draws.setdefault((dim, k), []).append((case, _walk_generator(rng, dim, k)))
     # a case's configuration is row slot[case] of points[dim, m], with a
     # kind axis that broadcasts against the generator stacks
     points, slot, radius = {}, np.empty(cases, dtype=np.int64), np.empty(cases)
@@ -301,7 +301,7 @@ def bound_sweep(rng: Rng, cases: int):
     for (dim, k), members in draws.items():
         idx, group = zip(*members)
         idx = np.array(idx)
-        q, a, b = _generators(rng, group, dim, k, _KINDS)
+        q, a, b = _generators(rng, group, dim, k)
         constants = QuadraticGenerator(q, a, b).constants(radius[idx, None])
         for m in np.unique(ms[idx]):
             rows = np.flatnonzero(ms[idx] == m)

@@ -15,11 +15,11 @@ import sys
 import numpy as np
 
 from . import LccgenError
-from .bounds import bound_sweep
+from .bounds import KINDS, bound_sweep
 from .config import ConfigError, load_config
 from .datasets import make_ring, make_swiss_roll, load_mnist_idx
 from .lcc.core import learn_anchors
-from .lcc.sampling import interpolate, neighbor_table, sample_coding_pair, sample_codings
+from .lcc.sampling import interpolate, sample_coding_pair, sample_codings
 from .metrics import median_pairwise_distance, mmd2, pearson_nn
 from .neural.autoencoder import train_autoencoder
 from .neural.gan import build_gan, train_gan
@@ -42,7 +42,6 @@ from .serialize import (
 
 _TAG_AE, _TAG_LCC, _TAG_GAN_INIT, _TAG_GAN_TRAIN = 1, 2, 3, 4
 _TAG_SAMPLE, _TAG_INTERP, _TAG_VERIFY, _TAG_EVAL, _TAG_HELDOUT = 5, 6, 7, 8, 9
-_BOUND_KINDS = ("affine", "quadratic")  # bound_sweep's kind axis
 
 
 class CliError(LccgenError):
@@ -143,8 +142,7 @@ def cmd_sample(cfg, out, n, generator_path=None):
     gen_file = generator_path or os.path.join(out, "generator.bin")
     generator = (_load_generator(gen_file, anchors)
                  if generator_path or os.path.exists(gen_file) else None)
-    G = sample_codings(neighbor_table(anchors, cfg.sampler.d), n, cfg.sampler,
-                       Rng(stage_seed(cfg.data.seed, _TAG_SAMPLE)))
+    G = sample_codings(anchors, n, cfg.sampler, Rng(stage_seed(cfg.data.seed, _TAG_SAMPLE)))
     codings_to_csv(os.path.join(out, "codings_sampled.csv"), G)
     wrote = ["codings_sampled.csv"]
     if generator is not None:
@@ -176,14 +174,14 @@ def cmd_verify_bounds(cfg, out):
         for (case, kind, order), l, r, margin, good in zip(
                 np.ndindex(ok.shape), lhs.ravel().tolist(), rhs.ravel().tolist(),
                 (rhs - lhs).ravel().tolist(), ok.ravel().tolist()):
-            fh.write(line % (case, _BOUND_KINDS[kind], order + 1, l, r, margin, good))
+            fh.write(line % (case, KINDS[kind], order + 1, l, r, margin, good))
     violations = int(np.count_nonzero(~ok))
     print(f"verify-bounds: {cases} configurations, {ok.size} checks, "
           f"{violations} violations")
     if violations:
         case, kind, order = np.argwhere(~ok)[0]
         print(f"error: verify-bounds: {violations} of {ok.size} checks violated "
-              f"(first: case {case}, {_BOUND_KINDS[kind]}, order {order + 1})", file=sys.stderr)
+              f"(first: case {case}, {KINDS[kind]}, order {order + 1})", file=sys.stderr)
         return 1
     return 0
 
@@ -194,8 +192,8 @@ def cmd_eval(cfg, out):
     X = _dataset(cfg)
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
     generator = _load_generator(os.path.join(out, "generator.bin"), anchors)
-    G = sample_codings(neighbor_table(anchors, cfg.sampler.d), cfg.eval.n_generated,
-                       cfg.sampler, Rng(stage_seed(cfg.data.seed, _TAG_EVAL)))
+    G = sample_codings(anchors, cfg.eval.n_generated, cfg.sampler,
+                       Rng(stage_seed(cfg.data.seed, _TAG_EVAL)))
     generated = generator.forward(G)
     held = _dataset(cfg, heldout=True)
     bandwidth = cfg.eval.bandwidth or median_pairwise_distance(held)

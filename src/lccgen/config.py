@@ -92,7 +92,7 @@ class AutoencoderConfig(_Section):
 @dataclass(frozen=True)
 class LccConfig(_Section):
     section = "lcc"
-    m: int = 16  # anchor count
+    m: int = 16  # anchors learn_anchors makes; the solvers read m off the anchors
     q: int = 2  # locality exponent
     l_h: float = 1.0
     l_q: float = 1.0
@@ -103,7 +103,7 @@ class LccConfig(_Section):
     def __post_init__(self):
         self._min("m", 1)
         self._one_of("q", (2, 3))
-        self._nonnegative("l_h")
+        self._positive("l_h")
         self._nonnegative("l_q")
         self._positive("coding_tol")
         self._positive("anchor_tol")

@@ -23,7 +23,7 @@ holds one point's weights.  `check_codings` defines a valid coding for both.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -82,10 +82,9 @@ def check_codings(G: np.ndarray) -> np.ndarray:
 
 @dataclass
 class Coding:
-    """Sum-to-one weights over an anchor set; support lists the nonzeros."""
+    """Sum-to-one weights over an anchor set."""
 
     weights: np.ndarray
-    support: np.ndarray = field(init=False)
 
     def __post_init__(self):
         w = np.asarray(self.weights, dtype=np.float64)
@@ -93,7 +92,6 @@ class Coding:
             raise ValueError("weights must be a vector")
         check_codings(w[None, :])
         self.weights = w
-        self.support = np.flatnonzero(w)
 
 
 def _as_points(points) -> np.ndarray:
@@ -515,8 +513,6 @@ def solve_coding(h, anchors: AnchorSet, config: LccConfig) -> Coding:
         raise ValueError(f"point has shape {h.shape}, anchors expect ({anchors.d_b},)")
     if not np.isfinite(h).all():
         raise ValueError("point must be finite")
-    if anchors.m != config.m:
-        raise ValueError(f"anchor set has m={anchors.m} but config.m={config.m}")
     G, _ = solve_codings(h[None, :], anchors.anchors, config)
     return Coding(G[0])
 

@@ -72,8 +72,6 @@ def _walk(table, config: SamplerConfig, rng: Rng, runs, w):
     every later read by one attempt, so one step per rejected attempt places
     every read.  Decodes more when rejections use up the slack."""
     m, d = table.shape
-    if d != config.d:
-        raise ValueError(f"table has shape {table.shape}, expected (m, {config.d})")
     per = normal_u64s(d)  # u64s per attempt
     ends = np.cumsum(runs, axis=0)
     n, reads = ends[-1].tolist()
@@ -113,19 +111,20 @@ def _walk(table, config: SamplerConfig, rng: Rng, runs, w):
     return u64_to_uniforms(bits[np.repeat(last - before, runs[:, 1]) + np.arange(reads)])
 
 
-def walk_codings(table, config: SamplerConfig, rng: Rng, runs):
+def walk_codings(anchors: AnchorSet, config: SamplerConfig, rng: Rng, runs):
     """Yields (codings, uniforms) per (c, k) in `runs`, c >= 1: the (c, m)
-    weights of c draws over the table's m = len(table) anchors, then the
-    next k uniforms.  Bit-identical to reading in turn (per draw, center =
-    rng.randint(m), then rng.normals(d) until |sum| >= min_abs_sum, placed
-    on table[center]; then rng.uniforms(k)), and leaves rng at the same
-    position.  Runs are walked at most _WINDOW draws (or one run) at a
-    time, so SamplingError may come a window early."""
+    weights of c draws over the m anchors, then the next k uniforms.
+    Bit-identical to reading in turn (per draw, center = rng.randint(m),
+    then rng.normals(d) until |sum| >= min_abs_sum, placed on the center's
+    row of neighbor_table(anchors, d); then rng.uniforms(k)), and leaves
+    rng at the same position.  Runs are walked at most _WINDOW draws (or
+    one run) at a time, so SamplingError may come a window early."""
+    table = neighbor_table(anchors, config.d)
     runs = np.asarray(runs, dtype=np.int64).reshape(-1, 2)
     step = max(1, _WINDOW // int(runs[:, 0].max(initial=1)))  # runs per window
     for first in range(0, len(runs), step):
         window = runs[first:first + step]
-        w = np.zeros((int(window[:, 0].sum()), len(table)))
+        w = np.zeros((int(window[:, 0].sum()), anchors.m))
         u = _walk(table, config, rng, window, w)
         a = b = 0
         for c, k in np.cumsum(window, axis=0).tolist():  # each run's ends in w and u
@@ -133,12 +132,13 @@ def walk_codings(table, config: SamplerConfig, rng: Rng, runs):
             a, b = c, k
 
 
-def sample_codings(table, n: int, config: SamplerConfig, rng: Rng) -> np.ndarray:
-    """n random codings over the table's m = len(table) anchors, as an (n, m)
-    weight array: the walker's one-run call, a window at a time."""
+def sample_codings(anchors: AnchorSet, n: int, config: SamplerConfig, rng: Rng) -> np.ndarray:
+    """n random codings over the m anchors, as an (n, m) weight array: the
+    walker's one-run call, a window at a time."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    w = np.zeros((n, len(table)))
+    table = neighbor_table(anchors, config.d)
+    w = np.zeros((n, anchors.m))
     for s in range(0, n, _WINDOW):
         _walk(table, config, rng, np.array([[min(_WINDOW, n - s), 0]]), w[s:s + _WINDOW])
     return w

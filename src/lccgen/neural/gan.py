@@ -16,9 +16,9 @@ import numpy as np
 
 from ..config import GanConfig, SamplerConfig
 from ..lcc.core import AnchorSet
-from ..lcc.sampling import neighbor_table, walk_codings
+from ..lcc.sampling import walk_codings
 from ..rng import Rng
-from .adam import AdamState, adam_step, init_adam
+from .adam import adam_step, init_adam
 from .net import (PHIS, Mlp, TrainingDivergedError, _mean, backward, build_mlp, check_finite,
                   forward_cached)
 
@@ -28,19 +28,16 @@ class GanModel:
     generator: Mlp
     discriminator: Mlp
     phi: str  # a key of net.PHIS
-    gen_state: AdamState
-    disc_state: AdamState
 
 
 def build_gan(data_dim: int, m: int, gan: GanConfig = GanConfig(), seed: int = 0) -> GanModel:
-    """Both networks, each with hidden layers of width `gan.hidden`, and
-    their Adam states."""
+    """Both networks, each with hidden layers of width `gan.hidden`."""
     rng = Rng(seed)
     gen = build_mlp([m, gan.hidden, gan.hidden, data_dim],
                     ["relu", "relu", gan.generator_output], rng)
     disc_out = "sigmoid" if gan.phi == "log" else "identity"
     disc = build_mlp([data_dim, gan.hidden, gan.hidden, 1], ["relu", "relu", disc_out], rng)
-    return GanModel(gen, disc, gan.phi, init_adam(gen.flat), init_adam(disc.flat))
+    return GanModel(gen, disc, gan.phi)
 
 
 def disc_objective_and_grads(gan: GanModel, reals, codings):
@@ -76,13 +73,13 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
     (model, trace) where trace[i] = (d_objective, g_objective) as evaluated
     before each update.
 
-    Training runs on float32 copies of both networks and their Adam states,
-    the first step of Micikevicius et al., "Mixed Precision Training" (ICLR
-    2018), who go on to float16 arithmetic.  The data are cast once, and
-    each batch of codings at the generator's input.  The trained values are
-    written back into the model's float64 arrays, which hold them exactly,
-    so checkpoints keep their format.  Zero iterations leave the model as
-    built."""
+    Training runs on float32 copies of both networks, each with fresh
+    float32 Adam moments, the first step of Micikevicius et al., "Mixed
+    Precision Training" (ICLR 2018), who go on to float16 arithmetic.  The
+    data are cast once, and each batch of codings at the generator's input.
+    Only the trained weights are written back, into the model's float64
+    arrays, which hold them exactly, so checkpoints keep their format; the
+    moments end with the call.  Zero iterations leave the model as built."""
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("data must be a nonempty (n, dim) array")
@@ -93,14 +90,12 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
     if gan.iters == 0:
         return model, []
     X = X.astype(np.float32)
-    gen_state, disc_state = (AdamState(s.m.astype(np.float32), s.v.astype(np.float32), s.t)
-                             for s in (model.gen_state, model.disc_state))
     work = GanModel(Mlp(model.generator.layers, np.float32),
-                    Mlp(model.discriminator.layers, np.float32), model.phi, gen_state, disc_state)
+                    Mlp(model.discriminator.layers, np.float32), model.phi)
+    gen_state, disc_state = init_adam(work.generator.flat), init_adam(work.discriminator.flat)
     n, b = X.shape[0], gan.batch
     # per iteration the stream gives D's codings, the data indices, then G's codings
-    stream = walk_codings(neighbor_table(anchors, sampler.d), sampler, Rng(seed),
-                          [(b, b), (b, 0)] * gan.iters)
+    stream = walk_codings(anchors, sampler, Rng(seed), [(b, b), (b, 0)] * gan.iters)
     adam = {"lr": gan.lr, "beta1": gan.beta1, "beta2": gan.beta2}
     trace = []
     for it in range(gan.iters):
@@ -109,19 +104,16 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
         d_val, d_grads = disc_objective_and_grads(work, X[idx], codings)
         if not np.isfinite(d_val):
             raise TrainingDivergedError(f"non-finite discriminator objective at iteration {it}")
-        adam_step(work.discriminator.flat, np.negative(d_grads, out=d_grads),
-                  work.disc_state, **adam)
+        adam_step(work.discriminator.flat, np.negative(d_grads, out=d_grads), disc_state, **adam)
         check_finite(work.discriminator, f"iteration {it}")
 
         codings, _ = next(stream)
         g_val, g_grads = gen_objective_and_grads(work, codings)
         if not np.isfinite(g_val):
             raise TrainingDivergedError(f"non-finite generator objective at iteration {it}")
-        adam_step(work.generator.flat, g_grads, work.gen_state, **adam)
+        adam_step(work.generator.flat, g_grads, gen_state, **adam)
         check_finite(work.generator, f"iteration {it}")
         trace.append((d_val, g_val))
     model.generator.flat[...] = work.generator.flat
     model.discriminator.flat[...] = work.discriminator.flat
-    for state, src in ((model.gen_state, work.gen_state), (model.disc_state, work.disc_state)):
-        state.m[...], state.v[...], state.t = src.m, src.v, src.t
     return model, trace

@@ -141,14 +141,13 @@ class Mlp:
         return self.layers[0].w.shape[0]
 
     def forward(self, x):
-        x = np.asarray(x, dtype=self.flat.dtype)
-        single = x.ndim == 1
-        y = x[None, :] if single else x
-        if y.shape[1] != self.in_dim:
-            raise ValueError(f"input dim {y.shape[1]}, network expects {self.in_dim}")
+        """The outputs of an (n, in_dim) batch, one row per input row."""
+        y = np.asarray(x, dtype=self.flat.dtype)
+        if y.ndim != 2 or y.shape[1] != self.in_dim:
+            raise ValueError(f"input has shape {y.shape}, network expects (n, {self.in_dim})")
         for layer in self.layers:
             y = _layer_forward(layer, y)
-        return y[0] if single else y
+        return y
 
 
 def build_mlp(dims, acts, rng: Rng) -> Mlp:

@@ -8,11 +8,14 @@ import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import textwrap
 
 import numpy as np
 import pytest
 
+import lccgen
 from lccgen.bounds import QuadraticGenerator, SmoothnessConstants
 from lccgen.cli import main
 from lccgen.config import DEFAULTS, GanConfig
@@ -441,6 +444,7 @@ def test_verify_bounds_violation_ends_in_error_line(tmp_path, capsys, monkeypatc
      "[eval] bandwidth=-1.0 must be finite and at least 0"),
     (["eval"], ("n_generated = 32", "n_generated = 0"), "[eval] n_generated=0 must be at least 1"),
     (["learn-lcc", "--m", "0"], None, "[lcc] m=0 must be at least 1"),
+    (["learn-lcc"], ("[lcc]", "[lcc]\nl_h = 0"), "[lcc] l_h=0.0 must be positive and finite"),
     # valid for the training stages; eval needs two held-out points
     (["eval"], ("n_heldout = 32", "n_heldout = 0"),
      "[eval] n_heldout=0 must be at least 2 for eval"),
@@ -448,8 +452,8 @@ def test_verify_bounds_violation_ends_in_error_line(tmp_path, capsys, monkeypatc
      "[eval] n_heldout=1 must be at least 2 for eval"),
 ], ids=["gan-iters", "ae-epochs", "ae-batch", "gan-batch-0", "gan-batch-neg",
         "ae-latent-dim", "ae-lr-nan", "ae-lr-neg", "gan-hidden", "gan-lr-nan", "gan-beta1",
-        "gan-beta2", "eval-bandwidth", "eval-n-generated", "lcc-m", "eval-n-heldout-0",
-        "eval-n-heldout-1"])
+        "gan-beta2", "eval-bandwidth", "eval-n-generated", "lcc-m", "lcc-l-h",
+        "eval-n-heldout-0", "eval-n-heldout-1"])
 def test_bad_training_sizes_are_one_error_line(staged, tmp_path, capsys, argv, edit, err):
     # refused before the stage reads its data, so no artifact is overwritten
     _, out = staged
@@ -748,3 +752,16 @@ def test_names_the_benchmark_and_cli_rely_on_resolve():
     assert isinstance(DEFAULTS["sampler"]["d"], int)
     assert isinstance(DEFAULTS["data"]["noise_sigma"], float)
     assert build_gan(2, 16, seed=0).generator.in_dim == 16
+
+
+def test_the_cli_imports_only_numpy_and_the_standard_library():
+    # other packages (scipy among them) may be installed where the tests
+    # run, so an import of one would pass every other test
+    env = {**os.environ, "PYTHONPATH": os.path.dirname(os.path.dirname(lccgen.__file__))}
+    code = ("import sys; before = set(sys.modules); import lccgen.cli; "
+            "print(*{name.partition('.')[0] for name in set(sys.modules) - before})")
+    run = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True)
+    new = set(run.stdout.split())
+    assert {"lccgen", "numpy"} <= new
+    assert new - set(sys.stdlib_module_names) == {"lccgen", "numpy"}

@@ -107,7 +107,16 @@ def test_solve_coding_sum_constraint_random_sweep():
             cfg = LccConfig(m=m, q=q, l_q=l_q)
             coding = solve_coding(h, AnchorSet(V), cfg)
             assert abs(coding.weights.sum() - 1.0) <= 1e-9
-            assert np.all(coding.weights[~np.isin(np.arange(m), coding.support)] == 0.0)
+
+
+def test_solve_coding_reads_m_off_the_anchors():
+    # config.m sizes learn-lcc; the solver codes over the anchors it is given
+    rng = Rng(88)
+    anchors = AnchorSet(rng.normals(2 * 5).reshape(2, 5))
+    for _ in range(20):
+        h = 1.5 * rng.normals(2)
+        want = solve_coding(h, anchors, LccConfig(m=5)).weights
+        assert solve_coding(h, anchors, LccConfig(m=6)).weights.tobytes() == want.tobytes()
 
 
 def test_solve_coding_never_worse_than_warm_start():
@@ -621,6 +630,13 @@ def test_one_row_calls_match_the_batched_rows():
         H = np.asarray(rng.normals(30 * d_b)).reshape(30, d_b)
         H[:3] = V[:, :3].T
         cases.append((V, H, 2 + rng.randint(2)))
+    # three collinear anchors: a block's rows near the axis start on a
+    # singular basis and leave the simplex while the others keep pivoting
+    rng = Rng(9)
+    V = np.hstack([[[-1.0, 0.0, 1.0], [0.0, 0.0, 0.0]], 2.0 * rng.normals(2 * 4).reshape(2, 4)])
+    near = np.stack([np.linspace(-0.8, 0.8, 8), 0.01 * rng.normals(8)], axis=1)
+    H = np.concatenate([near, rng.normals(2 * 15).reshape(15, 2)])
+    cases += [(V, H, q) for q in (2, 3)]
     seen = set()
     for V, H, q in cases:
         anchors, cfg = AnchorSet(V), LccConfig(m=V.shape[1], q=q)
@@ -704,7 +720,7 @@ def test_coding_type_validates_sum():
     with pytest.raises(ValueError):
         Coding(np.array([0.7, 0.2]))
     c = Coding(np.array([0.25, 0.0, 0.75]))
-    assert c.support.tolist() == [0, 2]
+    assert np.flatnonzero(c.weights).tolist() == [0, 2]
 
 
 def test_anchor_set_validates_finiteness():

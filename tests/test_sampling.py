@@ -297,7 +297,7 @@ def test_sample_codings_matches_per_draw_loop():
                 cfg = SamplerConfig(d=d, min_abs_sum=min_abs_sum)
                 ref_rng, rng = Rng(100 + d, 3), Rng(100 + d, 3)
                 want = _per_draw(table, 64, cfg, ref_rng)
-                got = sample_codings(table, 64, cfg, rng)
+                got = sample_codings(anchors, 64, cfg, rng)
                 assert got.tobytes() == want.tobytes()
                 assert rng.counter == ref_rng.counter
                 redrawn += rng.counter - 3 > 64 * (1 + 2 * ((d + 1) // 2))
@@ -307,11 +307,11 @@ def test_sample_codings_matches_per_draw_loop():
 
 def test_sample_codings_matches_per_draw_loop_after_refills():
     # d=1 with guard 1.0 rejects |z| < 1, about two draws in three
-    V = np.asarray(Rng(5).normals(2 * 16)).reshape(2, 16)
-    table = neighbor_table(AnchorSet(V), 1)
+    anchors = AnchorSet(np.asarray(Rng(5).normals(2 * 16)).reshape(2, 16))
+    table = neighbor_table(anchors, 1)
     cfg = SamplerConfig(d=1, min_abs_sum=1.0)
     rng = _CountingRng(9)
-    got = sample_codings(table, 50, cfg, rng)
+    got = sample_codings(anchors, 50, cfg, rng)
     ref_rng = Rng(9)
     want = _per_draw(table, 50, cfg, ref_rng)
     assert got.tobytes() == want.tobytes()
@@ -332,7 +332,7 @@ def test_sample_codings_decodes_about_what_it_consumes():
     V = np.asarray(Rng(3).normals(2 * 16)).reshape(2, 16)
     cfg = SamplerConfig()
     rng = _CountingRng(11)
-    sample_codings(neighbor_table(AnchorSet(V), cfg.d), 100_000, cfg, rng)
+    sample_codings(AnchorSet(V), 100_000, cfg, rng)
     assert sum(len(c) for c in rng.decodes) <= 3 * rng.counter
 
 
@@ -361,7 +361,7 @@ def test_sample_codings_rewinds_at_the_batch_edges(rejected):
         (t > 1) == (i == rejected) for i, t in enumerate(tries)))
     ref_rng, rng = Rng(seed), Rng(seed)
     want = _per_draw(table, 6, cfg, ref_rng)
-    got = sample_codings(table, 6, cfg, rng)
+    got = sample_codings(SQUARE, 6, cfg, rng)
     assert got.tobytes() == want.tobytes()
     assert rng.counter == ref_rng.counter
 
@@ -373,7 +373,7 @@ def test_sample_codings_gives_up_after_accepted_draws():
     cfg = SamplerConfig(d=1, min_abs_sum=2.5)
     seed = _seed_where(table, 3, cfg, lambda tries, gave_up: gave_up and tries[:1] == [1])
     with pytest.raises(SamplingError):
-        sample_codings(table, 3, cfg, Rng(seed))
+        sample_codings(SQUARE, 3, cfg, Rng(seed))
 
 
 @pytest.mark.parametrize("attempts", [_MAX_REDRAWS + 1, _MAX_REDRAWS + 2])
@@ -392,10 +392,10 @@ def test_sample_codings_stops_after_the_last_allowed_redraw(attempts):
     seed = next(s for s in range(100_000) if first_clearing_attempt(s) == attempts)
     if attempts == _MAX_REDRAWS + 1:
         want = _per_draw(table, 1, cfg, Rng(seed))
-        assert sample_codings(table, 1, cfg, Rng(seed)).tobytes() == want.tobytes()
+        assert sample_codings(SQUARE, 1, cfg, Rng(seed)).tobytes() == want.tobytes()
     else:
         with pytest.raises(SamplingError):
-            sample_codings(table, 1, cfg, Rng(seed))
+            sample_codings(SQUARE, 1, cfg, Rng(seed))
 
 
 def test_sample_codings_gives_up_like_the_per_draw_path():
@@ -404,15 +404,7 @@ def test_sample_codings_gives_up_like_the_per_draw_path():
     with pytest.raises(SamplingError):
         _per_draw(table, 3, cfg, Rng(0))
     with pytest.raises(SamplingError):
-        sample_codings(table, 3, cfg, Rng(0))
-
-
-def test_sample_codings_rejects_a_mismatched_table():
-    table = neighbor_table(SQUARE, 2)
-    with pytest.raises(ValueError):
-        sample_codings(table, 3, SamplerConfig(d=3), Rng(0))
-    with pytest.raises(ValueError):
-        sample_codings(table[:, :1], 3, SamplerConfig(d=2), Rng(0))
+        sample_codings(SQUARE, 3, cfg, Rng(0))
 
 
 def _gan_stream_reference(table, batch, iters, cfg, rng):
@@ -434,13 +426,12 @@ def test_walk_codings_matches_the_sequential_gan_stream(d, min_abs_sum, batch, i
     # a guard of 1.0, about two attempts in three are rejected, which
     # overruns any fixed slack
     assert (2 * batch * iters) % _WINDOW != 0
-    V = np.asarray(Rng(d).normals(2 * 16)).reshape(2, 16)
-    table = neighbor_table(AnchorSet(V), d)
+    anchors = AnchorSet(np.asarray(Rng(d).normals(2 * 16)).reshape(2, 16))
     cfg = SamplerConfig(d=d, min_abs_sum=min_abs_sum)
     ref_rng, rng = Rng(40 + d, 7), Rng(40 + d, 7)
-    want = _gan_stream_reference(table, batch, iters, cfg, ref_rng)
+    want = _gan_stream_reference(neighbor_table(anchors, d), batch, iters, cfg, ref_rng)
     got = []
-    for codings, uniforms in walk_codings(table, cfg, rng, [(batch, batch), (batch, 0)] * iters):
+    for codings, uniforms in walk_codings(anchors, cfg, rng, [(batch, batch), (batch, 0)] * iters):
         got.append(codings.tobytes())
         if uniforms.size:
             got.append(uniforms.tobytes())
