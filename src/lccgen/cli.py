@@ -271,6 +271,9 @@ def main(argv=None) -> int:
     except (LccgenError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    except MemoryError as exc:  # numpy's message names the shape it could not allocate
+        print(f"error: {args.command}: out of memory: {exc}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

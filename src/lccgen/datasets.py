@@ -2,18 +2,12 @@
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
-from . import LccgenError
 from .rng import Rng
+from .serialize import Reader
 
-IMAGES_MAGIC = 0x00000803
-
-
-class IdxParseError(LccgenError):
-    pass
+IMAGES_MAGIC = b"\x00\x00\x08\x03"
 
 
 def make_ring(n: int, radius: float = 1.0, noise_sigma: float = 0.0, seed: int = 0) -> np.ndarray:
@@ -41,38 +35,18 @@ def make_swiss_roll(n: int, noise_sigma: float = 0.0, seed: int = 0) -> np.ndarr
     return pts
 
 
-def _read_u32(buf: bytes, offset: int, path: str) -> int:
-    if offset + 4 > len(buf):
-        raise IdxParseError(f"{path}: truncated header at byte offset {offset}")
-    return struct.unpack(">I", buf[offset : offset + 4])[0]
-
-
 def load_mnist_idx(images_path, limit: int | None = None,
                    downsample_to: int | None = None) -> np.ndarray:
     """IDX image file -> (n, rows*cols) array with pixels mapped to [-1, 1].
 
-    Big-endian u32 header (magic, count, rows, cols) then u8 pixels.
+    Big-endian u32 header (magic, count, rows, cols), then u8 pixels to the end.
     `limit` keeps the first images; `downsample_to=k` box-filters each image
     to k x k, and k must divide both image dimensions.
     """
-    with open(images_path, "rb") as fh:
-        buf = fh.read()
-    magic = _read_u32(buf, 0, str(images_path))
-    if magic != IMAGES_MAGIC:
-        raise IdxParseError(
-            f"{images_path}: bad magic 0x{magic:08x} at byte offset 0 "
-            f"(expected 0x{IMAGES_MAGIC:08x})"
-        )
-    count = _read_u32(buf, 4, str(images_path))
-    rows = _read_u32(buf, 8, str(images_path))
-    cols = _read_u32(buf, 12, str(images_path))
-    need = 16 + count * rows * cols
-    if len(buf) < need:
-        raise IdxParseError(
-            f"{images_path}: truncated pixel data at byte offset {len(buf)} "
-            f"(expected {need} bytes)"
-        )
-    pixels = np.frombuffer(buf, dtype=np.uint8, count=count * rows * cols, offset=16)
+    r = Reader(images_path, IMAGES_MAGIC)
+    count, rows, cols = r.fields(">III")
+    pixels = r.array(np.uint8, count * rows * cols)
+    r.end()
     images = pixels.reshape(count, rows, cols).astype(np.float64)
     if limit is not None:
         images = images[:limit]

@@ -8,6 +8,8 @@ u32 LE rows, u32 LE cols, one activation tag byte (the name's position in
 `neural.net.ACTIVATIONS`: 0 identity, 1 relu, 2 tanh, 3 sigmoid), rows*cols
 float64 LE weights row-major, cols float64 LE biases.  A checkpoint has at
 least one layer, and each layer's rows equal the previous layer's cols.
+`Reader` reads these and IDX images, and refuses any other length or a
+non-finite float.
 
 CSV floats are written with repr-faithful %.17g (`FLOAT`) so reruns are
 byte-identical; a writer formats a whole row, or a whole cell, with one `%`.
@@ -36,6 +38,43 @@ _CSV_ROWS = 256  # rows whose cells codings_to_csv formats at a time
 
 class FormatError(LccgenError):
     pass
+
+
+class Reader:
+    """A cursor over a whole binary file that starts with `magic`.  A read
+    past the end names the offset where the file falls short, float blocks
+    must be finite, and `end` refuses any bytes after the last field."""
+
+    def __init__(self, path, magic: bytes):
+        with open(path, "rb") as fh:
+            self.path, self.buf, self.off = path, fh.read(), len(magic)
+        if self.buf[:self.off] != magic:
+            self.fail(f"bad magic {self.buf[:self.off]!r} at byte offset 0 (expected {magic!r})")
+
+    def fail(self, msg):
+        raise FormatError(f"{self.path}: {msg}")
+
+    def _take(self, size: int) -> int:
+        if len(self.buf) < self.off + size:
+            self.fail(f"truncated at byte offset {len(self.buf)} (expected {self.off + size})")
+        self.off += size
+        return self.off - size
+
+    def fields(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.buf, self._take(struct.calcsize(fmt)))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        dtype = np.dtype(dtype)
+        start = self._take(dtype.itemsize * count)
+        a = np.frombuffer(self.buf, dtype=dtype, count=count, offset=start)
+        if dtype.kind == "f" and not np.isfinite(a).all():
+            bad = int(np.argmin(np.isfinite(a)))
+            self.fail(f"non-finite value {a[bad]} at byte offset {start + dtype.itemsize * bad}")
+        return a
+
+    def end(self) -> None:
+        if self.off != len(self.buf):
+            self.fail(f"trailing bytes at byte offset {self.off} (file ends at {len(self.buf)})")
 
 
 def fmt_float(x: float) -> str:
@@ -67,17 +106,10 @@ def save_anchors(path, anchors: AnchorSet) -> None:
 
 
 def load_anchors(path) -> AnchorSet:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != ANCHOR_MAGIC:
-        raise FormatError(f"{path}: bad magic {buf[:4]!r} at byte offset 0")
-    if len(buf) < 12:
-        raise FormatError(f"{path}: truncated header at byte offset {len(buf)}")
-    d_b, m = struct.unpack("<II", buf[4:12])
-    need = 12 + 8 * d_b * m
-    if len(buf) < need:
-        raise FormatError(f"{path}: truncated at byte offset {len(buf)} (expected {need})")
-    flat = np.frombuffer(buf, dtype="<f8", count=d_b * m, offset=12)
+    r = Reader(path, ANCHOR_MAGIC)
+    d_b, m = r.fields("<II")
+    flat = r.array("<f8", d_b * m)
+    r.end()
     return AnchorSet(flat.reshape(m, d_b).T.copy())
 
 
@@ -99,45 +131,26 @@ def save_model(path, net: Mlp) -> None:
         fh.write(MODEL_MAGIC)
         fh.write(struct.pack("<I", len(net.layers)))
         for layer in net.layers:
-            rows, cols = layer.w.shape
-            fh.write(struct.pack("<II", rows, cols))
-            fh.write(struct.pack("B", _ACT_TAGS[layer.act]))
+            fh.write(struct.pack("<IIB", *layer.w.shape, _ACT_TAGS[layer.act]))
             fh.write(np.ascontiguousarray(layer.w, dtype="<f8").tobytes())
             fh.write(np.ascontiguousarray(layer.b, dtype="<f8").tobytes())
 
 
 def load_model(path) -> Mlp:
-    with open(path, "rb") as fh:
-        buf = fh.read()
-    if buf[:4] != MODEL_MAGIC:
-        raise FormatError(f"{path}: bad magic {buf[:4]!r} at byte offset 0")
-    off = 4
-    if len(buf) < off + 4:
-        raise FormatError(f"{path}: truncated header at byte offset {len(buf)}")
-    (n_layers,) = struct.unpack_from("<I", buf, off)
-    off += 4
+    r = Reader(path, MODEL_MAGIC)
+    (n_layers,) = r.fields("<I")
     if n_layers == 0:
-        raise FormatError(f"{path}: no layers")
+        r.fail("no layers")
     layers = []
     for i in range(n_layers):
-        if len(buf) < off + 9:
-            raise FormatError(f"{path}: truncated layer {i} header at byte offset {len(buf)}")
-        rows, cols = struct.unpack_from("<II", buf, off)
+        rows, cols, tag = r.fields("<IIB")
         if layers and rows != layers[-1].b.size:
-            raise FormatError(f"{path}: layer {i} takes {rows} inputs but layer {i - 1} "
-                              f"gives {layers[-1].b.size}")
-        tag = buf[off + 8]
-        off += 9
+            r.fail(f"layer {i} takes {rows} inputs but layer {i - 1} gives {layers[-1].b.size}")
         if tag >= len(ACTIVATIONS):
-            raise FormatError(f"{path}: unknown activation tag {tag} at byte offset {off - 1}")
-        need = off + 8 * (rows * cols + cols)
-        if len(buf) < need:
-            raise FormatError(f"{path}: truncated at byte offset {len(buf)} (expected {need})")
-        w = np.frombuffer(buf, dtype="<f8", count=rows * cols, offset=off).reshape(rows, cols)
-        off += 8 * rows * cols
-        b = np.frombuffer(buf, dtype="<f8", count=cols, offset=off)
-        off += 8 * cols
-        layers.append(Layer(w, b, list(ACTIVATIONS)[tag]))
+            r.fail(f"unknown activation tag {tag} at byte offset {r.off - 1}")
+        w = r.array("<f8", rows * cols).reshape(rows, cols)
+        layers.append(Layer(w, r.array("<f8", cols), list(ACTIVATIONS)[tag]))
+    r.end()
     return Mlp(layers)
 
 

@@ -576,6 +576,25 @@ def test_truncated_generator_is_one_error_line(staged, tmp_path, capsys):
     assert not os.path.exists(os.path.join(out2, "codings_sampled.csv"))
 
 
+def test_failed_allocation_is_one_error_line(staged, tmp_path, capsys, monkeypatch):
+    # numpy raises MemoryError, naming the shape, when an array cannot be
+    # allocated; the stand-in raises it without allocating anything
+    cfg, out = staged
+    out2 = str(tmp_path / "out")
+    shutil.copytree(out, out2)
+    cfg2 = write_cfg(str(tmp_path), out2)
+    why = "Unable to allocate 2.91 TiB for an array with shape (100000000000, 4)"
+
+    def sample_codings(*args):
+        raise MemoryError(why)
+
+    monkeypatch.setattr("lccgen.cli.sample_codings", sample_codings)
+    before = sorted(os.listdir(out2))
+    assert main(["--config", cfg2, "sample", "--n", "100000000000"]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: sample: out of memory: {why}"]
+    assert sorted(os.listdir(out2)) == before
+
+
 def test_too_many_anchors_is_one_error_line(staged, tmp_path, capsys):
     # an LccError subclass, caught through the package's one error base
     cfg, out = staged

@@ -6,11 +6,11 @@ import numpy as np
 import pytest
 
 from lccgen.datasets import (
-    IdxParseError,
     load_mnist_idx,
     make_ring,
     make_swiss_roll,
 )
+from lccgen.serialize import FormatError
 
 
 def _idx_images(count, rows, cols, pixels, magic=0x00000803):
@@ -73,14 +73,14 @@ def test_idx_zero_image_maps_to_minus_one(tmp_path):
 def test_idx_wrong_magic_reports_offset(tmp_path):
     path = tmp_path / "imgs.idx"
     path.write_bytes(_idx_images(1, 2, 2, [0] * 4, magic=0xDEADBEEF))
-    with pytest.raises(IdxParseError, match="byte offset 0"):
+    with pytest.raises(FormatError, match="byte offset 0"):
         load_mnist_idx(path)
 
 
 def test_idx_truncated_pixels_reports_offset(tmp_path):
     path = tmp_path / "imgs.idx"
     path.write_bytes(_idx_images(2, 2, 2, [7] * 4))  # second image missing
-    with pytest.raises(IdxParseError, match="truncated"):
+    with pytest.raises(FormatError, match="truncated"):
         load_mnist_idx(path)
 
 

@@ -512,9 +512,16 @@ def _gaussian_sets():
         yield init_anchors(H, m, Rng(d_b)), H
 
 
+# collinear anchors beside one off the line: in one step, rows on faces of
+# the same size meet both full-rank and rank-deficient faces
+MIXED_RANK = (np.array([[-1.0, -0.5, 0.0, 0.5, 1.0, 0.0], [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]]),
+              np.array([[0.2, 0.0], [0.3, 0.1], [-2.0, 0.05], [0.1, 0.5], [2.0, 2.0],
+                        [-0.7, -0.3]]))
+
+
 @pytest.mark.parametrize("V, H, exact", [(V, H, False) for V, H in _gaussian_sets()]
-                         + [(V, H, True) for V, H in DEGENERATE.values()],
-                         ids=["gauss3", "gauss5", *DEGENERATE.keys()])
+                         + [(V, H, True) for V, H in [*DEGENERATE.values(), MIXED_RANK]],
+                         ids=["gauss3", "gauss5", *DEGENERATE.keys(), "mixed-rank"])
 def test_stepped_active_set_matches_the_per_row_one(V, H, exact):
     # rows stepped together take the steps they would take alone: the
     # same support and objective from the same start, bit for bit where
