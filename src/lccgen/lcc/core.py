@@ -37,11 +37,7 @@ _ROWS = 512  # rows per block of solve_codings, bounding its (rows, m) temporari
 _MAX_STEPS = 200  # active-set steps per row
 
 
-class LccError(LccgenError):
-    pass
-
-
-class InsufficientDataError(LccError):
+class InsufficientDataError(LccgenError):
     """Fewer input points than requested anchors."""
 
 
@@ -53,8 +49,8 @@ class AnchorSet:
 
     def __post_init__(self):
         a = np.asarray(self.anchors, dtype=np.float64)
-        if a.ndim != 2 or a.shape[1] < 1:
-            raise ValueError(f"anchors must be a (d_b, m) matrix, got shape {a.shape}")
+        if a.ndim != 2 or 0 in a.shape:
+            raise ValueError(f"anchors must be a nonempty (d_b, m) matrix, got shape {a.shape}")
         if not np.all(np.isfinite(a)):
             raise ValueError("anchors must be finite")
         self.anchors = a
@@ -103,15 +99,21 @@ def _as_points(points) -> np.ndarray:
     return h
 
 
-def _penalties(H: np.ndarray, V: np.ndarray, l_q: float, q: int):
-    # c_ij = l_q * ||v_j - h_i||^q, shape (n, m); dist returned for reuse.
-    # Squares add one coordinate at a time, left to right: the order np.sum
-    # takes over an (n, m, d_b) difference array when m >= 2.
-    dist = np.zeros((len(H), V.shape[1]))
+def sq_dists(H: np.ndarray, V: np.ndarray) -> np.ndarray:
+    """(n, m) squared distances from the rows of H to the columns of V.
+    Squares add one coordinate at a time, left to right: the order np.sum
+    takes over an (n, m, d_b) difference array when m >= 2."""
+    d2 = np.zeros((len(H), V.shape[1]))
     for h, v in zip(H.T, V):
         diff = np.subtract.outer(h, v)
         diff *= diff
-        dist += diff
+        d2 += diff
+    return d2
+
+
+def _penalties(H: np.ndarray, V: np.ndarray, l_q: float, q: int):
+    # c_ij = l_q * ||v_j - h_i||^q, shape (n, m); dist returned for reuse.
+    dist = sq_dists(H, V)
     np.sqrt(dist, out=dist)
     return l_q * dist**q, dist
 

@@ -8,11 +8,11 @@ the sum-to-one property and never leaves the union of their supports.
 
 Bulk draws come from `sample_codings` and paths from `interpolate`, both
 as (n, m) weight arrays; `Coding` objects are only built for single draws
-(`sample_coding`, `sample_coding_pair`).  Every draw goes through one
-stream walker, `_walk`, which decodes a window of the stream from its
-counters and steps only through the rejected attempts; a single draw is one
-walk on its center's row, and a pair is two.  Each row's
-sum is pinned to 1 by `core.pin_row_sums`.
+(`sample_coding`, `sample_coding_pair`).  Every draw takes its center's row
+of one nearest-anchor table, `neighbor_table`, through one stream walker,
+`_walk`, which decodes a window of the stream from its counters and steps
+only through the rejected attempts; a pair is two walks on one row.  Each
+row's sum is pinned to 1 by `core.pin_row_sums`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 from .. import LccgenError
 from ..config import ConfigError, SamplerConfig
 from ..rng import Rng, normal_u64s, u64_to_normals_at_every_offset, u64_to_uniforms
-from .core import AnchorSet, Coding, check_codings, pin_row_sums
+from .core import AnchorSet, Coding, check_codings, pin_row_sums, sq_dists
 
 _MAX_REDRAWS = 64
 _WINDOW = 1024  # draws walk_codings decodes at a time
@@ -32,24 +32,20 @@ class SamplingError(LccgenError):
     """Raised when Gaussian weights keep landing too close to sum zero."""
 
 
+def _nearest(points, anchors: AnchorSet, k: int) -> np.ndarray:
+    """(n, k) indices of the k anchors nearest each row of the (n, d_b)
+    points, ascending by distance, ties broken by lower index."""
+    if not 1 <= k <= anchors.m:
+        raise ValueError(f"k={k} must be in [1, m={anchors.m}]")
+    if points.shape[1] != anchors.d_b:
+        raise ValueError(f"query has dim {points.shape[1]}, anchors have d_b={anchors.d_b}")
+    return np.argsort(sq_dists(points, anchors.anchors), axis=1, kind="stable")[:, :k]
+
+
 def knn(query, anchors: AnchorSet, k: int) -> np.ndarray:
     """Indices of the k anchors nearest the query point, ascending by
     distance, ties broken by lower index."""
-    m = anchors.m
-    if not 1 <= k <= m:
-        raise ValueError(f"k={k} must be in [1, m={m}]")
-    q = np.asarray(query, dtype=np.float64).reshape(-1)
-    if q.shape[0] != anchors.d_b:
-        raise ValueError(f"query has dim {q.shape[0]}, anchors have d_b={anchors.d_b}")
-    diff = anchors.anchors - q[:, None]
-    d2 = np.sum(diff * diff, axis=0)
-    order = np.argsort(d2, kind="stable")  # stable sort = lowest-index ties
-    return order[:k]
-
-
-def _check_d(d: int, m: int) -> None:
-    if d > m:
-        raise ConfigError(f"[sampler] d={d} exceeds the anchor count m={m}")
+    return _nearest(np.asarray(query, dtype=np.float64).reshape(1, -1), anchors, k)[0]
 
 
 def neighbor_table(anchors: AnchorSet, d: int) -> np.ndarray:
@@ -59,8 +55,9 @@ def neighbor_table(anchors: AnchorSet, d: int) -> np.ndarray:
     An anchor queried against its own set is at distance 0, so each center
     occupies the first slot of its row (barring exact duplicates, where the
     lower index wins)."""
-    _check_d(d, anchors.m)
-    return np.stack([knn(anchors.anchors[:, j], anchors, d) for j in range(anchors.m)])
+    if d > anchors.m:
+        raise ConfigError(f"[sampler] d={d} exceeds the anchor count m={anchors.m}")
+    return _nearest(anchors.anchors.T, anchors, d)
 
 
 def _walk(table, config: SamplerConfig, rng: Rng, runs, w):
@@ -144,28 +141,21 @@ def sample_codings(anchors: AnchorSet, n: int, config: SamplerConfig, rng: Rng) 
     return w
 
 
-def _draws_on_one_center(anchors: AnchorSet, config: SamplerConfig, rng: Rng, n: int):
-    """n codings on the neighborhood of one center: the center by randint,
-    its row by knn, then n walks on that one-row table, each started one
-    u64 back, because a one-row table ignores the center u64 that the walker
-    reads.  n = 1 reads the stream as a one-draw walk over neighbor_table."""
-    _check_d(config.d, anchors.m)
-    row = knn(anchors.anchors[:, rng.randint(anchors.m)], anchors, config.d)[None, :]
-    w = np.zeros((n, anchors.m))
-    for i in range(n):
-        rng.counter -= 1
-        _walk(row, config, rng, np.array([[1, 0]]), w[i:i + 1])
-    return [Coding(x) for x in w]
-
-
 def sample_coding(anchors: AnchorSet, config: SamplerConfig, rng: Rng) -> Coding:
     """One random coding supported on a local neighborhood of the anchors."""
-    return _draws_on_one_center(anchors, config, rng, 1)[0]
+    return Coding(sample_codings(anchors, 1, config, rng)[0])
 
 
 def sample_coding_pair(anchors: AnchorSet, config: SamplerConfig, rng: Rng):
-    """Two codings drawn on the same neighborhood, for interpolation."""
-    return tuple(_draws_on_one_center(anchors, config, rng, 2))
+    """Two codings drawn on the same neighborhood, for interpolation: a
+    center by randint, then one walk per coding on its one-row table, each
+    started one u64 back, since a one-row table ignores the center u64."""
+    row = neighbor_table(anchors, config.d)[rng.randint(anchors.m)][None, :]
+    w = np.zeros((2, anchors.m))
+    for i in range(2):
+        rng.counter -= 1
+        _walk(row, config, rng, np.array([[1, 0]]), w[i:i + 1])
+    return Coding(w[0]), Coding(w[1])
 
 
 def interpolate(a: Coding, b: Coding, steps: int) -> np.ndarray:

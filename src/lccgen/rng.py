@@ -157,10 +157,6 @@ class Rng:
             raise ValueError("randint requires n >= 1")
         return min(int(self.uniform() * n), n - 1)
 
-    def ball_point(self, dim: int, radius: float) -> np.ndarray:
-        """Uniform draw from the solid ball of the given radius."""
-        return u64_to_ball_points(self.next_u64_array(normal_u64s(dim) + 1), dim, radius)
-
 
 def stage_seed(base_seed: int, tag: int) -> int:
     """Derive a per-stage seed from a base seed and a fixed integer tag."""

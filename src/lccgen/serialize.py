@@ -1,13 +1,14 @@
 """File formats for pipeline artifacts.
 
 Anchor sets ("LCCA"): magic, u32 LE d_b, u32 LE m, then m*d_b float64 LE in
-column-major order (one anchor after another).
+column-major order (one anchor after another); d_b and m are at least 1.
 
 Network checkpoints ("LCCN"): magic, u32 LE layer count, then per layer
 u32 LE rows, u32 LE cols, one activation tag byte (the name's position in
 `neural.net.ACTIVATIONS`: 0 identity, 1 relu, 2 tanh, 3 sigmoid), rows*cols
 float64 LE weights row-major, cols float64 LE biases.  A checkpoint has at
-least one layer, and each layer's rows equal the previous layer's cols.
+least one layer, each layer has at least one row and one column, and each
+layer's rows equal the previous layer's cols.
 `Reader` reads these and IDX images, and refuses any other length or a
 non-finite float.
 
@@ -77,10 +78,6 @@ class Reader:
             self.fail(f"trailing bytes at byte offset {self.off} (file ends at {len(self.buf)})")
 
 
-def fmt_float(x: float) -> str:
-    return FLOAT % x
-
-
 @contextlib.contextmanager
 def atomic_write(path, binary=False):
     """Yields a file open for writing a temp file beside `path`, and moves it
@@ -108,6 +105,8 @@ def save_anchors(path, anchors: AnchorSet) -> None:
 def load_anchors(path) -> AnchorSet:
     r = Reader(path, ANCHOR_MAGIC)
     d_b, m = r.fields("<II")
+    if d_b == 0 or m == 0:
+        r.fail(f"empty anchor set (d_b={d_b}, m={m}) at byte offset 4")
     flat = r.array("<f8", d_b * m)
     r.end()
     return AnchorSet(flat.reshape(m, d_b).T.copy())
@@ -144,6 +143,8 @@ def load_model(path) -> Mlp:
     layers = []
     for i in range(n_layers):
         rows, cols, tag = r.fields("<IIB")
+        if rows == 0 or cols == 0:
+            r.fail(f"empty layer {i} ({rows} x {cols}) at byte offset {r.off - 9}")
         if layers and rows != layers[-1].b.size:
             r.fail(f"layer {i} takes {rows} inputs but layer {i - 1} gives {layers[-1].b.size}")
         if tag >= len(ACTIVATIONS):
@@ -203,7 +204,7 @@ def kv_to_csv(path, pairs) -> None:
     with atomic_write(path) as fh:
         fh.write("name,value\n")
         for name, value in pairs:
-            fh.write(f"{name},{fmt_float(float(value))}\n")
+            fh.write(f"{name},{FLOAT % float(value)}\n")
 
 
 def write_pgm(path, image: np.ndarray) -> None:

@@ -112,6 +112,27 @@ def _unknown_tag(buf):
     return buf[:16] + bytes([9]) + buf[17:], "unknown activation tag 9 at byte offset 16"
 
 
+def _zero_width_layer(buf):
+    """A whole checkpoint, written by hand: one identity layer that takes the
+    file's inputs and gives none."""
+    (rows,) = struct.unpack_from("<I", buf, 8)
+    return (buf[:4] + struct.pack("<IIIB", 1, rows, 0, 0),
+            f"empty layer 0 ({rows} x 0) at byte offset 8")
+
+
+def _zero_input_layer(buf):
+    """A whole checkpoint, written by hand: one identity layer that takes no
+    inputs and gives three outputs."""
+    return (buf[:4] + struct.pack("<IIIB", 1, 0, 3, 0) + bytes(24),
+            "empty layer 0 (0 x 3) at byte offset 8")
+
+
+def _empty_anchor_set(d_b, m):
+    """A whole anchors.bin, written by hand, of a d_b x m header and no floats."""
+    return lambda buf: (buf[:4] + struct.pack("<II", d_b, m),
+                        f"empty anchor set (d_b={d_b}, m={m}) at byte offset 4")
+
+
 COMMON = {
     **{f"truncated-{k}": _truncated(k) for k in (0, 3, 4, 7, 8, 11, 12, 17, -9, -1)},
     "appended-1": _appended(1),
@@ -127,6 +148,8 @@ MODEL_SHAPES = {
     "no-layers": _set_u32(4, lambda n: 0, "no layers"),
     "extra-layer": _set_u32(4, lambda n: n + 1, "truncated at byte offset"),
     "unknown-activation": _unknown_tag,
+    "zero-width-layer": _zero_width_layer,
+    "zero-input-layer": _zero_input_layer,
 }
 MUTANTS = {
     "ae_encoder.bin": {**COMMON, **MODEL_SHAPES},
@@ -135,6 +158,8 @@ MUTANTS = {
         "more-anchors": _set_u32(8, lambda m: m + 1, "truncated at byte offset"),
         "fewer-anchors": _set_u32(8, lambda m: m - 1, "trailing bytes at byte offset 60"),
         "wider-anchors": _set_u32(4, lambda d_b: d_b + 1, "truncated at byte offset"),
+        "zero-dim-anchors": _empty_anchor_set(0, 4),
+        "no-anchors": _empty_anchor_set(2, 0),
     },
     "generator.bin": {**COMMON, **MODEL_SHAPES},
 }

@@ -1,9 +1,11 @@
 """CLI tests: stage chaining, artifact schemas, rerun stability, and error
 messages that name the offending key or file."""
 
+import contextlib
 import hashlib
 import importlib
 import importlib.util
+import io
 import os
 import re
 import shutil
@@ -378,6 +380,63 @@ def test_reduced_relu_q3_fit_bytes_match_fixture(tmp_path, capsys):
     assert got == RELU_Q3_SHA256
 
 
+# sha256 of every file a reduced ring pipeline writes at seed 7 with a
+# three-dimensional latent space: the active set codes nearly every row
+# ("gap") and the anchor step moves the anchors in each of the eight
+# iterations, paths the latent-2 fixtures above reach only in part.
+LATENT3_SHA256 = {
+    "ae_decoder.bin": "7e19301b670f0dd3e2493d41a26ec0d34e298780cf24154c39c796fe33b20fc5",
+    "ae_encoder.bin": "d0358f3f46ad7433ff4126a711a6a2c07c8ee4092ef1f38a3526aa95d6a9516d",
+    "ae_losses.csv": "24a8e8eafd7dff17f52bbb4af5f15382b35a15ae83c4f7693acffd7225dc2233",
+    "anchors.bin": "9fa5fd653c30e25bb31f40826fcca400eee436a2823755c10da63f4c1692800d",
+    "anchors.csv": "4a5d50288529de58c0abeb260b004042576efecb3270dcfef7235b2b39db2ff7",
+    "codings.csv": "c63162397fbf218c147cbd874de66cb4e911f883dc16c47208db71ae40ce0f62",
+    "codings_sampled.csv": "b41683c1bdd33d628cda57fc6baa131b124c02a76b88eccae0d2fd05dbc022b1",
+    "discriminator.bin": "c558543b2831b53320c529257cf0f9a0daa09302c77852ed80bb0e6670f2bd4c",
+    "gan_losses.csv": "5cdfe68ea01ae319b1c756699024310b6314fe52292eaa7e2d4928e0d19b8cb6",
+    "generator.bin": "17d3c4fa32ac546de25a4570b067246e5123b47324219a0604f3179336a58647",
+    "grid.pgm": "ed0df0c595df0e2a9b339eb696a6c32c6c8748ac7cfff86cc54c9e516dd64d76",
+    "lcc_objective.csv": "59d8dfe17ab79d9fe5d7736bb47f3a5c62033157b1d0471f5e2af79862241e3d",
+    "metrics.csv": "82580f4d58a42e956d8b1435abfc53b2ddb8ae6205c4a9853390315385091aed",
+    "sampled_outputs.csv": "c6324b5fcb51ced710f29efc8238034a45820ef67f1dfcb0b2f132d0a2103da8",
+    "samples.csv": "68864b503fe834a31439647ef15241a4e1c23a98e93bfb65e26576d7ca576877",
+}
+
+
+@pytest.fixture(scope="module")
+def latent3(tmp_path_factory):
+    """The latent-3 ring run directory and the lines its stages printed."""
+    root = tmp_path_factory.mktemp("latent3")
+    out = root / "out"
+    cfg = root / "latent3.ini"
+    cfg.write_text("[data]\nkind = ring\nseed = 7\n"
+                   "[autoencoder]\nlatent_dim = 3\nepochs = 5\n[lcc]\nmax_outer_iters = 8\n"
+                   "[gan]\niters = 100\nhidden = 32\n"
+                   f"[eval]\nn_generated = 200\nn_heldout = 200\n[output]\ndir = {out}\n")
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        for argv in (["train-ae"], ["learn-lcc"], ["train-gan"], ["sample", "--n", "50"],
+                     ["eval"]):
+            assert main(["--config", str(cfg)] + argv) == 0, argv
+    return out, printed.getvalue().splitlines()
+
+
+def test_reduced_latent3_pipeline_bytes_match_fixture(latent3):
+    out, printed = latent3
+    assert "codings: 44 vertex, 0 hit, 1956 gap, 0 cap" in printed
+    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in out.iterdir()}
+    assert got == LATENT3_SHA256
+
+
+def test_latent3_objective_never_rises_as_the_anchors_move(latent3):
+    out, _ = latent3
+    rows = (out / "lcc_objective.csv").read_text().splitlines()
+    assert rows[0] == "iter,objective" and len(rows) == 9
+    objective = [float(row.split(",")[1]) for row in rows[1:]]
+    assert all(b <= a for a, b in zip(objective, objective[1:])), objective
+    assert objective[-1] < objective[0]
+
+
 def test_eval_counts_a_constant_sample_as_not_positive(tmp_path):
     # the swiss-roll fixture's config at the default [gan] hidden of 128,
     # whose tanh outputs saturate at (1, 1, 1): a constant sample has no
@@ -596,7 +655,7 @@ def test_failed_allocation_is_one_error_line(staged, tmp_path, capsys, monkeypat
 
 
 def test_too_many_anchors_is_one_error_line(staged, tmp_path, capsys):
-    # an LccError subclass, caught through the package's one error base
+    # an LccgenError subclass, caught through the package's one error base
     cfg, out = staged
     out2 = str(tmp_path / "out")
     shutil.copytree(out, out2)

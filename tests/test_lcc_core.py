@@ -735,6 +735,12 @@ def test_anchor_set_validates_finiteness():
         AnchorSet(np.array([[np.nan, 1.0], [0.0, 2.0]]))
 
 
+@pytest.mark.parametrize("shape", [(0, 4), (2, 0), (0, 0), (4,)])
+def test_anchor_set_refuses_empty_shapes(shape):
+    with pytest.raises(ValueError, match="nonempty"):
+        AnchorSet(np.zeros(shape))
+
+
 def test_reconstruct_convex_combination():
     c = Coding(np.array([0.5, 0.5]))
     assert np.array_equal(SQUARE_ANCHORS.anchors @ c.weights, np.zeros(2))

@@ -94,7 +94,7 @@ def test_randint_bounds_and_floor_rule():
 def test_ball_point_stays_inside_radius():
     rng = Rng(31)
     for _ in range(500):
-        p = rng.ball_point(3, 2.5)
+        p = u64_to_ball_points(rng.next_u64_array(normal_u64s(3) + 1), 3, 2.5)
         assert float(np.linalg.norm(p)) <= 2.5 + 1e-12
 
 
@@ -113,7 +113,8 @@ def test_ball_points_decode_in_bulk_as_drawn_in_turn():
         width = normal_u64s(dim) + 1
         bulk = u64_to_ball_points(rng.u64_at(1 + np.arange(6 * width).reshape(6, width)),
                                   dim, 0.5)
-        one_by_one = np.stack([rng.ball_point(dim, 0.5) for _ in range(6)])
+        one_by_one = np.stack([u64_to_ball_points(rng.next_u64_array(width), dim, 0.5)
+                               for _ in range(6)])
         assert bulk.tobytes() == one_by_one.tobytes()
         # the documented recipe: normals, then a uniform for the radius
         check = Rng(40 + dim)

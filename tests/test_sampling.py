@@ -69,6 +69,47 @@ def test_neighbor_table_centers_lead_their_rows():
         assert list(table[j]) == list(knn(V[:, j], anchors, 3))
 
 
+def _nearest_reference(V, j):
+    """Anchor j's neighbors in full, written out apart from the sampler:
+    squared differences added one coordinate at a time, then a stable
+    argsort.  For m >= 2 the sums are knn's former np.sum over the
+    coordinate axis, float for float."""
+    d2 = np.zeros(V.shape[1])
+    for v in V:
+        diff = v - v[j]
+        d2 += diff * diff
+    if V.shape[1] >= 2:
+        diff = V - V[:, j:j + 1]
+        assert d2.tobytes() == np.sum(diff * diff, axis=0).tobytes()
+    return np.argsort(d2, kind="stable")
+
+
+@pytest.mark.parametrize("d_b", [1, 2, 3, 8, 9, 32])
+@pytest.mark.parametrize("m", [1, 4, 16, 257])
+def test_neighbor_table_is_the_per_query_rule(d_b, m):
+    V = np.asarray(Rng(1000 * d_b + m).normals(d_b * m)).reshape(d_b, m)
+    anchors = AnchorSet(V)
+    table = neighbor_table(anchors, m)
+    for j in range(m):
+        assert table[j].tobytes() == _nearest_reference(V, j).tobytes()
+    assert neighbor_table(anchors, min(m, 3)).tobytes() == table[:, :min(m, 3)].tobytes()
+
+
+@pytest.mark.parametrize("anchors", [
+    AnchorSet(np.array([[0.0, 1.0, 0.0, 1.0, 0.0], [2.0, 0.5, 2.0, 0.5, 2.0]])),
+    SQUARE,
+], ids=["duplicates", "square"])
+def test_neighbor_table_breaks_ties_by_lower_index(anchors):
+    table = neighbor_table(anchors, anchors.m)
+    for j in range(anchors.m):
+        assert table[j].tobytes() == _nearest_reference(anchors.anchors, j).tobytes()
+        assert list(knn(anchors.anchors[:, j], anchors, anchors.m)) == list(table[j])
+    if anchors is SQUARE:  # each corner, its two edge neighbours by index, the far corner
+        assert table.tolist() == [[0, 1, 2, 3], [1, 0, 3, 2], [2, 0, 3, 1], [3, 1, 2, 0]]
+    else:  # a duplicate sorts after its lower-index twin, even as the center
+        assert table[2].tolist()[:3] == [0, 2, 4] and table[3].tolist()[:2] == [1, 3]
+
+
 def test_sample_d1_is_one_hot():
     cfg = SamplerConfig(d=1)
     for seed in range(20):

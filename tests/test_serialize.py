@@ -10,11 +10,11 @@ from lccgen.lcc.core import AnchorSet
 from lccgen.neural.net import Layer, Mlp, build_mlp
 from lccgen.rng import Rng
 from lccgen.serialize import (
+    FLOAT,
     FormatError,
     anchors_to_csv,
     codings_from_csv,
     codings_to_csv,
-    fmt_float,
     kv_to_csv,
     load_anchors,
     load_model,
@@ -127,7 +127,7 @@ def test_codings_csv_bad_cell_names_the_line(tmp_path):
 
 def test_float_format_is_repr_faithful():
     for x in (0.1, 1.0 / 3.0, -2.5e-17, 1e300, 0.0):
-        assert float(fmt_float(x)) == x
+        assert float(FLOAT % x) == x
 
 
 def test_matrix_and_kv_csv_shapes(tmp_path):
