@@ -19,8 +19,8 @@ from ..lcc.core import AnchorSet
 from ..lcc.sampling import walk_codings
 from ..rng import Rng
 from .adam import adam_step, init_adam
-from .net import (PHIS, Mlp, TrainingDivergedError, _mean, backward, build_mlp, check_finite,
-                  forward_cached)
+from .net import (PHIS, Mlp, TrainingDivergedError, _mean, as_float32_data, backward, build_mlp,
+                  check_finite, forward_cached)
 
 
 @dataclass
@@ -76,7 +76,8 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
     Training runs on float32 copies of both networks, each with fresh
     float32 Adam moments, the first step of Micikevicius et al., "Mixed
     Precision Training" (ICLR 2018), who go on to float16 arithmetic.  The
-    data are cast once, and each batch of codings at the generator's input.
+    data are cast once, and refused if beyond float32's range, and each
+    batch of codings is cast at the generator's input.
     Only the trained weights are written back, into the model's float64
     arrays, which hold them exactly, so checkpoints keep their format; the
     moments end with the call.  Zero iterations leave the model as built."""
@@ -87,9 +88,9 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
         raise ValueError("data dim does not match the discriminator input")
     if anchors.m != model.generator.in_dim:
         raise ValueError("anchor count does not match the generator input")
+    X = as_float32_data(X, "GAN")
     if gan.iters == 0:
         return model, []
-    X = X.astype(np.float32)
     work = GanModel(Mlp(model.generator.layers, np.float32),
                     Mlp(model.discriminator.layers, np.float32), model.phi)
     gen_state, disc_state = init_adam(work.generator.flat), init_adam(work.discriminator.flat)

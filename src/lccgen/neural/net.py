@@ -2,8 +2,10 @@
 
 Weights are (in_dim, out_dim); rows of a batch multiply from the left,
 y = act(x @ W + b).  A network computes in the dtype of its `flat`:
-float64 everywhere except inside `gan.train_gan`, which trains float32
-copies and writes them back widened.  `ACTIVATIONS` and the GAN's `PHIS`
+float64 everywhere except inside the two trainers,
+`autoencoder.train_autoencoder` and `gan.train_gan`, which train float32
+copies on data cast by `as_float32_data` and hand back float64 networks
+holding the trained weights exactly.  `ACTIVATIONS` and the GAN's `PHIS`
 are the only lists of their names; config checks keys against them.
 
 The passes compute only what their callers read, with the float operations
@@ -95,6 +97,17 @@ PHIS = {
 
 class TrainingDivergedError(LccgenError):
     """Training drove a loss or a network parameter to a non-finite value."""
+
+
+def as_float32_data(X, trainer: str):
+    """The float64 (n, dim) array X cast to float32 for the named trainer;
+    a ValueError if some |x| is beyond float32's range, where the cast
+    would give inf."""
+    top, limit = max(float(np.max(X)), -float(np.min(X))), float(np.finfo(np.float32).max)
+    if not top <= limit:
+        raise ValueError(f"{trainer} training runs in float32, but the data reach "
+                         f"|x| = {top:.9g}, beyond its largest value {limit:.9g}")
+    return X.astype(np.float32)
 
 
 @dataclass

@@ -240,16 +240,16 @@ def test_verify_bounds_bytes_match_fixture(tmp_path, capsys):
         assert hashlib.sha256(fh.read()).hexdigest() == BOUNDS_60_SHA256
 
 
-# sha256 of every file a reduced ring pipeline writes at seed 7; the files
-# from train-gan on as the GAN trains in float32
+# sha256 of every file a reduced ring pipeline writes at seed 7, with the
+# autoencoder and the GAN trained in float32
 PIPELINE_SHA256 = {
-    "ae_decoder.bin": "d2e0bc8d1af36040d7ab98c475bbf8bb5b6edc801862e5b72ec3c5a912a3102c",
-    "ae_encoder.bin": "684054e2ee2f8c0539b8e76cc038817ac07a8a3d624c9de003bdb62860906775",
-    "ae_losses.csv": "8b54b699dc24a910dd2736b982bef2c875116204702831ab0b2ef1fd7778aeb0",
-    "anchors.bin": "ff916e66aceb71f737402f9df4a652ed772b8191f7050c2bd4551ce4e6800aaa",
-    "anchors.csv": "dfb3b7f843b212fe71808fc6aa0d246c02de1e3b6da25dbcdb7d9d020d1f5dff",
+    "ae_decoder.bin": "5becf4372129029e785a57e7abd75726082cfc4c7a94ed2f07b192383e02486f",
+    "ae_encoder.bin": "cda75b075dfb2d744a8a2f25c45e4ef00200eac2287253024a57a77201be3162",
+    "ae_losses.csv": "ca7e4cf4659b46f9c72fd9648373598725165c9a2e0cdf5838bbbd563d1deaf5",
+    "anchors.bin": "eb0fa355bb8d716b7ec84a196cb56bd514054a920fa54aeee4701babfab290b6",
+    "anchors.csv": "f63982727196eb736b843037201e71961e700271751c8184e6c98bdc4c3ecc8b",
     "bounds.csv": "b36e9fb2b1e8cd23bd2f1e90510c17699787efbb3080ed995b2def265b67f9ba",
-    "codings.csv": "ed94a9b40f6df15d8fc3d4ab57c60d38f513cfcabe7ea299a759431fa15dab72",
+    "codings.csv": "be3e4ddcdffa62373f262360e87476f9f697535a6642c971ea66c01ed8c24a88",
     "codings_sampled.csv": "064c3ac113b40e05f510d869a23f67980564e24d343fe39245006c54243464fc",
     "discriminator.bin": "b72fe632dc301b2dedbc568fb319de61e7c4b34d5ece4798fbe73b55412b6327",
     "gan_losses.csv": "8d1609f3f2e71b75c68edb5ee242dfe8d643ba6a9d70aff61484b9d781fffef6",
@@ -257,7 +257,7 @@ PIPELINE_SHA256 = {
     "grid.pgm": "b03ae51625567782cfb944c964bb8e9f342bc15294a4b55a9a84049f364cdba6",
     "interp_codings.csv": "78cbd8830820c6706f86290ed8fce5e7ce3c8cd8a1054b0a505801ac6bd63111",
     "interp_outputs.csv": "334d6510a9e73979709a886c1ce4f164af09b40a315984fdf09463055ce7ed56",
-    "lcc_objective.csv": "5f26ae0fdc682db63fc89847d19236b4080a5a6d983257d9e1250ecc43b7f5d9",
+    "lcc_objective.csv": "570f4a733114103dde7f8fb5e39c87f8d9c6ddb300a7f3e4d39ece266ae49915",
     "metrics.csv": "b3ab9dde17a07459cd35e5ab28f14ffb734b29a6ba46c2689bcab37fe102f449",
     "sampled_outputs.csv": "f446da51912cf4b7a2ee58544b3b7a7e1dacdf299ed67e5c85be55eafcec49c2",
     "samples.csv": "fb3512203d17617cd81d79232012fd2d095529d215c5b8350c12fa61bd64b81f",
@@ -281,19 +281,20 @@ def test_reduced_ring_pipeline_bytes_match_fixture(tmp_path):
 
 
 # sha256 of every file a reduced swiss-roll pipeline writes at seed 7, the
-# GAN trained in float32 as above: 3-D data, which eval's grid scatters by
-# its first two coordinates, the identity phi and a tanh generator output.
+# autoencoder and the GAN trained in float32 as above: 3-D data, which
+# eval's grid scatters by its first two coordinates, the identity phi and a
+# tanh generator output.
 # hidden = 16 keeps the tanh outputs inside (-1, 1); at the default [gan]
 # hidden of 128 they saturate into constant samples, which
 # test_eval_counts_a_constant_sample_as_not_positive runs.
 SWISS_ROLL_SHA256 = {
-    "ae_decoder.bin": "660186cd80234d2e77b11517cd06f8f81fa7c3a9cebca2c0ad7d813d6c54baf9",
-    "ae_encoder.bin": "8e9f0f6e18d32cde266db30db5cd2f2e39f3968959a899a066830003929a6504",
-    "ae_losses.csv": "8acf4bd9c0d4ea71c276b4341ec72b5bc6c2239892aab5953ea12bbf0ffd7921",
-    "anchors.bin": "a1a3a6d66fbf64ee8254c63f1ccd089a40079b62a2487bdd2d0562c2df9b24e3",
-    "anchors.csv": "b2fdeefb690d4954ab9e723714c47c7f49a9bf0493fc0e9fcfc5df80dbd652cc",
+    "ae_decoder.bin": "18fa6e32c638f8b9268ecbfd5dcfce076010a79c2bbaf46ae10d57718b131f9f",
+    "ae_encoder.bin": "834b1aa85a626487b57886adf8b22df68b5af778606b959dd1a2df1bd1e28de4",
+    "ae_losses.csv": "4e4cfca904329ac2ea6c2b4b43d73b9ea90227a8d935e202c03e9c14d2194f0e",
+    "anchors.bin": "21f6502181c5254887bf5d5db8eafef5cbafec1f0ec2cd5cc50937fb7871d8f9",
+    "anchors.csv": "08cece02553b8c5d2fa87c9f275dd864d3626469697b11080dbbb63a550b55eb",
     "bounds.csv": "b36e9fb2b1e8cd23bd2f1e90510c17699787efbb3080ed995b2def265b67f9ba",
-    "codings.csv": "ada666bc9f1e6289a3b3c504cdde2a43b8b53b789a922a3a29d54e3133390384",
+    "codings.csv": "5cc9ad2b629ae50ac9da6823eaf8da85c2e5b24d5e2daba8e5237ce48236f8c2",
     "codings_sampled.csv": "1ecf53c140a6f7e960c65ac472593c0655d0c0d98c60f864042dec1a354ed40a",
     "discriminator.bin": "e43a82bdf0bc0b32db9d09264cc60ec48ca2915e62299382f7d5a219684b1343",
     "gan_losses.csv": "5160e57f62229dc64c5c51cc8eb458b53ea619332139788a7e247ef266c330d9",
@@ -301,7 +302,7 @@ SWISS_ROLL_SHA256 = {
     "grid.pgm": "c29206eb69f4b6f05bbbcc82d7495df088f6eb8666e431bbd1ca0a6e5474586f",
     "interp_codings.csv": "b5a62d0ba24b0511e0c8b2e6981f69c90e8351a31666cd44c6ef81b9adf6dda9",
     "interp_outputs.csv": "c1ab7d0d25636974fbeeb44dc4bdc4c164af9a576f95691b25f0eaa976222b1d",
-    "lcc_objective.csv": "abb683a993e8efc7980a0b11e5970ce836de5710276b6b922703898da2490e12",
+    "lcc_objective.csv": "bc6008971e1b55895d97071257c74f2480da57328ec9f9516fdc9f43b9e38c44",
     "metrics.csv": "8049a6bb078d014391b2cdaec050d700452560bcfacf1e67fb6bee6c5ab5e5f4",
     "sampled_outputs.csv": "8c3cefca5baefce9349b987b98fa708c77edf2c356a2e8acb62b8076c1105cba",
     "samples.csv": "f993abf4c8122046cfdea430caa499763f93210327afa3304278c5f0d205477e",
@@ -353,13 +354,13 @@ def test_reduced_pipelines_send_no_row_to_the_active_set(ini, line, tmp_path, mo
 # certificates need the dual bound in coordinates centred on that anchor,
 # q = 3's anchor weights, and backtracking steps that move the anchors.
 RELU_Q3_SHA256 = {
-    "ae_decoder.bin": "ded3e48cd2cb38865cec068a903a8e1f866f94d4a05e98b628a92b777d3b2e43",
-    "ae_encoder.bin": "cab41374ee553b380b15ac82343b7870859e7284dc34f8069642a6bd9cc2ed72",
-    "ae_losses.csv": "b547d470a4895249dcf1451afd63be04699d355863173e52102c5be51f0106df",
-    "anchors.bin": "24bc3a2a22447a121e802ae3982eb178644d5e2f7bf180ad478d4f6f5ca828ee",
-    "anchors.csv": "7dd29ed093ddc7b34f7a9974a25edb3f6ca9e1b53ea54e8dcec964afbbc16998",
-    "codings.csv": "6288b98da5728f3894575054d969fb14b6355b2b7c977969bb10ea988b9b6fe8",
-    "lcc_objective.csv": "51bbe7cd5ec49de29dccb9d3a8b19b9f37b7ee05b21b45d85b29b887c3c0c2fa",
+    "ae_decoder.bin": "87fb4022a81090e10873d733e0477735a2fb5659943ba227ab5a1c927b7b81a3",
+    "ae_encoder.bin": "ef8d2075c8528c35a0003645c5f9c2712910872eb4b156872815b42d345d67b1",
+    "ae_losses.csv": "19b1c392fa395a6fe00cc620053ec0714ffbaa75867b8710f68bec8c9ce28e64",
+    "anchors.bin": "c634081a842878e29cfccb269f13bc3a6489fb7e489331f0d262871fc19711fc",
+    "anchors.csv": "1d82a7ea2bb6b34ac885bd1601de64d5882e348a51647bf96a7921d6eb60e7a7",
+    "codings.csv": "7cad83818c9d746c3a4ccab3d248c8d91612ed013f6905b26a02c24af73c9dac",
+    "lcc_objective.csv": "d0461d22ad9780a413cfa86bba0bc09c6f0e8ffaaadd696ad2f1f8a26e012599",
 }
 
 
@@ -385,18 +386,18 @@ def test_reduced_relu_q3_fit_bytes_match_fixture(tmp_path, capsys):
 # ("gap") and the anchor step moves the anchors in each of the eight
 # iterations, paths the latent-2 fixtures above reach only in part.
 LATENT3_SHA256 = {
-    "ae_decoder.bin": "7e19301b670f0dd3e2493d41a26ec0d34e298780cf24154c39c796fe33b20fc5",
-    "ae_encoder.bin": "d0358f3f46ad7433ff4126a711a6a2c07c8ee4092ef1f38a3526aa95d6a9516d",
-    "ae_losses.csv": "24a8e8eafd7dff17f52bbb4af5f15382b35a15ae83c4f7693acffd7225dc2233",
-    "anchors.bin": "9fa5fd653c30e25bb31f40826fcca400eee436a2823755c10da63f4c1692800d",
-    "anchors.csv": "4a5d50288529de58c0abeb260b004042576efecb3270dcfef7235b2b39db2ff7",
-    "codings.csv": "c63162397fbf218c147cbd874de66cb4e911f883dc16c47208db71ae40ce0f62",
+    "ae_decoder.bin": "f194be849df88cbdbe020191032e898bd6dc029c66092b59611959f8e572e59d",
+    "ae_encoder.bin": "41fcd8bfaab635a552a01011bf68c1dd45e409882f72e17e3049cd5fe04cfaff",
+    "ae_losses.csv": "1ac45f1226a34b3996f0a5bbe2ad34bb0a829abe4a9795a2f5c78dd4e51369b6",
+    "anchors.bin": "71039cbe5e6891b96bddbeca5260ed850be6e5694225215bf12f91b59ade49ca",
+    "anchors.csv": "461d7bfbd511c3c36b58e5ba3b86496d44fbd02d3724c0bb1e75be15ba5a629f",
+    "codings.csv": "a36673e8b711e39ac16ced6ffd7e84b407ae27671863df0610fce1c4933a7332",
     "codings_sampled.csv": "b41683c1bdd33d628cda57fc6baa131b124c02a76b88eccae0d2fd05dbc022b1",
     "discriminator.bin": "c558543b2831b53320c529257cf0f9a0daa09302c77852ed80bb0e6670f2bd4c",
     "gan_losses.csv": "5cdfe68ea01ae319b1c756699024310b6314fe52292eaa7e2d4928e0d19b8cb6",
     "generator.bin": "17d3c4fa32ac546de25a4570b067246e5123b47324219a0604f3179336a58647",
     "grid.pgm": "ed0df0c595df0e2a9b339eb696a6c32c6c8748ac7cfff86cc54c9e516dd64d76",
-    "lcc_objective.csv": "59d8dfe17ab79d9fe5d7736bb47f3a5c62033157b1d0471f5e2af79862241e3d",
+    "lcc_objective.csv": "a79cde49259183d71645c352e2779961695d58688c080b89ca9150d3ad4ed57b",
     "metrics.csv": "82580f4d58a42e956d8b1435abfc53b2ddb8ae6205c4a9853390315385091aed",
     "sampled_outputs.csv": "c6324b5fcb51ced710f29efc8238034a45820ef67f1dfcb0b2f132d0a2103da8",
     "samples.csv": "68864b503fe834a31439647ef15241a4e1c23a98e93bfb65e26576d7ca576877",
@@ -589,6 +590,37 @@ def test_sampler_giving_up_is_one_error_line(staged, tmp_path, capsys):
         assert not os.path.exists(os.path.join(out2, name)), name
 
 
+_F32_REFUSAL = ("training runs in float32, but the data reach |x| = 9.99993621e+38, "
+                "beyond its largest value 3.40282347e+38")
+
+
+@pytest.mark.parametrize("stage, radius, err", [
+    # the 64 points' squared errors sum to about 5.8e38, and each batch of
+    # 32 to half that, so the epoch's MSE overflows float32 and the batches'
+    # losses do not; at 1e30 each squared error overflows
+    ("train-ae", "3e18", "non-finite reconstruction MSE after epoch 0"),
+    ("train-ae", "1e30", "non-finite loss at epoch 0"),
+    ("train-ae", "1e39", "autoencoder " + _F32_REFUSAL),
+    ("train-gan", "1e39", "GAN " + _F32_REFUSAL),
+], ids=["ae-epoch-mse", "ae-batch-loss", "ae-beyond-float32", "gan-beyond-float32"])
+def test_data_too_large_for_float32_training_is_one_error_line(staged, tmp_path, capsys,
+                                                               stage, radius, err):
+    # warnings fail this suite, so numpy stays silent on the way to the error
+    _, out = staged
+    out2 = tmp_path / "out"
+    shutil.copytree(out, out2)
+    before = {p.name: p.read_bytes() for p in out2.iterdir()}
+    cfg2 = write_cfg(str(tmp_path), str(out2))
+    with open(cfg2) as fh:
+        text = fh.read()
+    with open(cfg2, "w") as fh:
+        fh.write(text.replace("kind = ring", f"kind = ring\nradius = {radius}"))
+    capsys.readouterr()
+    assert main(["--config", cfg2, stage]) == 1
+    assert capsys.readouterr().err.splitlines() == [f"error: {err}"]
+    assert {p.name: p.read_bytes() for p in out2.iterdir()} == before
+
+
 @pytest.mark.parametrize("argv", [["sample", "--d", "5"], ["train-gan"], ["interpolate"],
                                   ["eval"]], ids=lambda argv: argv[0])
 def test_sampler_d_above_the_anchor_count_writes_nothing(full_pipeline, tmp_path, capsys, argv):
@@ -773,7 +805,7 @@ def test_mnist_heldout_images_stay_out_of_training(tmp_path):
         last = float(fh.read().splitlines()[-1].split(",")[1])
     encoder = load_model(os.path.join(out, "ae_encoder.bin"))
     decoder = load_model(os.path.join(out, "ae_decoder.bin"))
-    ae = Mlp(encoder.layers + decoder.layers)
+    ae = Mlp(encoder.layers + decoder.layers, np.float32)
     assert last == reconstruction_mse(ae, train)
     assert last != reconstruction_mse(ae, images)
     # learn-lcc codes the four training images only

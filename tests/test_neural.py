@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 from lccgen.config import AutoencoderConfig, ConfigError, GanConfig, SamplerConfig
+from lccgen.datasets import make_ring
 from lccgen.lcc.core import AnchorSet
+from lccgen.neural import autoencoder
 from lccgen.neural.adam import adam_step, init_adam
 from lccgen.neural.autoencoder import (
     TrainingDivergedError,
@@ -237,7 +239,7 @@ def test_check_finite_passes_finite_parameters_whose_sum_overflows():
 
 
 @pytest.mark.parametrize("act", sorted(ACTIVATIONS))
-def test_float32_passes_stay_float32(act):
+def test_float32_passes_stay_float32(act, monkeypatch):
     rng = Rng(23)
     net = Mlp(build_mlp([3, 6, 4, 2], ["relu", act, act], rng).layers, np.float32)
     assert net.flat.dtype == np.float32
@@ -252,6 +254,17 @@ def test_float32_passes_stay_float32(act):
     grads, d_in = backward(net, cache, d_out)
     assert grads.dtype == np.float32 and d_in.dtype == np.float32
     assert backward(net, cache, d_out, params=False)[1].dtype == np.float32
+    # an autoencoder step: float32 parameters, loss gradients and Adam
+    # moments, none of them upcast on the way
+    seen = []
+
+    def spy(p, g, state, **kw):
+        seen.append((p.dtype, g.dtype, state.m.dtype, state.v.dtype))
+        adam_step(p, g, state, **kw)
+
+    monkeypatch.setattr(autoencoder, "adam_step", spy)
+    train_autoencoder(X, AutoencoderConfig(hidden=6, epochs=2, batch=5, activation=act), 0)
+    assert len(seen) == 2 and {t for step in seen for t in step} == {np.dtype(np.float32)}
 
 
 # -------------------------------------------------------------- gradients
@@ -378,17 +391,19 @@ def test_autoencoder_one_adam_state_matches_one_per_network(act):
     X = np.asarray(Rng(4).normals(40 * 3)).reshape(40, 3)
     config = AutoencoderConfig(hidden=6, epochs=3, batch=16, lr=0.01, activation=act)
     enc, dec, history = train_autoencoder(X, config, seed=5)
-    # the same loop on two separate networks: the decoder's backward pass
-    # feeds the encoder's, and each network steps against its own Adam state
+    # the same float32 loop on two separate networks: the decoder's backward
+    # pass feeds the encoder's, and each network steps against its own Adam
+    # state
     rng = Rng(5)
     acts = [act, "identity"]
-    enc2 = build_mlp([3, 6, 2], acts, rng)
-    dec2 = build_mlp([2, 6, 3], acts, rng)
+    enc2 = Mlp(build_mlp([3, 6, 2], acts, rng).layers, np.float32)
+    dec2 = Mlp(build_mlp([2, 6, 3], acts, rng).layers, np.float32)
     enc_state, dec_state = init_adam(enc2.flat), init_adam(dec2.flat)
+    X32 = X.astype(np.float32)
     for _ in range(config.epochs):
         order = np.argsort(rng.uniforms(40), kind="stable")
         for start in range(0, 40, config.batch):
-            batch = X[order[start:start + config.batch]]
+            batch = X32[order[start:start + config.batch]]
             z, enc_cache = forward_cached(enc2, batch)
             xhat, dec_cache = forward_cached(dec2, z)
             diff = xhat - batch
@@ -398,7 +413,7 @@ def test_autoencoder_one_adam_state_matches_one_per_network(act):
             adam_step(dec2.flat, dg, dec_state, lr=config.lr)
     assert np.array_equal(enc.flat, enc2.flat)
     assert np.array_equal(dec.flat, dec2.flat)
-    diff = dec2.forward(enc2.forward(X)) - X
+    diff = dec2.forward(enc2.forward(X32)) - X32
     assert history[-1] == float(np.mean(diff * diff))
 
 
@@ -425,6 +440,21 @@ def test_autoencoder_gradients_match_finite_differences():
     _, grads = ae_loss_and_grads(ae, X)
     worst = fd_check(lambda: ae_loss_and_grads(ae, X)[0], [ae.flat], [grads])
     assert worst < 1e-4
+
+
+@pytest.mark.parametrize("act", ["tanh", "relu"])
+def test_float32_autoencoder_loss_and_grads_match_float64(act):
+    rng = Rng(15)
+    ae = build_mlp([3, 16, 2, 16, 3], [act, "identity"] * 2, rng)
+    ae.flat[...] = ae.flat.astype(np.float32)
+    ae32 = Mlp(ae.layers, np.float32)
+    X = np.asarray(rng.normals(32 * 3), dtype=np.float32).reshape(32, 3)
+    want, want_grads = ae_loss_and_grads(ae, X.astype(np.float64))
+    got, grads = ae_loss_and_grads(ae32, X)
+    assert grads.dtype == np.float32
+    assert abs(got - want) <= 1e-4 * abs(want)
+    assert np.max(np.abs(grads - want_grads)) <= 1e-4 * np.max(np.abs(want_grads))
+    assert abs(reconstruction_mse(ae32, X) - want) <= 1e-4 * abs(want)
 
 
 def _relu_preacts_clear_of_kinks(net, X, margin=1e-3):
@@ -622,7 +652,31 @@ def test_autoencoder_memorizes_a_repeated_point():
     enc, dec, hist = train_autoencoder(X, AutoencoderConfig(
         latent_dim=2, hidden=8, epochs=400, batch=8, lr=1e-2, activation="identity"), 1)
     assert hist[-1] < 1e-6
-    assert reconstruction_mse(Mlp(enc.layers + dec.layers), X) == hist[-1]
+    assert reconstruction_mse(Mlp(enc.layers + dec.layers, np.float32), X) == hist[-1]
+
+
+# sha256 of the history and both trained flat vectors of a 3-epoch
+# train_autoencoder on 300 ring points, computed when the autoencoder moved
+# to float32; a step that moves any of its rounding fails here in well under
+# a second
+_AE_BITS = {
+    "tanh": "1457336cd981a90efbe8cb70b8ec7260ae27c859ceb299a00347c11e9d2a14a2",
+    "relu": "2928ae81bbc8c14e8efb2b0827231a1a4e44e9499ff4cd961670405e8a7e4c12",
+}
+
+
+@pytest.mark.parametrize("act", sorted(_AE_BITS))
+def test_short_float32_autoencoder_run_keeps_its_bits(act):
+    X = make_ring(300, 1.0, 0.01, 7)
+    enc, dec, history = train_autoencoder(X, AutoencoderConfig(epochs=3, activation=act), 5)
+    digest = hashlib.sha256(np.array(history).tobytes())
+    digest.update(enc.flat.tobytes())
+    digest.update(dec.flat.tobytes())
+    assert digest.hexdigest() == _AE_BITS[act]
+    # both checkpoints are float64 arrays of float32 values
+    for net in (enc, dec):
+        assert net.flat.dtype == np.float64
+        assert net.flat.astype(np.float32).astype(np.float64).tobytes() == net.flat.tobytes()
 
 
 def test_autoencoder_zero_epochs_returns_init():
@@ -749,9 +803,10 @@ def test_gan_rejects_mismatched_shapes():
 
 
 def test_gan_divergence_raises_the_training_error():
-    # infinite data make the discriminator's scores, and so J_D, NaN
+    # data at float32's largest value overflow the discriminator's first
+    # layer, which makes its scores, and so J_D, NaN
     gan = build_gan(2, 4, GanConfig(hidden=8), seed=0)
-    X = np.full((8, 2), np.inf)
+    X = np.full((8, 2), float(np.finfo(np.float32).max))
     with np.errstate(all="ignore"), pytest.raises(
             TrainingDivergedError, match="^non-finite discriminator objective at iteration 0$"):
         train_gan(X, _square_anchors(), SamplerConfig(d=2), gan, GanConfig(iters=3, batch=4), 0)
