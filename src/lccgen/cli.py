@@ -20,7 +20,7 @@ from .config import ConfigError, load_config
 from .datasets import make_ring, make_swiss_roll, load_mnist_idx
 from .lcc.core import learn_anchors
 from .lcc.sampling import interpolate, sample_coding_pair, sample_codings
-from .metrics import median_pairwise_distance, mmd2, pearson_nn
+from .metrics import median_pairwise_distance, mmd2, pearson_nns
 from .neural.autoencoder import train_autoencoder
 from .neural.gan import build_gan, train_gan
 from .rng import Rng, stage_seed
@@ -154,6 +154,8 @@ def cmd_sample(cfg, out, n, generator_path=None):
 
 
 def cmd_interpolate(cfg, out, steps, generator_path=None):
+    if steps < 2:
+        raise CliError(f"--steps must be at least 2, got {steps}")
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
     generator = _load_generator(generator_path or os.path.join(out, "generator.bin"), anchors)
     a, b = sample_coding_pair(anchors, cfg.sampler, Rng(stage_seed(cfg.data.seed, _TAG_INTERP)))
@@ -199,11 +201,10 @@ def cmd_eval(cfg, out):
     bandwidth = cfg.eval.bandwidth or median_pairwise_distance(held)
     score = mmd2(generated, held, bandwidth)
     probe = min(100, len(generated))
-    positive = 0
-    for q in generated[:probe]:
-        # a constant sample has no correlation distance; it counts as not positive
-        if np.any(q != q[0]):
-            positive += 1 if pearson_nn(q, X)[1] > 0.0 else 0
+    queries = generated[:probe]
+    # a constant sample has no correlation distance; it counts as not positive
+    varied = queries[np.logical_or.reduce(queries != queries[:, :1], axis=1)]
+    positive = int(np.count_nonzero(pearson_nns(varied, X)[1] > 0.0))
     matrix_to_csv(os.path.join(out, "samples.csv"), generated)
     kv_to_csv(os.path.join(out, "metrics.csv"), [
         ("mmd2", score),

@@ -67,10 +67,10 @@ class AnchorSet:
 def check_codings(G: np.ndarray) -> np.ndarray:
     """Returns the (n, m) weight array G after checking that every weight is
     finite and every row sums to 1 within 1e-9; raises ValueError if not."""
-    if not np.isfinite(G).all():
+    if not np.logical_and.reduce(np.isfinite(G), axis=None):
         raise ValueError("weights must be finite")
-    sums = G.sum(axis=1)
-    off = np.flatnonzero(np.abs(sums - 1.0) > 1e-9)
+    sums = np.add.reduce(G, axis=1)
+    off = (np.abs(sums - 1.0) > 1e-9).nonzero()[0]
     if off.size:
         raise ValueError(f"coding weights must sum to 1, got {float(sums[off[0]])!r}")
     return G
@@ -131,8 +131,8 @@ def lcc_objective(points, weights, anchors: AnchorSet, config: LccConfig) -> flo
 
 def _row_objectives(H, G, V, C, l_h):
     E = H - G @ V.T
-    rec = np.sqrt((E * E).sum(axis=1))
-    return 2.0 * l_h * rec + (np.abs(G) * C).sum(axis=1)
+    rec = np.sqrt(np.add.reduce(E * E, axis=1))
+    return 2.0 * l_h * rec + np.add.reduce(np.abs(G) * C, axis=1)
 
 
 def pin_row_sums(G):
@@ -140,7 +140,7 @@ def pin_row_sums(G):
     place, so every row sums to 1; returns G.  Every sum-to-one coding the
     package builds is pinned here."""
     top = np.abs(G).argmax(axis=1)
-    G[np.arange(len(G)), top] -= G.sum(axis=1) - 1.0
+    G[np.arange(len(G)), top] -= np.add.reduce(G, axis=1) - 1.0
     return G
 
 
@@ -163,7 +163,7 @@ def _lp_vertices(H, V, C, dist, G0):
     d_b, m = V.shape
     A = np.vstack([V, np.ones((1, m))])  # columns (v_j, 1)
     AT = A.T.copy()
-    norms = np.sqrt((A * A).sum(axis=0))
+    norms = np.sqrt(np.add.reduce(A * A, axis=0))
     key = dist if G0 is None else np.where(G0 != 0.0, -np.abs(G0), dist)
     basis = np.argsort(key, axis=1, kind="stable")[:, :d_b + 1]
     G = np.zeros((n, m))
@@ -178,8 +178,8 @@ def _lp_vertices(H, V, C, dist, G0):
         bas = basis[live]
         M = AT[bas].swapaxes(1, 2)
         # |det| against the product of column norms (Hadamard's bound)
-        ok = np.abs(np.linalg.det(M)) > 1e-12 * norms[bas].prod(axis=1)
-        if not ok.all():
+        ok = np.abs(np.linalg.det(M)) > 1e-12 * np.multiply.reduce(norms[bas], axis=1)
+        if not np.logical_and.reduce(ok):
             live, bas, M, b, c, sign = (v[ok] for v in (live, bas, M, b, c, sign))
             if not live.size:
                 break
@@ -193,21 +193,22 @@ def _lp_vertices(H, V, C, dist, G0):
         viol[rows[:, None], bas] = -np.inf
         enter = viol.argmax(axis=1)
         opt = viol[rows, enter] <= 1e-12 * c[rows, enter]
-        if opt.any():
+        some = np.logical_or.reduce(opt)
+        if some:
             fin = live[opt]
             G[fin[:, None], bas[opt]] = g[opt]
             Y[fin] = pi[opt, :d_b]
             done[fin] = True
-            if opt.all():
+            if np.logical_and.reduce(opt):
                 break
         s = np.sign(P[rows, enter])  # the entering weight moves by s*t
         d = s[:, None] * (inv @ AT[enter][:, :, None])[:, :, 0]  # basic weights move by -d*t
         toward = sg * d  # > 0: that weight shrinks toward zero
-        moving = toward > 1e-12 * np.abs(d).max(axis=1, keepdims=True)
+        moving = toward > 1e-12 * np.maximum.reduce(np.abs(d), axis=1, keepdims=True)
         ratio = np.divide(np.maximum(sg * g, 0.0), toward, out=np.full(toward.shape, np.inf),
                           where=moving)
         leave = ratio.argmin(axis=1)
-        if opt.any():
+        if some:
             live, b, c, sg, enter, leave, s = (v[~opt] for v in (live, b, c, sg, enter, leave, s))
             rows = np.arange(live.size)
         basis[live, leave] = enter
@@ -244,13 +245,13 @@ def _face_moves(H, VS, s, c, w, two_lh):
     inside = sv[:, -1] > 1e-12 * sv[:, 0] if k <= H.shape[1] + 1 else np.zeros(rows, dtype=bool)
     d = np.empty(w.shape)
     f = slice(None)
-    if not inside.all():
+    if not np.logical_and.reduce(inside):
         null = Wt[~inside, -1]
-        d[~inside] = (np.concatenate([-null.sum(axis=1, keepdims=True), null], axis=1)
+        d[~inside] = (np.concatenate([-np.add.reduce(null, axis=1, keepdims=True), null], axis=1)
                       * (s[~inside, -1] / null[:, -1])[:, None])
-        if not inside.any():
+        if not np.logical_or.reduce(inside):
             return d, inside, p
-        f = np.flatnonzero(inside)
+        f = inside.nonzero()[0]
     sc = s[f] * c[f]
     e0 = H[f] - VS[:, f, 0].T
     Ap = Wt[f].swapaxes(1, 2) @ ((1.0 / sv[f])[:, :, None] * U[f, :, :k - 1].swapaxes(1, 2))
@@ -261,7 +262,7 @@ def _face_moves(H, VS, s, c, w, two_lh):
     norm = np.sqrt(_dots(off, off) / np.where(face, room, 1.0))
     t = (Ap @ np.where(face[:, None], e0 - norm[:, None] * pf, pf)[:, :, None])[:, :, 0]
     np.negative(t, out=t, where=~face[:, None])
-    tsum = t.sum(axis=1)
+    tsum = np.add.reduce(t, axis=1)
     d[f] = (np.concatenate([np.where(face, 1.0 - tsum, -tsum)[:, None], t], axis=1)
             - np.where(face[:, None], w[f], 0.0))
     return d, inside, p
@@ -293,7 +294,7 @@ def _active_set_codings(H, V, C, G0, l_h):
     small = 1e-12 * np.maximum(1.0, np.sqrt(_dots(H, H)))  # a residual that is rounding
     # each row's face, in its order of entry: anchors, signs and weights,
     # padded to the d_b + 2 anchors a face can reach
-    size = (G0 != 0.0).sum(axis=1)
+    size = np.add.reduce(G0 != 0.0, axis=1)
     S = np.argsort(G0 == 0.0, axis=1, kind="stable")[:, :min(len(V) + 2, m)]
     g = G0[np.arange(n)[:, None], S]
     s = np.sign(g)
@@ -304,26 +305,27 @@ def _active_set_codings(H, V, C, G0, l_h):
             break
         stop = np.zeros(n, dtype=bool)
         sizes = size[live]
-        ks = np.flatnonzero(np.bincount(sizes)).tolist()
+        ks = np.bincount(sizes).nonzero()[0].tolist()
         for k in ks:
             r = live if len(ks) == 1 else live[sizes == k]
             F, sg, w = S[r, :k], s[r, :k], g[r, :k]
             VS, c = V[:, F], C[r[:, None], F]
             d, inside, p = _face_moves(H[r], VS, sg, c, w, two_lh)
             toward = -sg * d  # > 0: that weight shrinks toward zero
-            ratio = np.divide(sg * w, toward, out=np.full(d.shape, np.inf),
-                              where=toward > 1e-12 * np.abs(d).max(axis=1, keepdims=True))
-            at = ratio.min(axis=1)
+            moving = toward > 1e-12 * np.maximum.reduce(np.abs(d), axis=1, keepdims=True)
+            ratio = np.divide(sg * w, toward, out=np.full(d.shape, np.inf), where=moving)
+            at = np.minimum.reduce(ratio, axis=1)
             out = at < np.where(inside, 1.0, np.inf)
-            if out.any():  # the first weight to reach zero leaves
+            if np.logical_or.reduce(out):  # the first weight to reach zero leaves
                 lv, keep = r[out], np.arange(k) != ratio[out].argmin(axis=1)[:, None]
                 for dst, src in ((S, F[out]), (s, sg[out]), (g, w[out] + at[out, None] * d[out])):
                     dst[lv, :k - 1] = src[keep].reshape(-1, k - 1)
                 size[lv] = k - 1
                 inside &= ~out
-            if not inside.any():
+            if not np.logical_or.reduce(inside):
                 continue
-            a = slice(None) if inside.all() else np.flatnonzero(inside)  # at the face optimum
+            # the rows at the face optimum
+            a = slice(None) if np.logical_and.reduce(inside) else inside.nonzero()[0]
             ra, Fa, wa = r[a], F[a], w[a] + d[a]
             g[ra, :k] = wa
             e = H[ra] - (VS[:, a].swapaxes(0, 1) @ wa[:, :, None])[:, :, 0]
@@ -335,12 +337,12 @@ def _active_set_codings(H, V, C, G0, l_h):
             D = V - VS[:, a, :1].swapaxes(0, 1)
             P = (y[:, None, :] @ D)[:, 0] + sg[a, :1] * c[a, :1]
             viol = (np.abs(P) - (1.0 + 1e-12) * C[ra]
-                    - 1e-13 * np.sqrt(_dots(y, y)[:, None] * (D * D).sum(axis=1)))
+                    - 1e-13 * np.sqrt(_dots(y, y)[:, None] * np.add.reduce(D * D, axis=1)))
             viol[np.arange(len(ra))[:, None], Fa] = -np.inf
-            best = viol.max(axis=1) <= 0.0
+            best = np.maximum.reduce(viol, axis=1) <= 0.0
             stop[ra[best]] = True
-            if not best.all():  # the most violated anchor enters at weight 0
-                grow = np.flatnonzero(~best)
+            if not np.logical_and.reduce(best):  # the most violated anchor enters at weight 0
+                grow = (~best).nonzero()[0]
                 j = viol[grow].argmax(axis=1)
                 S[ra[grow], k], s[ra[grow], k], g[ra[grow], k] = j, np.sign(P[grow, j]), 0.0
                 size[ra[grow]] = k + 1
@@ -366,19 +368,19 @@ def _dual_bounds(H, V, C, Y, l_h, tol):
     where that constraint reads |lam| <= c_k and lam is clipped to it, and
     keeps the larger bound.
     """
-    norm = np.sqrt((Y * Y).sum(axis=1))
-    ball = np.divide(2.0 * l_h, norm, out=np.ones_like(norm), where=norm > 0.0)
+    norm = np.sqrt(np.add.reduce(Y * Y, axis=1))
+    ball = np.divide(2.0 * l_h, norm, out=np.ones(norm.shape), where=norm > 0.0)
 
     def bound(P, c, yh, ball, floor):
-        lam = np.maximum((c - P).min(axis=1), floor)
+        lam = np.maximum(np.minimum.reduce(c - P, axis=1), floor)
         P += lam[:, None]
         np.abs(P, out=P)
-        fit = np.divide(c, P, out=np.ones_like(P), where=P > 0.0).min(axis=1)
+        fit = np.minimum.reduce(np.divide(c, P, out=np.ones(P.shape), where=P > 0.0), axis=1)
         b = yh + lam
         return (1.0 - fit) * np.abs(b), np.minimum(np.minimum(ball, fit), 1.0) * b
 
-    loss, lower = bound(Y @ V, C, (Y * H).sum(axis=1), ball, -np.inf)
-    low = np.flatnonzero(loss > 1e-3 * tol)
+    loss, lower = bound(Y @ V, C, np.add.reduce(Y * H, axis=1), ball, -np.inf)
+    low = (loss > 1e-3 * tol).nonzero()[0]
     if low.size:
         y, c = Y[low], C[low]
         k = c.argmin(axis=1)
@@ -449,6 +451,8 @@ def solve_codings(H, V, config: LccConfig, G0=None):
     (each summing to 1) replaces its result wherever it scores lower, so
     no row ends above its warm start.
     """
+    if len(H) <= _ROWS:
+        return _solve_rows(H, V, config, G0)
     G = np.zeros((len(H), V.shape[1]))
     reasons = np.full(len(H), "cap", dtype="<U6")
     for lo in range(0, len(H), _ROWS):
@@ -465,14 +469,18 @@ def _solve_rows(H, V, config: LccConfig, G0):
     C, dist = _penalties(H, V, config.l_q, config.q)
     G = np.zeros((n, m))
     reasons = np.full(n, "cap", dtype="<U6")
-    hit = (dist == 0.0).any(axis=1)
-    rest = np.flatnonzero(~hit)
+    hit = np.logical_or.reduce(dist == 0.0, axis=1)
+    rest = (~hit).nonzero()[0]
+
+    def part(a):  # the open rows of a block array, the array itself while every row is open
+        return a if rest.size == n else a[rest]
+
     if rest.size < n:
         G[hit, dist[hit].argmin(axis=1)] = 1.0
         reasons[hit] = "hit"
     if m > d_b and rest.size:
-        h, c = H[rest], C[rest]
-        Gv, Y, done = _lp_vertices(h, V, c, dist[rest], None if G0 is None else G0[rest])
+        h, c = part(H), part(C)
+        Gv, Y, done = _lp_vertices(h, V, c, part(dist), None if G0 is None else part(G0))
         Gv = pin_row_sums(Gv)
         gaps = _row_objectives(h, Gv, V, c, l_h) - _dual_bounds(h, V, c, Y, l_h, tol)
         won = done & (gaps <= tol)
@@ -480,25 +488,26 @@ def _solve_rows(H, V, config: LccConfig, G0):
         G[rest[done]] = Gv[done]  # an uncertified vertex starts the active set
         rest = rest[~won]
     if G0 is not None and rest.size:  # a warm start that already certifies is kept
-        won = _certified_gaps(H[rest], G0[rest], V, C[rest], l_h, tol) <= tol
+        won = _certified_gaps(part(H), part(G0), V, part(C), l_h, tol) <= tol
         G[rest[won]] = G0[rest[won]]
         reasons[rest[won]] = "gap"
         rest = rest[~won]
     if rest.size:
-        h, c, start = H[rest], C[rest], G[rest]
-        one = np.flatnonzero(~start.any(axis=1))  # no vertex: the best single anchor
-        start[one, (2.0 * l_h * dist[rest[one]] + c[one]).argmin(axis=1)] = 1.0
+        h, c, start = part(H), part(C), G[rest]
+        one = (~np.logical_or.reduce(start != 0.0, axis=1)).nonzero()[0]
+        if one.size:  # no vertex: the best single anchor
+            start[one, (2.0 * l_h * dist[rest[one]] + c[one]).argmin(axis=1)] = 1.0
         g, y = _active_set_codings(h, V, c, start, l_h)
         G[rest] = g = pin_row_sums(g)
         gaps = _row_objectives(h, g, V, c, l_h) - _dual_bounds(h, V, c, y, l_h, tol)
-        open_ = np.flatnonzero(gaps > tol)
+        open_ = (gaps > tol).nonzero()[0]
         if open_.size:
             gaps[open_] = _certified_gaps(h[open_], g[open_], V, c[open_], l_h, tol)
         reasons[rest[gaps <= tol]] = "gap"
     if G0 is not None:
         lower = _row_objectives(H, G0, V, C, l_h) < _row_objectives(H, G, V, C, l_h)
         # a warm start on another support is no longer that vertex
-        moved = lower & ((G0 != 0.0) != (G != 0.0)).any(axis=1)
+        moved = lower & np.logical_or.reduce((G0 != 0.0) != (G != 0.0), axis=1)
         G[lower] = G0[lower]
         reasons[moved & (reasons == "vertex")] = "gap"
     return G, reasons
@@ -513,7 +522,7 @@ def solve_coding(h, anchors: AnchorSet, config: LccConfig) -> Coding:
     h = np.asarray(h, dtype=np.float64)
     if h.ndim != 1 or h.shape[0] != anchors.d_b:
         raise ValueError(f"point has shape {h.shape}, anchors expect ({anchors.d_b},)")
-    if not np.isfinite(h).all():
+    if not np.logical_and.reduce(np.isfinite(h)):
         raise ValueError("point must be finite")
     G, _ = solve_codings(h[None, :], anchors.anchors, config)
     return Coding(G[0])

@@ -12,6 +12,11 @@ full (n, n) matrix, because BLAS does not promise a row the same bits when
 it is computed in a smaller block, and selects its median in place in it:
 a @ a.T is exactly symmetric (numpy computes it with syrk, and
 aa_i + aa_j commutes), so each pair's distance is there twice.
+
+The nearest-neighbor probe is a bulk call, `pearson_nns`, over a block of
+queries: it centres, norms and transposes the corpus once, and each query
+keeps its own corpus product, clip and argmin, so its answer is the one it
+gets alone.  `pearson_nn` is its one-query call.
 """
 
 from __future__ import annotations
@@ -100,30 +105,47 @@ def mmd2(xs, ys, bandwidth: float) -> float:
     return float(sxx + syy - 2.0 * sxy)
 
 
-def pearson_nn(query, corpus):
-    """(index, distance) of the corpus row with smallest 1 - corr(query, row).
+def pearson_nns(queries, corpus):
+    """(indices, distances) of each query's corpus row with smallest
+    1 - corr(query, row), for a (k, dim) block of queries.
 
     Distances live in [0, 2]; ties resolve to the lowest index, and a row
-    bitwise-equal to the query is distance exactly 0.  Constant vectors have
-    no defined correlation and raise.
+    bitwise-equal to its query is distance exactly 0.  Constant vectors have
+    no defined correlation and raise, each query before the corpus.  The
+    corpus is centred, normed and transposed once for all the queries.
     """
-    q = np.asarray(query, dtype=np.float64)
+    Q = np.asarray(queries, dtype=np.float64)
     c = np.asarray(corpus, dtype=np.float64)
-    if q.ndim != 1 or c.ndim != 2 or c.shape[0] < 1 or c.shape[1] != q.shape[0]:
-        raise ValueError("query must be (dim,), corpus (n, dim) nonempty")
-    qc = q - q.mean()
-    qn = float(np.sqrt(np.sum(qc * qc)))
-    if qn == 0.0:
-        raise ValueError("query has zero variance")
+    if Q.ndim != 2 or c.ndim != 2 or c.shape[0] < 1 or c.shape[1] != Q.shape[1]:
+        raise ValueError("queries must be (k, dim), corpus (n, dim) nonempty")
     cc = c - c.mean(axis=1, keepdims=True)
     cn = np.sqrt(np.sum(cc * cc, axis=1))
     flat = np.flatnonzero(cn == 0.0)
-    if flat.size:
-        raise ValueError(f"corpus row {int(flat[0])} has zero variance")
-    exact = np.flatnonzero(np.all(c == q, axis=1))
-    if exact.size:
-        return int(exact[0]), 0.0
-    corr = np.clip((cc @ qc) / (cn * qn), -1.0, 1.0)
-    dist = 1.0 - corr
-    idx = int(np.argmin(dist))
-    return idx, float(dist[idx])
+    cT = c.T.copy()
+    idx = np.empty(len(Q), dtype=np.int64)
+    dist = np.empty(len(Q))
+    for i, q in enumerate(Q):
+        qc = q - q.mean()
+        qn = float(np.sqrt(np.sum(qc * qc)))
+        if qn == 0.0:
+            raise ValueError(f"query {i} has zero variance")
+        if flat.size:
+            raise ValueError(f"corpus row {int(flat[0])} has zero variance")
+        exact = np.logical_and.reduce(cT == q[:, None], axis=0).nonzero()[0]
+        if exact.size:
+            idx[i], dist[i] = exact[0], 0.0
+            continue
+        d = 1.0 - np.clip((cc @ qc) / (cn * qn), -1.0, 1.0)
+        idx[i] = j = d.argmin()
+        dist[i] = d[j]
+    return idx, dist
+
+
+def pearson_nn(query, corpus):
+    """(index, distance) of one (dim,) query's nearest corpus row: the
+    one-query call of `pearson_nns`, which probes a block of queries."""
+    q = np.asarray(query, dtype=np.float64)
+    if q.ndim != 1:
+        raise ValueError("query must be (dim,), corpus (n, dim) nonempty")
+    idx, dist = pearson_nns(q[None, :], corpus)
+    return int(idx[0]), float(dist[0])

@@ -80,7 +80,10 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
     batch of codings is cast at the generator's input.
     Only the trained weights are written back, into the model's float64
     arrays, which hold them exactly, so checkpoints keep their format; the
-    moments end with the call.  Zero iterations leave the model as built."""
+    moments end with the call.  Zero iterations leave the model as built.
+    Overflow anywhere in a step shows as a non-finite objective or
+    parameter, which raises TrainingDivergedError, so numpy's warnings are
+    silenced."""
     X = np.asarray(data, dtype=np.float64)
     if X.ndim != 2 or X.shape[0] < 1:
         raise ValueError("data must be a nonempty (n, dim) array")
@@ -99,22 +102,24 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
     stream = walk_codings(anchors, sampler, Rng(seed), [(b, b), (b, 0)] * gan.iters)
     adam = {"lr": gan.lr, "beta1": gan.beta1, "beta2": gan.beta2}
     trace = []
-    for it in range(gan.iters):
-        codings, u = next(stream)
-        idx = np.minimum((u * n).astype(np.int64), n - 1)
-        d_val, d_grads = disc_objective_and_grads(work, X[idx], codings)
-        if not np.isfinite(d_val):
-            raise TrainingDivergedError(f"non-finite discriminator objective at iteration {it}")
-        adam_step(work.discriminator.flat, np.negative(d_grads, out=d_grads), disc_state, **adam)
-        check_finite(work.discriminator, f"iteration {it}")
+    with np.errstate(over="ignore", invalid="ignore"):
+        for it in range(gan.iters):
+            codings, u = next(stream)
+            idx = np.minimum((u * n).astype(np.int64), n - 1)
+            d_val, d_grads = disc_objective_and_grads(work, X[idx], codings)
+            if not np.isfinite(d_val):
+                raise TrainingDivergedError(f"non-finite discriminator objective at iteration {it}")
+            np.negative(d_grads, out=d_grads)
+            adam_step(work.discriminator.flat, d_grads, disc_state, **adam)
+            check_finite(work.discriminator, f"iteration {it}")
 
-        codings, _ = next(stream)
-        g_val, g_grads = gen_objective_and_grads(work, codings)
-        if not np.isfinite(g_val):
-            raise TrainingDivergedError(f"non-finite generator objective at iteration {it}")
-        adam_step(work.generator.flat, g_grads, gen_state, **adam)
-        check_finite(work.generator, f"iteration {it}")
-        trace.append((d_val, g_val))
+            codings, _ = next(stream)
+            g_val, g_grads = gen_objective_and_grads(work, codings)
+            if not np.isfinite(g_val):
+                raise TrainingDivergedError(f"non-finite generator objective at iteration {it}")
+            adam_step(work.generator.flat, g_grads, gen_state, **adam)
+            check_finite(work.generator, f"iteration {it}")
+            trace.append((d_val, g_val))
     model.generator.flat[...] = work.generator.flat
     model.discriminator.flat[...] = work.discriminator.flat
     return model, trace

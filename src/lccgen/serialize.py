@@ -13,7 +13,8 @@ layer's rows equal the previous layer's cols.
 non-finite float.
 
 CSV floats are written with repr-faithful %.17g (`FLOAT`) so reruns are
-byte-identical; a writer formats a whole row, or a whole cell, with one `%`.
+byte-identical; a writer formats a block of `_CSV_ROWS` rows, or a cell,
+with one `%`.
 Every writer goes through `atomic_write`, so an artifact path holds either
 its previous bytes or the complete new file, never a partial one.
 """
@@ -34,7 +35,7 @@ ANCHOR_MAGIC = b"LCCA"
 MODEL_MAGIC = b"LCCN"
 _ACT_TAGS = {name: tag for tag, name in enumerate(ACTIVATIONS)}
 FLOAT = "%.17g"
-_CSV_ROWS = 256  # rows whose cells codings_to_csv formats at a time
+_CSV_ROWS = 256  # rows a CSV writer formats at a time
 
 
 class FormatError(LccgenError):
@@ -113,10 +114,11 @@ def load_anchors(path) -> AnchorSet:
 
 
 def _write_rows(fh, M) -> None:
-    """One line per row of the 2-D float array M."""
+    """One line per row of the 2-D float array M, a block of rows per `%`."""
     line = ",".join([FLOAT] * M.shape[1]) + "\n"
-    for row in M:
-        fh.write(line % tuple(row.tolist()))
+    for lo in range(0, len(M), _CSV_ROWS):
+        block = M[lo:lo + _CSV_ROWS]
+        fh.write(line * len(block) % tuple(block.ravel().tolist()))
 
 
 def anchors_to_csv(path, anchors: AnchorSet) -> None:

@@ -602,7 +602,10 @@ _F32_REFUSAL = ("training runs in float32, but the data reach |x| = 9.99993621e+
     ("train-ae", "1e30", "non-finite loss at epoch 0"),
     ("train-ae", "1e39", "autoencoder " + _F32_REFUSAL),
     ("train-gan", "1e39", "GAN " + _F32_REFUSAL),
-], ids=["ae-epoch-mse", "ae-batch-loss", "ae-beyond-float32", "gan-beyond-float32"])
+    # within float32's range, but the discriminator's first layer overflows
+    ("train-gan", "3e38", "non-finite discriminator objective at iteration 0"),
+], ids=["ae-epoch-mse", "ae-batch-loss", "ae-beyond-float32", "gan-beyond-float32",
+        "gan-diverges"])
 def test_data_too_large_for_float32_training_is_one_error_line(staged, tmp_path, capsys,
                                                                stage, radius, err):
     # warnings fail this suite, so numpy stays silent on the way to the error
@@ -648,6 +651,22 @@ def test_sample_rejects_nonpositive_n(staged, tmp_path, capsys, n):
     err = capsys.readouterr().err.splitlines()
     assert err == [f"error: --n must be at least 1, got {n}"]
     assert not os.path.exists(os.path.join(out2, "codings_sampled.csv"))
+
+
+@pytest.mark.parametrize("steps", ["1", "0", "-3"])
+def test_interpolate_rejects_steps_below_two(full_pipeline, tmp_path, capsys, steps):
+    # refused before any input is read, as sample refuses --n
+    _, out = full_pipeline
+    out2 = tmp_path / "out"
+    shutil.copytree(out, out2)
+    for name in ("interp_codings.csv", "interp_outputs.csv"):
+        os.remove(out2 / name)
+    cfg2 = write_cfg(str(tmp_path), str(out2))
+    capsys.readouterr()
+    assert main(["--config", cfg2, "interpolate", "--steps", steps]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: --steps must be at least 2, got {steps}"]
+    assert not list(out2.glob("interp_*.csv"))
 
 
 def test_truncated_generator_is_one_error_line(staged, tmp_path, capsys):

@@ -8,7 +8,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from lccgen.metrics import _pairwise_sq_dists, median_pairwise_distance, mmd2, pearson_nn
+from lccgen.datasets import make_ring, make_swiss_roll
+from lccgen.metrics import (_pairwise_sq_dists, median_pairwise_distance, mmd2, pearson_nn,
+                            pearson_nns)
 from lccgen.rng import Rng
 
 
@@ -144,11 +146,80 @@ def test_pearson_nn_scale_tie_resolves_to_lowest_index():
 
 
 def test_pearson_nn_zero_variance_raises():
+    # through the one-query call and the bulk call
     corpus = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
-    with pytest.raises(ValueError, match="row 0"):
-        pearson_nn(np.array([0.0, 1.0, 2.0]), corpus)
-    with pytest.raises(ValueError, match="query"):
-        pearson_nn(np.ones(3), corpus[1:])
+    good = np.array([0.0, 1.0, 2.0])
+    with pytest.raises(ValueError, match="^corpus row 0 has zero variance$"):
+        pearson_nn(good, corpus)
+    with pytest.raises(ValueError, match="^corpus row 0 has zero variance$"):
+        pearson_nns(np.stack([good, good]), corpus)
+    # a constant query is refused before a constant corpus row
+    with pytest.raises(ValueError, match="^query 0 has zero variance$"):
+        pearson_nn(np.ones(3), corpus)
+    with pytest.raises(ValueError, match="^query 1 has zero variance$"):
+        pearson_nns(np.stack([good, np.full(3, 2.0)]), corpus[1:])
+    # no query, nothing to refuse
+    idx, dist = pearson_nns(np.zeros((0, 3)), corpus)
+    assert idx.shape == dist.shape == (0,)
+
+
+def pearson_nn_per_query(query, corpus):
+    # the probe as it was before the bulk call: every query centres and
+    # norms the whole corpus itself
+    q = np.asarray(query, dtype=np.float64)
+    c = np.asarray(corpus, dtype=np.float64)
+    qc = q - q.mean()
+    qn = float(np.sqrt(np.sum(qc * qc)))
+    cc = c - c.mean(axis=1, keepdims=True)
+    cn = np.sqrt(np.sum(cc * cc, axis=1))
+    exact = np.flatnonzero(np.all(c == q, axis=1))
+    if exact.size:
+        return int(exact[0]), 0.0
+    corr = np.clip((cc @ qc) / (cn * qn), -1.0, 1.0)
+    dist = 1.0 - corr
+    idx = int(np.argmin(dist))
+    return idx, float(dist[idx])
+
+
+def _bits(pairs):
+    return [(int(i), np.float64(d).tobytes()) for i, d in pairs]
+
+
+def _probe_cases():
+    g = np.random.default_rng(11)
+    ring = make_ring(500, 1.0, 0.01, 3)
+    roll = make_swiss_roll(400, 0.05, 4)
+    gauss = g.standard_normal((300, 64))
+    v = np.array([0.0, 1.0, 3.0])
+    return {
+        # in 2-D every correlation is +-1, so one ulp decides whether a
+        # distance is positive: over five rows a few queries' best is an
+        # ulp short of 1, over 500 none is
+        "ring": (make_ring(100, 1.0, 0.01, 5), make_ring(5, 1.0, 0.01, 3)),
+        "ring-500": (make_ring(100, 1.0, 0.01, 5), ring),
+        "swiss-roll": (make_swiss_roll(100, 0.05, 6), roll),
+        "gauss-64": (g.standard_normal((40, 64)), gauss),
+        "exact-row": (np.stack([ring[17], ring[17] + 0.5, ring[400]]), ring),
+        # copies of a row scaled by powers of two tie at exactly the same
+        # distance: the lowest index wins
+        "scaled-ties": (np.stack([3.0 * v + 1.0, -0.5 * v, v + 7.0]),
+                        np.stack([np.array([5.0, -1.0, 0.0]), 2.0 * v, 4.0 * v, -2.0 * v,
+                                  -4.0 * v])),
+    }
+
+
+@pytest.mark.parametrize("case", list(_probe_cases()))
+def test_bulk_probe_matches_the_per_query_probe_bit_for_bit(case):
+    queries, corpus = _probe_cases()[case]
+    want = _bits(pearson_nn_per_query(q, corpus) for q in queries)
+    idx, dist = pearson_nns(queries, corpus)
+    assert _bits(zip(idx, dist)) == want
+    assert _bits(pearson_nn(q, corpus) for q in queries) == want
+    if case == "ring":  # the ring's distances are zero or a few ulps
+        assert 0 < np.count_nonzero(dist > 0.0) < len(dist)
+        assert dist.max() < 1e-12
+    if case == "scaled-ties":
+        assert idx.tolist() == [1, 3, 1]
 
 
 def test_median_pairwise_distance_hand_case():

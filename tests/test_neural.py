@@ -804,10 +804,11 @@ def test_gan_rejects_mismatched_shapes():
 
 def test_gan_divergence_raises_the_training_error():
     # data at float32's largest value overflow the discriminator's first
-    # layer, which makes its scores, and so J_D, NaN
+    # layer, which makes its scores, and so J_D, NaN; train_gan raises
+    # without a warning
     gan = build_gan(2, 4, GanConfig(hidden=8), seed=0)
     X = np.full((8, 2), float(np.finfo(np.float32).max))
-    with np.errstate(all="ignore"), pytest.raises(
+    with pytest.raises(
             TrainingDivergedError, match="^non-finite discriminator objective at iteration 0$"):
         train_gan(X, _square_anchors(), SamplerConfig(d=2), gan, GanConfig(iters=3, batch=4), 0)
 

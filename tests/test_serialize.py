@@ -181,6 +181,24 @@ def test_csv_writers_match_a_per_float_reference(tmp_path):
     assert path.read_text() == "".join(_reference_line(V[:, j]) for j in range(3))
 
 
+@pytest.mark.parametrize("n", [0, 1, 255, 256, 257, 773])
+@pytest.mark.parametrize("cols", [1, 2, 3])
+def test_block_formatted_rows_match_one_row_per_format(tmp_path, n, cols):
+    # the writer formats a block of rows per %; the reference formats one row
+    path = tmp_path / "m.csv"
+    M = np.asarray(Rng(n + cols).normals(n * cols)).reshape(n, cols) * 1e3
+    edge = [-0.0, 5e-324, 1e308, np.inf, -np.inf, np.nan]
+    M.ravel()[:len(edge)] = edge[:M.size]
+    line = ",".join([FLOAT] * cols) + "\n"
+    matrix_to_csv(path, M)
+    assert path.read_bytes() == "".join(line % tuple(row.tolist()) for row in M).encode()
+    if cols == 2 and n:  # anchors_to_csv writes a transposed, non-contiguous view
+        anchors_to_csv(path, AnchorSet(np.nan_to_num(M.T, posinf=2.0, neginf=-2.0, nan=0.5)))
+        want = "".join(line % tuple(row.tolist())
+                       for row in np.nan_to_num(M, posinf=2.0, neginf=-2.0, nan=0.5))
+        assert path.read_bytes() == want.encode()
+
+
 def test_anchors_csv_one_row_per_anchor(tmp_path):
     V = np.array([[1.0, 3.0], [2.0, 4.0]])
     path = tmp_path / "a.csv"
