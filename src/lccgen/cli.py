@@ -38,6 +38,7 @@ from .serialize import (
     scatter_image,
     tile_images,
     write_pgm,
+    write_rows,
 )
 
 _TAG_AE, _TAG_LCC, _TAG_GAN_INIT, _TAG_GAN_TRAIN = 1, 2, 3, 4
@@ -88,7 +89,7 @@ def _loss_csv(path, header, rows):
     matrix_to_csv(path, np.column_stack([np.arange(len(rows)), rows]), header)
 
 
-def cmd_train_ae(cfg, out):
+def cmd_train_ae(cfg, out, args):
     encoder, decoder, history = train_autoencoder(
         _dataset(cfg), cfg.autoencoder, stage_seed(cfg.data.seed, _TAG_AE))
     save_model(os.path.join(out, "ae_encoder.bin"), encoder)
@@ -99,7 +100,7 @@ def cmd_train_ae(cfg, out):
     return 0
 
 
-def cmd_learn_lcc(cfg, out):
+def cmd_learn_lcc(cfg, out, args):
     X = _dataset(cfg)
     encoder = load_model(_need(os.path.join(out, "ae_encoder.bin"), "train-ae"))
     embeddings = encoder.forward(X)
@@ -118,7 +119,7 @@ def cmd_learn_lcc(cfg, out):
     return 0
 
 
-def cmd_train_gan(cfg, out):
+def cmd_train_gan(cfg, out, args):
     X = _dataset(cfg)
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
     model = build_gan(X.shape[1], anchors.m, cfg.gan, stage_seed(cfg.data.seed, _TAG_GAN_INIT))
@@ -134,14 +135,15 @@ def cmd_train_gan(cfg, out):
     return 0
 
 
-def cmd_sample(cfg, out, n, generator_path=None):
+def cmd_sample(cfg, out, args):
+    n = args.n
     if n < 1:
         raise CliError(f"--n must be at least 1, got {n}")
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
     # load every input before writing any output
-    gen_file = generator_path or os.path.join(out, "generator.bin")
+    gen_file = args.generator or os.path.join(out, "generator.bin")
     generator = (_load_generator(gen_file, anchors)
-                 if generator_path or os.path.exists(gen_file) else None)
+                 if args.generator or os.path.exists(gen_file) else None)
     G = sample_codings(anchors, n, cfg.sampler, Rng(stage_seed(cfg.data.seed, _TAG_SAMPLE)))
     codings_to_csv(os.path.join(out, "codings_sampled.csv"), G)
     wrote = ["codings_sampled.csv"]
@@ -153,11 +155,12 @@ def cmd_sample(cfg, out, n, generator_path=None):
     return 0
 
 
-def cmd_interpolate(cfg, out, steps, generator_path=None):
+def cmd_interpolate(cfg, out, args):
+    steps = args.steps
     if steps < 2:
         raise CliError(f"--steps must be at least 2, got {steps}")
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
-    generator = _load_generator(generator_path or os.path.join(out, "generator.bin"), anchors)
+    generator = _load_generator(args.generator or os.path.join(out, "generator.bin"), anchors)
     a, b = sample_coding_pair(anchors, cfg.sampler, Rng(stage_seed(cfg.data.seed, _TAG_INTERP)))
     G = interpolate(a, b, steps)
     codings_to_csv(os.path.join(out, "interp_codings.csv"), G)
@@ -166,17 +169,16 @@ def cmd_interpolate(cfg, out, steps, generator_path=None):
     return 0
 
 
-def cmd_verify_bounds(cfg, out):
+def cmd_verify_bounds(cfg, out, args):
     cases = cfg.eval.cases
     lhs, rhs = bound_sweep(Rng(stage_seed(cfg.data.seed, _TAG_VERIFY)), cases)
     ok = lhs <= rhs + 1e-10
-    line = f"%d,%s,%d,{FLOAT},{FLOAT},{FLOAT},%d\n"
+    case, kind, order = np.indices(ok.shape).reshape(3, -1)
+    rows = np.column_stack([case, np.array(KINDS, dtype=object)[kind], order + 1, lhs.ravel(),
+                            rhs.ravel(), (rhs - lhs).ravel(), ok.ravel().astype(np.int64)])
     with atomic_write(os.path.join(out, "bounds.csv")) as fh:
         fh.write("case,kind,order,lhs,rhs,margin,ok\n")
-        for (case, kind, order), l, r, margin, good in zip(
-                np.ndindex(ok.shape), lhs.ravel().tolist(), rhs.ravel().tolist(),
-                (rhs - lhs).ravel().tolist(), ok.ravel().tolist()):
-            fh.write(line % (case, KINDS[kind], order + 1, l, r, margin, good))
+        write_rows(fh, rows, f"%d,%s,%d,{FLOAT},{FLOAT},{FLOAT},%d\n")
     violations = int(np.count_nonzero(~ok))
     print(f"verify-bounds: {cases} configurations, {ok.size} checks, "
           f"{violations} violations")
@@ -188,7 +190,7 @@ def cmd_verify_bounds(cfg, out):
     return 0
 
 
-def cmd_eval(cfg, out):
+def cmd_eval(cfg, out, args):
     if cfg.eval.n_heldout < 2:
         raise ConfigError(f"[eval] n_heldout={cfg.eval.n_heldout} must be at least 2 for eval")
     X = _dataset(cfg)
@@ -227,6 +229,7 @@ def cmd_eval(cfg, out):
 _FLAGS = (("lcc", "m"), ("lcc", "q"), ("gan", "iters"), ("gan", "phi"), ("sampler", "d"),
           ("eval", "cases"))
 _COMMANDS = {"train-ae": cmd_train_ae, "learn-lcc": cmd_learn_lcc, "train-gan": cmd_train_gan,
+             "sample": cmd_sample, "interpolate": cmd_interpolate,
              "verify-bounds": cmd_verify_bounds, "eval": cmd_eval}
 
 
@@ -264,11 +267,7 @@ def main(argv=None) -> int:
                           + [(s, k, getattr(args, k, None)) for s, k in _FLAGS])
         out = cfg.output.dir
         os.makedirs(out, exist_ok=True)
-        if args.command == "sample":
-            return cmd_sample(cfg, out, args.n, args.generator)
-        if args.command == "interpolate":
-            return cmd_interpolate(cfg, out, args.steps, args.generator)
-        return _COMMANDS[args.command](cfg, out)
+        return _COMMANDS[args.command](cfg, out, args)
     except (LccgenError, OSError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -132,8 +132,6 @@ class GanConfig(_Section):
     lr: float = 2e-4
     hidden: int = 128
     phi: str = "log"  # a key of neural.net.PHIS
-    beta1: float = 0.5
-    beta2: float = 0.999
     generator_output: str = "identity"
 
     def __post_init__(self):
@@ -142,8 +140,6 @@ class GanConfig(_Section):
         self._positive("lr")
         self._min("hidden", 1)
         self._one_of("phi", PHIS)
-        self._need("beta1", 0 <= self.beta1 < 1, "must be in [0, 1)")
-        self._need("beta2", 0 <= self.beta2 < 1, "must be in [0, 1)")
         self._one_of("generator_output", ACTIVATIONS)
 
 

@@ -100,7 +100,6 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
     n, b = X.shape[0], gan.batch
     # per iteration the stream gives D's codings, the data indices, then G's codings
     stream = walk_codings(anchors, sampler, Rng(seed), [(b, b), (b, 0)] * gan.iters)
-    adam = {"lr": gan.lr, "beta1": gan.beta1, "beta2": gan.beta2}
     trace = []
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(gan.iters):
@@ -110,14 +109,14 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
             if not np.isfinite(d_val):
                 raise TrainingDivergedError(f"non-finite discriminator objective at iteration {it}")
             np.negative(d_grads, out=d_grads)
-            adam_step(work.discriminator.flat, d_grads, disc_state, **adam)
+            adam_step(work.discriminator.flat, d_grads, disc_state, lr=gan.lr)
             check_finite(work.discriminator, f"iteration {it}")
 
             codings, _ = next(stream)
             g_val, g_grads = gen_objective_and_grads(work, codings)
             if not np.isfinite(g_val):
                 raise TrainingDivergedError(f"non-finite generator objective at iteration {it}")
-            adam_step(work.generator.flat, g_grads, gen_state, **adam)
+            adam_step(work.generator.flat, g_grads, gen_state, lr=gan.lr)
             check_finite(work.generator, f"iteration {it}")
             trace.append((d_val, g_val))
     model.generator.flat[...] = work.generator.flat

@@ -28,7 +28,7 @@ import struct
 import numpy as np
 
 from . import LccgenError
-from .lcc.core import AnchorSet, check_codings
+from .lcc.core import AnchorSet
 from .neural.net import ACTIVATIONS, Layer, Mlp
 
 ANCHOR_MAGIC = b"LCCA"
@@ -113,9 +113,10 @@ def load_anchors(path) -> AnchorSet:
     return AnchorSet(flat.reshape(m, d_b).T.copy())
 
 
-def _write_rows(fh, M) -> None:
-    """One line per row of the 2-D float array M, a block of rows per `%`."""
-    line = ",".join([FLOAT] * M.shape[1]) + "\n"
+def write_rows(fh, M, line=None) -> None:
+    """One line per row of the 2-D array M, a block of rows per `%`.  `line`
+    formats one row; it defaults to FLOAT in every column."""
+    line = line or ",".join([FLOAT] * M.shape[1]) + "\n"
     for lo in range(0, len(M), _CSV_ROWS):
         block = M[lo:lo + _CSV_ROWS]
         fh.write(line * len(block) % tuple(block.ravel().tolist()))
@@ -124,7 +125,7 @@ def _write_rows(fh, M) -> None:
 def anchors_to_csv(path, anchors: AnchorSet) -> None:
     """One anchor per row."""
     with atomic_write(path) as fh:
-        _write_rows(fh, anchors.anchors.T)
+        write_rows(fh, anchors.anchors.T)
 
 
 def save_model(path, net: Mlp) -> None:
@@ -175,31 +176,12 @@ def codings_to_csv(path, weights) -> None:
                 start = end
 
 
-def codings_from_csv(path, m: int) -> np.ndarray:
-    """Reads codings_to_csv's format back into an (n, m) weight array."""
-    rows = []
-    with open(path) as fh:
-        for line_no, line in enumerate(fh):
-            line = line.strip()
-            if not line:
-                continue
-            w = np.zeros(m)
-            for cell in line.split(","):
-                idx, _, val = cell.partition(":")
-                try:
-                    w[int(idx)] = float(val)
-                except (ValueError, IndexError) as exc:
-                    raise FormatError(f"{path}: bad cell {cell!r} on line {line_no + 1}") from exc
-            rows.append(w)
-    return check_codings(np.array(rows).reshape(len(rows), m))
-
-
 def matrix_to_csv(path, rows, header=None) -> None:
     M = np.atleast_2d(np.asarray(rows, dtype=np.float64))
     with atomic_write(path) as fh:
         if header:
             fh.write(",".join(header) + "\n")
-        _write_rows(fh, M)
+        write_rows(fh, M)
 
 
 def kv_to_csv(path, pairs) -> None:

@@ -13,7 +13,6 @@ from lccgen.serialize import (
     FLOAT,
     FormatError,
     anchors_to_csv,
-    codings_from_csv,
     codings_to_csv,
     kv_to_csv,
     load_anchors,
@@ -26,6 +25,7 @@ from lccgen.serialize import (
     to_gray,
     write_pgm,
 )
+from test_cli import read_codings
 
 
 def test_anchor_roundtrip_is_bitwise(tmp_path):
@@ -108,21 +108,11 @@ def test_codings_csv_roundtrip(tmp_path):
     w2[[0, 2, 5]] = [1.5, -1.0, 0.5]
     path = tmp_path / "c.csv"
     codings_to_csv(path, np.stack([w1, w2]))
-    back = codings_from_csv(path, 6)
+    back = read_codings(path, 6)
     assert np.array_equal(back[0], w1)
     assert np.array_equal(back[1], w2)
     text = path.read_text()
     assert text.splitlines()[0] == "1:0.75,4:0.25"
-
-
-def test_codings_csv_bad_cell_names_the_line(tmp_path):
-    path = tmp_path / "c.csv"
-    path.write_text("0:0.5,junk\n")
-    with pytest.raises(FormatError, match="line 1"):
-        codings_from_csv(path, 4)
-    path.write_text("0:0.25,3:0.25\n")  # parses, but sums to 0.5
-    with pytest.raises(ValueError, match="sum to 1"):
-        codings_from_csv(path, 4)
 
 
 def test_float_format_is_repr_faithful():
