@@ -104,7 +104,7 @@ class LccConfig(_Section):
         self._min("m", 1)
         self._one_of("q", (2, 3))
         self._positive("l_h")
-        self._nonnegative("l_q")
+        self._positive("l_q")
         self._positive("coding_tol")
         self._positive("anchor_tol")
         self._min("max_outer_iters", 0)

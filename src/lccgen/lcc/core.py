@@ -119,14 +119,44 @@ def _penalties(H: np.ndarray, V: np.ndarray, l_q: float, q: int):
 
 
 def lcc_objective(points, weights, anchors: AnchorSet, config: LccConfig) -> float:
-    """Training objective summed over points; `weights` is (n, m)."""
+    """Training objective summed over points; `weights` is (n, m).  Each
+    point's locality term sums over its coding's support, the anchors of
+    its nonzero weights."""
     H = _as_points(points)
     G = np.asarray(weights, dtype=np.float64)
-    V = anchors.anchors
-    C, _ = _penalties(H, V, config.l_q, config.q)
+    return _support_objective(H, G, anchors.anchors, config, _support(H, G))
+
+
+def _support(H, G):
+    """The nonzero weights of the (n, m) codings G: their positions in G's
+    rows laid end to end, their anchors, |g| and their points' coordinates,
+    (d_b, k)."""
+    at = (G != 0.0).ravel().nonzero()[0]
+    rows, cols = np.divmod(at, G.shape[1])
+    return at, cols, np.abs(G.take(at)), H.T.take(rows, axis=1)
+
+
+def _support_objective(H, G, V, config: LccConfig, support) -> float:
+    """`lcc_objective` at anchors V, for the `_support` of G.
+
+    Each locality term takes the float operations of `_penalties` and
+    `np.abs(G) * C`: h - v per coordinate, squared and added left to right
+    from 0, then sqrt, **q, l_q * and |g| *.  Scattered into zeros of G's
+    shape, they add up as the full (n, m) product does wherever a zero
+    weight's penalty is finite; where it overflows to inf, 0 * inf = NaN
+    would have made the sum NaN."""
+    at, cols, absg, HS = support
+    d2 = np.zeros(at.size)
+    for hs, v in zip(HS, V):
+        diff = hs - v.take(cols)
+        diff *= diff
+        d2 += diff
+    np.sqrt(d2, out=d2)
+    local = np.zeros(G.shape)
+    local.ravel()[at] = absg * (config.l_q * d2**config.q)
     E = H - G @ V.T
-    rec = np.sqrt(np.sum(E * E, axis=1))
-    return float(np.sum(2.0 * config.l_h * rec) + np.sum(np.abs(G) * C))
+    rec = np.sqrt(np.add.reduce(E * E, axis=1))
+    return float(np.add.reduce(2.0 * config.l_h * rec) + np.add.reduce(local, axis=None))
 
 
 def _row_objectives(H, G, V, C, l_h):
@@ -584,7 +614,10 @@ def _update_anchors(H, G, V, config: LccConfig):
     The reconstruction term is handled by freezing its inverse-residual
     weight at the current anchors; for q=3 one factor of ||v - h|| is frozen
     as well, leaving a quadratic whose normal equations couple anchors
-    through the codings.  Backtracking keeps the true objective nonincreasing.
+    through the codings.  Backtracking keeps the true objective nonincreasing:
+    the current anchors and each halving of the step are scored on the
+    codings' support, found once, and a candidate scoring NaN or above the
+    current objective is refused (a non-finite anchor scores NaN or inf).
     Returns (V, objective): the anchors and the objective at them.
     """
     l_h, l_q, q = config.l_h, config.l_q, config.q
@@ -603,11 +636,12 @@ def _update_anchors(H, G, V, config: LccConfig):
         X = np.linalg.lstsq(A, B, rcond=None)[0]
     V_cand = X.T
 
-    f_cur = lcc_objective(H, G, AnchorSet(V), config)
+    support = _support(H, G)
+    f_cur = _support_objective(H, G, V, config, support)
     step = 1.0
     for _ in range(30):
         V_try = V + step * (V_cand - V)
-        f_try = lcc_objective(H, G, AnchorSet(V_try), config)
+        f_try = _support_objective(H, G, V_try, config, support)
         if f_try <= f_cur:
             return V_try, f_try
         step *= 0.5

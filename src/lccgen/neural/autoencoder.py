@@ -8,7 +8,7 @@ from ..config import AutoencoderConfig
 from ..rng import Rng
 from .adam import adam_step, init_adam
 from .net import (Mlp, TrainingDivergedError, _mean, as_float32_data, build_mlp, backward,
-                  check_finite, forward_cached)
+                  check_finite, forward_cached, grad_buffer)
 
 
 def reconstruction_mse(ae: Mlp, data) -> float:
@@ -21,17 +21,16 @@ def reconstruction_mse(ae: Mlp, data) -> float:
     return float(_mean(diff))
 
 
-def ae_loss_and_grads(ae: Mlp, batch):
-    """The batch's reconstruction MSE and its gradient, laid out like ae.flat,
-    both in ae's dtype."""
+def ae_loss_and_grads(ae: Mlp, batch, grads: Mlp):
+    """The batch's reconstruction MSE and its gradient, written into the
+    `grad_buffer` grads and returned as grads.flat, both in ae's dtype."""
     X = np.asarray(batch, dtype=ae.flat.dtype)
     xhat, cache = forward_cached(ae, X)
     diff = xhat - X
     loss = float(_mean(diff * diff))
     diff *= 2.0
     diff /= diff.size
-    grads, _ = backward(ae, cache, diff, inputs=False)
-    return loss, grads
+    return loss, backward(ae, cache, diff, grads, inputs=False)[0]
 
 
 def train_autoencoder(data, config: AutoencoderConfig, seed: int):
@@ -59,13 +58,14 @@ def train_autoencoder(data, config: AutoencoderConfig, seed: int):
     rng = Rng(seed)
     ae = Mlp(build_mlp([dim, config.hidden, config.latent_dim, config.hidden, dim],
                        [config.activation, "identity"] * 2, rng).layers, np.float32)
-    state = init_adam(ae.flat)
+    state, buffer = init_adam(ae.flat), grad_buffer(ae)
     history = []
     with np.errstate(over="ignore", invalid="ignore"):
         for epoch in range(config.epochs):
             shuffled = X[np.argsort(rng.uniforms(n), kind="stable")]
             for start in range(0, n, config.batch):
-                loss, grads = ae_loss_and_grads(ae, shuffled[start : start + config.batch])
+                batch = shuffled[start : start + config.batch]
+                loss, grads = ae_loss_and_grads(ae, batch, buffer)
                 if not np.isfinite(loss):
                     raise TrainingDivergedError(f"non-finite loss at epoch {epoch}")
                 adam_step(ae.flat, grads, state, lr=config.lr)

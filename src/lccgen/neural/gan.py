@@ -20,7 +20,7 @@ from ..lcc.sampling import walk_codings
 from ..rng import Rng
 from .adam import adam_step, init_adam
 from .net import (PHIS, Mlp, TrainingDivergedError, _mean, as_float32_data, backward, build_mlp,
-                  check_finite, forward_cached)
+                  check_finite, forward_cached, grad_buffer)
 
 
 @dataclass
@@ -40,8 +40,11 @@ def build_gan(data_dim: int, m: int, gan: GanConfig = GanConfig(), seed: int = 0
     return GanModel(gen, disc, gan.phi)
 
 
-def disc_objective_and_grads(gan: GanModel, reals, codings):
-    """J_D and its gradient in the discriminator parameters."""
+def disc_objective_and_grads(gan: GanModel, reals, codings, grads):
+    """J_D and its gradient in the discriminator parameters.  grads is a
+    pair of the discriminator's `grad_buffer`s: the real batch's gradient
+    goes into the first, the fake batch's into the second, which is added
+    to it; returns (J_D, the first's flat)."""
     fakes = gan.generator.forward(codings)
     score_r, cache_r = forward_cached(gan.discriminator, reals)
     score_f, cache_f = forward_cached(gan.discriminator, fakes)
@@ -50,21 +53,23 @@ def disc_objective_and_grads(gan: GanModel, reals, codings):
     value = float(_mean(phi_r) + _mean(phi_f))  # the two means added in their dtype
     d_r /= reals.shape[0]
     d_f /= -codings.shape[0]  # -phi'/n, with the sign in the divisor
-    grads, _ = backward(gan.discriminator, cache_r, d_r, inputs=False)
-    grads += backward(gan.discriminator, cache_f, d_f, inputs=False)[0]
-    return value, grads
+    real, fake = grads
+    total, _ = backward(gan.discriminator, cache_r, d_r, real, inputs=False)
+    total += backward(gan.discriminator, cache_f, d_f, fake, inputs=False)[0]
+    return value, total
 
 
-def gen_objective_and_grads(gan: GanModel, codings):
-    """J_G and its gradient in the generator parameters (discriminator frozen)."""
+def gen_objective_and_grads(gan: GanModel, codings, grads: Mlp):
+    """J_G and its gradient in the generator parameters (discriminator
+    frozen), written into the generator's `grad_buffer` grads; returns
+    (J_G, grads.flat)."""
     fakes, cache_g = forward_cached(gan.generator, codings)
     score_f, cache_d = forward_cached(gan.discriminator, fakes)
     phi_f, d_f = PHIS[gan.phi](1.0 - score_f)
     value = float(_mean(phi_f))
     d_f /= -codings.shape[0]
-    _, d_fakes = backward(gan.discriminator, cache_d, d_f, params=False)
-    grads, _ = backward(gan.generator, cache_g, d_fakes, inputs=False)
-    return value, grads
+    _, d_fakes = backward(gan.discriminator, cache_d, d_f)
+    return value, backward(gan.generator, cache_g, d_fakes, grads, inputs=False)[0]
 
 
 def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
@@ -80,7 +85,8 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
     batch of codings is cast at the generator's input.
     Only the trained weights are written back, into the model's float64
     arrays, which hold them exactly, so checkpoints keep their format; the
-    moments end with the call.  Zero iterations leave the model as built.
+    moments and the gradient buffers, made once, end with the call.  Zero
+    iterations leave the model as built.
     Overflow anywhere in a step shows as a non-finite objective or
     parameter, which raises TrainingDivergedError, so numpy's warnings are
     silenced."""
@@ -97,6 +103,8 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
     work = GanModel(Mlp(model.generator.layers, np.float32),
                     Mlp(model.discriminator.layers, np.float32), model.phi)
     gen_state, disc_state = init_adam(work.generator.flat), init_adam(work.discriminator.flat)
+    gen_grads = grad_buffer(work.generator)
+    disc_grads = (grad_buffer(work.discriminator), grad_buffer(work.discriminator))
     n, b = X.shape[0], gan.batch
     # per iteration the stream gives D's codings, the data indices, then G's codings
     stream = walk_codings(anchors, sampler, Rng(seed), [(b, b), (b, 0)] * gan.iters)
@@ -105,7 +113,7 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
         for it in range(gan.iters):
             codings, u = next(stream)
             idx = np.minimum((u * n).astype(np.int64), n - 1)
-            d_val, d_grads = disc_objective_and_grads(work, X[idx], codings)
+            d_val, d_grads = disc_objective_and_grads(work, X[idx], codings, disc_grads)
             if not np.isfinite(d_val):
                 raise TrainingDivergedError(f"non-finite discriminator objective at iteration {it}")
             np.negative(d_grads, out=d_grads)
@@ -113,7 +121,7 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
             check_finite(work.discriminator, f"iteration {it}")
 
             codings, _ = next(stream)
-            g_val, g_grads = gen_objective_and_grads(work, codings)
+            g_val, g_grads = gen_objective_and_grads(work, codings, gen_grads)
             if not np.isfinite(g_val):
                 raise TrainingDivergedError(f"non-finite generator objective at iteration {it}")
             adam_step(work.generator.flat, g_grads, gen_state, lr=gan.lr)

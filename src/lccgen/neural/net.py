@@ -10,9 +10,10 @@ are the only lists of their names; config checks keys against them.
 
 The passes compute only what their callers read, with the float operations
 of the plain formulas: identity layers skip their activation, `backward`
-skips the parameter or input gradient a caller discards and multiplies by
-each derivative in arrays of its own, and each `PHIS` entry maps a score
-array t to (phi(t), phi'(t)) from one clamp of t.
+skips the parameter or input gradient a caller discards, multiplies by
+each derivative in arrays of its own and writes parameter gradients into
+a `grad_buffer` its caller keeps for a whole training run, and each `PHIS`
+entry maps a score array t to (phi(t), phi'(t)) from one clamp of t.
 """
 
 from __future__ import annotations
@@ -117,18 +118,6 @@ class Layer:
     act: str
 
 
-def _layer_views(vec, layers):
-    """(w, b) views of a vector laid out like Mlp.flat, one pair per layer."""
-    views, off = [], 0
-    for layer in layers:
-        rows, cols = layer.w.shape
-        w = vec[off:off + rows * cols].reshape(rows, cols)
-        off += rows * cols
-        views.append((w, vec[off:off + cols]))
-        off += cols
-    return views
-
-
 def _layer_forward(layer: Layer, x):
     """act(x @ w + b), computed in the one array x @ w allocates."""
     y = x @ layer.w
@@ -144,7 +133,13 @@ class Mlp:
     def __init__(self, layers, dtype=np.float64):
         self.flat = np.empty(sum(layer.w.size + layer.b.size for layer in layers), dtype=dtype)
         self.layers = []
-        for (w, b), layer in zip(_layer_views(self.flat, layers), layers):
+        off = 0
+        for layer in layers:
+            rows, cols = layer.w.shape
+            w = self.flat[off:off + rows * cols].reshape(rows, cols)
+            off += rows * cols
+            b = self.flat[off:off + cols]
+            off += cols
             w[...] = layer.w
             b[...] = layer.b
             self.layers.append(Layer(w, b, layer.act))
@@ -194,16 +189,16 @@ def forward_cached(net: Mlp, X):
     return y, cache
 
 
-def backward(net: Mlp, cache, d_out, params=True, inputs=True):
+def backward(net: Mlp, cache, d_out, grads=None, inputs=True):
     """Gradients of a scalar loss given d(loss)/d(output).
 
-    Returns (grads, d_input) with grads one vector laid out like net.flat;
-    params=False gives None for grads and inputs=False None for d_input,
+    `grads`, an Mlp shaped like net (see `grad_buffer`), receives the
+    parameter gradients: each layer's w and b are overwritten, so its flat
+    is the gradient vector laid out like net.flat.  Returns (grads.flat,
+    d_input); grads=None gives None there and inputs=False None for d_input,
     and that gradient is not computed.  d_out is never written: each
     dy * f'(y) goes into an array made here, in place once there is one.
     """
-    grads = np.empty_like(net.flat) if params else None
-    views = _layer_views(grads, net.layers) if params else None
     dy = np.asarray(d_out, dtype=net.flat.dtype)
     own = False  # whether dy is an array of this call's, free to overwrite
     for i in range(len(net.layers) - 1, -1, -1):
@@ -211,13 +206,19 @@ def backward(net: Mlp, cache, d_out, params=True, inputs=True):
         x, y = cache[i]
         grad = ACTIVATIONS[layer.act][1]
         dz = dy if grad is None else grad(y, dy, out=dy if own else None)
-        if params:
-            gw, gb = views[i]
-            np.matmul(x.T, dz, out=gw)
-            np.add.reduce(dz, axis=0, out=gb)
+        if grads is not None:
+            g = grads.layers[i]
+            np.matmul(x.T, dz, out=g.w)
+            np.add.reduce(dz, axis=0, out=g.b)
         if i or inputs:
             dy, own = dz @ layer.w.T, True
-    return grads, (dy if inputs else None)
+    return (None if grads is None else grads.flat), (dy if inputs else None)
+
+
+def grad_buffer(net: Mlp) -> Mlp:
+    """An Mlp shaped like net, in its dtype, for `backward` to fill; its
+    contents until then are net's parameters."""
+    return Mlp(net.layers, net.flat.dtype)
 
 
 def check_finite(net: Mlp, where: str):

@@ -42,7 +42,7 @@ from lccgen.lcc.sampling import (
 )
 from lccgen.neural.autoencoder import ae_loss_and_grads
 from lccgen.neural.gan import build_gan, disc_objective_and_grads, gen_objective_and_grads
-from lccgen.neural.net import Mlp, build_mlp, forward_cached
+from lccgen.neural.net import Mlp, build_mlp, forward_cached, grad_buffer
 from lccgen.rng import Rng, stage_seed
 from lccgen.serialize import (
     anchors_to_csv,
@@ -257,8 +257,9 @@ def test_criterion_5_gradient_correctness():
     dec = build_mlp([2, 4, 3], ["tanh", "identity"], rng)
     ae = Mlp(enc.layers + dec.layers)
     X = np.asarray(rng.normals(6 * 3)).reshape(6, 3)
-    _, ae_grads = ae_loss_and_grads(ae, X)
-    worst = _fd_worst(lambda: ae_loss_and_grads(ae, X)[0], [ae.flat], [ae_grads])
+    _, ae_grads = ae_loss_and_grads(ae, X, grad_buffer(ae))
+    worst = _fd_worst(lambda: ae_loss_and_grads(ae, X, grad_buffer(ae))[0], [ae.flat],
+                      [ae_grads])
 
     gan = build_gan(3, 4, GanConfig(hidden=6), seed=9)
     drng = Rng(8)
@@ -267,9 +268,13 @@ def test_criterion_5_gradient_correctness():
     codings /= codings.sum(axis=1, keepdims=True)
     assert _relu_clear(gan.discriminator, reals)
     assert _relu_clear(gan.discriminator, gan.generator.forward(codings))
-    _, grads = disc_objective_and_grads(gan, reals, codings)
+
+    def disc_grads():
+        return grad_buffer(gan.discriminator), grad_buffer(gan.discriminator)
+
+    _, grads = disc_objective_and_grads(gan, reals, codings, disc_grads())
     worst = max(worst, _fd_worst(
-        lambda: disc_objective_and_grads(gan, reals, codings)[0],
+        lambda: disc_objective_and_grads(gan, reals, codings, disc_grads())[0],
         [gan.discriminator.flat], [grads],
     ))
 
@@ -277,9 +282,9 @@ def test_criterion_5_gradient_correctness():
     codings2 /= codings2.sum(axis=1, keepdims=True)
     assert _relu_clear(gan.generator, codings2)
     assert _relu_clear(gan.discriminator, gan.generator.forward(codings2))
-    _, ggrads = gen_objective_and_grads(gan, codings2)
+    _, ggrads = gen_objective_and_grads(gan, codings2, grad_buffer(gan.generator))
     worst = max(worst, _fd_worst(
-        lambda: gen_objective_and_grads(gan, codings2)[0],
+        lambda: gen_objective_and_grads(gan, codings2, grad_buffer(gan.generator))[0],
         [gan.generator.flat], [ggrads],
     ))
     elapsed = time.perf_counter() - t0

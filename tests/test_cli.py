@@ -516,6 +516,7 @@ def test_verify_bounds_violation_ends_in_error_line(tmp_path, capsys, monkeypatc
     (["eval"], ("n_generated = 32", "n_generated = 0"), "[eval] n_generated=0 must be at least 1"),
     (["learn-lcc", "--m", "0"], None, "[lcc] m=0 must be at least 1"),
     (["learn-lcc"], ("[lcc]", "[lcc]\nl_h = 0"), "[lcc] l_h=0.0 must be positive and finite"),
+    (["learn-lcc"], ("[lcc]", "[lcc]\nl_q = 0"), "[lcc] l_q=0.0 must be positive and finite"),
     # valid for the training stages; eval needs two held-out points
     (["eval"], ("n_heldout = 32", "n_heldout = 0"),
      "[eval] n_heldout=0 must be at least 2 for eval"),
@@ -523,7 +524,7 @@ def test_verify_bounds_violation_ends_in_error_line(tmp_path, capsys, monkeypatc
      "[eval] n_heldout=1 must be at least 2 for eval"),
 ], ids=["gan-iters", "ae-epochs", "ae-batch", "gan-batch-0", "gan-batch-neg",
         "ae-latent-dim", "ae-lr-nan", "ae-lr-neg", "gan-hidden", "gan-lr-nan",
-        "eval-bandwidth", "eval-n-generated", "lcc-m", "lcc-l-h",
+        "eval-bandwidth", "eval-n-generated", "lcc-m", "lcc-l-h", "lcc-l-q",
         "eval-n-heldout-0", "eval-n-heldout-1"])
 def test_bad_training_sizes_are_one_error_line(staged, tmp_path, capsys, argv, edit, err):
     # refused before the stage reads its data, so no artifact is overwritten

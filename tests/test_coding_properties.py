@@ -4,8 +4,9 @@ Each instance draws anchors, points and a config, solves every point cold,
 then moves the anchors by 0.05 * N(0, 1) and solves again warm from the
 cold codings.  The instances cover d_b 1-6, m 1-39 and n 1-59, with
 duplicate anchors, collinear (rank-1) anchor sets, and points on an anchor
-or within 1e-9 of one.  l_q = 0 and strongly scaled sets are left out:
-rows there can end "cap" although their coding is optimal.
+or within 1e-9 of one.  Strongly scaled sets are left out: rows there
+can end "cap" although their coding is optimal.  (The config refuses
+l_q = 0.)
 
 One class still ends "cap": collinear anchors with a point within 1e-9 of
 one of them but off their line.  There the cold active set can end above
@@ -104,12 +105,7 @@ def test_certified_rows_meet_the_dual_bound_in_the_plane(solved):
             continue
         C, _ = core._penalties(H, V, cfg.l_q, cfg.q)
         got = core._row_objectives(H, G, V, C, cfg.l_h)
-        # a duplicate anchor repeats its dual constraint, and the oracle
-        # takes each anchor pair's difference as a line
-        _, first = np.unique(V, axis=1, return_index=True)
         for i in np.flatnonzero((reasons == "vertex") | (reasons == "gap")):
-            bound = _dual_lower_bound(H[i], V[:, first], C[i, first], cfg.l_h)
-            # the oracle may shrink its dual point by 1 - 1e-9 to stay feasible
-            assert got[i] - bound <= cfg.coding_tol + 1e-9 * abs(bound)
+            assert got[i] - _dual_lower_bound(H[i], V, C[i], cfg.l_h) <= cfg.coding_tol
             checked += 1
     assert checked > 100

@@ -11,7 +11,7 @@ import sys
 import pytest
 
 import lccgen
-from lccgen.config import DEFAULTS, AutoencoderConfig, ConfigError, GanConfig
+from lccgen.config import DEFAULTS, AutoencoderConfig, ConfigError, GanConfig, load_config
 from lccgen.neural.net import ACTIVATIONS, PHIS, build_mlp
 from lccgen.rng import Rng
 from lccgen.serialize import load_model, save_model
@@ -73,3 +73,13 @@ def test_every_activation_round_trips_and_is_a_config_value(tmp_path):
         AutoencoderConfig(activation="swish")
     with pytest.raises(ConfigError, match="must be identity, relu, tanh or sigmoid$"):
         GanConfig(generator_output="swish")
+
+
+@pytest.mark.parametrize("key", ["l_h", "l_q"])
+@pytest.mark.parametrize("value", ["0", "nan"])
+def test_both_lcc_weights_must_be_positive(key, value):
+    # without its locality term the objective is no longer LCC, and without
+    # its reconstruction term the codings need not reconstruct
+    with pytest.raises(ConfigError, match=rf"^\[lcc\] {key}=.* must be positive and finite$"):
+        load_config(overrides=[("lcc", key, value)])
+    assert getattr(load_config(overrides=[("lcc", key, "1e-4")]).lcc, key) == 1e-4

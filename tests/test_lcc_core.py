@@ -24,9 +24,12 @@ from lccgen.lcc.core import (
     solve_coding,
     solve_codings,
 )
+from lccgen import cli
+from lccgen.config import load_config
 from lccgen.datasets import make_ring
 from lccgen.lcc import core
-from lccgen.rng import Rng
+from lccgen.neural.autoencoder import train_autoencoder
+from lccgen.rng import Rng, stage_seed
 
 
 def two_anchor_objective(g1, l_h, l_q, q):
@@ -154,8 +157,12 @@ def _dual_lower_bound(h, V, c, l_h):
     one crosses the circle, or at a piece's own maximum on the circle.  Every
     such point is checked for feasibility before its value counts, so the
     result is a bound however the candidates were found.  (A zoomed grid
-    stalls on the dual's ridges, up to 1e-4 below the maximum.)
+    stalls on the dual's ridges, up to 1e-4 below the maximum.)  A
+    duplicate anchor repeats its constraint, so each anchor is kept once,
+    and no line is the zero line of two equal anchors.
     """
+    keep = np.sort(np.unique(V, axis=1, return_index=True)[1])
+    V, c = V[:, keep], c[keep]
     radius = 2.0 * l_h
     m = V.shape[1]
     i, j = np.triu_indices(m, 1)
@@ -178,7 +185,8 @@ def _dual_lower_bound(h, V, c, l_h):
     tops = radius * toward / np.linalg.norm(toward, axis=1)[:, None]
     Y = np.concatenate([crossings, foot + along, foot - along, tops])
     best = -np.inf
-    for shrink in (1.0, 1.0 - 1e-12, 1.0 - 1e-9):  # pulls rounding back inside
+    # each shrink pulls rounding back inside
+    for shrink in (1.0, 1.0 - 1e-12, 1.0 - 1e-11, 1.0 - 1e-10, 1.0 - 1e-9):
         Ys = shrink * Y
         VY = Ys @ V
         lam = np.min(c - VY, axis=1)
@@ -682,6 +690,7 @@ def _reference_penalties(H, V, l_q, q):
 
 
 def _reference_objective(H, G, V, config):
+    """The objective over the whole (n, m) penalty array, zero weights included."""
     C, _ = _reference_penalties(H, V, config.l_q, config.q)
     E = H - G @ V.T
     rec = np.sqrt(np.sum(E * E, axis=1))
@@ -716,6 +725,105 @@ def test_penalties_match_the_difference_array_bit_for_bit(d_b, n, m):
         obj = lcc_objective(H, G, AnchorSet(V), config)
         ref = _reference_objective(H, G, V, config)
         assert obj == ref if exact else obj == pytest.approx(ref, rel=1e-14)
+
+
+@pytest.mark.parametrize("q", [2, 3])
+@pytest.mark.parametrize("d_b", [1, 2, 3, 5, 9])
+def test_support_objective_matches_the_full_array_bit_for_bit(d_b, q):
+    rng = np.random.default_rng(10 * d_b + q)
+    n, m = 300, d_b + 4
+    # coordinates of different sizes, so the order of the sums shows
+    H = rng.standard_normal((n, d_b)) * np.geomspace(1e-3, 1e3, d_b)
+    V = rng.standard_normal((d_b, m))
+    H[0] = V[:, 0]  # a hit, at distance exactly 0
+    G = np.zeros((n, m))
+    for i in range(n):  # 1 to d_b + 1 nonzero weights, summing to 1
+        cols = rng.choice(m, size=i % (d_b + 1) + 1, replace=False)
+        G[i, cols] = rng.standard_normal(cols.size)
+        G[i, cols[0]] += 1.0 - G[i].sum()
+    assert (G < 0.0).any() and (G != 0.0).sum(axis=1).max() == d_b + 1
+    config = LccConfig(q=q, l_h=0.8, l_q=1.3)
+    support = core._support(H, G)
+    step = rng.standard_normal(V.shape)
+    for V_try in (V, V + 1e-9 * step, V + step, V + 1e3 * step, 1e6 * step):
+        want = _reference_objective(H, G, V_try, config)
+        assert core._support_objective(H, G, V_try, config, support) == want
+        assert lcc_objective(H, G, AnchorSet(V_try), config) == want
+    # a non-finite anchor, used or not, scores NaN or inf, which
+    # _update_anchors refuses against a finite objective
+    G = np.hstack([G, np.zeros((n, 1))])
+    support = core._support(H, G)
+    assert G[:, 0].any()
+    for j in (0, m):
+        for bad in (np.inf, np.nan):
+            V_try = np.hstack([V, np.zeros((d_b, 1))])
+            V_try[-1, j] = bad
+            with np.errstate(invalid="ignore", over="ignore"):
+                assert not np.isfinite(core._support_objective(H, G, V_try, config, support))
+
+
+def _full_array_update(H, G, V, config):
+    """`_update_anchors` with every candidate scored by
+    `_reference_objective`; returns (V, objective, candidates scored)."""
+    l_h, l_q, q = config.l_h, config.l_q, config.q
+    E = H - G @ V.T
+    beta = l_h / np.sqrt(np.sum(E * E, axis=1) + core._EPS_SMOOTH)
+    W = l_q * np.abs(G)
+    if q == 3:
+        W = W * core._penalties(H, V, l_q, q)[1]
+    A = (G * beta[:, None]).T @ G + np.diag(W.sum(axis=0))
+    B = (G * beta[:, None]).T @ H + W.T @ H
+    A[np.diag_indices_from(A)] += 1e-10 * max(float(np.mean(np.diag(A))), 1e-30)
+    V_cand = np.linalg.solve(A, B).T
+    f_cur = _reference_objective(H, G, V, config)
+    step = 1.0
+    for k in range(30):
+        V_try = V + step * (V_cand - V)
+        f_try = _reference_objective(H, G, V_try, config)
+        if f_try <= f_cur:
+            return V_try, f_try, k + 2
+        step *= 0.5
+    return V, f_cur, 31
+
+
+def _update_matches_the_full_array_loop(H, G, V, config):
+    want_V, want_f, scored = _full_array_update(H, G, V, config)
+    got_V, got_f = core._update_anchors(H, G, V, config)
+    assert got_V.tobytes() == want_V.tobytes() and got_f == want_f
+    return scored, got_V
+
+
+@pytest.mark.parametrize("q", [2, 3])
+def test_update_anchors_matches_the_full_array_loop_where_a_halving_is_taken(q):
+    H = 2.0 * np.random.default_rng(0).standard_normal((40, 2))
+    config = LccConfig(m=5, q=q, l_h=10.0, l_q=0.01)
+    V = init_anchors(H, 5, Rng(0))
+    G, _ = solve_codings(H, V, config)
+    scored, got_V = _update_matches_the_full_array_loop(H, G, V, config)
+    assert 2 < scored < 31 and not np.array_equal(got_V, V)
+
+
+def test_update_anchors_matches_the_full_array_loop_on_the_default_ring():
+    # learn-lcc's first anchor step on the default pipeline's embedding,
+    # where every coding is exact and all 30 halvings are refused
+    cfg = load_config()
+    X = make_ring(cfg.data.n, cfg.data.radius, cfg.data.noise_sigma, cfg.data.seed)
+    encoder, _, _ = train_autoencoder(X, cfg.autoencoder, stage_seed(cfg.data.seed, cli._TAG_AE))
+    H = encoder.forward(X)
+    V = init_anchors(H, cfg.lcc.m, Rng(stage_seed(cfg.data.seed, cli._TAG_LCC)))
+    G, _ = solve_codings(H, V, cfg.lcc)
+    scored, got_V = _update_matches_the_full_array_loop(H, G, V, cfg.lcc)
+    assert scored == 31 and got_V.tobytes() == V.tobytes()
+
+
+def test_a_zero_weight_adds_nothing_where_its_penalty_overflows():
+    # the one difference from the full array, whose 0 * inf is NaN; in
+    # _update_anchors it takes a point and a used anchor some 1e154 apart
+    H, V, G = np.array([[0.0]]), np.array([[0.0, 1e200]]), np.array([[1.0, 0.0]])
+    config = LccConfig(m=2)
+    assert lcc_objective(H, G, AnchorSet(V), config) == 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert np.isnan(_reference_objective(H, G, V, config))
 
 
 def test_coding_support_is_not_an_argument():

@@ -11,7 +11,7 @@ import pytest
 from lccgen.config import AutoencoderConfig, ConfigError, GanConfig, SamplerConfig
 from lccgen.datasets import make_ring
 from lccgen.lcc.core import AnchorSet
-from lccgen.neural import autoencoder
+from lccgen.neural import autoencoder, gan as gan_module
 from lccgen.neural.adam import adam_step, init_adam
 from lccgen.neural.autoencoder import (
     TrainingDivergedError,
@@ -36,6 +36,7 @@ from lccgen.neural.net import (
     build_mlp,
     check_finite,
     forward_cached,
+    grad_buffer,
 )
 from lccgen.rng import Rng
 from lccgen.serialize import load_model, save_model
@@ -251,9 +252,9 @@ def test_float32_passes_stay_float32(act, monkeypatch):
     out, cache = forward_cached(net, X)
     assert out.dtype == np.float32
     assert all(a.dtype == np.float32 for pair in cache for a in pair)
-    grads, d_in = backward(net, cache, d_out)
+    grads, d_in = backward(net, cache, d_out, grad_buffer(net))
     assert grads.dtype == np.float32 and d_in.dtype == np.float32
-    assert backward(net, cache, d_out, params=False)[1].dtype == np.float32
+    assert backward(net, cache, d_out)[1].dtype == np.float32
     # an autoencoder step: float32 parameters, loss gradients and Adam
     # moments, none of them upcast on the way
     seen = []
@@ -274,7 +275,7 @@ def test_zero_net_zero_targets_zero_gradient():
     ae = Mlp([Layer(np.zeros((3, 2)), np.zeros(2), "identity"),
               Layer(np.zeros((2, 3)), np.zeros(3), "identity")])
     X = np.zeros((4, 3))
-    loss, grads = ae_loss_and_grads(ae, X)
+    loss, grads = ae_loss_and_grads(ae, X, grad_buffer(ae))
     assert loss == 0.0
     assert grads.shape == ae.flat.shape and np.all(grads == 0.0)
 
@@ -284,8 +285,8 @@ def test_backward_is_linear_in_the_loss():
     X = np.asarray(Rng(2).normals(4 * 3)).reshape(4, 3)
     _, cache = forward_cached(net, X)
     seed = np.asarray(Rng(3).normals(4 * 2)).reshape(4, 2)
-    g1, _ = backward(net, cache, seed)
-    g2, _ = backward(net, cache, 2.0 * seed)
+    g1, _ = backward(net, cache, seed, grad_buffer(net))
+    g2, _ = backward(net, cache, 2.0 * seed, grad_buffer(net))
     for a, b in zip(g1, g2):
         assert np.allclose(2.0 * a, b, rtol=1e-13, atol=0)
 
@@ -297,8 +298,8 @@ def test_backward_without_params_gives_the_same_input_gradient(act):
     X = np.asarray(rng.normals(5 * 3)).reshape(5, 3)
     d_out = np.asarray(rng.normals(5 * 2)).reshape(5, 2)
     _, cache = forward_cached(net, X)
-    grads, d_in = backward(net, cache, d_out)
-    none, d_in_only = backward(net, cache, d_out, params=False)
+    grads, d_in = backward(net, cache, d_out, grad_buffer(net))
+    none, d_in_only = backward(net, cache, d_out)
     assert grads.shape == net.flat.shape and none is None
     assert np.array_equal(d_in_only, d_in)
 
@@ -332,12 +333,12 @@ def test_in_place_backward_matches_out_of_place_bit_for_bit(act, dtype):
     keep = d_out.copy()
     _, cache = forward_cached(net, X)
     want_grads, want_d_in = _out_of_place_backward(net, cache, d_out)
-    grads, d_in = backward(net, cache, d_out)
+    grads, d_in = backward(net, cache, d_out, grad_buffer(net))
     assert grads.tobytes() == want_grads.tobytes() and d_in.tobytes() == want_d_in.tobytes()
     # without the input gradient, the parameter gradients keep every bit
-    grads, none = backward(net, cache, d_out, inputs=False)
+    grads, none = backward(net, cache, d_out, grad_buffer(net), inputs=False)
     assert none is None and grads.tobytes() == want_grads.tobytes()
-    assert backward(net, cache, d_out, params=False)[1].tobytes() == want_d_in.tobytes()
+    assert backward(net, cache, d_out)[1].tobytes() == want_d_in.tobytes()
     assert d_out.tobytes() == keep.tobytes()  # the caller's d_out is never written
 
 
@@ -377,7 +378,7 @@ def test_backward_from_outputs_matches_preactivation_derivatives_bit_for_bit(act
     assert np.any(X[0] @ net.layers[0].w == 0.0)
     d_out = np.asarray(rng.normals(9 * 2)).reshape(9, 2)
     out, cache = forward_cached(net, X)
-    grads, d_in = backward(net, cache, d_out)
+    grads, d_in = backward(net, cache, d_out, grad_buffer(net))
     want_grads, want_d_in = _reference_backward(net, X, d_out)
     assert np.array_equal(out, net.forward(X))
     assert np.array_equal(grads, want_grads)
@@ -407,14 +408,54 @@ def test_autoencoder_one_adam_state_matches_one_per_network(act):
             z, enc_cache = forward_cached(enc2, batch)
             xhat, dec_cache = forward_cached(dec2, z)
             diff = xhat - batch
-            dg, dz = backward(dec2, dec_cache, 2.0 * diff / diff.size)
-            eg, _ = backward(enc2, enc_cache, dz)
+            dg, dz = backward(dec2, dec_cache, 2.0 * diff / diff.size, grad_buffer(dec2))
+            eg, _ = backward(enc2, enc_cache, dz, grad_buffer(enc2))
             adam_step(enc2.flat, eg, enc_state, lr=config.lr)
             adam_step(dec2.flat, dg, dec_state, lr=config.lr)
     assert np.array_equal(enc.flat, enc2.flat)
     assert np.array_equal(dec.flat, dec2.flat)
     diff = dec2.forward(enc2.forward(X32)) - X32
     assert history[-1] == float(np.mean(diff * diff))
+
+
+def test_backward_overwrites_every_entry_of_its_buffer():
+    rng = Rng(25)
+    net = build_mlp([3, 6, 4, 2], ["relu", "tanh", "identity"], rng)
+    X = np.asarray(rng.normals(5 * 3)).reshape(5, 3)
+    d_out = np.asarray(rng.normals(5 * 2)).reshape(5, 2)
+    _, cache = forward_cached(net, X)
+    want, _ = backward(net, cache, d_out, grad_buffer(net))
+    buffer = grad_buffer(net)
+    buffer.flat[...] = np.nan
+    grads, _ = backward(net, cache, d_out, buffer, inputs=False)
+    assert grads is buffer.flat and grads.tobytes() == want.tobytes()
+    for layer in buffer.layers:
+        assert np.shares_memory(layer.w, grads) and np.shares_memory(layer.b, grads)
+
+
+def _adam_spy(monkeypatch, module):
+    """The gradient arrays `module` passes to adam_step, in call order."""
+    seen = []
+
+    def spy(p, g, state, **kw):
+        seen.append(g)
+        adam_step(p, g, state, **kw)
+
+    monkeypatch.setattr(module, "adam_step", spy)
+    return seen
+
+
+def test_training_fills_one_gradient_buffer_per_network(monkeypatch):
+    X = np.asarray(Rng(4).normals(20 * 2)).reshape(20, 2)
+    seen = _adam_spy(monkeypatch, autoencoder)
+    train_autoencoder(X, AutoencoderConfig(hidden=6, epochs=2, batch=8), 5)
+    assert len(seen) == 6 and all(g is seen[0] for g in seen)
+    seen = _adam_spy(monkeypatch, gan_module)
+    gan = build_gan(2, 4, GanConfig(hidden=8), seed=11)
+    train_gan(X, _square_anchors(), SamplerConfig(d=2), gan, GanConfig(iters=3, batch=8), 13)
+    disc, gen = seen[::2], seen[1::2]
+    assert len(seen) == 6 and disc[0] is not gen[0]
+    assert all(g is disc[0] for g in disc) and all(g is gen[0] for g in gen)
 
 
 def test_autoencoder_returns_networks_with_separate_buffers():
@@ -437,8 +478,8 @@ def test_autoencoder_gradients_match_finite_differences():
     dec = build_mlp([2, 4, 3], ["tanh", "identity"], rng)
     ae = Mlp(enc.layers + dec.layers)
     X = np.asarray(rng.normals(6 * 3)).reshape(6, 3)
-    _, grads = ae_loss_and_grads(ae, X)
-    worst = fd_check(lambda: ae_loss_and_grads(ae, X)[0], [ae.flat], [grads])
+    _, grads = ae_loss_and_grads(ae, X, grad_buffer(ae))
+    worst = fd_check(lambda: ae_loss_and_grads(ae, X, grad_buffer(ae))[0], [ae.flat], [grads])
     assert worst < 1e-4
 
 
@@ -449,8 +490,8 @@ def test_float32_autoencoder_loss_and_grads_match_float64(act):
     ae.flat[...] = ae.flat.astype(np.float32)
     ae32 = Mlp(ae.layers, np.float32)
     X = np.asarray(rng.normals(32 * 3), dtype=np.float32).reshape(32, 3)
-    want, want_grads = ae_loss_and_grads(ae, X.astype(np.float64))
-    got, grads = ae_loss_and_grads(ae32, X)
+    want, want_grads = ae_loss_and_grads(ae, X.astype(np.float64), grad_buffer(ae))
+    got, grads = ae_loss_and_grads(ae32, X, grad_buffer(ae32))
     assert grads.dtype == np.float32
     assert abs(got - want) <= 1e-4 * abs(want)
     assert np.max(np.abs(grads - want_grads)) <= 1e-4 * np.max(np.abs(want_grads))
@@ -467,6 +508,11 @@ def _relu_preacts_clear_of_kinks(net, X, margin=1e-3):
     )
 
 
+def _disc_grads(gan):
+    """The pair of gradient buffers disc_objective_and_grads fills."""
+    return grad_buffer(gan.discriminator), grad_buffer(gan.discriminator)
+
+
 def test_discriminator_gradients_match_finite_differences():
     gan = build_gan(3, 4, GanConfig(hidden=6), seed=9)
     rng = Rng(8)
@@ -476,9 +522,9 @@ def test_discriminator_gradients_match_finite_differences():
     fakes = gan.generator.forward(codings)
     assert _relu_preacts_clear_of_kinks(gan.discriminator, reals)
     assert _relu_preacts_clear_of_kinks(gan.discriminator, fakes)
-    _, grads = disc_objective_and_grads(gan, reals, codings)
+    _, grads = disc_objective_and_grads(gan, reals, codings, _disc_grads(gan))
     worst = fd_check(
-        lambda: disc_objective_and_grads(gan, reals, codings)[0],
+        lambda: disc_objective_and_grads(gan, reals, codings, _disc_grads(gan))[0],
         [gan.discriminator.flat],
         [grads],
     )
@@ -493,9 +539,9 @@ def test_generator_gradients_match_finite_differences():
     fakes = gan.generator.forward(codings)
     assert _relu_preacts_clear_of_kinks(gan.generator, codings)
     assert _relu_preacts_clear_of_kinks(gan.discriminator, fakes)
-    _, grads = gen_objective_and_grads(gan, codings)
+    _, grads = gen_objective_and_grads(gan, codings, grad_buffer(gan.generator))
     worst = fd_check(
-        lambda: gen_objective_and_grads(gan, codings)[0],
+        lambda: gen_objective_and_grads(gan, codings, grad_buffer(gan.generator))[0],
         [gan.generator.flat],
         [grads],
     )
@@ -518,10 +564,11 @@ def test_float32_objectives_and_grads_match_float64(phi):
     reals = np.asarray(rng.normals(32 * 3), dtype=np.float32).reshape(32, 3)
     codings = np.asarray(rng.normals(32 * 4)).reshape(32, 4)
     codings = (codings / codings.sum(axis=1, keepdims=True)).astype(np.float32)
-    for f, args in ((disc_objective_and_grads, (reals, codings)),
-                    (gen_objective_and_grads, (codings,))):
-        want, want_grads = f(gan, *(a.astype(np.float64) for a in args))
-        got, grads = f(gan32, *args)
+    for f, args, buffers in ((disc_objective_and_grads, (reals, codings), _disc_grads),
+                             (gen_objective_and_grads, (codings,),
+                              lambda gan: grad_buffer(gan.generator))):
+        want, want_grads = f(gan, *(a.astype(np.float64) for a in args), buffers(gan))
+        got, grads = f(gan32, *args, buffers(gan32))
         assert grads.dtype == np.float32
         assert abs(got - want) <= 1e-4 * abs(want)
         assert np.max(np.abs(grads - want_grads)) <= 1e-4 * np.max(np.abs(want_grads))
@@ -762,9 +809,9 @@ def test_tiny_lr_discriminator_step_ascends_frozen_objective():
     reals = np.asarray(rng.normals(16 * 2)).reshape(16, 2)
     codings = np.asarray(rng.normals(16 * 4)).reshape(16, 4)
     codings /= codings.sum(axis=1, keepdims=True)
-    before, grads = disc_objective_and_grads(gan, reals, codings)
+    before, grads = disc_objective_and_grads(gan, reals, codings, _disc_grads(gan))
     adam_step(gan.discriminator.flat, -grads, init_adam(gan.discriminator.flat), lr=1e-6)
-    after, _ = disc_objective_and_grads(gan, reals, codings)
+    after, _ = disc_objective_and_grads(gan, reals, codings, _disc_grads(gan))
     assert after > before
 
 
@@ -773,9 +820,9 @@ def test_tiny_lr_generator_step_descends_frozen_objective():
     rng = Rng(9)
     codings = np.asarray(rng.normals(16 * 4)).reshape(16, 4)
     codings /= codings.sum(axis=1, keepdims=True)
-    before, grads = gen_objective_and_grads(gan, codings)
+    before, grads = gen_objective_and_grads(gan, codings, grad_buffer(gan.generator))
     adam_step(gan.generator.flat, grads, init_adam(gan.generator.flat), lr=1e-6)
-    after, _ = gen_objective_and_grads(gan, codings)
+    after, _ = gen_objective_and_grads(gan, codings, grad_buffer(gan.generator))
     assert after < before
 
 
