@@ -1,9 +1,10 @@
 """Batch pipeline driver.
 
-Each subcommand reads the config (flags override file keys), consumes the
-artifacts earlier stages left in the output directory, and writes its own
-artifacts there.  A single --seed drives every stage deterministically:
-the data seed is the base itself, and each stage derives its own stream.
+Each subcommand reads the config (--seed, --out, --iters and --cases
+override their keys), consumes the artifacts earlier stages left in the
+output directory, and writes its own artifacts there.  A single --seed
+drives every stage deterministically: the data seed is the base itself,
+and each stage derives its own stream.
 """
 
 from __future__ import annotations
@@ -75,7 +76,8 @@ def _need(path, producer):
     return path
 
 
-def _load_generator(path, anchors):
+def _load_generator(out, anchors):
+    path = os.path.join(out, "generator.bin")
     generator = load_model(_need(path, "train-gan"))
     if generator.in_dim != anchors.m:
         raise CliError(f"{path} takes {generator.in_dim} coding weights but the anchors "
@@ -104,9 +106,8 @@ def cmd_learn_lcc(cfg, out, args):
     X = _dataset(cfg)
     encoder = load_model(_need(os.path.join(out, "ae_encoder.bin"), "train-ae"))
     embeddings = encoder.forward(X)
-    trace = []
-    anchors, G, reasons = learn_anchors(embeddings, cfg.lcc, stage_seed(cfg.data.seed, _TAG_LCC),
-                                        trace=trace)
+    anchors, G, reasons, trace = learn_anchors(embeddings, cfg.lcc,
+                                               stage_seed(cfg.data.seed, _TAG_LCC))
     save_anchors(os.path.join(out, "anchors.bin"), anchors)
     anchors_to_csv(os.path.join(out, "anchors.csv"), anchors)
     codings_to_csv(os.path.join(out, "codings.csv"), G)
@@ -141,9 +142,8 @@ def cmd_sample(cfg, out, args):
         raise CliError(f"--n must be at least 1, got {n}")
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
     # load every input before writing any output
-    gen_file = args.generator or os.path.join(out, "generator.bin")
-    generator = (_load_generator(gen_file, anchors)
-                 if args.generator or os.path.exists(gen_file) else None)
+    generator = (_load_generator(out, anchors)
+                 if os.path.exists(os.path.join(out, "generator.bin")) else None)
     G = sample_codings(anchors, n, cfg.sampler, Rng(stage_seed(cfg.data.seed, _TAG_SAMPLE)))
     codings_to_csv(os.path.join(out, "codings_sampled.csv"), G)
     wrote = ["codings_sampled.csv"]
@@ -160,9 +160,9 @@ def cmd_interpolate(cfg, out, args):
     if steps < 2:
         raise CliError(f"--steps must be at least 2, got {steps}")
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
-    generator = _load_generator(args.generator or os.path.join(out, "generator.bin"), anchors)
-    a, b = sample_coding_pair(anchors, cfg.sampler, Rng(stage_seed(cfg.data.seed, _TAG_INTERP)))
-    G = interpolate(a, b, steps)
+    generator = _load_generator(out, anchors)
+    pair = sample_coding_pair(anchors, cfg.sampler, Rng(stage_seed(cfg.data.seed, _TAG_INTERP)))
+    G = interpolate(pair, steps)
     codings_to_csv(os.path.join(out, "interp_codings.csv"), G)
     matrix_to_csv(os.path.join(out, "interp_outputs.csv"), generator.forward(G))
     print(f"interpolate: {steps} steps along one neighborhood")
@@ -195,7 +195,7 @@ def cmd_eval(cfg, out, args):
         raise ConfigError(f"[eval] n_heldout={cfg.eval.n_heldout} must be at least 2 for eval")
     X = _dataset(cfg)
     anchors = load_anchors(_need(os.path.join(out, "anchors.bin"), "learn-lcc"))
-    generator = _load_generator(os.path.join(out, "generator.bin"), anchors)
+    generator = _load_generator(out, anchors)
     G = sample_codings(anchors, cfg.eval.n_generated, cfg.sampler,
                        Rng(stage_seed(cfg.data.seed, _TAG_EVAL)))
     generated = generator.forward(G)
@@ -226,8 +226,7 @@ def cmd_eval(cfg, out, args):
 
 
 # subcommand flags that override a config key of the same name
-_FLAGS = (("lcc", "m"), ("lcc", "q"), ("gan", "iters"), ("gan", "phi"), ("sampler", "d"),
-          ("eval", "cases"))
+_FLAGS = (("gan", "iters"), ("eval", "cases"))
 _COMMANDS = {"train-ae": cmd_train_ae, "learn-lcc": cmd_learn_lcc, "train-gan": cmd_train_gan,
              "sample": cmd_sample, "interpolate": cmd_interpolate,
              "verify-bounds": cmd_verify_bounds, "eval": cmd_eval}
@@ -240,19 +239,13 @@ def build_parser():
     p.add_argument("--out", help="output directory overriding [output] dir")
     sub = p.add_subparsers(dest="command", required=True)
     sub.add_parser("train-ae", help="train the autoencoder on the configured data")
-    lcc = sub.add_parser("learn-lcc", help="learn anchors and codings on embeddings")
-    lcc.add_argument("--m", type=int, help="anchor count override")
-    lcc.add_argument("--q", type=int, help="locality exponent override (2 or 3)")
+    sub.add_parser("learn-lcc", help="learn anchors and codings on embeddings")
     gan = sub.add_parser("train-gan", help="adversarial training on anchor codings")
     gan.add_argument("--iters", type=int, help="iteration override")
-    gan.add_argument("--phi", help="measuring function override (log or identity)")
     samp = sub.add_parser("sample", help="draw codings (and outputs when a generator exists)")
     samp.add_argument("--n", type=int, default=100, help="number of codings (default 100)")
-    samp.add_argument("--d", type=int, help="neighborhood size override")
-    samp.add_argument("--generator", help="generator checkpoint path")
     inter = sub.add_parser("interpolate", help="linear path between two local codings")
     inter.add_argument("--steps", type=int, default=10, help="path length (default 10)")
-    inter.add_argument("--generator", help="generator checkpoint path")
     ver = sub.add_parser("verify-bounds", help="numerical check of the coding bounds")
     ver.add_argument("--cases", type=int, help="number of random configurations")
     sub.add_parser("eval", help="two-sample metrics and an image grid for the generator")

@@ -152,7 +152,7 @@ class EvalConfig(_Section):
     cases: int = 1000  # verify-bounds sweep size
 
     def __post_init__(self):
-        self._min("n_generated", 1)
+        self._min("n_generated", 2)
         self._min("n_heldout", 0)
         self._nonnegative("bandwidth")
         self._min("cases", 0)
@@ -183,6 +183,11 @@ def _convert(section: str, key: str, raw, template):
         raise ConfigError(f"invalid value for [{section}] {key}: {raw!r}") from exc
 
 
+def ini_parser() -> configparser.ConfigParser:
+    """The one INI reader: `;` also starts a comment after a value; `%` is plain."""
+    return configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+
+
 def load_config(path=None, overrides=()) -> SimpleNamespace:
     """The defaults, overlaid with the file at `path` when given and then
     with `overrides`, (section, key, value) triples whose value may be a
@@ -190,9 +195,12 @@ def load_config(path=None, overrides=()) -> SimpleNamespace:
     per section, holding that section's dataclass."""
     raw = {s: dict(kv) for s, kv in DEFAULTS.items()}
     if path is not None:
-        parser = configparser.ConfigParser()
-        if not parser.read(path):
-            raise ConfigError(f"cannot read config file {path}")
+        parser = ini_parser()
+        try:
+            if not parser.read(path):
+                raise ConfigError(f"cannot read config file {path}")
+        except configparser.Error as exc:  # its message names the file, over several lines
+            raise ConfigError(f"malformed config file: {' '.join(str(exc).split())}") from exc
         for section in parser.sections():
             if section not in raw:
                 raise ConfigError(f"unknown config section [{section}]")

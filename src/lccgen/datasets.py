@@ -41,7 +41,7 @@ def load_mnist_idx(images_path, limit: int | None = None,
 
     Big-endian u32 header (magic, count, rows, cols), then u8 pixels to the end.
     `limit` keeps the first images; `downsample_to=k` box-filters each image
-    to k x k, and k must divide both image dimensions.
+    to k x k, and k must divide both image dimensions (`[data] downsample`).
     """
     r = Reader(images_path, IMAGES_MAGIC)
     count, rows, cols = r.fields(">III")
@@ -53,7 +53,8 @@ def load_mnist_idx(images_path, limit: int | None = None,
     if downsample_to:
         k = int(downsample_to)
         if k < 1 or rows % k or cols % k:
-            raise ValueError(f"downsample_to={k} must divide image size {rows}x{cols}")
+            raise ValueError(f"{images_path}: [data] downsample={k} must divide the image "
+                             f"size {rows}x{cols}")
         images = images.reshape(len(images), k, rows // k, k, cols // k).mean(axis=(2, 4))
     flat = images.reshape(len(images), -1) / 127.5 - 1.0
     return flat

@@ -580,32 +580,29 @@ def init_anchors(points, m: int, rng: Rng) -> np.ndarray:
     return centers.T
 
 
-def learn_anchors(points, config: LccConfig, seed: int, trace=None):
+def learn_anchors(points, config: LccConfig, seed: int):
     """Alternate coding solves and anchor updates until the objective settles.
 
     The anchors start at k-means++ seeds drawn from `Rng(seed)`.  Each outer
     iteration codes every point with `solve_codings`, warm started from the
     last iteration's codings, then updates the anchors with the codings
-    frozen (`_update_anchors`).  Returns (AnchorSet,
-    (n, m) array, reasons): the anchors, the codings of the n points for
-    those anchors, one row each, and each row's stop reason from
-    `solve_codings`.  If `trace` is a list, the objective after each outer
-    iteration is appended to it.
+    frozen (`_update_anchors`).  Returns (AnchorSet, (n, m) array, reasons,
+    objectives): the anchors, the codings of the n points for those
+    anchors, one row each, each row's stop reason from `solve_codings`, and
+    the list of objectives after each outer iteration.
     """
     H = _as_points(points)
     V = init_anchors(H, config.m, Rng(seed))
-    G = None
-    obj_prev = None
+    G, obj_prev, objectives = None, None, []
     for _ in range(config.max_outer_iters):
         G, _ = solve_codings(H, V, config, G)
         V, obj = _update_anchors(H, G, V, config)
-        if trace is not None:
-            trace.append(obj)
+        objectives.append(obj)
         if obj_prev is not None and abs(obj - obj_prev) < config.anchor_tol * max(1.0, obj_prev):
             break
         obj_prev = obj
     G, reasons = solve_codings(H, V, config, G)
-    return AnchorSet(V), check_codings(G), reasons
+    return AnchorSet(V), check_codings(G), reasons, objectives
 
 
 def _update_anchors(H, G, V, config: LccConfig):

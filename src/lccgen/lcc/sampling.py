@@ -6,9 +6,8 @@ with Gaussian weights in ascending-distance order, and normalizes the
 weights to sum 1.  Interpolation blends two codings linearly, which keeps
 the sum-to-one property and never leaves the union of their supports.
 
-Bulk draws come from `sample_codings` and paths from `interpolate`, both
-as (n, m) weight arrays; `Coding` objects are only built for single draws
-(`sample_coding`, `sample_coding_pair`).  Every draw takes its center's row
+Draws, pairs and paths are (n, m) weight arrays; a `Coding` object is only
+built for a single draw (`sample_coding`).  Every draw takes its center's row
 of one nearest-anchor table, `neighbor_table`, through one stream walker,
 `_walk`, which decodes a window of the stream from its counters and steps
 only through the rejected attempts; a pair is two walks on one row.  Each
@@ -146,28 +145,29 @@ def sample_coding(anchors: AnchorSet, config: SamplerConfig, rng: Rng) -> Coding
     return Coding(sample_codings(anchors, 1, config, rng)[0])
 
 
-def sample_coding_pair(anchors: AnchorSet, config: SamplerConfig, rng: Rng):
-    """Two codings drawn on the same neighborhood, for interpolation: a
-    center by randint, then one walk per coding on its one-row table, each
+def sample_coding_pair(anchors: AnchorSet, config: SamplerConfig, rng: Rng) -> np.ndarray:
+    """A (2, m) array of two codings on one neighborhood, for interpolation:
+    a center by randint, then one walk per coding on its one-row table, each
     started one u64 back, since a one-row table ignores the center u64."""
     row = neighbor_table(anchors, config.d)[rng.randint(anchors.m)][None, :]
     w = np.zeros((2, anchors.m))
     for i in range(2):
         rng.counter -= 1
         _walk(row, config, rng, np.array([[1, 0]]), w[i:i + 1])
-    return Coding(w[0]), Coding(w[1])
+    return w
 
 
-def interpolate(a: Coding, b: Coding, steps: int) -> np.ndarray:
-    """Linear path (1-t)*a + t*b at t = k/(steps-1), k = 0, ..., steps-1, as
-    a (steps, m) weight array with one row per step.
+def interpolate(pair, steps: int) -> np.ndarray:
+    """Linear path (1-t)*a + t*b between the rows a, b of the (2, m) `pair`
+    at t = k/(steps-1), k = 0, ..., steps-1, as a (steps, m) weight array.
 
     Endpoints reproduce a and b exactly; every intermediate coding sums to 1
     and is supported inside support(a) | support(b).
     """
     if steps < 2:
         raise ValueError("steps must be >= 2")
-    if a.weights.shape != b.weights.shape:
-        raise ValueError("codings must have the same length")
+    pair = np.asarray(pair, dtype=np.float64)
+    if pair.ndim != 2 or pair.shape[0] != 2:
+        raise ValueError(f"pair must be a (2, m) array of codings, got shape {pair.shape}")
     t = (np.arange(steps) / (steps - 1))[:, None]
-    return check_codings((1.0 - t) * a.weights + t * b.weights)
+    return check_codings((1.0 - t) * pair[0] + t * pair[1])

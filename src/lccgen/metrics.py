@@ -110,9 +110,10 @@ def pearson_nns(queries, corpus):
     1 - corr(query, row), for a (k, dim) block of queries.
 
     Distances live in [0, 2]; ties resolve to the lowest index, and a row
-    bitwise-equal to its query is distance exactly 0.  Constant vectors have
-    no defined correlation and raise, each query before the corpus.  The
-    corpus is centred, normed and transposed once for all the queries.
+    bitwise-equal to its query is distance exactly 0.  A constant query has
+    no correlation and raises; a constant corpus row is never nearest, and a
+    corpus of only such rows raises.  The corpus is centred, normed and
+    transposed once for all the queries.
     """
     Q = np.asarray(queries, dtype=np.float64)
     c = np.asarray(corpus, dtype=np.float64)
@@ -121,6 +122,7 @@ def pearson_nns(queries, corpus):
     cc = c - c.mean(axis=1, keepdims=True)
     cn = np.sqrt(np.sum(cc * cc, axis=1))
     flat = np.flatnonzero(cn == 0.0)
+    cn[flat] = np.inf  # a constant row's product over it is 0, not 0 / 0
     cT = c.T.copy()
     idx = np.empty(len(Q), dtype=np.int64)
     dist = np.empty(len(Q))
@@ -129,13 +131,14 @@ def pearson_nns(queries, corpus):
         qn = float(np.sqrt(np.sum(qc * qc)))
         if qn == 0.0:
             raise ValueError(f"query {i} has zero variance")
-        if flat.size:
-            raise ValueError(f"corpus row {int(flat[0])} has zero variance")
+        if flat.size == len(cn):
+            raise ValueError("every corpus row has zero variance")
         exact = np.logical_and.reduce(cT == q[:, None], axis=0).nonzero()[0]
         if exact.size:
             idx[i], dist[i] = exact[0], 0.0
             continue
         d = 1.0 - np.clip((cc @ qc) / (cn * qn), -1.0, 1.0)
+        d[flat] = np.inf
         idx[i] = j = d.argmin()
         dist[i] = d[j]
     return idx, dist

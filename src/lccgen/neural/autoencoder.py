@@ -50,10 +50,7 @@ def train_autoencoder(data, config: AutoencoderConfig, seed: int):
     Overflow anywhere in a step shows as a non-finite loss or parameter,
     which raises TrainingDivergedError, so numpy's warnings are silenced.
     """
-    X = np.asarray(data, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("data must be a nonempty (n, dim) array")
-    X = as_float32_data(X, "autoencoder")
+    X = as_float32_data(data, "autoencoder")
     n, dim = X.shape
     rng = Rng(seed)
     ae = Mlp(build_mlp([dim, config.hidden, config.latent_dim, config.hidden, dim],

@@ -90,14 +90,11 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
     Overflow anywhere in a step shows as a non-finite objective or
     parameter, which raises TrainingDivergedError, so numpy's warnings are
     silenced."""
-    X = np.asarray(data, dtype=np.float64)
-    if X.ndim != 2 or X.shape[0] < 1:
-        raise ValueError("data must be a nonempty (n, dim) array")
+    X = as_float32_data(data, "GAN")
     if X.shape[1] != model.discriminator.in_dim:
         raise ValueError("data dim does not match the discriminator input")
     if anchors.m != model.generator.in_dim:
         raise ValueError("anchor count does not match the generator input")
-    X = as_float32_data(X, "GAN")
     if gan.iters == 0:
         return model, []
     work = GanModel(Mlp(model.generator.layers, np.float32),

@@ -100,10 +100,13 @@ class TrainingDivergedError(LccgenError):
     """Training drove a loss or a network parameter to a non-finite value."""
 
 
-def as_float32_data(X, trainer: str):
-    """The float64 (n, dim) array X cast to float32 for the named trainer;
-    a ValueError if some |x| is beyond float32's range, where the cast
-    would give inf."""
+def as_float32_data(data, trainer: str):
+    """The nonempty (n, dim) array `data` cast to float32 for the named
+    trainer; a ValueError if it has another shape, or if some |x| is beyond
+    float32's range, where the cast would give inf."""
+    X = np.asarray(data, dtype=np.float64)
+    if X.ndim != 2 or X.shape[0] < 1:
+        raise ValueError("data must be a nonempty (n, dim) array")
     top, limit = max(float(np.max(X)), -float(np.min(X))), float(np.finfo(np.float32).max)
     if not top <= limit:
         raise ValueError(f"{trainer} training runs in float32, but the data reach "

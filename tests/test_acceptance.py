@@ -108,8 +108,7 @@ def _ring_learning_run(out_dir):
             m=8, q=q, l_h=1.0, l_q=l_q,
             anchor_tol=1e-12, max_outer_iters=30,
         )
-        trace = []
-        anchors, G, _ = learn_anchors(data, cfg, 7, trace=trace)
+        anchors, G, _, trace = learn_anchors(data, cfg, 7)
         paths = {
             "anchors": os.path.join(out_dir, f"anchors_q{q}.csv"),
             "codings": os.path.join(out_dir, f"codings_q{q}.csv"),
@@ -412,8 +411,7 @@ def test_criterion_8_interpolation_stays_near_manifold(pipeline_a):
     anchors = load_anchors(os.path.join(out, "anchors.bin"))
     generator = load_model(os.path.join(out, "generator.bin"))
     rng = Rng(stage_seed(7, 6))  # the pipeline's interpolation stage stream
-    a, b = sample_coding_pair(anchors, SamplerConfig(d=2), rng)
-    path = interpolate(a, b, 10)
+    path = interpolate(sample_coding_pair(anchors, SamplerConfig(d=2), rng), 10)
     pts = generator.forward(path)
     devs = np.abs(np.sqrt(np.sum(pts[1:-1] ** 2, axis=1)) - 1.0)
     elapsed = time.perf_counter() - t0

@@ -1,6 +1,7 @@
 """CLI tests: stage chaining, artifact schemas, rerun stability, and error
 messages that name the offending key or file."""
 
+import ast
 import contextlib
 import hashlib
 import importlib
@@ -19,7 +20,7 @@ import pytest
 
 import lccgen
 from lccgen.bounds import QuadraticGenerator, SmoothnessConstants
-from lccgen.cli import main
+from lccgen.cli import build_parser, main
 from lccgen.config import DEFAULTS, GanConfig
 from lccgen.lcc import core
 from lccgen.lcc.core import LccConfig
@@ -202,7 +203,9 @@ def test_sample_d1_codings_are_one_hot(staged, tmp_path):
     out2 = str(tmp_path / "out")
     shutil.copytree(out, out2)
     cfg2 = write_cfg(str(tmp_path), out2)
-    assert main(["--config", cfg2, "sample", "--n", "20", "--d", "1"]) == 0
+    with open(cfg2, "a") as fh:
+        fh.write("\n[sampler]\nd = 1\n")
+    assert main(["--config", cfg2, "sample", "--n", "20"]) == 0
     codings = read_codings(os.path.join(out2, "codings_sampled.csv"), 4)
     assert len(codings) == 20
     for w in codings:
@@ -513,8 +516,10 @@ def test_verify_bounds_violation_ends_in_error_line(tmp_path, capsys, monkeypatc
     (["train-gan"], ("[gan]", "[gan]\nlr = nan"), "[gan] lr=nan must be positive and finite"),
     (["eval"], ("[eval]", "[eval]\nbandwidth = -1"),
      "[eval] bandwidth=-1.0 must be finite and at least 0"),
-    (["eval"], ("n_generated = 32", "n_generated = 0"), "[eval] n_generated=0 must be at least 1"),
-    (["learn-lcc", "--m", "0"], None, "[lcc] m=0 must be at least 1"),
+    (["eval"], ("n_generated = 32", "n_generated = 0"), "[eval] n_generated=0 must be at least 2"),
+    # one generated point forms no pair, and mmd2 would score it 0
+    (["eval"], ("n_generated = 32", "n_generated = 1"), "[eval] n_generated=1 must be at least 2"),
+    (["learn-lcc"], ("m = 4", "m = 0"), "[lcc] m=0 must be at least 1"),
     (["learn-lcc"], ("[lcc]", "[lcc]\nl_h = 0"), "[lcc] l_h=0.0 must be positive and finite"),
     (["learn-lcc"], ("[lcc]", "[lcc]\nl_q = 0"), "[lcc] l_q=0.0 must be positive and finite"),
     # valid for the training stages; eval needs two held-out points
@@ -524,8 +529,8 @@ def test_verify_bounds_violation_ends_in_error_line(tmp_path, capsys, monkeypatc
      "[eval] n_heldout=1 must be at least 2 for eval"),
 ], ids=["gan-iters", "ae-epochs", "ae-batch", "gan-batch-0", "gan-batch-neg",
         "ae-latent-dim", "ae-lr-nan", "ae-lr-neg", "gan-hidden", "gan-lr-nan",
-        "eval-bandwidth", "eval-n-generated", "lcc-m", "lcc-l-h", "lcc-l-q",
-        "eval-n-heldout-0", "eval-n-heldout-1"])
+        "eval-bandwidth", "eval-n-generated", "eval-n-generated-1", "lcc-m", "lcc-l-h",
+        "lcc-l-q", "eval-n-heldout-0", "eval-n-heldout-1"])
 def test_bad_training_sizes_are_one_error_line(staged, tmp_path, capsys, argv, edit, err):
     # refused before the stage reads its data, so no artifact is overwritten
     _, out = staged
@@ -636,18 +641,16 @@ def test_data_too_large_for_float32_training_is_one_error_line(staged, tmp_path,
     assert {p.name: p.read_bytes() for p in out2.iterdir()} == before
 
 
-@pytest.mark.parametrize("argv", [["sample", "--d", "5"], ["train-gan"], ["interpolate"],
-                                  ["eval"]], ids=lambda argv: argv[0])
-def test_sampler_d_above_the_anchor_count_writes_nothing(full_pipeline, tmp_path, capsys, argv):
+@pytest.mark.parametrize("stage", ["sample", "train-gan", "interpolate", "eval"])
+def test_sampler_d_above_the_anchor_count_writes_nothing(full_pipeline, tmp_path, capsys, stage):
     _, out = full_pipeline
     out2 = tmp_path / "out"
     shutil.copytree(out, out2)
     before = {p.name: p.read_bytes() for p in out2.iterdir()}
     cfg2 = write_cfg(str(tmp_path), str(out2))
-    if "--d" not in argv:
-        with open(cfg2, "a") as fh:
-            fh.write("\n[sampler]\nd = 5\n")
-    assert main(["--config", cfg2] + argv) == 1
+    with open(cfg2, "a") as fh:
+        fh.write("\n[sampler]\nd = 5\n")
+    assert main(["--config", cfg2, stage]) == 1
     assert capsys.readouterr().err.splitlines() == [
         "error: [sampler] d=5 exceeds the anchor count m=4"]
     assert {p.name: p.read_bytes() for p in out2.iterdir()} == before
@@ -723,7 +726,11 @@ def test_too_many_anchors_is_one_error_line(staged, tmp_path, capsys):
     out2 = str(tmp_path / "out")
     shutil.copytree(out, out2)
     cfg2 = write_cfg(str(tmp_path), out2)
-    assert main(["--config", cfg2, "learn-lcc", "--m", "5000"]) == 1
+    with open(cfg2) as fh:
+        text = fh.read()
+    with open(cfg2, "w") as fh:
+        fh.write(text.replace("m = 4", "m = 5000"))
+    assert main(["--config", cfg2, "learn-lcc"]) == 1
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: 64 points cannot initialize 5000")
 
@@ -873,6 +880,72 @@ def test_mnist_negative_limit_is_one_error_line(tmp_path, capsys):
     assert not os.path.exists(os.path.join(out, "ae_losses.csv"))
 
 
+def _idx_4x4(tmp_path, count=60, black=30):
+    """An IDX file of `count` distinct 4x4 images, image `black` all zero."""
+    pixels = np.array([(37 * k + 11 * (k // 16)) % 256 for k in range(16 * count)], np.uint8)
+    pixels[16 * black:16 * (black + 1)] = 0
+    images = tmp_path / "images.idx"
+    images.write_bytes(struct.pack(">IIII", 0x00000803, count, 4, 4) + pixels.tobytes())
+    return images
+
+
+def test_constant_training_image_is_never_the_nearest_row(tmp_path):
+    # image 30 is training row 20 once the first 10 are held out: a constant
+    # row has no correlation, so eval's probe passes over it
+    path = tmp_path / "m.ini"
+    path.write_text(textwrap.dedent(MNIST_CFG.format(
+        images=_idx_4x4(tmp_path), limit=0, n_heldout=10, out=tmp_path / "out")))
+    for stage in ("train-ae", "learn-lcc", "train-gan", "eval"):
+        assert main(["--config", str(path), stage]) == 0, stage
+    with open(tmp_path / "out" / "metrics.csv") as fh:
+        metrics = dict(line.split(",") for line in fh.read().splitlines()[1:])
+    assert np.isfinite(float(metrics["mmd2"]))
+    assert 0.0 <= float(metrics["pearson_positive_fraction"]) <= 1.0
+
+
+def test_downsample_that_does_not_divide_names_the_key(tmp_path, capsys):
+    images = _idx_4x4(tmp_path)
+    path = tmp_path / "m.ini"
+    path.write_text(f"[data]\nkind = mnist\nimages = {images}\ndownsample = 3\n"
+                    f"[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(path), "train-ae"]) == 1
+    assert capsys.readouterr().err.splitlines() == [
+        f"error: {images}: [data] downsample=3 must divide the image size 4x4"]
+    assert not os.path.exists(tmp_path / "out" / "ae_losses.csv")
+
+
+@pytest.mark.parametrize("text, why", [
+    ("m = 3\n[lcc]\nq = 2\n", "File contains no section headers."),
+    ("[lcc]\nm = 3\nm = 4\n", "option 'm' in section 'lcc' already exists"),
+    ("[lcc]\nm = 3\nbogus\n", "Source contains parsing errors"),
+    ("[lcc]\nm = 3\n[lcc]\nq = 2\n", "section 'lcc' already exists"),
+], ids=["no-section-header", "duplicate-key", "no-equals", "duplicate-section"])
+def test_malformed_config_is_one_error_line(staged, tmp_path, capsys, text, why):
+    _, out = staged
+    out2 = tmp_path / "out"
+    shutil.copytree(out, out2)
+    before = {p.name: p.read_bytes() for p in out2.iterdir()}
+    path = tmp_path / "bad.ini"
+    path.write_text(text)
+    capsys.readouterr()
+    assert main(["--config", str(path), "--out", str(out2), "train-ae"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: malformed config file: "), err
+    assert str(path) in err[0] and why in err[0]
+    assert {p.name: p.read_bytes() for p in out2.iterdir()} == before
+
+
+def test_percent_and_inline_comments_read_as_written(tmp_path, capsys):
+    # no value refers to another, so % is a plain character; ";" after a
+    # value starts a comment, as in README's block
+    path = tmp_path / "p.ini"
+    path.write_text(f"[data]\nkind = mnist     ; from a scan\nimages = {tmp_path}/scan%1.idx\n"
+                    f"[output]\ndir = {tmp_path / 'out'}\n")
+    assert main(["--config", str(path), "train-ae"]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ") and f"{tmp_path}/scan%1.idx" in err[0]
+
+
 def test_names_the_benchmark_and_cli_rely_on_resolve():
     # benchmarks/spans.py rebinds these names for --trace 1; it is read here,
     # never edited, so deleting one of them fails this test instead
@@ -909,3 +982,52 @@ def test_the_cli_imports_only_numpy_and_the_standard_library():
     new = set(run.stdout.split())
     assert {"lccgen", "numpy"} <= new
     assert new - set(sys.stdlib_module_names) == {"lccgen", "numpy"}
+
+
+def test_the_tests_import_only_numpy_pytest_lccgen_and_the_standard_library():
+    # scipy and hypothesis may be installed where the tests run, but the
+    # package declares neither, so a test importing one would not run elsewhere
+    here = os.path.dirname(os.path.abspath(__file__))
+    siblings = {f[:-3] for f in os.listdir(here) if f.endswith(".py")}
+    allowed = {"numpy", "pytest", "lccgen"} | siblings | set(sys.stdlib_module_names)
+    for name in sorted(siblings):
+        with open(os.path.join(here, name + ".py")) as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, ast.Import):
+                tops = [alias.name.partition(".")[0] for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                tops = [(node.module or "").partition(".")[0]] if node.level == 0 else []
+            else:
+                continue
+            assert set(tops) <= allowed, f"{name}.py imports {tops}"
+
+
+def test_every_argv_the_benchmark_passes_parses():
+    # benchmarks/workloads.py is read, never edited: each `stage(name,
+    # *flags)` call there, with its module constants filled in, must still
+    # be a command line of this CLI
+    with open(os.path.join(os.path.dirname(SPANS_PY), "workloads.py")) as fh:
+        tree = ast.parse(fh.read())
+    consts = {t.id: node.value.value for node in tree.body if isinstance(node, ast.Assign)
+              and isinstance(node.value, ast.Constant) for t in node.targets
+              if isinstance(t, ast.Name)}
+
+    def arg(node):
+        if isinstance(node, ast.Constant):
+            return node.value
+        assert isinstance(node, ast.Call) and node.func.id == "str", ast.dump(node)
+        return str(consts[node.args[0].id])
+
+    calls = [[arg(a) for a in node.args] for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+             and node.func.attr == "stage" and node.args]
+    flagged = sorted(argv[:2] for argv in calls if len(argv) > 1)
+    assert flagged == [["interpolate", "--steps"], ["sample", "--n"],
+                       ["train-gan", "--iters"], ["verify-bounds", "--cases"]]
+    parser = build_parser()
+    for argv in calls:
+        args = parser.parse_args(["--config", "run.ini", "--seed", "7", "--out", "out", *argv])
+        assert (args.config, args.seed, args.out, args.command) == ("run.ini", 7, "out", argv[0])
+        for flag, value in zip(argv[1::2], argv[2::2]):
+            assert getattr(args, flag[2:]) == int(value), argv

@@ -2,16 +2,17 @@
 name tables the string keys are checked against, and the imports that let
 config read those tables."""
 
-import configparser
 import os
 import re
 import subprocess
 import sys
+from dataclasses import asdict
 
 import pytest
 
 import lccgen
-from lccgen.config import DEFAULTS, AutoencoderConfig, ConfigError, GanConfig, load_config
+from lccgen.config import (DEFAULTS, AutoencoderConfig, ConfigError, GanConfig, ini_parser,
+                           load_config)
 from lccgen.neural.net import ACTIVATIONS, PHIS, build_mlp
 from lccgen.rng import Rng
 from lccgen.serialize import load_model, save_model
@@ -20,16 +21,18 @@ README = os.path.join(os.path.dirname(__file__), os.pardir, "README.md")
 PACKAGE = os.path.dirname(lccgen.__file__)
 
 
-def test_readme_ini_block_states_every_default():
+def test_readme_ini_block_states_every_default(tmp_path):
     with open(README) as fh:
         block = re.search(r"^```ini\n(.*?)^```$", fh.read(), re.S | re.M).group(1)
-    parser = configparser.ConfigParser(inline_comment_prefixes=";")
+    parser = ini_parser()
     parser.read_string(block)
     assert {s: list(parser[s]) for s in parser.sections()} == \
         {s: list(kv) for s, kv in DEFAULTS.items()}
-    for section, kv in DEFAULTS.items():
-        for key, value in kv.items():
-            assert type(value)(parser[section][key]) == value, f"[{section}] {key}"
+    # saved verbatim, the block is a config file that loads to the defaults
+    path = tmp_path / "readme.ini"
+    path.write_text(block)
+    cfg = load_config(str(path))
+    assert {s: asdict(getattr(cfg, s)) for s in DEFAULTS} == DEFAULTS
 
 
 def test_every_module_imports_first():

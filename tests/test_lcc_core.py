@@ -671,7 +671,7 @@ def test_one_row_calls_match_the_batched_rows():
 def test_learn_anchors_codings_are_certified_on_the_default_ring():
     pts = make_ring(2000, radius=1.0, noise_sigma=0.01, seed=7)
     cfg = LccConfig(m=16, max_outer_iters=4)
-    anchors, G, reasons = learn_anchors(pts, cfg, 7)
+    anchors, G, reasons, _ = learn_anchors(pts, cfg, 7)
     V = anchors.anchors
     assert set(reasons) <= {"hit", "vertex", "gap"}
     on_anchor = np.any(np.all(pts[:, :, None] == V[None, :, :], axis=1), axis=1)
@@ -867,7 +867,7 @@ def test_config_validation():
 def test_learn_anchors_identical_points_collapse():
     pts = np.tile(np.array([0.3, -0.7]), (40, 1))
     cfg = LccConfig(m=3, max_outer_iters=20)
-    anchors, G, _ = learn_anchors(pts, cfg, 1)
+    anchors, G, _, _ = learn_anchors(pts, cfg, 1)
     obj = lcc_objective(pts, G, anchors, cfg)
     assert obj < 1e-6
     assert np.allclose(anchors.anchors, np.array([[0.3], [-0.7]]), atol=1e-4)
@@ -877,7 +877,7 @@ def test_learn_anchors_self_representation_fixed_point():
     # N == M distinct points: anchors start at the points, objective 0
     pts = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [1.0, 1.0]])
     cfg = LccConfig(m=4, max_outer_iters=5)
-    anchors, G, _ = learn_anchors(pts, cfg, 0)
+    anchors, G, _, _ = learn_anchors(pts, cfg, 0)
     obj = lcc_objective(pts, G, anchors, cfg)
     assert obj <= 1e-9
 
@@ -891,11 +891,10 @@ def test_learn_anchors_insufficient_data():
 def test_learn_anchors_monotone_on_circle():
     pts = make_ring(200, radius=1.0, noise_sigma=0.0, seed=7)
     for q, l_q in ((2, 1.0), (3, 1e-4)):
-        trace = []
         cfg = LccConfig(
             m=8, q=q, l_q=l_q, max_outer_iters=30, anchor_tol=1e-12
         )
-        learn_anchors(pts, cfg, 7, trace=trace)
+        trace = learn_anchors(pts, cfg, 7)[3]
         diffs = np.diff(np.array(trace))
         assert np.all(diffs <= 1e-8), f"objective rose by {diffs.max()} at q={q}"
 
@@ -903,8 +902,7 @@ def test_learn_anchors_monotone_on_circle():
 def test_learn_anchors_zero_iters_returns_initialization():
     pts = make_ring(50, radius=1.0, noise_sigma=0.0, seed=3)
     cfg = LccConfig(m=4, max_outer_iters=0)
-    trace = []
-    anchors, G, _ = learn_anchors(pts, cfg, 9, trace=trace)
+    anchors, G, _, trace = learn_anchors(pts, cfg, 9)
     assert trace == []
     expected = init_anchors(pts, 4, Rng(9))
     assert np.array_equal(anchors.anchors, expected)

@@ -149,17 +149,17 @@ def test_pearson_nn_zero_variance_raises():
     # through the one-query call and the bulk call
     corpus = np.array([[1.0, 1.0, 1.0], [0.0, 1.0, 2.0]])
     good = np.array([0.0, 1.0, 2.0])
-    with pytest.raises(ValueError, match="^corpus row 0 has zero variance$"):
-        pearson_nn(good, corpus)
-    with pytest.raises(ValueError, match="^corpus row 0 has zero variance$"):
-        pearson_nns(np.stack([good, good]), corpus)
-    # a constant query is refused before a constant corpus row
+    with pytest.raises(ValueError, match="^every corpus row has zero variance$"):
+        pearson_nn(good, corpus[:1])
+    with pytest.raises(ValueError, match="^every corpus row has zero variance$"):
+        pearson_nns(np.stack([good, good]), np.stack([corpus[0], -corpus[0]]))
+    # a constant query is refused before a constant corpus
     with pytest.raises(ValueError, match="^query 0 has zero variance$"):
-        pearson_nn(np.ones(3), corpus)
+        pearson_nn(np.ones(3), corpus[:1])
     with pytest.raises(ValueError, match="^query 1 has zero variance$"):
-        pearson_nns(np.stack([good, np.full(3, 2.0)]), corpus[1:])
+        pearson_nns(np.stack([good, np.full(3, 2.0)]), corpus)
     # no query, nothing to refuse
-    idx, dist = pearson_nns(np.zeros((0, 3)), corpus)
+    idx, dist = pearson_nns(np.zeros((0, 3)), corpus[:1])
     assert idx.shape == dist.shape == (0,)
 
 
@@ -220,6 +220,21 @@ def test_bulk_probe_matches_the_per_query_probe_bit_for_bit(case):
         assert dist.max() < 1e-12
     if case == "scaled-ties":
         assert idx.tolist() == [1, 3, 1]
+
+
+@pytest.mark.parametrize("case", list(_probe_cases()))
+def test_constant_corpus_rows_are_never_nearest(case):
+    # constant rows put among the corpus leave every answer on the others
+    # unchanged, bit for bit; the corpus is read, never copied or written
+    queries, corpus = _probe_cases()[case]
+    want = _bits(pearson_nn_per_query(q, corpus) for q in queries)
+    flat = np.stack([np.zeros(corpus.shape[1]), np.full(corpus.shape[1], -1.0)])
+    padded = np.concatenate([flat[:1], corpus[:2], flat[1:], corpus[2:]])
+    padded.flags.writeable = False
+    idx, dist = pearson_nns(queries, padded)
+    unpad = np.concatenate([[-1, 0, 1, -1], np.arange(2, len(corpus))])[idx]
+    assert unpad.min() >= 0
+    assert _bits(zip(unpad, dist)) == want
 
 
 def test_median_pairwise_distance_hand_case():

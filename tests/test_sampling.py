@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lccgen.lcc.core import AnchorSet, Coding
+from lccgen.lcc.core import AnchorSet
 from lccgen.lcc.sampling import (
     _MAX_REDRAWS,
     _WINDOW,
@@ -181,24 +181,22 @@ def test_pair_shares_one_neighborhood():
     rows = [set(int(i) for i in row) for row in table]
     draw_rng = Rng(8)
     for _ in range(50):
-        a, b = sample_coding_pair(anchors, cfg, draw_rng)
-        sup = set(np.nonzero(a.weights)[0]) | set(np.nonzero(b.weights)[0])
+        pair = sample_coding_pair(anchors, cfg, draw_rng)
+        assert pair.shape == (2, 12)
+        sup = set(np.flatnonzero(pair.any(axis=0)))
         assert any(sup <= row for row in rows)
 
 
 def test_interpolate_endpoints_exact():
-    a = Coding(np.array([0.25, 0.75, 0.0]))
-    b = Coding(np.array([0.0, -0.5, 1.5]))
-    path = interpolate(a, b, 5)
+    pair = np.array([[0.25, 0.75, 0.0], [0.0, -0.5, 1.5]])
+    path = interpolate(pair, 5)
     assert len(path) == 5
-    assert np.array_equal(path[0], a.weights)
-    assert np.array_equal(path[-1], b.weights)
+    assert np.array_equal(path[0], pair[0])
+    assert np.array_equal(path[-1], pair[1])
 
 
 def test_interpolate_midpoint():
-    a = Coding(np.array([1.0, 0.0]))
-    b = Coding(np.array([0.0, 1.0]))
-    path = interpolate(a, b, 3)
+    path = interpolate(np.eye(2), 3)
     assert np.allclose(path[1], [0.5, 0.5], atol=1e-15)
     assert path[1].sum() == 1.0
 
@@ -208,9 +206,9 @@ def test_interpolate_sum_and_support_closure():
     V = np.asarray(rng.normals(2 * 10)).reshape(2, 10)
     anchors = AnchorSet(V)
     cfg = SamplerConfig(d=4)
-    a, b = sample_coding_pair(anchors, cfg, Rng(21))
-    union = set(np.nonzero(a.weights)[0]) | set(np.nonzero(b.weights)[0])
-    for w in interpolate(a, b, 9):
+    pair = sample_coding_pair(anchors, cfg, Rng(21))
+    union = set(np.flatnonzero(pair.any(axis=0)))
+    for w in interpolate(pair, 9):
         assert abs(w.sum() - 1.0) <= 1e-12
         assert set(np.nonzero(w)[0]) <= union
 
@@ -219,20 +217,23 @@ def test_interpolate_is_the_per_step_formula():
     # one broadcast over the steps, bit for bit the scalar formula at each t
     a, b = sample_coding_pair(SQUARE, SamplerConfig(d=3), Rng(4))
     for steps in (2, 3, 10, 37):
-        path = interpolate(a, b, steps)
+        path = interpolate(np.stack([a, b]), steps)
         assert path.shape == (steps, 4)
         for k in range(steps):
             t = k / (steps - 1)
-            assert path[k].tobytes() == ((1.0 - t) * a.weights + t * b.weights).tobytes()
+            assert path[k].tobytes() == ((1.0 - t) * a + t * b).tobytes()
 
 
 def test_interpolate_rejects_bad_args():
-    a = Coding(np.array([1.0, 0.0]))
-    b = Coding(np.array([0.0, 0.0, 1.0]))
-    with pytest.raises(ValueError):
-        interpolate(a, a, 1)
-    with pytest.raises(ValueError):
-        interpolate(a, b, 3)
+    pair = np.eye(2)
+    with pytest.raises(ValueError, match="steps must be >= 2"):
+        interpolate(pair, 1)
+    # anything but two codings of one length is refused
+    for bad in (pair[0], np.eye(3), np.ones((2, 2, 1)), [np.array([1.0, 0.0])]):
+        with pytest.raises(ValueError, match=r"pair must be a \(2, m\) array"):
+            interpolate(bad, 3)
+    with pytest.raises(ValueError, match="must sum to 1"):
+        interpolate(np.array([[1.0, 0.0], [0.5, 0.0]]), 3)
 
 
 def _draw_on(neighbors, m, cfg, rng, tries=None):
@@ -284,7 +285,7 @@ def test_single_draws_match_the_per_draw_reference(d, min_abs_sum):
         assert rng.counter == ref_rng.counter
         want = _pair_reference(table, cfg, ref_rng, tries)
         got = sample_coding_pair(anchors, cfg, rng)
-        assert [c.weights.tobytes() for c in got] == [w.tobytes() for w in want]
+        assert [w.tobytes() for w in got] == [w.tobytes() for w in want]
         assert rng.counter == ref_rng.counter
     if min_abs_sum >= 0.5:  # the guard forced redraws in both kinds of draw
         assert max(tries[0::3]) > 1 and max(tries[1::3] + tries[2::3]) > 1
