@@ -62,8 +62,7 @@ def _dataset(cfg, heldout=False):
         if d.kind == "ring":
             return make_ring(n, d.radius, d.noise_sigma, seed)
         return make_swiss_roll(n, d.noise_sigma, seed)
-    images = load_mnist_idx(d.images, limit=d.limit or None,
-                            downsample_to=d.downsample or None)
+    images = load_mnist_idx(d.images, d.limit, d.downsample)
     if n_heldout >= len(images):
         raise ConfigError(f"{d.images}: [eval] n_heldout={n_heldout} must be at least 0 "
                           f"and leave some of its {len(images)} images for training")

@@ -185,7 +185,9 @@ def _convert(section: str, key: str, raw, template):
 
 def ini_parser() -> configparser.ConfigParser:
     """The one INI reader: `;` also starts a comment after a value; `%` is plain."""
-    return configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    parser = configparser.ConfigParser(inline_comment_prefixes=(";",), interpolation=None)
+    parser.optionxform = str  # keys match with their case, as sections do
+    return parser
 
 
 def load_config(path=None, overrides=()) -> SimpleNamespace:

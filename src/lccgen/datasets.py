@@ -35,21 +35,19 @@ def make_swiss_roll(n: int, noise_sigma: float = 0.0, seed: int = 0) -> np.ndarr
     return pts
 
 
-def load_mnist_idx(images_path, limit: int | None = None,
-                   downsample_to: int | None = None) -> np.ndarray:
+def load_mnist_idx(images_path, limit: int = 0, downsample_to: int = 0) -> np.ndarray:
     """IDX image file -> (n, rows*cols) array with pixels mapped to [-1, 1].
 
     Big-endian u32 header (magic, count, rows, cols), then u8 pixels to the end.
-    `limit` keeps the first images; `downsample_to=k` box-filters each image
-    to k x k, and k must divide both image dimensions (`[data] downsample`).
+    `limit` keeps the first images, the only ones cast from uint8, and
+    `downsample_to=k` box-filters each image to k x k, k dividing both image
+    dimensions; 0 keeps every image and the native size, as the `[data]` keys do.
     """
     r = Reader(images_path, IMAGES_MAGIC)
     count, rows, cols = r.fields(">III")
     pixels = r.array(np.uint8, count * rows * cols)
     r.end()
-    images = pixels.reshape(count, rows, cols).astype(np.float64)
-    if limit is not None:
-        images = images[:limit]
+    images = pixels.reshape(count, rows, cols)[:limit or None].astype(np.float64)
     if downsample_to:
         k = int(downsample_to)
         if k < 1 or rows % k or cols % k:

@@ -622,7 +622,7 @@ def _update_anchors(H, G, V, config: LccConfig):
     beta = l_h / np.sqrt(np.sum(E * E, axis=1) + _EPS_SMOOTH)  # (n,)
     W = l_q * np.abs(G)
     if q == 3:
-        W = W * _penalties(H, V, l_q, q)[1]
+        W = W * np.sqrt(sq_dists(H, V))
 
     A = (G * beta[:, None]).T @ G + np.diag(W.sum(axis=0))
     B = (G * beta[:, None]).T @ H + W.T @ H

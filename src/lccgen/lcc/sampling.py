@@ -130,13 +130,14 @@ def walk_codings(anchors: AnchorSet, config: SamplerConfig, rng: Rng, runs):
 
 def sample_codings(anchors: AnchorSet, n: int, config: SamplerConfig, rng: Rng) -> np.ndarray:
     """n random codings over the m anchors, as an (n, m) weight array: the
-    walker's one-run call, a window at a time."""
+    walker's codings over runs of at most _WINDOW draws, stacked."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    table = neighbor_table(anchors, config.d)
-    w = np.zeros((n, anchors.m))
+    w = np.empty((n, anchors.m))  # first, so that an n beyond memory fails at once
+    walk = walk_codings(anchors, config, rng,
+                        [(min(_WINDOW, n - s), 0) for s in range(0, n, _WINDOW)])
     for s in range(0, n, _WINDOW):
-        _walk(table, config, rng, np.array([[min(_WINDOW, n - s), 0]]), w[s:s + _WINDOW])
+        w[s:s + _WINDOW] = next(walk)[0]
     return w
 
 

@@ -23,11 +23,14 @@ from .net import (PHIS, Mlp, TrainingDivergedError, _mean, as_float32_data, back
                   check_finite, forward_cached, grad_buffer)
 
 
+# discriminator output -> its key of net.PHIS; phi is read off that layer, as checkpoints keep it
+_PHI_OF_OUTPUT = {"sigmoid": "log", "identity": "identity"}
+
+
 @dataclass
 class GanModel:
     generator: Mlp
     discriminator: Mlp
-    phi: str  # a key of net.PHIS
 
 
 def build_gan(data_dim: int, m: int, gan: GanConfig = GanConfig(), seed: int = 0) -> GanModel:
@@ -35,9 +38,17 @@ def build_gan(data_dim: int, m: int, gan: GanConfig = GanConfig(), seed: int = 0
     rng = Rng(seed)
     gen = build_mlp([m, gan.hidden, gan.hidden, data_dim],
                     ["relu", "relu", gan.generator_output], rng)
-    disc_out = "sigmoid" if gan.phi == "log" else "identity"
+    disc_out = {phi: out for out, phi in _PHI_OF_OUTPUT.items()}[gan.phi]
     disc = build_mlp([data_dim, gan.hidden, gan.hidden, 1], ["relu", "relu", disc_out], rng)
-    return GanModel(gen, disc, gan.phi)
+    return GanModel(gen, disc)
+
+
+def _phi(gan: GanModel):
+    """The PHIS entry of the discriminator's output activation."""
+    act = gan.discriminator.layers[-1].act
+    if act not in _PHI_OF_OUTPUT:
+        raise ValueError(f"discriminator output {act!r} must be sigmoid or identity")
+    return PHIS[_PHI_OF_OUTPUT[act]]
 
 
 def disc_objective_and_grads(gan: GanModel, reals, codings, grads):
@@ -48,8 +59,8 @@ def disc_objective_and_grads(gan: GanModel, reals, codings, grads):
     fakes = gan.generator.forward(codings)
     score_r, cache_r = forward_cached(gan.discriminator, reals)
     score_f, cache_f = forward_cached(gan.discriminator, fakes)
-    phi_r, d_r = PHIS[gan.phi](score_r)
-    phi_f, d_f = PHIS[gan.phi](1.0 - score_f)
+    phi_r, d_r = _phi(gan)(score_r)
+    phi_f, d_f = _phi(gan)(1.0 - score_f)
     value = float(_mean(phi_r) + _mean(phi_f))  # the two means added in their dtype
     d_r /= reals.shape[0]
     d_f /= -codings.shape[0]  # -phi'/n, with the sign in the divisor
@@ -65,7 +76,7 @@ def gen_objective_and_grads(gan: GanModel, codings, grads: Mlp):
     (J_G, grads.flat)."""
     fakes, cache_g = forward_cached(gan.generator, codings)
     score_f, cache_d = forward_cached(gan.discriminator, fakes)
-    phi_f, d_f = PHIS[gan.phi](1.0 - score_f)
+    phi_f, d_f = _phi(gan)(1.0 - score_f)
     value = float(_mean(phi_f))
     d_f /= -codings.shape[0]
     _, d_fakes = backward(gan.discriminator, cache_d, d_f)
@@ -98,7 +109,7 @@ def train_gan(data, anchors: AnchorSet, sampler: SamplerConfig, model: GanModel,
     if gan.iters == 0:
         return model, []
     work = GanModel(Mlp(model.generator.layers, np.float32),
-                    Mlp(model.discriminator.layers, np.float32), model.phi)
+                    Mlp(model.discriminator.layers, np.float32))
     gen_state, disc_state = init_adam(work.generator.flat), init_adam(work.discriminator.flat)
     gen_grads = grad_buffer(work.generator)
     disc_grads = (grad_buffer(work.discriminator), grad_buffer(work.discriminator))

@@ -86,3 +86,15 @@ def test_both_lcc_weights_must_be_positive(key, value):
     with pytest.raises(ConfigError, match=rf"^\[lcc\] {key}=.* must be positive and finite$"):
         load_config(overrides=[("lcc", key, value)])
     assert getattr(load_config(overrides=[("lcc", key, "1e-4")]).lcc, key) == 1e-4
+
+
+def test_keys_match_with_their_case_as_sections_do(tmp_path):
+    path = tmp_path / "upper.ini"
+    path.write_text("[lcc]\nM = 3\n")
+    with pytest.raises(ConfigError, match=r"^unknown config key \[lcc\] M$"):
+        load_config(str(path))
+    path.write_text("[LCC]\nm = 3\n")
+    with pytest.raises(ConfigError, match=r"^unknown config section \[LCC\]$"):
+        load_config(str(path))
+    path.write_text("[lcc]\nm = 3\n")
+    assert load_config(str(path)).lcc.m == 3

@@ -1,6 +1,7 @@
 """Dataset generator and IDX loader tests."""
 
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from lccgen.datasets import (
     make_ring,
     make_swiss_roll,
 )
+from lccgen.rng import Rng
 from lccgen.serialize import FormatError
 
 
@@ -105,3 +107,28 @@ def test_idx_limit_truncates_count(tmp_path):
     path.write_bytes(_idx_images(3, 4, 4, pixels))
     ds = load_mnist_idx(path, limit=2)
     assert ds.shape == (2, 16)
+
+
+def test_idx_limit_casts_only_the_kept_images(tmp_path):
+    # the file is read whole, but only the kept images become float64
+    path = tmp_path / "imgs.idx"
+    pixels = (Rng(5).uniforms(5000 * 784) * 256).astype(np.uint8)
+    data = _idx_images(5000, 28, 28, pixels.tobytes())
+    path.write_bytes(data)
+    tracemalloc.start()
+    try:
+        ds = load_mnist_idx(path, limit=100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ds.shape == (100, 784)
+    assert np.array_equal(ds, pixels[:100 * 784].reshape(100, 784) / 127.5 - 1.0)
+    assert peak < 2 * len(data)
+
+
+def test_idx_zero_limit_and_downsample_keep_everything(tmp_path):
+    # 0 is "all images" and "native size", as in [data] limit and downsample
+    path = tmp_path / "imgs.idx"
+    path.write_bytes(_idx_images(3, 4, 4, list(range(48))))
+    assert np.array_equal(load_mnist_idx(path, limit=0, downsample_to=0), load_mnist_idx(path))
+    assert load_mnist_idx(path, 0, 0).shape == (3, 16)

@@ -553,7 +553,7 @@ def _float32_twin(gan):
     for net in (gan.generator, gan.discriminator):
         net.flat[...] = net.flat.astype(np.float32)
     gen, disc = (Mlp(net.layers, np.float32) for net in (gan.generator, gan.discriminator))
-    return GanModel(gen, disc, gan.phi)
+    return GanModel(gen, disc)
 
 
 @pytest.mark.parametrize("phi", ["log", "identity"])
@@ -624,6 +624,46 @@ def test_short_float32_gan_run_keeps_its_bits(phi, out):
     assert digest.hexdigest() == _GAN_BITS[phi, out]
 
 
+def _frozen_batch(seed):
+    """16 random 2-d reals and 16 sum-to-one codings over 4 anchors."""
+    rng = Rng(seed)
+    reals = np.asarray(rng.normals(16 * 2)).reshape(16, 2)
+    codings = np.asarray(rng.normals(16 * 4)).reshape(16, 4)
+    return reals, codings / codings.sum(axis=1, keepdims=True)
+
+
+@pytest.mark.parametrize("phi", sorted(PHIS))
+def test_the_objectives_read_phi_off_a_reloaded_discriminator(phi, tmp_path):
+    # phi is stored once, as the discriminator's output activation, which
+    # its checkpoint keeps; the objectives are not told it
+    built = build_gan(2, 4, GanConfig(hidden=8, phi=phi), seed=7)
+    path = str(tmp_path / "discriminator.bin")
+    save_model(path, built.discriminator)
+    gan = GanModel(built.generator, load_model(path))
+    reals, codings = _frozen_batch(8)
+    d_val, _ = disc_objective_and_grads(gan, reals, codings, _disc_grads(gan))
+    g_val, _ = gen_objective_and_grads(gan, codings, grad_buffer(gan.generator))
+    real = gan.discriminator.forward(reals)
+    fake = 1.0 - gan.discriminator.forward(gan.generator.forward(codings))
+    for name, f in PHIS.items():
+        d_want = float(np.mean(f(real)[0]) + np.mean(f(fake)[0]))
+        g_want = float(np.mean(f(fake)[0]))
+        assert (d_val == pytest.approx(d_want, rel=1e-12)) == (name == phi)
+        assert (g_val == pytest.approx(g_want, rel=1e-12)) == (name == phi)
+
+
+def test_a_discriminator_output_with_no_phi_is_refused():
+    gan = build_gan(2, 4, GanConfig(hidden=8), seed=7)
+    *hidden, out = gan.discriminator.layers
+    gan = GanModel(gan.generator, Mlp(hidden + [Layer(out.w, out.b, "tanh")]))
+    reals, codings = _frozen_batch(8)
+    why = r"^discriminator output 'tanh' must be sigmoid or identity$"
+    with pytest.raises(ValueError, match=why):
+        disc_objective_and_grads(gan, reals, codings, _disc_grads(gan))
+    with pytest.raises(ValueError, match=why):
+        gen_objective_and_grads(gan, codings, grad_buffer(gan.generator))
+
+
 # ------------------------------------------------------------------- adam
 
 
@@ -679,7 +719,7 @@ def test_adam_in_place_matches_the_out_of_place_formula_bit_for_bit():
         v = np.zeros(shape)
         for t in range(1, 6):
             g = rng.normals(int(np.prod(shape))).reshape(shape)
-            assert adam_step(p, g, state, lr, b1, b2, eps) is None
+            assert adam_step(p, g, state, lr) is None
             m = b1 * m + (1.0 - b1) * g
             v = b2 * v + (1.0 - b2) * g * g
             m_hat = m / (1.0 - b1**t)
@@ -805,10 +845,7 @@ def test_a_second_train_gan_call_trains_like_a_model_rebuilt_from_its_weights():
 
 def test_tiny_lr_discriminator_step_ascends_frozen_objective():
     gan = build_gan(2, 4, GanConfig(hidden=8), seed=7)
-    rng = Rng(8)
-    reals = np.asarray(rng.normals(16 * 2)).reshape(16, 2)
-    codings = np.asarray(rng.normals(16 * 4)).reshape(16, 4)
-    codings /= codings.sum(axis=1, keepdims=True)
+    reals, codings = _frozen_batch(8)
     before, grads = disc_objective_and_grads(gan, reals, codings, _disc_grads(gan))
     adam_step(gan.discriminator.flat, -grads, init_adam(gan.discriminator.flat), lr=1e-6)
     after, _ = disc_objective_and_grads(gan, reals, codings, _disc_grads(gan))
