@@ -54,5 +54,7 @@ def load_mnist_idx(images_path, limit: int = 0, downsample_to: int = 0) -> np.nd
             raise ValueError(f"{images_path}: [data] downsample={k} must divide the image "
                              f"size {rows}x{cols}")
         images = images.reshape(len(images), k, rows // k, k, cols // k).mean(axis=(2, 4))
-    flat = images.reshape(len(images), -1) / 127.5 - 1.0
+    flat = images.reshape(len(images), -1)  # images is this call's own array: scale in place
+    flat /= 127.5
+    flat -= 1.0
     return flat

@@ -111,6 +111,21 @@ def sq_dists(H: np.ndarray, V: np.ndarray) -> np.ndarray:
     return d2
 
 
+def row_sums(a: np.ndarray) -> np.ndarray:
+    """np.add.reduce(a, axis=1) of a 2-D array, bit for bit.  numpy adds a
+    row of fewer than 8 values one at a time from +0, but one row at a
+    time; for those widths the columns are added here in the same order,
+    each over every row at once.  From 8 values numpy sums a row pairwise
+    in unrolled partial sums, an order no column loop keeps, so wider
+    arrays go to it."""
+    if not 1 <= a.shape[1] < 8:
+        return np.add.reduce(a, axis=1)
+    s = a[:, 0] + 0.0  # from +0, so that a row of -0 sums to +0
+    for k in range(1, a.shape[1]):
+        s += a[:, k]
+    return s
+
+
 def _penalties(H: np.ndarray, V: np.ndarray, l_q: float, q: int):
     # c_ij = l_q * ||v_j - h_i||^q, shape (n, m); dist returned for reuse.
     dist = sq_dists(H, V)
@@ -155,7 +170,7 @@ def _support_objective(H, G, V, config: LccConfig, support) -> float:
     local = np.zeros(G.shape)
     local.ravel()[at] = absg * (config.l_q * d2**config.q)
     E = H - G @ V.T
-    rec = np.sqrt(np.add.reduce(E * E, axis=1))
+    rec = np.sqrt(row_sums(E * E))
     return float(np.add.reduce(2.0 * config.l_h * rec) + np.add.reduce(local, axis=None))
 
 
@@ -567,7 +582,7 @@ def init_anchors(points, m: int, rng: Rng) -> np.ndarray:
     centers = np.empty((m, H.shape[1]))
     first = rng.randint(n)
     centers[0] = H[first]
-    d2 = np.sum((H - centers[0]) ** 2, axis=1)
+    d2 = row_sums((H - centers[0]) ** 2)
     for k in range(1, m):
         total = float(d2.sum())
         if total <= 0.0:
@@ -576,7 +591,7 @@ def init_anchors(points, m: int, rng: Rng) -> np.ndarray:
             r = rng.uniform() * total
             pick = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
         centers[k] = H[pick]
-        d2 = np.minimum(d2, np.sum((H - centers[k]) ** 2, axis=1))
+        d2 = np.minimum(d2, row_sums((H - centers[k]) ** 2))
     return centers.T
 
 
@@ -619,7 +634,7 @@ def _update_anchors(H, G, V, config: LccConfig):
     """
     l_h, l_q, q = config.l_h, config.l_q, config.q
     E = H - G @ V.T
-    beta = l_h / np.sqrt(np.sum(E * E, axis=1) + _EPS_SMOOTH)  # (n,)
+    beta = l_h / np.sqrt(row_sums(E * E) + _EPS_SMOOTH)  # (n,)
     W = l_q * np.abs(G)
     if q == 3:
         W = W * np.sqrt(sq_dists(H, V))

@@ -21,7 +21,7 @@ import numpy as np
 from .. import LccgenError
 from ..config import ConfigError, SamplerConfig
 from ..rng import Rng, normal_u64s, u64_to_normals_at_every_offset, u64_to_uniforms
-from .core import AnchorSet, Coding, check_codings, pin_row_sums, sq_dists
+from .core import AnchorSet, Coding, check_codings, pin_row_sums, row_sums, sq_dists
 
 _MAX_REDRAWS = 64
 _WINDOW = 1024  # draws walk_codings decodes at a time
@@ -83,7 +83,7 @@ def _walk(table, config: SamplerConfig, rng: Rng, runs, w):
             size, slack = need + shift + slack, 4 * slack
             bits = rng.u64_at(np.arange(start + 1, start + size + 1, dtype=np.uint64))
             z = u64_to_normals_at_every_offset(bits, d)
-            s = z.sum(axis=1)
+            s = row_sums(z)
             low = np.abs(s) < config.min_abs_sum
         hit = low[center0[j:] + shift + 1]
         k = int(np.argmax(hit))

@@ -13,7 +13,10 @@ of the plain formulas: identity layers skip their activation, `backward`
 skips the parameter or input gradient a caller discards, multiplies by
 each derivative in arrays of its own and writes parameter gradients into
 a `grad_buffer` its caller keeps for a whole training run, and each `PHIS`
-entry maps a score array t to (phi(t), phi'(t)) from one clamp of t.
+entry maps a score array t to (phi(t), phi'(t)) from one clamp of t.  A
+layer with one output unit (the discriminator's last, an autoencoder
+bottleneck of width 1) passes its input gradient back as one broadcast
+product rather than a matmul of inner dimension 1, with the same values.
 """
 
 from __future__ import annotations
@@ -201,6 +204,14 @@ def backward(net: Mlp, cache, d_out, grads=None, inputs=True):
     d_input); grads=None gives None there and inputs=False None for d_input,
     and that gradient is not computed.  d_out is never written: each
     dy * f'(y) goes into an array made here, in place once there is one.
+
+    Through a layer of one output unit, as the discriminator's last, the
+    input gradient dz @ w.T is an (n, 1) @ (1, k) product, which is taken
+    as the broadcast product dz * w.T: each entry is the same single
+    product.  Only a zero's sign can differ, -0 where the matmul's sum
+    from +0 gave +0, and no -0 reaches a weight or a loss: the next
+    products' sums start again at +0, and a -0 bias gradient adds nothing
+    to Adam's moments, which start at +0.
     """
     dy = np.asarray(d_out, dtype=net.flat.dtype)
     own = False  # whether dy is an array of this call's, free to overwrite
@@ -214,7 +225,8 @@ def backward(net: Mlp, cache, d_out, grads=None, inputs=True):
             np.matmul(x.T, dz, out=g.w)
             np.add.reduce(dz, axis=0, out=g.b)
         if i or inputs:
-            dy, own = dz @ layer.w.T, True
+            wt = layer.w.T
+            dy, own = np.multiply(dz, wt) if wt.shape[0] == 1 else dz @ wt, True
     return (None if grads is None else grads.flat), (dy if inputs else None)
 
 

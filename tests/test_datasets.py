@@ -126,6 +126,23 @@ def test_idx_limit_casts_only_the_kept_images(tmp_path):
     assert peak < 2 * len(data)
 
 
+def test_idx_maps_all_images_in_place(tmp_path):
+    # the float64 result is divided and shifted in place: the peak is the
+    # result and the file, with no full-size temporaries
+    path = tmp_path / "imgs.idx"
+    pixels = (Rng(6).uniforms(5000 * 784) * 256).astype(np.uint8)
+    path.write_bytes(_idx_images(5000, 28, 28, pixels.tobytes()))
+    tracemalloc.start()
+    try:
+        ds = load_mnist_idx(path, limit=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    want = pixels.reshape(5000, 784) / 127.5 - 1.0
+    assert ds.dtype == want.dtype and ds.tobytes() == want.tobytes()
+    assert peak < 1.25 * ds.nbytes
+
+
 def test_idx_zero_limit_and_downsample_keep_everything(tmp_path):
     # 0 is "all images" and "native size", as in [data] limit and downsample
     path = tmp_path / "imgs.idx"

@@ -727,6 +727,32 @@ def test_penalties_match_the_difference_array_bit_for_bit(d_b, n, m):
         assert obj == ref if exact else obj == pytest.approx(ref, rel=1e-14)
 
 
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+@pytest.mark.parametrize("width", range(13))
+def test_row_sums_match_numpy_bit_for_bit(width, dtype):
+    rng = np.random.default_rng(width)
+    n = 300
+    # magnitudes around e^-40 to e^40, so the order of the sums shows
+    a = rng.standard_normal((n, width)) * np.exp(rng.uniform(-40.0, 40.0, (n, width)))
+    a = a.astype(dtype)
+    tiny = np.finfo(dtype).smallest_subnormal
+    specials = np.array([-0.0, 0.0, np.inf, -np.inf, np.nan, tiny, -tiny, 5 * tiny, -3 * tiny],
+                        dtype)
+    a[:100] = rng.choice(specials, (100, width))
+    a[100:110] = -0.0  # numpy sums a row of -0 to +0
+    a[110:120] = rng.choice(specials[5:], (10, width))  # subnormals only
+    a[120:130, :1] = np.inf
+    a[130:140, -1:] = np.nan
+    wide = np.zeros((2 * n, 3 * width), dtype)
+    wide[::2, ::3] = a
+    for x in (a, np.asfortranarray(a), wide[::2, ::3]):
+        with np.errstate(invalid="ignore"):  # inf - inf, in both
+            got, want = core.row_sums(x), np.add.reduce(x, axis=1)
+        assert got.dtype == want.dtype == dtype and got.shape == (n,)
+        assert got.tobytes() == want.tobytes()
+        assert not np.signbit(got[100:110]).any()
+
+
 @pytest.mark.parametrize("q", [2, 3])
 @pytest.mark.parametrize("d_b", [1, 2, 3, 5, 9])
 def test_support_objective_matches_the_full_array_bit_for_bit(d_b, q):

@@ -624,6 +624,60 @@ def test_short_float32_gan_run_keeps_its_bits(phi, out):
     assert digest.hexdigest() == _GAN_BITS[phi, out]
 
 
+# sha256 pins of two runs whose one-output layers take backward's broadcast
+# product, computed while every input gradient was still a matmul: a
+# 20-iteration train_gan on data scaled by 1e4, which saturates the
+# discriminator (phi' = 0 on whole real batches, so that layer passes back
+# zeros whose sign the product and the matmul set differently), and a
+# 3-epoch train_autoencoder with a one-unit bottleneck
+_RANK_ONE_BITS = {
+    "gan": "7dd4fcc8167aeb32b457cf4cb92f51408110c4e48a6cafd1e8453e6c7d93c35a",
+    "autoencoder": "6d025ed797522820d658dbfed1b3ed9e86ef4935df77d21f332c85064274d83e",
+}
+
+
+def test_saturated_float32_gan_run_keeps_its_bits():
+    X = 1e4 * np.asarray(Rng(3).normals(256 * 2)).reshape(256, 2)
+    config = GanConfig(iters=20, batch=32, hidden=32, lr=1e-3, phi="log",
+                       generator_output="identity")
+    gan = build_gan(2, 4, config, seed=11)
+    gan, trace = train_gan(X, _square_anchors(), SamplerConfig(d=2), gan, config, 13)
+    digest = hashlib.sha256(np.array(trace).tobytes())
+    digest.update(gan.generator.flat.tobytes())
+    digest.update(gan.discriminator.flat.tobytes())
+    assert digest.hexdigest() == _RANK_ONE_BITS["gan"]
+
+
+def test_one_unit_bottleneck_autoencoder_run_keeps_its_bits():
+    X = make_ring(300, 1.0, 0.01, 7)
+    enc, dec, history = train_autoencoder(X, AutoencoderConfig(latent_dim=1, epochs=3), 5)
+    assert enc.layers[-1].w.shape[1] == 1
+    digest = hashlib.sha256(np.array(history).tobytes())
+    digest.update(enc.flat.tobytes())
+    digest.update(dec.flat.tobytes())
+    assert digest.hexdigest() == _RANK_ONE_BITS["autoencoder"]
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.float32])
+def test_a_one_output_layer_passes_back_the_matmul_values(dtype):
+    rng = Rng(21)
+    net = Mlp(build_mlp([3, 5, 1], ["relu", "sigmoid"], rng).layers, dtype)
+    net.layers[-1].w[1] = -0.0
+    X = np.asarray(rng.normals(7 * 3)).reshape(7, 3)
+    d_out = np.asarray(rng.normals(7), dtype=dtype).reshape(7, 1)
+    d_out[:2] = -0.0  # -0 * w is -0 or +0, where the matmul's sum gives +0
+    _, cache = forward_cached(net, X)
+    _, d_in = backward(net, cache, d_out)
+    (_, y1), (x2, y2) = cache
+    dz2 = ACTIVATIONS["sigmoid"][1](y2, d_out)
+    dz1 = ACTIVATIONS["relu"][1](y1, dz2 @ net.layers[1].w.T)
+    want = dz1 @ net.layers[0].w.T
+    assert d_in.dtype == want.dtype == dtype
+    assert np.array_equal(d_in, want)
+    top = Mlp([net.layers[1]], dtype)
+    assert np.array_equal(backward(top, [(x2, y2)], d_out)[1], dz2 @ top.layers[0].w.T)
+
+
 def _frozen_batch(seed):
     """16 random 2-d reals and 16 sum-to-one codings over 4 anchors."""
     rng = Rng(seed)
